@@ -18,7 +18,7 @@ from .errors import (
     TheoremViolationError,
     VltowerError,
 )
-from .groups import TowerPrefix, phi_build, normal_surjectivity_check, tower_build
+from .groups import Model, TowerPrefix, phi_build, normal_surjectivity_check, tower_build
 from .laurent import LaurentPoly, parse_laurent
 from .localization import parse_dyadic
 from .quadratic import norm, norm_data, predicted_parity, verify_parity_range
@@ -28,16 +28,15 @@ USAGE_EXIT = 1
 VIOLATION_EXIT = 2
 
 
-def _parse_s(text: str) -> LaurentPoly:
-    return parse_laurent(text)
-
-
 def _parse_edges(text: str) -> list[LaurentPoly]:
-    return [parse_laurent(part) for part in text.split(",") if part.strip()]
+    edges = [parse_laurent(part) for part in text.split(",") if part.strip()]
+    if not edges:
+        raise PreconditionError(f"no edges in {text!r}")
+    return edges
 
 
 def cmd_norm(args) -> Report:
-    s = _parse_s(args.s)
+    s = parse_laurent(args.s)
     rep = Report("norm", {"s": str(s)})
     nd = norm_data(s)
     rep.add(
@@ -79,7 +78,7 @@ def cmd_parity_verify(args) -> Report:
 
 
 def cmd_phi_check(args) -> Report:
-    s = _parse_s(args.s)
+    s = parse_laurent(args.s)
     rep = Report("phi-check", {"s": str(s), "k": args.k})
     data = phi_build(s, args.k)
     rep.add(
@@ -178,16 +177,8 @@ def cmd_tower(args) -> Report:
     return rep
 
 
-def _parse_model(text: str):
-    if text in ("H", "G2"):
-        return text
-    if text.lower().startswith("gamma"):
-        return int(text[5:])
-    raise PreconditionError(f"unknown model {text!r}; use H, G2, or GammaK")
-
-
 def cmd_lcs(args) -> Report:
-    model = _parse_model(args.model)
+    model = Model.parse(args.model)
     rep = Report("lcs", {"model": args.model, "depth": args.depth})
     chain = series.lcs_chain(model, args.depth)
     indices = [stage.module.index() for stage in chain]
@@ -208,8 +199,8 @@ def cmd_lcs(args) -> Report:
             cert.ok,
             probes=len(cert.probes),
         )
-    if args.transfinite is not None and isinstance(model, int):
-        tr = series.transfinite_chain(model, args.transfinite or None)
+    if args.transfinite is not None and model.is_truncation:
+        tr = series.transfinite_chain(model.k, args.transfinite or None)
         rep.add(
             "lcs.transfinite",
             f"orders {list(tr.orders)}, quotients {list(tr.quotient_orders)}",
@@ -227,8 +218,10 @@ def cmd_witness(args) -> Report:
     if args.samples:
         if "/" in args.samples:
             samples = [parse_dyadic(tok) for tok in args.samples.split(",")]
-        else:
+        elif args.samples.isdecimal():
             samples = series.default_center_samples(seed=args.seed)[: int(args.samples)]
+        else:
+            raise PreconditionError(f"samples {args.samples!r} are neither a count nor dyadics")
     rep = Report(
         "witness",
         {
@@ -393,8 +386,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return USAGE_EXIT
     print(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.passed else VIOLATION_EXIT
 

@@ -28,7 +28,7 @@ class NilpotentModuleSpec:
 
     def __post_init__(self):
         if self.m < 0:
-            raise ValueError("negative modulus exponent")
+            raise PreconditionError("negative modulus exponent")
 
     @property
     def modulus(self) -> int:
@@ -235,6 +235,8 @@ def cohn_local_suite(
     Coherence: a lift computed at this truncation, pushed deeper, equals the
     lift computed deeper of the pushed data.
     """
+    if size_bound < 1 or degree_bound < 0:
+        raise PreconditionError("need matrix size bound >= 1 and degree bound >= 0")
     rng = random.Random(seed)
     failures: list[CohnTrial] = []
     coh_failures = 0

@@ -1,23 +1,24 @@
-"""Normal-form models and exact group laws for the tower groups.
+"""The class-2 group kernel and the element models of the tower groups.
 
-Five element models live here:
+One law covers every group of the tower: the class-2 extension of the base
+group H by its commutator t = [a, a^b], with normal form t^c A^m B^n b^j
+(b rightmost).  A ``GammaKElem`` carries its center level k: None reads c in
+Z (the infinite-center group G2), an integer k >= 0 reads c mod 2**k (the
+truncation Gamma_k), and level 0 is the base group H itself (t dies).  The
+kernel (``gamma_mul``, ``gamma_inv`` and what is built on them) creates
+elements as plain tuples; only ``gamma_make`` and ``gamma_gen`` validate.
+``Model`` is the validated selector H, G2 or Gamma<K>: it fixes the center
+level and whether the lower central series keeps a center part (H does not).
 
-* ``HElem``: the base group, a rank-2 module extended by the cyclic group on
-  b; normal form b^j a^n.
-* ``G2Elem``: the class-2 central extension with infinite cyclic center
-  generated by t = [a, a^b]; normal form t^c a^m (a^b)^n b^j (b rightmost).
-* ``GammaKElem``: the level-k truncation, same laws with c read mod 2**k.
-  Level 0 is the base group again (t dies).
-* ``HbarElem``: the localized base group, module part an S-fraction.
-* ``LElem``: the colimit model over a built tower prefix, stored as a staged
-  truncation element.
+Built on the kernel: ``HbarElem``, the localized base group with module
+part an S-fraction, and ``LElem``, the colimit model over a built tower
+prefix, stored as a staged truncation element.
 
 Collection conventions (fixed once, used everywhere): x^y = y^-1 x y and
-[x, y] = x^-1 y^-1 x y.  Writing A = a, B = a^b inside the class-2 models,
-the defining relations give B A = A B t^-1 with t central among A, B, and
-conjugation by b acts as A |-> B, B |-> A B^3, t |-> t^-1.  For an S-element
-s, a^s is the product of the conjugates a^(n_i b^i) taken in ascending
-exponent order.
+[x, y] = x^-1 y^-1 x y.  Writing A = a, B = a^b, the defining relations give
+B A = A B t^-1 with t central among A, B, and conjugation by b acts as
+A |-> B, B |-> A B^3, t |-> t^-1.  For an S-element s, a^s is the product of
+the conjugates a^(n_i b^i) taken in ascending exponent order.
 
 The closed-form product law is derived from two ingredients: the reordering
 cocycle of A and B powers, and the center corrections of b-conjugation
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InsufficientTowerError,
@@ -40,20 +41,45 @@ from .errors import (
 )
 from .laurent import ONE, LaurentPoly, augmentation, divide_exact, require_in_S
 from .localization import CenterColim, Fraction, frac_eq
-from .quadratic import (
-    Vec,
-    evaluate_at_U,
-    norm,
-    two_adic_split,
-    u_pow,
-    vec_add,
-    vec_mat,
-)
+from .quadratic import Vec, evaluate_at_U, norm, two_adic_split, u_pow, vec_mat
 
 Heis = tuple[int, int, int]  # (c, m, n) meaning t^c A^m B^n
 
-Model = Literal["H", "G2"] | int
-"""Model selector: "H", "G2", or an integer k >= 0 for the level-k truncation."""
+
+@dataclass(frozen=True)
+class Model:
+    """A validated model selector, parsed from H, G2 or Gamma<K>.
+
+    ``k`` is the center level of the model's elements: None for G2 (t of
+    infinite order), K for Gamma_K (t of order 2**K), and 0 for H.
+    ``central`` is False only for H, whose series stages have no center
+    part; that is what tells H apart from Gamma0.
+    """
+
+    k: int | None
+    central: bool = True
+
+    def __post_init__(self):
+        if self.k is not None and self.k < 0:
+            raise PreconditionError(f"negative truncation level {self.k}")
+        if not self.central and self.k != 0:
+            raise PreconditionError("only the level-0 model can drop the center")
+
+    @classmethod
+    def parse(cls, text: str) -> Model:
+        if text == "H":
+            return cls(0, central=False)
+        if text == "G2":
+            return cls(None)
+        digits = text[5:]
+        if text[:5].lower() == "gamma" and digits.isascii() and digits.isdigit():
+            return cls(int(digits))
+        raise PreconditionError(f"unknown model {text!r}; use H, G2, or GammaK with K >= 0")
+
+    @property
+    def is_truncation(self) -> bool:
+        """Gamma_K: a center of finite order 2**K."""
+        return self.central and self.k is not None
 
 
 # ---------------------------------------------------------------------------
@@ -112,139 +138,33 @@ def conj_by_b_pow(h: Heis, j: int) -> Heis:
 
 
 # ---------------------------------------------------------------------------
-# the base group H: normal form b^j a^n
+# the class-2 kernel: t^c A^m B^n b^j at center level k
 
 
-@dataclass(frozen=True)
-class HElem:
-    """b^j a^n with n a module vector."""
+class GammaKElem(NamedTuple):
+    """t^c a^(n1) (a^b)^(n2) b^j; c read in Z (k None) or mod 2**k."""
 
-    n: Vec
-    j: int
-
-
-H_IDENTITY = HElem((0, 0), 0)
-H_A = HElem((1, 0), 0)
-H_AB = HElem((0, 1), 0)
-H_B = HElem((0, 0), 1)
-
-
-def h_mul(x: HElem, y: HElem) -> HElem:
-    # (b^j a^n)(b^j' a^m) = b^(j+j') a^(n U^j' + m)
-    return HElem(vec_add(vec_mat(x.n, u_pow(y.j)), y.n), x.j + y.j)
-
-
-def h_inv(x: HElem) -> HElem:
-    n = vec_mat(x.n, u_pow(-x.j))
-    return HElem((-n[0], -n[1]), -x.j)
-
-
-def h_pow(x: HElem, e: int) -> HElem:
-    if e < 0:
-        return h_pow(h_inv(x), -e)
-    out = H_IDENTITY
-    base = x
-    while e:
-        if e & 1:
-            out = h_mul(out, base)
-        base = h_mul(base, base)
-        e >>= 1
-    return out
-
-
-def h_s_action(s: LaurentPoly, x: HElem) -> HElem:
-    """The endomorphism of the base group induced by s: a |-> a^s, b |-> b."""
-    return HElem(vec_mat(x.n, evaluate_at_U(s)), x.j)
-
-
-# ---------------------------------------------------------------------------
-# the class-2 models: t^c A^m B^n b^j
-
-
-@dataclass(frozen=True)
-class G2Elem:
-    """t^c a^(n1) (a^b)^(n2) b^j with an infinite cyclic center on t."""
-
+    k: int | None
     c: int
     n: Vec
     j: int
 
 
-@dataclass(frozen=True)
-class GammaKElem:
-    """Level-k truncation element; center exponent reduced mod 2**k."""
-
-    k: int
-    c: int
-    n: Vec
-    j: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("negative truncation level")
-        if not 0 <= self.c < max(1, 1 << self.k):
-            raise ValueError("center exponent not reduced")
+def _center(k: int | None, c: int) -> int:
+    return c if k is None else c % (1 << k)
 
 
-def _central_mul(x_c, x_n, x_j, y_c, y_n, y_j) -> tuple[int, Vec, int]:
-    h2 = conj_by_b_pow((y_c, y_n[0], y_n[1]), x_j)
-    c, m, n = heis_mul((x_c, x_n[0], x_n[1]), h2)
-    return c, (m, n), x_j + y_j
+def gamma_make(k: int | None, c: int, n: Vec, j: int) -> GammaKElem:
+    if k is not None and k < 0:
+        raise PreconditionError(f"negative truncation level {k}")
+    return GammaKElem(k, _center(k, c), n, j)
 
 
-def _central_inv(x_c, x_n, x_j) -> tuple[int, Vec, int]:
-    h = heis_inv((x_c, x_n[0], x_n[1]))
-    c, m, n = conj_by_b_pow(h, -x_j)
-    return c, (m, n), -x_j
-
-
-def g2_mul(x: G2Elem, y: G2Elem) -> G2Elem:
-    c, n, j = _central_mul(x.c, x.n, x.j, y.c, y.n, y.j)
-    return G2Elem(c, n, j)
-
-
-def g2_inv(x: G2Elem) -> G2Elem:
-    c, n, j = _central_inv(x.c, x.n, x.j)
-    return G2Elem(c, n, j)
-
-
-def g2_pow(x: G2Elem, e: int) -> G2Elem:
-    if e < 0:
-        return g2_pow(g2_inv(x), -e)
-    out = G2_IDENTITY
-    base = x
-    while e:
-        if e & 1:
-            out = g2_mul(out, base)
-        base = g2_mul(base, base)
-        e >>= 1
-    return out
-
-
-def g2_conj(x: G2Elem, y: G2Elem) -> G2Elem:
-    return g2_mul(g2_inv(y), g2_mul(x, y))
-
-
-def g2_comm(x: G2Elem, y: G2Elem) -> G2Elem:
-    return g2_mul(g2_inv(x), g2_mul(g2_inv(y), g2_mul(x, y)))
-
-
-G2_IDENTITY = G2Elem(0, (0, 0), 0)
-G2_A = G2Elem(0, (1, 0), 0)
-G2_AB = G2Elem(0, (0, 1), 0)
-G2_B = G2Elem(0, (0, 0), 1)
-G2_T = G2Elem(1, (0, 0), 0)
-
-
-def gamma_make(k: int, c: int, n: Vec, j: int) -> GammaKElem:
-    return GammaKElem(k, c % max(1, 1 << k), n, j)
-
-
-def gamma_identity(k: int) -> GammaKElem:
+def gamma_identity(k: int | None) -> GammaKElem:
     return gamma_make(k, 0, (0, 0), 0)
 
 
-def gamma_gen(k: int, name: str) -> GammaKElem:
+def gamma_gen(k: int | None, name: str) -> GammaKElem:
     vec = {"a": (1, 0), "ab": (0, 1)}.get(name)
     if vec is not None:
         return gamma_make(k, 0, vec, 0)
@@ -255,21 +175,16 @@ def gamma_gen(k: int, name: str) -> GammaKElem:
     raise ValueError(f"unknown generator {name!r}")
 
 
-def _same_level(x: GammaKElem, y: GammaKElem) -> int:
+def gamma_mul(x: GammaKElem, y: GammaKElem) -> GammaKElem:
     if x.k != y.k:
         raise LevelMismatchError(f"levels {x.k} and {y.k}")
-    return x.k
-
-
-def gamma_mul(x: GammaKElem, y: GammaKElem) -> GammaKElem:
-    k = _same_level(x, y)
-    c, n, j = _central_mul(x.c, x.n, x.j, y.c, y.n, y.j)
-    return gamma_make(k, c, n, j)
+    c, m, n = heis_mul((x.c, *x.n), conj_by_b_pow((y.c, *y.n), x.j))
+    return GammaKElem(x.k, _center(x.k, c), (m, n), x.j + y.j)
 
 
 def gamma_inv(x: GammaKElem) -> GammaKElem:
-    c, n, j = _central_inv(x.c, x.n, x.j)
-    return gamma_make(x.k, c, n, j)
+    c, m, n = conj_by_b_pow(heis_inv((x.c, *x.n)), -x.j)
+    return GammaKElem(x.k, _center(x.k, c), (m, n), -x.j)
 
 
 def gamma_pow(x: GammaKElem, e: int) -> GammaKElem:
@@ -293,13 +208,9 @@ def gamma_comm(x: GammaKElem, y: GammaKElem) -> GammaKElem:
     return gamma_mul(gamma_inv(x), gamma_mul(gamma_inv(y), gamma_mul(x, y)))
 
 
-def gamma_from_g2(k: int, x: G2Elem) -> GammaKElem:
-    return gamma_make(k, x.c, x.n, x.j)
-
-
-def gamma_project_h(x: GammaKElem) -> HElem:
-    """Quotient by the center: t^c a^n b^j |-> b^j a^(n U^j)."""
-    return HElem(vec_mat(x.n, u_pow(x.j)), x.j)
+def base_form(x: GammaKElem) -> tuple[Vec, int]:
+    """Quotient by the center: t^c a^n b^j |-> b^j a^(n U^j), as (n U^j, j)."""
+    return vec_mat(x.n, u_pow(x.j)), x.j
 
 
 # ---------------------------------------------------------------------------
@@ -411,49 +322,23 @@ def _oracle_collect(word: Word, modulus: int | None) -> tuple[int, int, int, int
     return st.c, st.m, st.n, st.j
 
 
-def word_oracle(word: Word, model: Model):
+def word_oracle(word: Word, model: Model) -> GammaKElem:
     """Evaluate a word over {a, b} (plus derived letters t, ab) in a model.
 
-    Returns an HElem, G2Elem, or GammaKElem according to ``model``.  This
-    path shares no formulas with the closed-form laws beyond the single
+    This path shares no formulas with the closed-form laws beyond the single
     rewrite rules listed on _OracleState.
     """
-    if model == "G2":
-        c, m, n, j = _oracle_collect(word, None)
-        return G2Elem(c, (m, n), j)
-    if model == "H":
-        _, m, n, j = _oracle_collect(word, 1)
-        return HElem(vec_mat((m, n), u_pow(j)), j)
-    k = int(model)
-    if k < 0:
-        raise ValueError("truncation level must be nonnegative")
-    c, m, n, j = _oracle_collect(word, max(1, 1 << k))
-    return GammaKElem(k, c, (m, n), j)
+    if not isinstance(model, Model):
+        raise PreconditionError(f"not a model: {model!r}")
+    c, m, n, j = _oracle_collect(word, None if model.k is None else 1 << model.k)
+    return GammaKElem(model.k, c, (m, n), j)
 
 
-def h_eval_word(word: Word) -> HElem:
-    """Evaluate a word with the closed-form base-group law."""
-    gens = {"a": H_A, "b": H_B, "ab": H_AB}
-    out = H_IDENTITY
+def eval_word(word: Word, model: Model) -> GammaKElem:
+    """Evaluate a word with the closed-form law."""
+    out = gamma_identity(model.k)
     for gen, e in word:
-        if gen == "t":
-            continue  # t is trivial in the base group
-        out = h_mul(out, h_pow(gens[gen], e))
-    return out
-
-
-def g2_eval_word(word: Word) -> G2Elem:
-    gens = {"a": G2_A, "b": G2_B, "ab": G2_AB, "t": G2_T}
-    out = G2_IDENTITY
-    for gen, e in word:
-        out = g2_mul(out, g2_pow(gens[gen], e))
-    return out
-
-
-def gamma_eval_word(word: Word, k: int) -> GammaKElem:
-    out = gamma_identity(k)
-    for gen, e in word:
-        out = gamma_mul(out, gamma_pow(gamma_gen(k, gen), e))
+        out = gamma_mul(out, gamma_pow(gamma_gen(model.k, gen), e))
     return out
 
 
@@ -488,12 +373,6 @@ def relator_defect(s: LaurentPoly) -> tuple[int, int]:
     if y[1:] != x3[1:]:
         raise TheoremViolationError(f"cube module parts differ for s={s}")
     return lhs[0] - rhs[0], y[0] - x3[0]
-
-
-def compute_l(s: LaurentPoly, k: int) -> int:
-    """The center exponent l of the defining-relation image at level k."""
-    l_exact, _ = relator_defect(s)
-    return l_exact % max(1, 1 << k)
 
 
 @dataclass(frozen=True)
@@ -546,10 +425,9 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     p, _ = two_adic_split(norm(s))
     target_k = k + p
     l_exact, d = relator_defect(s)
-    target_mod = max(1, 1 << target_k)
+    target_mod = 1 << target_k
     # 3 is invertible mod any power of two.
-    inv3 = pow(3, -1, target_mod) if target_mod > 1 else 0
-    r = ((d - l_exact) * inv3) % target_mod
+    r = ((d - l_exact) * pow(3, -1, target_mod)) % target_mod
 
     x = a_power_s(s)
     img_a = gamma_make(target_k, x[0] + r, (x[1], x[2]), 0)
@@ -574,7 +452,7 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     if _gamma_iterated_comm_with_b(img_t, k) != gamma_identity(target_k):
         raise TheoremViolationError(f"order relator image nonzero for s={s}, k={k}")
 
-    source_mod = max(1, 1 << k)
+    source_mod = 1 << k
     l_mod = l_exact % source_mod
     source_ok = (3 * r - l_exact) % source_mod == 0
     return PhiData(
@@ -675,10 +553,10 @@ def _check_base_diagram(data: PhiData, samples: int) -> None:
         for n in (0, 1)
         for j in (-1, 0, 1)
     ][: max(1, samples * 3)]
+    s_matrix = evaluate_at_U(data.s)
     for g in pool:
-        lhs = gamma_project_h(phi_apply(data, g))
-        rhs = h_s_action(data.s, gamma_project_h(g))
-        if lhs != rhs:
+        n, j = base_form(g)
+        if base_form(phi_apply(data, g)) != (vec_mat(n, s_matrix), j):
             raise TheoremViolationError(
                 f"base diagram does not commute for s={data.s} at level {k}"
             )
@@ -712,8 +590,10 @@ def hbar_eq(x: HbarElem, y: HbarElem) -> bool:
     return x.j == y.j and frac_eq(x.n, y.n)
 
 
-def hbar_from_h(x: HElem) -> HbarElem:
-    return HbarElem(Fraction(x.n, ONE), x.j)
+def hbar_from_h(x: GammaKElem) -> HbarElem:
+    """The inclusion of the base group, on level-0 elements."""
+    n, j = base_form(x)
+    return HbarElem(Fraction(n, ONE), j)
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +665,8 @@ def l_eq(x: LElem, y: LElem, tower: TowerPrefix) -> bool:
 
 def l_project(x: LElem, tower: TowerPrefix) -> HbarElem:
     """Drop the center: the localized-base-group component."""
-    h = gamma_project_h(x.g)
-    return HbarElem(Fraction(h.n, tower.prefix_product(x.stage)), h.j)
+    n, j = base_form(x.g)
+    return HbarElem(Fraction(n, tower.prefix_product(x.stage)), j)
 
 
 def l_parts(x: LElem, tower: TowerPrefix) -> tuple[CenterColim, Fraction, int]:

@@ -1,12 +1,12 @@
 """Second-homology bookkeeping as exact certificates.
 
-The homology groups themselves are encoded constants (order-2 cyclic for the
-base group and every truncation, generated by the class of t^(2^k)); what is
-computed exactly is everything the construction needs about induced maps:
-whether an S-element kills the base class (parity of its norm), the 2-adic
-valuation of the generator image under a level map, first-homology
-invertibility, and the colimit fold that makes the localized base group's
-second homology vanish.
+The homology groups themselves are known constants (order-2 cyclic for the
+base group and every truncation, generated by the class of t^(2^k)) and are
+not computed.  What is computed exactly is everything the construction needs
+about induced maps: whether an S-element kills the base class (parity of its
+norm), the 2-adic valuation of the generator image under a level map,
+first-homology invertibility, and the colimit fold that makes the localized
+base group's second homology vanish.
 """
 
 from __future__ import annotations
@@ -15,28 +15,17 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import TheoremViolationError
-from .groups import G2_B, G2Elem, Model, PhiData, TowerPrefix, a_power_s, g2_comm, g2_conj
+from .groups import (
+    PhiData,
+    TowerPrefix,
+    a_power_s,
+    gamma_comm,
+    gamma_conj,
+    gamma_gen,
+    gamma_make,
+)
 from .laurent import LaurentPoly, augmentation, require_in_S
 from .quadratic import norm, two_adic_split
-
-
-@dataclass(frozen=True)
-class H2Certificate:
-    """Encoded second homology of one model: order-2 cyclic, generated by the
-    class of t**(2**generator_valuation)."""
-
-    group_tag: str
-    group_value: str
-    generator_valuation: int
-
-
-def h2_group(model: Model) -> H2Certificate:
-    if model == "H":
-        return H2Certificate("H", "Z/2", 0)
-    if model == "G2":
-        raise ValueError("no encoded second homology for the infinite-center model")
-    k = int(model)
-    return H2Certificate(f"Gamma_{k}", "Z/2", k)
 
 
 def s_star_on_H2(s: LaurentPoly) -> Literal["zero", "iso"]:
@@ -57,8 +46,8 @@ def h2_generator_image_valuation(phi_data: PhiData) -> int:
     target generator, certifying the induced map is an isomorphism.
     """
     x = a_power_s(phi_data.s)
-    g_a = G2Elem(x[0] + phi_data.r, (x[1], x[2]), 0)
-    comm = g2_comm(g_a, g2_conj(g_a, G2_B))
+    g_a = gamma_make(None, x[0] + phi_data.r, (x[1], x[2]), 0)
+    comm = gamma_comm(g_a, gamma_conj(g_a, gamma_gen(None, "b")))
     if comm.n != (0, 0) or comm.j != 0:
         raise TheoremViolationError("generator image is not central")
     if comm.c != norm(phi_data.s):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction as _QFrac
 from typing import Iterator
 
-from .errors import LaurentParseError, NotInSError
+from .errors import LaurentParseError, NotInSError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     each polynomial corresponds to exactly one tuple within the fixed window.
     """
     if max_degree_span < 0 or max_abs_coeff < 0:
-        raise ValueError("bounds must be nonnegative")
+        raise PreconditionError("bounds must be nonnegative")
     width = max_degree_span + 1
     rng = range(-max_abs_coeff, max_abs_coeff + 1)
     found = [t for t in itertools.product(rng, repeat=width) if sum(t) == 1]

@@ -60,10 +60,6 @@ def frac_scale(f: Fraction, s: LaurentPoly) -> Fraction:
     return Fraction(vec_mat(f.num, evaluate_at_U(s)), f.den)
 
 
-def frac_is_zero(f: Fraction) -> bool:
-    return f.num == (0, 0)
-
-
 @dataclass(frozen=True)
 class Dyadic:
     """num / 2**k mod 1, canonical: 0 <= num < 2**k with num odd, or (0, 0)."""
@@ -124,19 +120,15 @@ def dyadic_halve(x: Dyadic) -> Dyadic:
     return dyadic_make(x.num, x.k + 1)
 
 
-def dyadic_scale(x: Dyadic, n: int) -> Dyadic:
-    return dyadic_make(x.num * n, x.k)
-
-
 def parse_dyadic(text: str) -> Dyadic:
     """Parse 'num/den' (den a power of two) or an integer (which is 0 mod 1)."""
-    text = text.strip()
-    if "/" not in text:
-        return dyadic_make(int(text), 0)
-    a, b = text.split("/", 1)
-    num, den = int(a), int(b)
+    num_text, _, den_text = text.strip().partition("/")
+    try:
+        num, den = int(num_text), int(den_text or 1)
+    except ValueError:
+        raise PreconditionError(f"not a dyadic: {text!r}") from None
     if den <= 0 or den & (den - 1):
-        raise ValueError(f"denominator {den} is not a positive power of two")
+        raise PreconditionError(f"denominator {den} is not a positive power of two")
     return dyadic_make(num, den.bit_length() - 1)
 
 

@@ -1,10 +1,12 @@
 """Lower-central-series engine and the non-transfinite-nilpotence witness.
 
-Finite stages are computed exactly: in every model here the i-th stage (for
-i >= 2) is a set of the shape (center part <t^(2^e)>, module lattice, trivial
-b part), the module part advancing by one (U - I) multiplication per step and
-the center part generated by the commutator pairings of the module generators
-together with [t^(2^e), b] = t^(-2^(e+1)).
+Every function here takes a ``groups.Model``: the center level (Z for G2,
+Z/2^K for Gamma_K) and whether the stages keep a center part at all (not for
+the base group H).  Finite stages are computed exactly: in every model the
+i-th stage (for i >= 2) is a set of the shape (center part <t^(2^e)>, module
+lattice, trivial b part), the module part advancing by one (U - I)
+multiplication per step and the center part generated by the commutator
+pairings of the module generators together with [t^(2^e), b] = t^(-2^(e+1)).
 
 The limit stage of a truncation is certified, not computed by an infinite
 intersection: the center parts of the finite stages are constant and every
@@ -28,22 +30,6 @@ from .quadratic import IDENTITY, U, Lattice, Vec, intersect_chain_probe
 _U_MINUS_I = U - IDENTITY
 
 
-def _is_central_model(model: Model) -> bool:
-    return model != "H"
-
-
-def _truncation_level(model: Model) -> int | None:
-    """2-power center modulus exponent: None for the infinite-center model."""
-    if model == "G2":
-        return None
-    if model == "H":
-        return 0
-    k = int(model)
-    if k < 0:
-        raise ValueError("negative truncation level")
-    return k
-
-
 @dataclass(frozen=True)
 class SubgroupData:
     """A subgroup in the shape the lower central series takes here.
@@ -60,10 +46,9 @@ class SubgroupData:
     def center_order(self, model: Model) -> int | float:
         if self.center_exp is None:
             return 1
-        k = _truncation_level(model)
-        if k is None:
+        if model.k is None:
             return math.inf
-        return 1 << max(0, k - self.center_exp)
+        return 1 << max(0, model.k - self.center_exp)
 
     def contains(self, c: int, n: Vec, j: int, model: Model) -> bool:
         if j != 0 and not self.b_whole:
@@ -71,18 +56,16 @@ class SubgroupData:
         if not self.module.contains(n):
             return False
         if self.center_exp is None:
-            return c == 0 or not _is_central_model(model)
-        k = _truncation_level(model)
-        mod = None if k is None else (1 << k)
+            return c == 0 or not model.central
         step = 1 << self.center_exp
-        if mod is None:
+        if model.k is None:
             return c % step == 0
+        mod = 1 << model.k
         return (c % mod) % math.gcd(step, mod) == 0
 
 
 def whole_group(model: Model) -> SubgroupData:
-    center = 0 if _is_central_model(model) else None
-    return SubgroupData(center, Lattice.whole(), True)
+    return SubgroupData(0 if model.central else None, Lattice.whole(), True)
 
 
 def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
@@ -96,7 +79,7 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
     """
     if not s.module.mul_mat(U).issubset(s.module):
         raise PreconditionError("module part is not b-invariant; not a series stage")
-    central = _is_central_model(model)
+    central = model.central
     candidates: list[int] = []
     if central and s.center_exp is not None:
         candidates.append(1 << (s.center_exp + 1))
@@ -139,7 +122,7 @@ def module_chain_lattice(i: int) -> Lattice:
 class GammaOmegaCertificate:
     """Desk certificate for the limit stage of one model."""
 
-    model: Model | str
+    model: Model
     depth_bound: int
     center_exps: tuple[int | None, ...]
     center_constant: bool
@@ -174,20 +157,18 @@ def gamma_omega(
     of the limit is trivial on all probes.
     """
     chain = lcs_chain(model, depth_bound)
-    central = _is_central_model(model)
+    central = model.central
     exps = tuple(stage.center_exp for stage in chain[1:])
     center_constant = all(e == 0 for e in exps) if central else all(e is None for e in exps)
     probes = probe_set if probe_set is not None else _default_probes(2)
     results: list[tuple[Vec, int]] = []
-    all_exit = True
     for v in probes:
         exit_i = intersect_chain_probe(v, module_chain_lattice, probe_exit_bound)
         if exit_i is None:
-            all_exit = False
             raise TheoremViolationError(f"probe {v} never exits the module chain")
         results.append((v, exit_i))
     cert = GammaOmegaCertificate(
-        model, depth_bound, exps, center_constant, tuple(results), all_exit
+        model, depth_bound, exps, center_constant, tuple(results), True
     )
     if central and not center_constant:
         raise TheoremViolationError(f"center parts of finite stages not constant: {exps}")
@@ -221,13 +202,12 @@ def transfinite_chain(k: int, j_bound: int | None = None) -> TransfiniteReport:
     lcs_step; the center halves each time, so the chain dies at j = k with
     all successive quotients of order 2.
     """
-    if k < 0:
-        raise PreconditionError("negative truncation level")
+    model = Model(k)
     limit = j_bound if j_bound is not None else k
     stages = [SubgroupData(0, Lattice.zero(), False)]
-    while stages[-1].center_order(k) > 1 and len(stages) <= limit:
-        stages.append(lcs_step(k, stages[-1]))
-    orders = tuple(int(s.center_order(k)) for s in stages)
+    while stages[-1].center_order(model) > 1 and len(stages) <= limit:
+        stages.append(lcs_step(model, stages[-1]))
+    orders = tuple(int(s.center_order(model)) for s in stages)
     quotients = tuple(orders[i] // orders[i + 1] for i in range(len(orders) - 1))
     terminates = next((i for i, o in enumerate(orders) if o == 1), len(orders))
     return TransfiniteReport(k, tuple(stages), orders, quotients, terminates)
@@ -347,9 +327,9 @@ def witness_not_transfinitely_nilpotent(
     if any(s.num == 0 for s in samples):
         raise PreconditionError("witness samples must be nonzero center elements")
 
-    _, omega_cert_low = gamma_omega(max(tower.max_level, 1), depth_bound=depth_bound)
+    _, omega_cert_low = gamma_omega(Model(max(tower.max_level, 1)), depth_bound=depth_bound)
     deep_level_needed = max(s.k for s in samples) + j_bound
-    _, omega_cert_deep = gamma_omega(deep_level_needed, depth_bound=depth_bound)
+    _, omega_cert_deep = gamma_omega(Model(deep_level_needed), depth_bound=depth_bound)
     gamma_omega_ok = omega_cert_low.ok and omega_cert_deep.ok
 
     out: list[WitnessSample] = []

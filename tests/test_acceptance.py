@@ -81,7 +81,7 @@ def _gamma_relators_hold(k: int) -> bool:
 
 
 def test_c03_group_law_soundness():
-    models = ["H", "G2"] + list(range(1, 9))
+    models = [G.Model.parse("H"), G.Model.parse("G2")] + [G.Model(k) for k in range(1, 9)]
     relators_ok = all(_gamma_relators_hold(k) for k in range(1, 9))
 
     rng = random.Random(1234)
@@ -89,14 +89,7 @@ def test_c03_group_law_soundness():
     word_failures = 0
     for model in models:
         for w in words:
-            oracle = G.word_oracle(w, model)
-            if model == "H":
-                closed = G.h_eval_word(w)
-            elif model == "G2":
-                closed = G.g2_eval_word(w)
-            else:
-                closed = G.gamma_eval_word(w, model)
-            if oracle != closed:
+            if G.word_oracle(w, model) != G.eval_word(w, model):
                 word_failures += 1
 
     rng = random.Random(4321)
@@ -111,18 +104,9 @@ def test_c03_group_law_soundness():
                 )
                 for _ in range(3)
             ]
-            if model == "H":
-                x, y, z = (G.HElem(n, j) for _, n, j in parts)
-                good = G.h_mul(G.h_mul(x, y), z) == G.h_mul(x, G.h_mul(y, z))
-                good = good and G.h_mul(x, G.h_inv(x)) == G.H_IDENTITY
-            elif model == "G2":
-                x, y, z = (G.G2Elem(c, n, j) for c, n, j in parts)
-                good = G.g2_mul(G.g2_mul(x, y), z) == G.g2_mul(x, G.g2_mul(y, z))
-                good = good and G.g2_mul(x, G.g2_inv(x)) == G.G2_IDENTITY
-            else:
-                x, y, z = (G.gamma_make(model, c, n, j) for c, n, j in parts)
-                good = G.gamma_mul(G.gamma_mul(x, y), z) == G.gamma_mul(x, G.gamma_mul(y, z))
-                good = good and G.gamma_mul(x, G.gamma_inv(x)) == G.gamma_identity(model)
+            x, y, z = (G.gamma_make(model.k, c, n, j) for c, n, j in parts)
+            good = G.gamma_mul(G.gamma_mul(x, y), z) == G.gamma_mul(x, G.gamma_mul(y, z))
+            good = good and G.gamma_mul(x, G.gamma_inv(x)) == G.gamma_identity(model.k)
             if not good:
                 assoc_failures += 1
 
@@ -162,12 +146,12 @@ def test_c04_phi_validity_over_enumerated_edges():
 
 
 def test_c05_lower_central_series():
-    chain = series.lcs_chain("H", 12)
+    chain = series.lcs_chain(G.Model.parse("H"), 12)
     idx_ok = [st.module.index() for st in chain] == [3**i for i in range(12)]
     center_ok = True
     module_ok = True
     for k in range(1, 9):
-        gch = series.lcs_chain(k, 12)
+        gch = series.lcs_chain(G.Model(k), 12)
         center_ok = center_ok and all(st.center_exp == 0 for st in gch[1:])
         module_ok = module_ok and [st.module for st in gch] == [st.module for st in chain]
     trans_ok = True

@@ -170,3 +170,36 @@ def test_report_pass_reflects_claims():
     assert rep.passed
     rep.add("b", "bad", "derived", False)
     assert not rep.passed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lcs", "--model", "Gamma-1"],
+        ["lcs", "--model", "Gamma 2"],
+        ["lcs", "--model", "Gamma+2"],
+        ["lcs", "--model", "Gammax"],
+        ["lcs", "--model", "Gamma_2"],
+        ["tower", "--edges", ","],
+        ["norm", "--s", "b", "--out", "/nonexistent/x.json"],
+        ["parity-verify", "--max-span", "-1", "--max-coeff", "2"],
+        ["cohn", "--m", "-1"],
+        ["cohn", "--m", "3", "--n", "0"],
+        ["cohn", "--m", "3", "--deg", "-1"],
+        ["witness", "--edges", "1-b+b^2", "--samples", "1/3"],
+        ["witness", "--edges", "1-b+b^2", "--samples", "1/2,x"],
+        ["witness", "--edges", "1-b+b^2", "--samples", "x"],
+    ],
+)
+def test_invalid_input_is_one_error_line(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_model_prefix_is_case_insensitive(capsys):
+    # H, G2, Gamma0 and Gamma3 are pinned by tests/test_golden.py
+    rc, out, _ = run(capsys, ["lcs", "--model", "gamma3", "--depth", "3", "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["pass"] is True

@@ -7,10 +7,18 @@ from hypothesis import strategies as st
 from vltower.errors import InsufficientTowerError, LevelMismatchError
 from vltower.laurent import ONE, parse_laurent
 from vltower.localization import CenterColim, Fraction, frac_eq
-from vltower.quadratic import evaluate_at_U, norm, vec_mat
+from vltower.quadratic import evaluate_at_U, norm, u_pow, vec_add, vec_mat
 from vltower import groups as G
 
 S = parse_laurent("1-b+b^2")
+H = G.Model.parse("H")
+G2 = G.Model.parse("G2")
+
+# the base group is level 0; G2 is the infinite-center level None
+A0, AB0, B0 = (G.gamma_gen(0, g) for g in ("a", "ab", "b"))
+ID0 = G.gamma_identity(0)
+A, AB, B, T = (G.gamma_gen(None, g) for g in ("a", "ab", "b", "t"))
+ID = G.gamma_identity(None)
 
 
 def random_word(rng, max_len=20, max_b=10):
@@ -30,29 +38,30 @@ def random_word(rng, max_len=20, max_b=10):
 
 
 def test_h_semidirect_law():
-    # a * b = b * a^b
-    lhs = G.h_mul(G.H_A, G.H_B)
-    rhs = G.h_mul(G.H_B, G.H_AB)
-    assert lhs == rhs == G.HElem((0, 1), 1)
+    # a * b = b * a^b, which is b a^(0, 1) in the b^j a^n form
+    lhs = G.gamma_mul(A0, B0)
+    rhs = G.gamma_mul(B0, AB0)
+    assert lhs == rhs
+    assert G.base_form(lhs) == ((0, 1), 1)
 
 
 def test_h_squaring():
-    assert G.h_mul(G.H_A, G.H_A) == G.HElem((2, 0), 0)
+    assert G.gamma_mul(A0, A0) == G.gamma_make(0, 0, (2, 0), 0)
 
 
 def test_h_defining_relation():
     # a^(b^2) = a * a^(3b)
-    b2 = G.h_pow(G.H_B, 2)
-    lhs = G.h_mul(G.h_inv(b2), G.h_mul(G.H_A, b2))
-    rhs = G.h_mul(G.H_A, G.h_pow(G.H_AB, 3))
+    b2 = G.gamma_pow(B0, 2)
+    lhs = G.gamma_mul(G.gamma_inv(b2), G.gamma_mul(A0, b2))
+    rhs = G.gamma_mul(A0, G.gamma_pow(AB0, 3))
     assert lhs == rhs
 
 
 def test_h_commutator_of_a_and_ab_trivial():
-    x = G.h_mul(
-        G.h_inv(G.H_A), G.h_mul(G.h_inv(G.H_AB), G.h_mul(G.H_A, G.H_AB))
+    x = G.gamma_mul(
+        G.gamma_inv(A0), G.gamma_mul(G.gamma_inv(AB0), G.gamma_mul(A0, AB0))
     )
-    assert x == G.H_IDENTITY
+    assert x == ID0
 
 
 @given(
@@ -61,33 +70,33 @@ def test_h_commutator_of_a_and_ab_trivial():
     st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-5, 5)),
 )
 def test_h_group_axioms(t1, t2, t3):
-    xs = [G.HElem((a, b), j) for a, b, j in (t1, t2, t3)]
+    xs = [G.gamma_make(0, 0, (a, b), j) for a, b, j in (t1, t2, t3)]
     x, y, z = xs
-    assert G.h_mul(G.h_mul(x, y), z) == G.h_mul(x, G.h_mul(y, z))
-    assert G.h_mul(x, G.h_inv(x)) == G.H_IDENTITY
+    assert G.gamma_mul(G.gamma_mul(x, y), z) == G.gamma_mul(x, G.gamma_mul(y, z))
+    assert G.gamma_mul(x, G.gamma_inv(x)) == ID0
 
 
 # --- class-2 models ----------------------------------------------------------
 
 
 def test_g2_commutator_is_t():
-    assert G.g2_comm(G.G2_A, G.G2_AB) == G.G2_T
+    assert G.gamma_comm(A, AB) == T
 
 
 def test_g2_t_inverted_by_b():
-    assert G.g2_conj(G.G2_T, G.G2_B) == G.g2_inv(G.G2_T)
+    assert G.gamma_conj(T, B) == G.gamma_inv(T)
 
 
 def test_g2_defining_relation_with_zero_center():
-    lhs = G.g2_conj(G.g2_conj(G.G2_A, G.G2_B), G.G2_B)
-    rhs = G.g2_mul(G.G2_A, G.g2_conj(G.g2_pow(G.G2_A, 3), G.G2_B))
+    lhs = G.gamma_conj(G.gamma_conj(A, B), B)
+    rhs = G.gamma_mul(A, G.gamma_conj(G.gamma_pow(A, 3), B))
     assert lhs == rhs
     assert lhs.c == 0
 
 
 def test_g2_t_central_among_module_generators():
-    for g in (G.G2_A, G.G2_AB):
-        assert G.g2_comm(G.G2_T, g) == G.G2_IDENTITY
+    for g in (A, AB):
+        assert G.gamma_comm(T, g) == ID
 
 
 def test_t_has_order_exactly_2k():
@@ -127,16 +136,16 @@ def test_relators_vanish_under_the_oracle_too():
     )
     comm_a = [w for w in t_inv] + [("a", -1)] + t_word + [("a", 1)]
     comm_ab = [w for w in t_inv] + ab_inv + t_word + ab_word
-    for k in list(range(0, 11)) + ["G2", "H"]:
-        ident = G.word_oracle([], k)
-        assert G.word_oracle(main_relator, k) == ident
-        assert G.word_oracle(comm_a, k) == ident
-        assert G.word_oracle(comm_ab, k) == ident
-        if isinstance(k, int):
+    for model in [G.Model(k) for k in range(0, 11)] + [G2, H]:
+        ident = G.word_oracle([], model)
+        assert G.word_oracle(main_relator, model) == ident
+        assert G.word_oracle(comm_a, model) == ident
+        assert G.word_oracle(comm_ab, model) == ident
+        if model.is_truncation:
             w = list(t_word)
-            for _ in range(k):
+            for _ in range(model.k):
                 w = _comm_word(w, [("b", 1)])
-            assert G.word_oracle(w, k) == ident
+            assert G.word_oracle(w, model) == ident
 
 
 def _comm_word(x, y):
@@ -146,18 +155,32 @@ def _comm_word(x, y):
     return inv(x) + inv(y) + x + y
 
 
+def _semidirect_eval(word):
+    """b^j a^n by the base group's own law: (b^j a^n)(b^i a^m) = b^(j+i) a^(n U^i + m)."""
+    n, j = (0, 0), 0
+    for gen, e in word:
+        if gen == "a":
+            n = vec_add(n, (e, 0))
+        else:
+            n, j = vec_mat(n, u_pow(e)), j + e
+    return n, j
+
+
 def test_gamma_level_zero_is_the_base_group():
     rng = random.Random(3)
     for _ in range(200):
         w = random_word(rng, max_len=12, max_b=5)
-        g = G.gamma_eval_word(w, 0)
-        assert g.c == 0
-        assert G.gamma_project_h(g) == G.h_eval_word(w)
+        g = G.eval_word(w, H)
+        assert g.k == 0 and g.c == 0
+        assert g == G.word_oracle(w, H)
+        assert G.base_form(g) == _semidirect_eval(w)
 
 
 def test_level_mismatch_raises():
     with pytest.raises(LevelMismatchError):
         G.gamma_mul(G.gamma_gen(2, "a"), G.gamma_gen(3, "a"))
+    with pytest.raises(LevelMismatchError):
+        G.gamma_mul(G.gamma_gen(None, "a"), G.gamma_gen(0, "a"))
 
 
 @given(
@@ -166,11 +189,11 @@ def test_level_mismatch_raises():
     st.tuples(st.integers(-20, 20), st.integers(-9, 9), st.integers(-9, 9), st.integers(-4, 4)),
 )
 def test_g2_group_axioms(t1, t2, t3):
-    xs = [G.G2Elem(c, (m, n), j) for c, m, n, j in (t1, t2, t3)]
+    xs = [G.gamma_make(None, c, (m, n), j) for c, m, n, j in (t1, t2, t3)]
     x, y, z = xs
-    assert G.g2_mul(G.g2_mul(x, y), z) == G.g2_mul(x, G.g2_mul(y, z))
-    assert G.g2_mul(x, G.g2_inv(x)) == G.G2_IDENTITY
-    assert G.g2_mul(G.g2_inv(x), x) == G.G2_IDENTITY
+    assert G.gamma_mul(G.gamma_mul(x, y), z) == G.gamma_mul(x, G.gamma_mul(y, z))
+    assert G.gamma_mul(x, G.gamma_inv(x)) == ID
+    assert G.gamma_mul(G.gamma_inv(x), x) == ID
 
 
 # --- word oracle -------------------------------------------------------------
@@ -179,27 +202,21 @@ def test_g2_group_axioms(t1, t2, t3):
 def test_oracle_examples():
     # a^-1 (a^b)^-1 a a^b = t
     w = [("a", -1), ("b", -1), ("a", -1), ("b", 1), ("a", 1), ("b", -1), ("a", 1), ("b", 1)]
-    assert G.word_oracle(w, "G2") == G.G2_T
+    assert G.word_oracle(w, G2) == T
     # b^-1 t b = t^-1, with t spelled as the commutator word
     t_word = [("a", -1), ("b", -1), ("a", -1), ("b", 1), ("a", 1), ("b", -1), ("a", 1), ("b", 1)]
     conj = [("b", -1)] + t_word + [("b", 1)]
-    assert G.word_oracle(conj, "G2") == G.g2_inv(G.G2_T)
-    assert G.word_oracle([], "G2") == G.G2_IDENTITY
+    assert G.word_oracle(conj, G2) == G.gamma_inv(T)
+    assert G.word_oracle([], G2) == ID
 
 
 def test_oracle_agrees_with_closed_form_all_models():
     rng = random.Random(31337)
-    models = ["H", "G2", 1, 2, 5, 8]
+    models = [H, G2] + [G.Model(k) for k in (1, 2, 5, 8)]
     for _ in range(800):
         w = random_word(rng)
         for model in models:
-            oracle = G.word_oracle(w, model)
-            if model == "H":
-                assert oracle == G.h_eval_word(w)
-            elif model == "G2":
-                assert oracle == G.g2_eval_word(w)
-            else:
-                assert oracle == G.gamma_eval_word(w, model)
+            assert G.word_oracle(w, model) == G.eval_word(w, model)
 
 
 def test_oracle_adversarial_words():
@@ -210,7 +227,7 @@ def test_oracle_adversarial_words():
         [("b", -8), ("a", -2), ("b", 8)],
         [("a", 3), ("b", -5), ("a", -3), ("b", 5)],
     ):
-        assert G.word_oracle(w, "G2") == G.g2_eval_word(w)
+        assert G.word_oracle(w, G2) == G.eval_word(w, G2)
 
 
 # --- the relation exponent and the level maps --------------------------------
@@ -218,7 +235,7 @@ def test_oracle_adversarial_words():
 
 def test_compute_l_identity_element():
     for k in (0, 1, 4):
-        assert G.compute_l(ONE, k) == 0
+        assert G.relator_defect(ONE)[0] % 2**k == 0
 
 
 def _relator_sides_by_oracle(s):
@@ -231,7 +248,7 @@ def _relator_sides_by_oracle(s):
         word_3s += [("b", -e), ("a", 3 * c), ("b", e)]
     lhs = [("b", -2)] + word_s + [("b", 2)]
     rhs = word_s + [("b", -1)] + word_3s + [("b", 1)]
-    return G.word_oracle(lhs, "G2"), G.word_oracle(rhs, "G2")
+    return G.word_oracle(lhs, G2), G.word_oracle(rhs, G2)
 
 
 @pytest.mark.parametrize(
@@ -250,13 +267,13 @@ def test_compute_l_worked_example_frozen():
     # canonical even-norm element, hence 0 mod 4 at level 2.
     lhs, rhs = _relator_sides_by_oracle(S)
     assert lhs.c - rhs.c == 0
-    assert G.compute_l(S, 2) == 0
+    assert G.relator_defect(S)[0] % 2**2 == 0
 
 
 def test_compute_l_stability_on_b():
     s = parse_laurent("b")
     lhs, rhs = _relator_sides_by_oracle(s)
-    assert G.compute_l(s, 3) == (lhs.c - rhs.c) % 8
+    assert G.relator_defect(s)[0] % 2**3 == (lhs.c - rhs.c) % 8
 
 
 def test_phi_build_worked_example_level_zero():
@@ -360,9 +377,8 @@ def test_tower_projection_diagram():
     rng = random.Random(4)
     for _ in range(100):
         g = G.gamma_make(0, 0, (rng.randint(-8, 8), rng.randint(-8, 8)), rng.randint(-3, 3))
-        lhs = G.gamma_project_h(G.phi_apply(tower.phis[0], g))
-        rhs = G.h_s_action(S, G.gamma_project_h(g))
-        assert lhs == rhs
+        n, j = G.base_form(g)
+        assert G.base_form(G.phi_apply(tower.phis[0], g)) == (vec_mat(n, evaluate_at_U(S)), j)
 
 
 # --- localized base group ----------------------------------------------------
@@ -379,11 +395,11 @@ def test_hbar_group_laws():
 def test_hbar_embeds_base_group():
     rng = random.Random(10)
     for _ in range(50):
-        x = G.HElem((rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-3, 3))
-        y = G.HElem((rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-3, 3))
+        x = G.gamma_make(0, 0, (rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-3, 3))
+        y = G.gamma_make(0, 0, (rng.randint(-5, 5), rng.randint(-5, 5)), rng.randint(-3, 3))
         assert G.hbar_eq(
             G.hbar_mul(G.hbar_from_h(x), G.hbar_from_h(y)),
-            G.hbar_from_h(G.h_mul(x, y)),
+            G.hbar_from_h(G.gamma_mul(x, y)),
         )
 
 

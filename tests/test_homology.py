@@ -9,14 +9,6 @@ from vltower import homology
 S = parse_laurent("1-b+b^2")
 
 
-def test_h2_constants():
-    assert homology.h2_group("H").group_value == "Z/2"
-    assert homology.h2_group("H").generator_valuation == 0
-    assert homology.h2_group(5).generator_valuation == 5
-    with pytest.raises(ValueError):
-        homology.h2_group("G2")
-
-
 def test_s_star_examples():
     assert homology.s_star_on_H2(S) == "zero"
     assert homology.s_star_on_H2(ONE) == "iso"

@@ -3,27 +3,19 @@ import math
 import pytest
 
 from vltower.errors import InsufficientTowerError, PreconditionError
-from vltower.groups import (
-    G2Elem,
-    g2_comm,
-    G2_A,
-    G2_AB,
-    G2_B,
-    gamma_comm,
-    gamma_gen,
-    gamma_make,
-    tower_build,
-)
+from vltower.groups import Model, gamma_comm, gamma_gen, gamma_make, tower_build
 from vltower.laurent import parse_laurent
 from vltower.localization import Dyadic, dyadic_double, dyadic_neg
 from vltower.quadratic import IDENTITY, U, image
 from vltower import series
 
 S = parse_laurent("1-b+b^2")
+H = Model.parse("H")
+G2 = Model.parse("G2")
 
 
 def test_lcs_step_base_group_second_stage():
-    g2 = series.lcs_step("H", series.whole_group("H"))
+    g2 = series.lcs_step(H, series.whole_group(H))
     assert g2.module == image(U - IDENTITY)
     assert g2.module.index() == 3
     assert g2.center_exp is None
@@ -31,26 +23,26 @@ def test_lcs_step_base_group_second_stage():
 
 
 def test_lcs_step_truncation_second_stage():
-    g2 = series.lcs_step(3, series.whole_group(3))
+    g2 = series.lcs_step(Model(3), series.whole_group(Model(3)))
     assert g2.center_exp == 0  # t itself is a commutator
     assert g2.module == image(U - IDENTITY)
 
 
 def test_lcs_chain_base_group_indices():
-    chain = series.lcs_chain("H", 5)
+    chain = series.lcs_chain(H, 5)
     assert [st.module.index() for st in chain] == [1, 3, 9, 27, 81]
 
 
 def test_lcs_chain_truncation_center_constant():
     for k in (1, 4, 8):
-        chain = series.lcs_chain(k, 12)
+        chain = series.lcs_chain(Model(k), 12)
         assert all(st.center_exp == 0 for st in chain[1:])
-        base = series.lcs_chain("H", 12)
+        base = series.lcs_chain(H, 12)
         assert [st.module for st in chain] == [st.module for st in base]
 
 
 def test_lcs_module_advance_both_inclusions():
-    chain = series.lcs_chain("G2", 12)
+    chain = series.lcs_chain(G2, 12)
     for i in range(1, len(chain) - 1):
         advanced = chain[i].module.mul_mat(U - IDENTITY)
         nxt = chain[i + 1].module
@@ -60,17 +52,17 @@ def test_lcs_module_advance_both_inclusions():
 def test_lcs_step_generators_land_in_result():
     # two-sided soundness: every generating commutator of [S, G] is a member
     # of the computed stage, and the computed stage's generators are reachable.
-    model = 4
+    model = Model(4)
     stage = series.lcs_step(model, series.whole_group(model))
     nxt = series.lcs_step(model, stage)
-    b = gamma_gen(model, "b")
-    gens = [gamma_gen(model, "a"), gamma_gen(model, "ab"), b]
+    b = gamma_gen(model.k, "b")
+    gens = [gamma_gen(model.k, "a"), gamma_gen(model.k, "ab"), b]
     for row in stage.module.basis:
-        x = gamma_make(model, 0, row, 0)
+        x = gamma_make(model.k, 0, row, 0)
         for g in gens:
             c = gamma_comm(x, g)
             assert nxt.contains(c.c, c.n, c.j, model), (row, g)
-    t_gen = gamma_make(model, 1 << (stage.center_exp or 0), (0, 0), 0)
+    t_gen = gamma_make(model.k, 1 << (stage.center_exp or 0), (0, 0), 0)
     c = gamma_comm(t_gen, b)
     assert nxt.contains(c.c, c.n, c.j, model)
 
@@ -78,14 +70,14 @@ def test_lcs_step_generators_land_in_result():
 def test_lcs_step_center_bezout_witness():
     # the center part of stage 3 is generated by honest pairings: exhibit t
     # as a product of commutators of stage-2 module generators with a, a^b
-    model = 5
+    model = Model(5)
     stage2 = series.lcs_step(model, series.whole_group(model))
     pairings = []
     witnesses = []
     for row in stage2.module.basis:
-        x = gamma_make(model, 0, row, 0)
+        x = gamma_make(model.k, 0, row, 0)
         for gname in ("a", "ab"):
-            c = gamma_comm(x, gamma_gen(model, gname))
+            c = gamma_comm(x, gamma_gen(model.k, gname))
             assert c.n == (0, 0) and c.j == 0
             pairings.append(c.c if c.c < (1 << 4) else c.c - (1 << 5))
             witnesses.append((row, gname))
@@ -96,28 +88,28 @@ def test_lcs_step_center_bezout_witness():
 
 
 def test_lcs_depth_one_is_whole_group():
-    chain = series.lcs_chain("G2", 1)
-    assert chain == [series.whole_group("G2")]
+    chain = series.lcs_chain(G2, 1)
+    assert chain == [series.whole_group(G2)]
     with pytest.raises(PreconditionError):
-        series.lcs_chain("G2", 0)
+        series.lcs_chain(G2, 0)
 
 
 def test_gamma_omega_truncation():
-    limit, cert = series.gamma_omega(3, depth_bound=12)
+    limit, cert = series.gamma_omega(Model(3), depth_bound=12)
     assert cert.ok
     assert limit.center_exp == 0 and limit.module.is_zero()
-    assert limit.center_order(3) == 8
+    assert limit.center_order(Model(3)) == 8
 
 
 def test_gamma_omega_base_group():
-    limit, cert = series.gamma_omega("H", depth_bound=10)
+    limit, cert = series.gamma_omega(H, depth_bound=10)
     assert cert.ok
     assert limit.center_exp is None and limit.module.is_zero()
     assert all(e is None for e in cert.center_exps)
 
 
 def test_gamma_omega_probe_exits():
-    _, cert = series.gamma_omega(2, probe_set=[(1, 0)])
+    _, cert = series.gamma_omega(Model(2), probe_set=[(1, 0)])
     assert cert.probes == (((1, 0), 1),)
 
 
@@ -125,7 +117,7 @@ def test_residual_nilpotence_probe_window():
     # every nonzero vector with coordinates in [-20, 20] exits the module
     # chain within 40 steps
     probes = [(x, y) for x in range(-20, 21) for y in range(-20, 21) if (x, y) != (0, 0)]
-    _, cert = series.gamma_omega("H", probe_set=probes, probe_exit_bound=40)
+    _, cert = series.gamma_omega(H, probe_set=probes, probe_exit_bound=40)
     assert cert.all_probes_exit
     assert len(cert.probes) == 41 * 41 - 1
     assert max(i for _, i in cert.probes) <= 40
@@ -222,11 +214,11 @@ def test_witness_realizable_stages_recorded():
 def test_iterated_commutator_arithmetic_in_g2():
     # [t, b] = t^-2 and iterating gives t^((-2)^e), the engine behind the
     # witness's membership expressions
-    w = g2_comm(G2_A, G2_AB)
-    assert w == G2Elem(1, (0, 0), 0)
+    w = gamma_comm(gamma_gen(None, "a"), gamma_gen(None, "ab"))
+    assert w == gamma_make(None, 1, (0, 0), 0)
     cur = w
     expect = 1
     for _ in range(6):
-        cur = g2_comm(cur, G2_B)
+        cur = gamma_comm(cur, gamma_gen(None, "b"))
         expect *= -2
-        assert cur == G2Elem(expect, (0, 0), 0)
+        assert cur == gamma_make(None, expect, (0, 0), 0)
