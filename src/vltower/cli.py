@@ -179,6 +179,8 @@ def cmd_tower(args) -> Report:
 
 def cmd_lcs(args) -> Report:
     model = Model.parse(args.model)
+    if args.transfinite is not None and args.transfinite < 0:
+        raise PreconditionError(f"transfinite bound {args.transfinite} is negative")
     rep = Report("lcs", {"model": args.model, "depth": args.depth})
     chain = series.lcs_chain(model, args.depth)
     indices = [stage.module.index() for stage in chain]

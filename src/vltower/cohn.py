@@ -6,13 +6,16 @@ module part acts trivially).  Matrices over the full group ring therefore act
 through their Laurent-polynomial entries evaluated at b = -1 and reduced mod
 2**m.  Such an action matrix is congruent to the augmentation matrix mod 2,
 so augmentation-invertibility forces an odd determinant, and lifting is exact
-linear algebra over the residue ring.
+linear algebra over the residue ring: Gauss-Jordan elimination with odd
+pivots builds the inverse mod 2**m, and checking that inverse on both sides
+certifies uniqueness.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError, TheoremViolationError
@@ -56,46 +59,61 @@ class RingMatrix:
     def action_matrix(self, module: NilpotentModuleSpec) -> list[list[int]]:
         """Evaluate entries at b = -1 and reduce mod 2**m."""
         mod = module.modulus
-        out = []
-        for row in self.entries:
-            out.append([_eval_at_minus_one(e) % mod for e in row])
-        return out
+        return [[_eval_at_minus_one(e) % mod for e in row] for row in self.entries]
 
 
 def _eval_at_minus_one(s: LaurentPoly) -> int:
     return sum(c * (-1) ** (e % 2) for e, c in s.terms)
 
 
-def _det(mat: Sequence[Sequence[int]]) -> int:
+def _bareiss_det(mat: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination: after
+    step k the trailing block holds (k+1)-minors, so each division is exact."""
+    a = [list(row) for row in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, pivot_row = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
+
+
+def _inverse_mod_2k(mat: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
+    """Inverse mod 2**m (m >= 1) by Gauss-Jordan on [mat | I].  The units mod
+    2**m are the odd residues, so a column without an odd pivot means mat is
+    singular mod 2."""
     n = len(mat)
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    total = 0
+    rows = [[x % mod for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     for col in range(n):
-        minor = [row[:col] + row[col + 1 :] for row in [list(r) for r in mat[1:]]]
-        sign = -1 if col % 2 else 1
-        total += sign * mat[0][col] * _det(minor)
-    return total
-
-
-def _adjugate(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(mat)
-    if n == 1:
-        return [[1]]
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            cof[i][j] = (-1) ** (i + j) * _det(minor)
-    return [[cof[j][i] for j in range(n)] for i in range(n)]  # transpose
+        piv = next((r for r in range(col, n) if rows[r][col] % 2), None)
+        if piv is None:
+            raise TheoremViolationError("action determinant is even despite unit augmentation")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scale = pow(rows[col][col], -1, mod)
+        pivot_row = rows[col] = [x * scale % mod for x in rows[col]]
+        for r, row in enumerate(rows):
+            lead = row[col]
+            if lead and r != col:
+                rows[r] = [(x - lead * y) % mod for x, y in zip(row, pivot_row)]
+    return [row[n:] for row in rows]
 
 
 def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[int], mod: int) -> list[int]:
-    return [sum(row[j] * vec[j] for j in range(len(vec))) % mod for row in mat]
+    return [sum(map(mul, row, vec)) % mod for row in mat]
+
+
+def _mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) % mod for col in cols] for row in x]
 
 
 def delta_nilpotency_degree(module: NilpotentModuleSpec) -> int:
@@ -121,36 +139,28 @@ def lift_unique(
     """The unique beta with beta composed with t equal to alpha.
 
     Requires the augmentation matrix of t to be invertible over the integers
-    (determinant +-1).  The action matrix then has odd determinant, hence is
-    invertible mod 2**m; beta is alpha times the inverse.  Existence is
-    verified by substitution and uniqueness constructively: the computed
-    two-sided inverse certifies the kernel of the action is zero.
+    (determinant +-1, by Bareiss elimination).  The action matrix is then
+    invertible mod 2, so odd-pivot elimination inverts it mod 2**m; beta is
+    alpha times the inverse.  Existence is verified by substitution and
+    uniqueness constructively: the computed two-sided inverse certifies the
+    kernel of the action is zero.
     """
     if len(alpha) != t.n:
         raise PreconditionError("alpha length must match matrix size")
-    aug_det = _det(t.augmentation_matrix())
+    aug_det = _bareiss_det(t.augmentation_matrix())
     if aug_det not in (1, -1):
-        raise PreconditionError(
-            f"augmentation matrix determinant {aug_det} is not a unit"
-        )
+        raise PreconditionError(f"augmentation matrix determinant {aug_det} is not a unit")
+    # Z/1 reduces every action entry to 0, so pivot parity is read mod 2 there.
+    work = NilpotentModuleSpec(max(module.m, 1))
+    act = t.action_matrix(work)
+    inv = _inverse_mod_2k(act, work.modulus)
     mod = module.modulus
-    act = t.action_matrix(module)
-    d = _det(act)
-    if d % 2 == 0:
-        raise TheoremViolationError("action determinant is even despite unit augmentation")
     if mod == 1:
         return [0] * t.n
-    d_inv = pow(d % mod, -1, mod)
-    adj = _adjugate(act)
-    inv = [[(d_inv * adj[i][j]) % mod for j in range(t.n)] for i in range(t.n)]
     # Two-sided inverse check: certifies ker = 0, hence uniqueness.
-    for i in range(t.n):
-        for j in range(t.n):
-            lhs = sum(inv[i][r] * act[r][j] for r in range(t.n)) % mod
-            rhs = sum(act[i][r] * inv[r][j] for r in range(t.n)) % mod
-            want = 1 if i == j else 0
-            if lhs != want or rhs != want:
-                raise TheoremViolationError("inverse verification failed")
+    identity = [[int(i == j) for j in range(t.n)] for i in range(t.n)]
+    if _mat_mul(inv, act, mod) != identity or _mat_mul(act, inv, mod) != identity:
+        raise TheoremViolationError("inverse verification failed")
     beta = _mat_vec(inv, [a % mod for a in alpha], mod)
     # Existence check: beta composed with t reproduces alpha.
     if _mat_vec(act, beta, mod) != [a % mod for a in alpha]:
@@ -237,46 +247,34 @@ def cohn_local_suite(
     """
     if size_bound < 1 or degree_bound < 0:
         raise PreconditionError("need matrix size bound >= 1 and degree bound >= 0")
+    if trials < 0 or coherence_trials < 0 or trials + coherence_trials == 0:
+        raise PreconditionError("need trial and coherence counts >= 0, not both 0")
     rng = random.Random(seed)
+    mod = module.modulus
     failures: list[CohnTrial] = []
     coh_failures = 0
     for _ in range(trials):
         n = rng.randint(1, size_bound)
         t = random_aug_invertible(rng, n, degree_bound)
-        alpha = [rng.randrange(module.modulus) for _ in range(n)]
+        alpha = [rng.randrange(mod) for _ in range(n)]
         try:
             beta = lift_unique(t, alpha, module)
-            act = t.action_matrix(module)
-            ok = _mat_vec(act, beta, module.modulus) == [
-                a % module.modulus for a in alpha
-            ]
+            ok = _mat_vec(t.action_matrix(module), beta, mod) == [a % mod for a in alpha]
         except TheoremViolationError:
             beta, ok = [], False
         if not ok:
-            failures.append(
-                CohnTrial(
-                    n,
-                    tuple(str(e) for row in t.entries for e in row),
-                    tuple(alpha),
-                    tuple(beta),
-                    ok,
-                )
-            )
+            matrix = tuple(str(e) for row in t.entries for e in row)
+            failures.append(CohnTrial(n, matrix, tuple(alpha), tuple(beta), ok))
     checked = 0
     for _ in range(coherence_trials):
         n = rng.randint(1, size_bound)
         t = random_aug_invertible(rng, n, degree_bound)
-        alpha = [rng.randrange(module.modulus) for _ in range(n)]
+        alpha = [rng.randrange(mod) for _ in range(n)]
         deeper = NilpotentModuleSpec(module.m + rng.randint(1, 3))
-        lifted_then_pushed = push_module(
-            lift_unique(t, alpha, module), module.m, deeper.m
-        )
-        pushed_then_lifted = lift_unique(
-            t, push_module(alpha, module.m, deeper.m), deeper
-        )
+        lifted_then_pushed = push_module(lift_unique(t, alpha, module), module.m, deeper.m)
+        pushed_then_lifted = lift_unique(t, push_module(alpha, module.m, deeper.m), deeper)
         checked += 1
-        if lifted_then_pushed != pushed_then_lifted:
-            coh_failures += 1
+        coh_failures += lifted_then_pushed != pushed_then_lifted
     return CohnReport(
         m=module.m,
         trials=trials,

@@ -184,15 +184,15 @@ class TransfiniteReport:
     stages: tuple[SubgroupData, ...]
     orders: tuple[int, ...]
     quotient_orders: tuple[int, ...]
-    terminates_at: int
+    terminates_at: int | None  # None: the bound cut the chain before it died
+    bound: int
 
     @property
     def ok(self) -> bool:
-        return (
-            self.terminates_at == self.k
-            and all(q == 2 for q in self.quotient_orders)
-            and self.orders[-1] == 1
-        )
+        halving = self.orders[0] == 1 << self.k and all(q == 2 for q in self.quotient_orders)
+        if self.bound < self.k:  # the caller stopped the chain before it could die
+            return halving and len(self.quotient_orders) == self.bound
+        return halving and self.terminates_at == self.k and self.orders[-1] == 1
 
 
 def transfinite_chain(k: int, j_bound: int | None = None) -> TransfiniteReport:
@@ -209,8 +209,8 @@ def transfinite_chain(k: int, j_bound: int | None = None) -> TransfiniteReport:
         stages.append(lcs_step(model, stages[-1]))
     orders = tuple(int(s.center_order(model)) for s in stages)
     quotients = tuple(orders[i] // orders[i + 1] for i in range(len(orders) - 1))
-    terminates = next((i for i, o in enumerate(orders) if o == 1), len(orders))
-    return TransfiniteReport(k, tuple(stages), orders, quotients, terminates)
+    terminates = next((i for i, o in enumerate(orders) if o == 1), None)
+    return TransfiniteReport(k, tuple(stages), orders, quotients, terminates, limit)
 
 
 def commutator_preimage(c: Dyadic) -> Dyadic:

@@ -110,6 +110,26 @@ def test_cohn_command(capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--trials", "5", "--coherence", "0"], ["--trials", "0", "--coherence", "2"]],
+)
+def test_cohn_m_zero_is_trivially_unique(capsys, extra):
+    rc, out, err = run(capsys, ["cohn", "--m", "0", *extra, "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
+def test_lcs_transfinite_bound_below_k(capsys):
+    rc, out, _ = run(
+        capsys,
+        ["lcs", "--model", "Gamma3", "--depth", "3", "--transfinite", "1", "--format", "json"],
+    )
+    assert rc == 0
+    by_id = {c["id"]: c for c in json.loads(out)["claims"]}
+    assert by_id["lcs.transfinite"]["data"] == {"orders": [8, 4], "terminates_at": None}
+
+
 def test_json_output_deterministic(capsys):
     rc1, out1, _ = run(capsys, ["witness", "--edges", "1-b+b^2", "--J", "3", "--samples", "8", "--seed", "7", "--format", "json"])
     rc2, out2, _ = run(capsys, ["witness", "--edges", "1-b+b^2", "--J", "3", "--samples", "8", "--seed", "7", "--format", "json"])
@@ -189,6 +209,11 @@ def test_report_pass_reflects_claims():
         ["witness", "--edges", "1-b+b^2", "--samples", "1/3"],
         ["witness", "--edges", "1-b+b^2", "--samples", "1/2,x"],
         ["witness", "--edges", "1-b+b^2", "--samples", "x"],
+        ["cohn", "--m", "3", "--trials", "-5", "--coherence", "0"],
+        ["cohn", "--m", "3", "--trials", "5", "--coherence", "-1"],
+        ["cohn", "--m", "3", "--trials", "0", "--coherence", "0"],
+        ["lcs", "--model", "Gamma3", "--transfinite", "-1"],
+        ["lcs", "--model", "H", "--transfinite", "-1"],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vltower.errors import PreconditionError
+from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.groups import tower_build
 from vltower.laurent import ONE, B, LaurentPoly, parse_laurent
 from vltower import cohn
@@ -101,11 +101,62 @@ def test_direct_limit_coherence_explicit():
         assert a == b
 
 
+def _leibniz_det(mat):
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
 def test_random_matrices_have_unit_augmentation():
     rng = random.Random(0)
     for _ in range(50):
         t = cohn.random_aug_invertible(rng, rng.randint(1, 3), 3)
-        assert cohn._det(t.augmentation_matrix()) in (1, -1)
+        assert cohn._bareiss_det(t.augmentation_matrix()) in (1, -1)
+
+
+def test_bareiss_det_matches_leibniz():
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:  # force singular: a repeated row or a zero column
+            if n > 1:
+                mat[rng.randrange(1, n)] = list(mat[0])
+            else:
+                mat[0][0] = 0
+        if rng.random() < 0.3:  # zero leading pivots need row swaps
+            mat[0][0] = 0
+        assert cohn._bareiss_det(mat) == _leibniz_det(mat), mat
+    assert cohn._bareiss_det([[0, 1], [1, 0]]) == -1
+    assert cohn._bareiss_det([[0, 0], [0, 1]]) == 0
+
+
+def test_lift_size_sixteen():
+    m = cohn.NilpotentModuleSpec(12)
+    rng = random.Random(16)
+    t = cohn.random_aug_invertible(rng, 16, 4)
+    alpha = [rng.randrange(m.modulus) for _ in range(16)]
+    beta = cohn.lift_unique(t, alpha, m)
+    act = t.action_matrix(m)
+    assert [sum(a * b for a, b in zip(row, beta)) % m.modulus for row in act] == alpha
+
+
+def test_even_action_matrix_is_a_theorem_violation():
+    # The action matrix is the augmentation matrix mod 2, so a unit
+    # augmentation rules this out inside lift_unique; the elimination kernel
+    # itself must still refuse a matrix that is singular mod 2.
+    m = cohn.NilpotentModuleSpec(4)
+    t = _matrix([ONE, B], [B, ONE])  # acts by [[1, -1], [-1, 1]]
+    with pytest.raises(TheoremViolationError, match="action determinant is even"):
+        cohn._inverse_mod_2k(t.action_matrix(m), m.modulus)
+    with pytest.raises(PreconditionError, match="determinant 0 is not a unit"):
+        cohn.lift_unique(t, [1, 1], m)
 
 
 def test_locality_report_levels():
