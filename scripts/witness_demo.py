@@ -17,13 +17,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--edges", default="1-b+b^2,1-b+b^2,1-b+b^2")
     ap.add_argument("--J", type=int, default=20)
-    ap.add_argument("--max-log-den", type=int, default=10)
+    ap.add_argument("--max-log-den", type=int, default=10, choices=range(1, 11))
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     edges = [parse_laurent(t) for t in args.edges.split(",")]
     tower = tower_build(edges)
-    print(f"tower levels: {list(tower.levels)}, norms: {list(tower.norms)}")
+    print(f"tower levels: {list(tower.levels)}, norms: {[data.norm for data in tower.phis]}")
     for i, data in enumerate(tower.phis):
         cert = homology.two_connected_certificate(data)
         print(
@@ -34,7 +34,7 @@ def main() -> int:
     print(f"colimit H2 fold: {h2.value}")
     print(f"five-term: {homology.five_term_report(h2).conclusion or '(withheld)'}")
 
-    samples = series.default_center_samples(max_log_den=args.max_log_den, seed=args.seed)
+    samples = [c for c in series.default_center_samples(seed=args.seed) if c.k <= args.max_log_den]
     rep = series.witness_not_transfinitely_nilpotent(tower, args.J, samples=samples)
     print(f"\nwitness over {len(rep.samples)} center samples, chains of length {args.J}:")
     by_depth: dict[int, int] = {}

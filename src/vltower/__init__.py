@@ -24,7 +24,6 @@ from .quadratic import (
     Lattice,
     Mat2,
     NormData,
-    action_matrix,
     evaluate_at_U,
     norm,
     norm_data,
@@ -48,7 +47,6 @@ __all__ = [
     "PreconditionError",
     "TheoremViolationError",
     "VltowerError",
-    "action_matrix",
     "augmentation",
     "dyadic_make",
     "enumerate_S",

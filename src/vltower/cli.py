@@ -7,6 +7,7 @@ Exit codes: 0 when all checks in the report pass, 1 on usage or input errors,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import cohn, homology, series
@@ -18,10 +19,10 @@ from .errors import (
     TheoremViolationError,
     VltowerError,
 )
-from .groups import Model, TowerPrefix, phi_build, normal_surjectivity_check, tower_build
+from .groups import Model, phi_build, normal_surjectivity_check, tower_build
 from .laurent import LaurentPoly, parse_laurent
 from .localization import parse_dyadic
-from .quadratic import norm, norm_data, predicted_parity, verify_parity_range
+from .quadratic import norm_data, predicted_parity, verify_parity_range
 from .report import Report
 
 USAGE_EXIT = 1
@@ -94,10 +95,10 @@ def cmd_phi_check(args) -> Report:
     )
     rep.add(
         "phi.center",
-        f"center generator maps to t^{norm(s)}",
+        f"center generator maps to t^{data.norm}",
         "verified",
         True,
-        norm=norm(s),
+        norm=data.norm,
     )
     rep.add(
         "phi.source_congruence",
@@ -124,10 +125,6 @@ def cmd_phi_check(args) -> Report:
     return rep
 
 
-def _build_tower(edge_text: str) -> TowerPrefix:
-    return tower_build(_parse_edges(edge_text))
-
-
 def cmd_tower(args) -> Report:
     edges = _parse_edges(args.edges)
     rep = Report("tower", {"edges": [str(e) for e in edges], "checks": args.checks})
@@ -138,7 +135,7 @@ def cmd_tower(args) -> Report:
         "verified",
         True,
         levels=list(tower.levels),
-        norms=list(tower.norms),
+        norms=[data.norm for data in tower.phis],
     )
     if not tower.has_even_edge():
         rep.add(
@@ -172,7 +169,7 @@ def cmd_tower(args) -> Report:
         "require the infinite tower",
         "paper-assumed",
         True,
-        edges_built=len(tower.edges),
+        edges_built=len(tower.phis),
     )
     return rep
 
@@ -181,6 +178,10 @@ def cmd_lcs(args) -> Report:
     model = Model.parse(args.model)
     if args.transfinite is not None and args.transfinite < 0:
         raise PreconditionError(f"transfinite bound {args.transfinite} is negative")
+    if args.transfinite and not model.is_truncation:
+        raise PreconditionError(
+            f"transfinite bound {args.transfinite} needs a truncation model GammaK, not {args.model}"
+        )
     rep = Report("lcs", {"model": args.model, "depth": args.depth})
     chain = series.lcs_chain(model, args.depth)
     indices = [stage.module.index() for stage in chain]
@@ -215,7 +216,7 @@ def cmd_lcs(args) -> Report:
 
 
 def cmd_witness(args) -> Report:
-    tower = _build_tower(args.edges)
+    tower = tower_build(_parse_edges(args.edges))
     samples = None
     if args.samples:
         if "/" in args.samples:
@@ -394,7 +395,13 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return USAGE_EXIT
-    print(report.to_json() if args.format == "json" else report.to_text())
+    try:
+        print(report.to_json() if args.format == "json" else report.to_text(), flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head`).  Python flushes stdout
+        # again at exit; pointing it at the null device keeps that quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_EXIT
     return 0 if report.passed else VIOLATION_EXIT
 
 

@@ -19,7 +19,6 @@ from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError, TheoremViolationError
-from .groups import TowerPrefix
 from .laurent import LaurentPoly, ZERO, augmentation
 
 
@@ -284,58 +283,4 @@ def cohn_local_suite(
         failures=tuple(failures),
         coherence_checked=checked,
         coherence_failures=coh_failures,
-    )
-
-
-@dataclass(frozen=True)
-class LocalityStatement:
-    """Locality bookkeeping for a tower prefix: verified truncation evidence
-    combined with assumed external inputs, each labeled."""
-
-    emitted: bool
-    levels_checked: tuple[int, ...]
-    evidence_ok: bool
-    assumed: tuple[str, ...]
-    conclusion: str
-
-
-def locality_report(
-    tower: TowerPrefix, trials_per_level: int = 40, seed: int = 0
-) -> LocalityStatement:
-    """Cohn-locality evidence at every truncation level the prefix reaches.
-
-    The center colimit is a direct limit of nilpotent modules, each machine
-    checked here; that the localized base group is itself local is an
-    external input, always labeled assumed, never verified.
-    """
-    levels = sorted({k for k in tower.levels if k >= 1})
-    if not levels:
-        return LocalityStatement(
-            emitted=False,
-            levels_checked=(),
-            evidence_ok=True,
-            assumed=(),
-            conclusion="no positive truncation level in the prefix; nothing to certify",
-        )
-    ok = True
-    for m in range(1, max(levels) + 1):
-        rep = cohn_local_suite(
-            NilpotentModuleSpec(m), trials_per_level, 3, 3, seed=seed, coherence_trials=5
-        )
-        ok = ok and rep.ok
-    assumed = (
-        "locality of the localized base group (external telescope input)",
-        "extension of a local group by a Cohn-local module is local (external)",
-        "the recognition principle: a local colimit of 2-connected maps is the localization",
-    )
-    return LocalityStatement(
-        emitted=True,
-        levels_checked=tuple(range(1, max(levels) + 1)),
-        evidence_ok=ok,
-        assumed=assumed,
-        conclusion=(
-            "every center truncation reached by the prefix is Cohn local "
-            "(machine verified); combined with the assumed inputs, the colimit "
-            "model is local"
-        ),
     )

@@ -43,8 +43,6 @@ from .laurent import ONE, LaurentPoly, augmentation, divide_exact, require_in_S
 from .localization import CenterColim, Fraction, frac_eq
 from .quadratic import Vec, evaluate_at_U, norm, two_adic_split, u_pow, vec_mat
 
-Heis = tuple[int, int, int]  # (c, m, n) meaning t^c A^m B^n
-
 
 @dataclass(frozen=True)
 class Model:
@@ -83,35 +81,11 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# collection inside the class-2 subgroup generated by A, B, t
+# conjugation by b on the class-2 subgroup generated by A, B, t, as (c, m, n)
+# triples meaning t^c A^m B^n
 
 
-def heis_mul(x: Heis, y: Heis) -> Heis:
-    # Moving A^m2 left past B^n1 costs t^(-m2*n1), one BA -> AB t^-1 swap at a time.
-    c1, m1, n1 = x
-    c2, m2, n2 = y
-    return (c1 + c2 - m2 * n1, m1 + m2, n1 + n2)
-
-
-def heis_inv(x: Heis) -> Heis:
-    c, m, n = x
-    return (-c - m * n, -m, -n)
-
-
-def heis_pow(x: Heis, e: int) -> Heis:
-    if e < 0:
-        return heis_pow(heis_inv(x), -e)
-    out: Heis = (0, 0, 0)
-    base = x
-    while e:
-        if e & 1:
-            out = heis_mul(out, base)
-        base = heis_mul(base, base)
-        e >>= 1
-    return out
-
-
-def phi(h: Heis) -> Heis:
+def phi(h: tuple[int, int, int]) -> tuple[int, int, int]:
     """Conjugation by b: b^-1 (t^c A^m B^n) b, collected.
 
     B^m (A B^3)^n = A^n B^(m+3n) t^(e(n) - m n) with e(n) = -3 n (n-1) / 2.
@@ -120,7 +94,7 @@ def phi(h: Heis) -> Heis:
     return (-c - 3 * n * (n - 1) // 2 - m * n, n, m + 3 * n)
 
 
-def phi_inv(h: Heis) -> Heis:
+def phi_inv(h: tuple[int, int, int]) -> tuple[int, int, int]:
     """Conjugation by b^-1: b (t^c A^m B^n) b^-1, collected.
 
     (t^3 A^-3 B)^m A^n = A^(n-3m) B^m t^(f(m) - m n) with f(m) = 3 m (m+1) / 2.
@@ -129,7 +103,7 @@ def phi_inv(h: Heis) -> Heis:
     return (-c + 3 * m * (m + 1) // 2 - m * n, n - 3 * m, m)
 
 
-def conj_by_b_pow(h: Heis, j: int) -> Heis:
+def conj_by_b_pow(h: tuple[int, int, int], j: int) -> tuple[int, int, int]:
     """b^j (t^c A^m B^n) b^-j."""
     f = phi_inv if j >= 0 else phi
     for _ in range(abs(j)):
@@ -178,12 +152,16 @@ def gamma_gen(k: int | None, name: str) -> GammaKElem:
 def gamma_mul(x: GammaKElem, y: GammaKElem) -> GammaKElem:
     if x.k != y.k:
         raise LevelMismatchError(f"levels {x.k} and {y.k}")
-    c, m, n = heis_mul((x.c, *x.n), conj_by_b_pow((y.c, *y.n), x.j))
-    return GammaKElem(x.k, _center(x.k, c), (m, n), x.j + y.j)
+    c2, m2, n2 = conj_by_b_pow((y.c, *y.n), x.j)
+    m1, n1 = x.n
+    # Moving A^m2 left past B^n1 costs t^(-m2*n1), one BA -> AB t^-1 swap at a time.
+    c = x.c + c2 - m2 * n1
+    return GammaKElem(x.k, _center(x.k, c), (m1 + m2, n1 + n2), x.j + y.j)
 
 
 def gamma_inv(x: GammaKElem) -> GammaKElem:
-    c, m, n = conj_by_b_pow(heis_inv((x.c, *x.n)), -x.j)
+    m, n = x.n
+    c, m, n = conj_by_b_pow((-x.c - m * n, -m, -n), -x.j)
     return GammaKElem(x.k, _center(x.k, c), (m, n), -x.j)
 
 
@@ -346,11 +324,12 @@ def eval_word(word: Word, model: Model) -> GammaKElem:
 # the maps between truncation levels
 
 
-def a_power_s(s: LaurentPoly) -> Heis:
-    """a^s: the product of a^(n_i b^i) over the support of s, ascending."""
-    out: Heis = (0, 0, 0)
-    for e, c in s.terms:
-        out = heis_mul(out, conj_by_b_pow((0, c, 0), -e))
+def a_power_s(s: LaurentPoly) -> GammaKElem:
+    """a^s in G2: the product of a^(n_i b^i) over the support of s, ascending."""
+    out = gamma_identity(None)
+    for e, coeff in s.terms:
+        c, m, n = conj_by_b_pow((0, coeff, 0), -e)
+        out = gamma_mul(out, GammaKElem(None, c, (m, n), 0))
     return out
 
 
@@ -365,30 +344,33 @@ def relator_defect(s: LaurentPoly) -> tuple[int, int]:
     require_in_S(s)
     x = a_power_s(s)
     y = a_power_s(s.scale(3))
-    lhs = phi(phi(x))
-    rhs = heis_mul(x, phi(y))
-    if lhs[1:] != rhs[1:]:
+    b = gamma_gen(None, "b")
+    lhs = gamma_conj(gamma_conj(x, b), b)
+    rhs = gamma_mul(x, gamma_conj(y, b))
+    if lhs.n != rhs.n:
         raise TheoremViolationError(f"relator module parts differ for s={s}")
-    x3 = heis_pow(x, 3)
-    if y[1:] != x3[1:]:
+    x3 = gamma_pow(x, 3)
+    if y.n != x3.n:
         raise TheoremViolationError(f"cube module parts differ for s={s}")
-    return lhs[0] - rhs[0], y[0] - x3[0]
+    return lhs.c - rhs.c, y.c - x3.c
 
 
 @dataclass(frozen=True)
 class PhiData:
     """A validated level map: a |-> a^s t^r, b |-> b, from level source_k.
 
-    ``r`` is the unique solution of the relator equation in the target group
-    (the congruence 3r = d - l mod 2**target_k with l, d from
-    relator_defect); ``l`` is the source-level value of the relation
-    exponent, ``l_exact`` its integer refinement.  ``source_congruence_ok``
-    records whether r also satisfies the historical source-level congruence
-    3r = l mod 2**source_k, which is a consistency note and not an input to
-    the construction.
+    ``norm`` is |s|, the exponent of the center image t |-> t^|s|; its 2-adic
+    valuation is the level step target_k - source_k.  ``r`` is the unique
+    solution of the relator equation in the target group (the congruence
+    3r = d - l mod 2**target_k with l, d from relator_defect); ``l`` is the
+    source-level value of the relation exponent, ``l_exact`` its integer
+    refinement.  ``source_congruence_ok`` records whether r also satisfies
+    the historical source-level congruence 3r = l mod 2**source_k, which is
+    a consistency note and not an input to the construction.
     """
 
     s: LaurentPoly
+    norm: int
     source_k: int
     target_k: int
     r: int
@@ -422,7 +404,8 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     require_in_S(s)
     if k < 0:
         raise PreconditionError("negative source level")
-    p, _ = two_adic_split(norm(s))
+    s_norm = norm(s)
+    p, _ = two_adic_split(s_norm)
     target_k = k + p
     l_exact, d = relator_defect(s)
     target_mod = 1 << target_k
@@ -430,15 +413,15 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     r = ((d - l_exact) * pow(3, -1, target_mod)) % target_mod
 
     x = a_power_s(s)
-    img_a = gamma_make(target_k, x[0] + r, (x[1], x[2]), 0)
+    img_a = gamma_make(target_k, x.c + r, x.n, 0)
     bgen = gamma_gen(target_k, "b")
     img_ab = gamma_conj(img_a, bgen)
     img_t = gamma_comm(img_a, img_ab)
 
-    expected_t = gamma_make(target_k, norm(s), (0, 0), 0)
+    expected_t = gamma_make(target_k, s_norm, (0, 0), 0)
     if img_t != expected_t:
         raise TheoremViolationError(
-            f"center image for s={s}, k={k}: got {img_t}, expected t^{norm(s)}"
+            f"center image for s={s}, k={k}: got {img_t}, expected t^{s_norm}"
         )
 
     # Relator images in the target group.
@@ -457,6 +440,7 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     source_ok = (3 * r - l_exact) % source_mod == 0
     return PhiData(
         s=s,
+        norm=s_norm,
         source_k=k,
         target_k=target_k,
         r=r,
@@ -497,12 +481,13 @@ def normal_surjectivity_check(phi_data: PhiData) -> bool:
 
 @dataclass(frozen=True)
 class TowerPrefix:
-    """A finite prefix of the tower: validated edges with accumulated levels."""
+    """A finite prefix of the tower: one validated level map per edge.
 
-    edges: tuple[LaurentPoly, ...]
+    ``levels[i]`` is the center level of stage i: 0, then the target level
+    of each map in turn.
+    """
+
     levels: tuple[int, ...]
-    norms: tuple[int, ...]
-    odd_parts: tuple[int, ...]
     phis: tuple[PhiData, ...]
 
     @property
@@ -511,48 +496,39 @@ class TowerPrefix:
 
     def prefix_product(self, stage: int) -> LaurentPoly:
         out = ONE
-        for s in self.edges[:stage]:
-            out = out * s
+        for data in self.phis[:stage]:
+            out = out * data.s
         return out
 
     def has_even_edge(self) -> bool:
-        return any(n % 2 == 0 for n in self.norms)
+        return any(data.norm % 2 == 0 for data in self.phis)
 
 
-def tower_build(edges: Iterable[LaurentPoly], diagram_samples: int = 8) -> TowerPrefix:
+def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
     """Build a validated tower prefix from S-edges.
 
     Each edge gets a verified level map; the bottom square of the diagram
     (projection to the base group intertwines the map with the s-action) is
     spot-checked on deterministic sample elements.
     """
-    edges = tuple(edges)
     levels = [0]
-    norms: list[int] = []
-    odd_parts: list[int] = []
     phis: list[PhiData] = []
     for s in edges:
-        require_in_S(s)
-        k = levels[-1]
-        data = phi_build(s, k)
-        p, v = two_adic_split(norm(s))
-        levels.append(k + p)
-        norms.append(norm(s))
-        odd_parts.append(v)
+        data = phi_build(s, levels[-1])
+        _check_base_diagram(data)
+        levels.append(data.target_k)
         phis.append(data)
-        _check_base_diagram(data, diagram_samples)
-    return TowerPrefix(edges, tuple(levels), tuple(norms), tuple(odd_parts), tuple(phis))
+    return TowerPrefix(tuple(levels), tuple(phis))
 
 
-def _check_base_diagram(data: PhiData, samples: int) -> None:
+def _check_base_diagram(data: PhiData) -> None:
     k = data.source_k
     pool = [
         gamma_make(k, c, (m, n), j)
-        for c in (0, 1)
-        for m in (-1, 0, 2)
+        for c, m in ((0, -1), (0, 0), (0, 2), (1, -1))
         for n in (0, 1)
         for j in (-1, 0, 1)
-    ][: max(1, samples * 3)]
+    ]
     s_matrix = evaluate_at_U(data.s)
     for g in pool:
         n, j = base_form(g)

@@ -24,15 +24,8 @@ from .groups import (
     gamma_gen,
     gamma_make,
 )
-from .laurent import LaurentPoly, augmentation, require_in_S
-from .quadratic import norm, two_adic_split
-
-
-def s_star_on_H2(s: LaurentPoly) -> Literal["zero", "iso"]:
-    """The map an S-element induces on the base group's second homology:
-    zero exactly when its norm is even."""
-    require_in_S(s)
-    return "zero" if norm(s) % 2 == 0 else "iso"
+from .laurent import augmentation
+from .quadratic import two_adic_split
 
 
 def h2_generator_image_valuation(phi_data: PhiData) -> int:
@@ -46,13 +39,13 @@ def h2_generator_image_valuation(phi_data: PhiData) -> int:
     target generator, certifying the induced map is an isomorphism.
     """
     x = a_power_s(phi_data.s)
-    g_a = gamma_make(None, x[0] + phi_data.r, (x[1], x[2]), 0)
+    g_a = gamma_make(None, x.c + phi_data.r, x.n, 0)
     comm = gamma_comm(g_a, gamma_conj(g_a, gamma_gen(None, "b")))
     if comm.n != (0, 0) or comm.j != 0:
         raise TheoremViolationError("generator image is not central")
-    if comm.c != norm(phi_data.s):
+    if comm.c != phi_data.norm:
         raise TheoremViolationError(
-            f"generator image t^{comm.c} != t^|s| = t^{norm(phi_data.s)}"
+            f"generator image t^{comm.c} != t^|s| = t^{phi_data.norm}"
         )
     p, _ = two_adic_split(comm.c)
     val = phi_data.source_k + p
@@ -119,7 +112,7 @@ def colim_h2(tower: TowerPrefix) -> ColimH2Result:
     infinite tower; a prefix can only report what it has seen, and the note
     says so.
     """
-    first_even = next((i for i, n in enumerate(tower.norms) if n % 2 == 0), None)
+    first_even = next((i for i, d in enumerate(tower.phis) if d.norm % 2 == 0), None)
     if first_even is not None:
         return ColimH2Result(
             "zero",

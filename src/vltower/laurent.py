@@ -158,20 +158,6 @@ def in_S(s: LaurentPoly) -> bool:
     return augmentation(s) == 1
 
 
-@dataclass(frozen=True)
-class SMembership:
-    """A polynomial together with its augmentation and the S-membership flag."""
-
-    poly: LaurentPoly
-    augmentation: int
-    is_member: bool
-
-
-def s_membership(s: LaurentPoly) -> SMembership:
-    a = augmentation(s)
-    return SMembership(s, a, a == 1)
-
-
 def require_in_S(s: LaurentPoly) -> LaurentPoly:
     if not in_S(s):
         raise NotInSError(f"{s} has augmentation {augmentation(s)}, expected 1")

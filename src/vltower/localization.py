@@ -154,19 +154,19 @@ def center_make(tower, stage: int, residue: int) -> CenterColim:
 def center_push(c: CenterColim, s: LaurentPoly, tower) -> CenterColim:
     """Push one stage up the tower: residue is multiplied by the edge norm."""
     _check_stage(tower, c.stage)
-    if c.stage >= len(tower.edges):
+    if c.stage >= len(tower.phis):
         raise PreconditionError(f"no tower edge leaves stage {c.stage}")
-    if tower.edges[c.stage] != s:
+    edge = tower.phis[c.stage]
+    if edge.s != s:
         raise PreconditionError(
-            f"edge mismatch at stage {c.stage}: tower has {tower.edges[c.stage]}, got {s}"
+            f"edge mismatch at stage {c.stage}: tower has {edge.s}, got {s}"
         )
-    k_next = tower.levels[c.stage + 1]
-    return CenterColim(c.stage + 1, (c.residue * tower.norms[c.stage]) % (1 << k_next))
+    return CenterColim(c.stage + 1, (c.residue * edge.norm) % (1 << edge.target_k))
 
 
 def center_push_to(c: CenterColim, stage: int, tower) -> CenterColim:
     while c.stage < stage:
-        c = center_push(c, tower.edges[c.stage], tower)
+        c = center_push(c, tower.phis[c.stage].s, tower)
     return c
 
 
@@ -182,8 +182,8 @@ def center_to_dyadic(c: CenterColim, tower) -> Dyadic:
     if k == 0:
         return DYADIC_ZERO
     u = 1
-    for i in range(c.stage):
-        u *= tower.odd_parts[i]
+    for edge in tower.phis[: c.stage]:
+        u *= edge.norm >> edge.p  # the odd part: 2**p divides the norm exactly
     mod = 1 << k
     u_inv = pow(u % mod, -1, mod)
     return dyadic_make(c.residue * u_inv, k)

@@ -62,11 +62,6 @@ U = Mat2(0, 1, 1, 3)
 U_INV = Mat2(-3, 1, 1, 0)
 
 
-def action_matrix() -> Mat2:
-    """The right-action matrix of conjugation by b on the module."""
-    return U
-
-
 def u_pow(i: int) -> Mat2:
     base = U if i >= 0 else U_INV
     out = IDENTITY

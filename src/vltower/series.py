@@ -222,19 +222,21 @@ def commutator_preimage(c: Dyadic) -> Dyadic:
     return y
 
 
-def default_center_samples(max_log_den: int = 10, per_level: int = 7, seed: int = 0) -> list[Dyadic]:
-    """Deterministic nonzero dyadic samples across denominators up to 2**max_log_den.
+def default_center_samples(seed: int = 0) -> list[Dyadic]:
+    """Deterministic nonzero dyadic samples across denominators up to 2**10.
 
-    All odd numerators are taken at shallow levels; deeper levels contribute a
-    seeded sample of ``per_level`` odd numerators each.
+    All odd numerators are taken at levels with at most 7 of them; deeper
+    levels contribute a seeded sample of 7 odd numerators each.  Levels are
+    drawn in ascending order, so the samples up to any depth are the same
+    as a shallower run would draw.
     """
     import random
 
     rng = random.Random(seed)
     samples: list[Dyadic] = []
-    for k in range(1, max_log_den + 1):
+    for k in range(1, 11):
         odds = list(range(1, 1 << k, 2))
-        take = odds if len(odds) <= per_level else sorted(rng.sample(odds, per_level))
+        take = odds if len(odds) <= 7 else sorted(rng.sample(odds, 7))
         samples.extend(Dyadic(n, k) for n in take)
     return samples
 
@@ -302,7 +304,6 @@ def witness_not_transfinitely_nilpotent(
     j_bound: int,
     samples: list[Dyadic] | None = None,
     seed: int = 0,
-    depth_bound: int = 12,
 ) -> WitnessReport:
     """Certify that the limit stage of the colimit model never shrinks.
 
@@ -327,9 +328,9 @@ def witness_not_transfinitely_nilpotent(
     if any(s.num == 0 for s in samples):
         raise PreconditionError("witness samples must be nonzero center elements")
 
-    _, omega_cert_low = gamma_omega(Model(max(tower.max_level, 1)), depth_bound=depth_bound)
+    _, omega_cert_low = gamma_omega(Model(max(tower.max_level, 1)))
     deep_level_needed = max(s.k for s in samples) + j_bound
-    _, omega_cert_deep = gamma_omega(Model(deep_level_needed), depth_bound=depth_bound)
+    _, omega_cert_deep = gamma_omega(Model(deep_level_needed))
     gamma_omega_ok = omega_cert_low.ok and omega_cert_deep.ok
 
     out: list[WitnessSample] = []
@@ -370,7 +371,7 @@ def witness_not_transfinitely_nilpotent(
     h2 = homology.colim_h2(tower)
     five = homology.five_term_report(h2)
     return WitnessReport(
-        edges=tuple(str(s) for s in tower.edges),
+        edges=tuple(str(data.s) for data in tower.phis),
         j_bound=j_bound,
         samples=tuple(out),
         gamma_omega_ok=gamma_omega_ok,

@@ -172,7 +172,7 @@ def acceptance_tower():
 
 
 def test_c06_witness_not_transfinitely_nilpotent(acceptance_tower):
-    samples = series.default_center_samples(max_log_den=10)
+    samples = series.default_center_samples()
     assert len(samples) >= 50
     assert max(s.k for s in samples) == 10
     rep = series.witness_not_transfinitely_nilpotent(
@@ -240,7 +240,7 @@ def test_c09_colimit_homology_and_five_term(acceptance_tower):
     h2 = homology.colim_h2(acceptance_tower)
     stmt = homology.five_term_report(h2)
     witness = series.witness_not_transfinitely_nilpotent(
-        acceptance_tower, 5, samples=series.default_center_samples(max_log_den=4)
+        acceptance_tower, 5, samples=[c for c in series.default_center_samples() if c.k <= 4]
     )
     # combined end-to-end consistency: the fold is zero, the statement is
     # emitted, and the witness that relies on it passes

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,8 @@ def test_report_pass_reflects_claims():
         ["cohn", "--m", "3", "--trials", "0", "--coherence", "0"],
         ["lcs", "--model", "Gamma3", "--transfinite", "-1"],
         ["lcs", "--model", "H", "--transfinite", "-1"],
+        ["lcs", "--model", "H", "--transfinite", "5"],
+        ["lcs", "--model", "G2", "--transfinite", "3"],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
@@ -228,3 +234,22 @@ def test_model_prefix_is_case_insensitive(capsys):
     rc, out, _ = run(capsys, ["lcs", "--model", "gamma3", "--depth", "3", "--format", "json"])
     assert rc == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # about 180 KiB of JSON: more than a pipe buffer holds, so the writer
+    # is still printing when the reader goes away
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vltower.cli", "lcs", "--model", "G2", "--depth", "600", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from vltower.errors import PreconditionError, TheoremViolationError
-from vltower.groups import tower_build
 from vltower.laurent import ONE, B, LaurentPoly, parse_laurent
 from vltower import cohn
 
@@ -157,23 +156,3 @@ def test_even_action_matrix_is_a_theorem_violation():
         cohn._inverse_mod_2k(t.action_matrix(m), m.modulus)
     with pytest.raises(PreconditionError, match="determinant 0 is not a unit"):
         cohn.lift_unique(t, [1, 1], m)
-
-
-def test_locality_report_levels():
-    tower = tower_build([S, S])
-    rep = cohn.locality_report(tower, trials_per_level=10)
-    assert rep.emitted
-    assert rep.levels_checked == (1, 2, 3, 4)
-    assert rep.evidence_ok
-    assert any("assumed" in a or "external" in a for a in rep.assumed)
-
-
-def test_locality_report_empty_tower_withheld():
-    rep = cohn.locality_report(tower_build([]), trials_per_level=5)
-    assert not rep.emitted
-
-
-def test_locality_never_claims_verified_base_locality():
-    tower = tower_build([S])
-    rep = cohn.locality_report(tower, trials_per_level=5)
-    assert any("localized base group" in a for a in rep.assumed)

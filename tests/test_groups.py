@@ -294,7 +294,7 @@ def test_phi_r_is_the_unique_target_solution():
     b = G.gamma_gen(k_target, "b")
     solutions = []
     for r in range(1 << k_target):
-        img_a = G.gamma_make(k_target, x[0] + r, (x[1], x[2]), 0)
+        img_a = G.gamma_make(k_target, x.c + r, x.n, 0)
         lhs = G.gamma_conj(G.gamma_conj(img_a, b), b)
         rhs = G.gamma_mul(img_a, G.gamma_conj(G.gamma_pow(img_a, 3), b))
         if lhs == rhs:

@@ -16,7 +16,6 @@ from vltower.laurent import (
     in_S,
     parse_laurent,
     require_in_S,
-    s_membership,
 )
 
 polys = st.builds(
@@ -63,12 +62,7 @@ def test_in_S_examples():
     assert not in_S(parse_laurent("2b"))
     assert in_S(ONE)
     assert not in_S(ZERO)
-
-
-def test_s_membership_record():
-    m = s_membership(parse_laurent("2b"))
-    assert (m.augmentation, m.is_member) == (2, False)
-    with pytest.raises(NotInSError):
+    with pytest.raises(NotInSError, match="augmentation 2"):
         require_in_S(parse_laurent("2b"))
 
 

@@ -12,7 +12,6 @@ from vltower.quadratic import (
     U,
     Lattice,
     Mat2,
-    action_matrix,
     evaluate_at_U,
     image,
     intersect_chain_probe,
@@ -31,7 +30,7 @@ polys = st.builds(
 
 
 def test_action_matrix_is_the_fixed_constant():
-    assert action_matrix() == Mat2(0, 1, 1, 3)
+    assert U == Mat2(0, 1, 1, 3)
 
 
 def test_basis_action():
