@@ -1,3 +1,6 @@
+import pytest
+
+from vltower.errors import NotInSError
 from vltower.groups import phi_build, tower_build
 from vltower.laurent import ONE, enumerate_S, parse_laurent
 from vltower.quadratic import norm, predicted_parity
@@ -6,9 +9,15 @@ from vltower import homology
 S = parse_laurent("1-b+b^2")
 
 
-def test_three_way_parity_agreement():
-    # an even norm is what kills the base class in second homology
+def test_s_star_examples():
+    # s_* on H_2 is zero exactly when the norm is even, an isomorphism otherwise
     assert [norm(s) % 2 for s in (S, ONE, parse_laurent("b"))] == [0, 1, 1]
+    assert [predicted_parity(s) for s in (S, ONE, parse_laurent("b"))] == [0, 1, 1]
+    with pytest.raises(NotInSError):
+        predicted_parity(parse_laurent("2b"))
+
+
+def test_three_way_parity_agreement():
     for s in enumerate_S(4, 2):
         assert predicted_parity(s) == norm(s) % 2
 

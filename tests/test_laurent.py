@@ -62,8 +62,13 @@ def test_in_S_examples():
     assert not in_S(parse_laurent("2b"))
     assert in_S(ONE)
     assert not in_S(ZERO)
+
+
+def test_s_membership_record():
+    s = parse_laurent("2b")
+    assert (augmentation(s), in_S(s)) == (2, False)
     with pytest.raises(NotInSError, match="augmentation 2"):
-        require_in_S(parse_laurent("2b"))
+        require_in_S(s)
 
 
 def test_ring_op_examples():
