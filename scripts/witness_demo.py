@@ -3,6 +3,7 @@
 the non-transfinite-nilpotence witness with a per-sample breakdown."""
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -49,4 +50,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head`); point stdout at the null
+        # device so the flush at exit stays quiet, as `vltower` does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

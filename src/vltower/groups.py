@@ -333,13 +333,13 @@ def a_power_s(s: LaurentPoly) -> GammaKElem:
     return out
 
 
-def relator_defect(s: LaurentPoly) -> tuple[int, int]:
+def relator_defect(s: LaurentPoly) -> tuple[int, int, GammaKElem]:
     """Exact center bookkeeping of the image of the defining relation.
 
-    Returns (l, d) computed with the integer center: l is the exponent in
-    (a^s)^(b^2) = a^s (a^(3s))^b t^l, and d = center(a^(3s)) - center((a^s)^3)
-    measures how far a^(3s) is from being the cube of a^s.  Both module-part
-    identities are asserted on the way.
+    Returns (l, d, a^s) computed with the integer center: l is the exponent
+    in (a^s)^(b^2) = a^s (a^(3s))^b t^l, and d = center(a^(3s)) -
+    center((a^s)^3) measures how far a^(3s) is from being the cube of a^s.
+    Both module-part identities are asserted on the way.
     """
     require_in_S(s)
     x = a_power_s(s)
@@ -352,7 +352,7 @@ def relator_defect(s: LaurentPoly) -> tuple[int, int]:
     x3 = gamma_pow(x, 3)
     if y.n != x3.n:
         raise TheoremViolationError(f"cube module parts differ for s={s}")
-    return lhs.c - rhs.c, y.c - x3.c
+    return lhs.c - rhs.c, y.c - x3.c, x
 
 
 @dataclass(frozen=True)
@@ -407,12 +407,11 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     s_norm = norm(s)
     p, _ = two_adic_split(s_norm)
     target_k = k + p
-    l_exact, d = relator_defect(s)
+    l_exact, d, x = relator_defect(s)
     target_mod = 1 << target_k
     # 3 is invertible mod any power of two.
     r = ((d - l_exact) * pow(3, -1, target_mod)) % target_mod
 
-    x = a_power_s(s)
     img_a = gamma_make(target_k, x.c + r, x.n, 0)
     bgen = gamma_gen(target_k, "b")
     img_ab = gamma_conj(img_a, bgen)

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import TheoremViolationError
-from .groups import (
-    PhiData,
-    TowerPrefix,
-    a_power_s,
-    gamma_comm,
-    gamma_conj,
-    gamma_gen,
-    gamma_make,
-)
+from .groups import PhiData, TowerPrefix, gamma_comm, gamma_conj, gamma_gen, gamma_make
 from .laurent import augmentation
 from .quadratic import two_adic_split
 
@@ -33,13 +25,14 @@ def h2_generator_image_valuation(phi_data: PhiData) -> int:
 
     The generator at the source is the class of t**(2**source_k); its image
     is the commutator of the image of a with its b-conjugate, raised to that
-    power.  The commutator is evaluated with the integer center (any lift of
-    the map's center exponent r gives the same commutator), yielding t**|s|
-    exactly, so the valuation is source_k + p(s): an odd multiple of the
-    target generator, certifying the induced map is an isomorphism.
+    power.  The commutator is evaluated with the integer center (the center
+    part of a's image drops out of it, so its residue serves as the lift),
+    yielding t**|s| exactly, so the valuation is source_k + p(s): an odd
+    multiple of the target generator, certifying the induced map is an
+    isomorphism.  Raises unless the valuation is the target level.
     """
-    x = a_power_s(phi_data.s)
-    g_a = gamma_make(None, x.c + phi_data.r, x.n, 0)
+    img_a = phi_data.img_a
+    g_a = gamma_make(None, img_a.c, img_a.n, 0)
     comm = gamma_comm(g_a, gamma_conj(g_a, gamma_gen(None, "b")))
     if comm.n != (0, 0) or comm.j != 0:
         raise TheoremViolationError("generator image is not central")
@@ -59,40 +52,36 @@ def h2_generator_image_valuation(phi_data: PhiData) -> int:
 @dataclass(frozen=True)
 class TwoConnectedReport:
     """Certificate that a level map induces an isomorphism on first homology
-    and (at least) a surjection on second homology."""
+    and (at least) a surjection on second homology; the second-homology half
+    is the valuation, which h2_generator_image_valuation has checked."""
 
     s: str
     source_k: int
     target_k: int
     h1_a_multiplier_mod3: int
-    h1_b_fixed: bool
     h1_iso: bool
     h2_valuation: int
-    h2_iso: bool
 
     @property
     def ok(self) -> bool:
-        return self.h1_iso and self.h2_iso
+        return self.h1_iso
 
 
 def two_connected_certificate(phi_data: PhiData) -> TwoConnectedReport:
     """Both abelianizations are Z/3 (+) Z: the defining relation abelianizes
     to a^3 = 1 and the commutator relators die.  The induced matrix is
-    [[augmentation(s) mod 3, 0], [0, 1]], invertible since augmentation is 1;
-    the second-homology half delegates to the valuation certificate."""
+    [[augmentation(s) mod 3, 0], [0, 1]] (b is fixed), invertible since
+    augmentation is 1; the second-homology half delegates to the valuation
+    certificate."""
     aug = augmentation(phi_data.s)
     a_mult = aug % 3
-    h1_iso = a_mult in (1, 2)  # invertible mod 3; equals 1 for S-elements
-    val = h2_generator_image_valuation(phi_data)
     return TwoConnectedReport(
         s=str(phi_data.s),
         source_k=phi_data.source_k,
         target_k=phi_data.target_k,
         h1_a_multiplier_mod3=a_mult,
-        h1_b_fixed=True,
-        h1_iso=h1_iso,
-        h2_valuation=val,
-        h2_iso=val == phi_data.target_k,
+        h1_iso=a_mult in (1, 2),  # invertible mod 3; equals 1 for S-elements
+        h2_valuation=h2_generator_image_valuation(phi_data),
     )
 
 

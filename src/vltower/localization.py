@@ -17,7 +17,6 @@ boundary, in center_to_dyadic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as _QFrac
 
 from .errors import PreconditionError
 from .laurent import LaurentPoly, require_in_S
@@ -75,9 +74,6 @@ class Dyadic:
                 raise ValueError("zero must be represented as (0, 0)")
         elif not (0 < self.num < (1 << self.k)) or self.num % 2 == 0:
             raise ValueError("non-canonical dyadic; use dyadic_make")
-
-    def as_fraction(self) -> _QFrac:
-        return _QFrac(self.num, 1 << self.k)
 
     def __str__(self) -> str:
         return f"{self.num}/{1 << self.k}" if self.num else "0"

@@ -120,18 +120,13 @@ def module_chain_lattice(i: int) -> Lattice:
 
 @dataclass(frozen=True)
 class GammaOmegaCertificate:
-    """Desk certificate for the limit stage of one model."""
+    """Desk certificate for the limit stage of one model; gamma_omega raises
+    instead of returning one whose checks fail."""
 
     model: Model
     depth_bound: int
     center_exps: tuple[int | None, ...]
-    center_constant: bool
     probes: tuple[tuple[Vec, int], ...]
-    all_probes_exit: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.center_constant and self.all_probes_exit
 
 
 def _default_probes(bound: int) -> list[Vec]:
@@ -159,7 +154,8 @@ def gamma_omega(
     chain = lcs_chain(model, depth_bound)
     central = model.central
     exps = tuple(stage.center_exp for stage in chain[1:])
-    center_constant = all(e == 0 for e in exps) if central else all(e is None for e in exps)
+    if central and any(e != 0 for e in exps):
+        raise TheoremViolationError(f"center parts of finite stages not constant: {exps}")
     probes = probe_set if probe_set is not None else _default_probes(2)
     results: list[tuple[Vec, int]] = []
     for v in probes:
@@ -167,11 +163,7 @@ def gamma_omega(
         if exit_i is None:
             raise TheoremViolationError(f"probe {v} never exits the module chain")
         results.append((v, exit_i))
-    cert = GammaOmegaCertificate(
-        model, depth_bound, exps, center_constant, tuple(results), True
-    )
-    if central and not center_constant:
-        raise TheoremViolationError(f"center parts of finite stages not constant: {exps}")
+    cert = GammaOmegaCertificate(model, depth_bound, exps, tuple(results))
     limit = SubgroupData(0 if central else None, Lattice.zero(), False)
     return limit, cert
 
@@ -245,15 +237,14 @@ def default_center_samples(seed: int = 0) -> list[Dyadic]:
 class WitnessSample:
     value: str
     depth: int
-    chain_ok: bool
     model_level: int
-    model_chain_ok: bool
+    model_ok: bool
     commutator_power_ok: bool
     realizable_stage: int | None
 
     @property
     def ok(self) -> bool:
-        return self.chain_ok and self.model_chain_ok and self.commutator_power_ok
+        return self.model_ok and self.commutator_power_ok
 
 
 @dataclass(frozen=True)
@@ -263,40 +254,11 @@ class WitnessReport:
     edges: tuple[str, ...]
     j_bound: int
     samples: tuple[WitnessSample, ...]
-    gamma_omega_ok: bool
     five_term_consistent: bool
 
     @property
     def passed(self) -> bool:
-        return (
-            self.gamma_omega_ok
-            and self.five_term_consistent
-            and bool(self.samples)
-            and all(s.ok for s in self.samples)
-        )
-
-
-def _model_residue(c: Dyadic, level: int) -> int:
-    """The t-exponent representing c in the level-k truncation via the
-    standard doubling inclusions (no odd units involved here)."""
-    if c.k > level:
-        raise PreconditionError(f"denominator 2^{c.k} exceeds level {level}")
-    return c.num << (level - c.k)
-
-
-def _check_iterated_commutator_power(c: Dyadic, level: int) -> bool:
-    """Verify t^(residue of c) is a power of the iterated commutator
-    [a, a^b, b, ..., b] of depth matching the 2-adic valuation."""
-    if c.num == 0:
-        return True
-    e = level - c.k
-    w = gamma_comm(gamma_gen(level, "a"), gamma_gen(level, "ab"))
-    for _ in range(e):
-        w = gamma_comm(w, gamma_gen(level, "b"))
-    # w = t^((-2)^e); solve w^x = t^residue with x odd.
-    residue = _model_residue(c, level)
-    x = (c.num * pow(-1, e, 1 << c.k)) % (1 << c.k)
-    return gamma_pow(w, x) == gamma_make(level, residue, (0, 0), 0)
+        return self.five_term_consistent and bool(self.samples) and all(s.ok for s in self.samples)
 
 
 def witness_not_transfinitely_nilpotent(
@@ -311,9 +273,10 @@ def witness_not_transfinitely_nilpotent(
     witnessed by the constancy certificate plus an explicit iterated-commutator
     power expression evaluated in a truncation deep enough to hold c; (b) a
     full chain of commutator preimages c = [y1, b], y1 = [y2, b], ... of
-    length j_bound exists, verified both in dyadic arithmetic and in the
-    truncation model, so c lies in every stage omega + j.  Requires at least
-    one even-norm edge, since otherwise the prefix's center colimit is trivial.
+    length j_bound exists, verified both in dyadic arithmetic (by
+    commutator_preimage) and in the truncation model, so c lies in every stage
+    omega + j.  Requires at least one even-norm edge, since otherwise the
+    prefix's center colimit is trivial.
     """
     if j_bound < 0:
         raise PreconditionError("negative stage bound")
@@ -328,30 +291,31 @@ def witness_not_transfinitely_nilpotent(
     if any(s.num == 0 for s in samples):
         raise PreconditionError("witness samples must be nonzero center elements")
 
-    _, omega_cert_low = gamma_omega(Model(max(tower.max_level, 1)))
-    deep_level_needed = max(s.k for s in samples) + j_bound
-    _, omega_cert_deep = gamma_omega(Model(deep_level_needed))
-    gamma_omega_ok = omega_cert_low.ok and omega_cert_deep.ok
+    # Each call raises unless the limit stage of its truncation is certified.
+    gamma_omega(Model(max(tower.max_level, 1)))
+    gamma_omega(Model(max(s.k for s in samples) + j_bound))
 
     out: list[WitnessSample] = []
     for c in samples:
         chain = [c]
-        chain_ok = True
         for _ in range(j_bound):
             chain.append(commutator_preimage(chain[-1]))
-        for j in range(j_bound):
-            if dyadic_neg(dyadic_double(chain[j + 1])) != chain[j]:
-                chain_ok = False
+        # chain[j] has denominator 2^(c.k + j); in the level c.k + j_bound
+        # truncation it is t^(num * 2^(j_bound - j)) via the doubling inclusions.
         level = c.k + j_bound
+        centers = [gamma_make(level, y.num << (level - y.k), (0, 0), 0) for y in chain]
         bgen = gamma_gen(level, "b")
-        model_ok = True
-        for j in range(j_bound):
-            y = gamma_make(level, _model_residue(chain[j + 1], level), (0, 0), 0)
-            target = gamma_make(level, _model_residue(chain[j], level), (0, 0), 0)
-            if gamma_comm(y, bgen) != target:
-                model_ok = False
-        comm_ok = _check_iterated_commutator_power(c, level) and all(
-            _check_iterated_commutator_power(y, level) for y in chain[1:]
+        model_ok = all(
+            gamma_comm(centers[j + 1], bgen) == centers[j] for j in range(j_bound)
+        )
+        # w_e = [a, a^b, b, ..., b] with e letters b is t^((-2)^e), so y with
+        # denominator 2^(level - e) is the odd power y.num * (-1)^e of w_e.
+        w = [gamma_comm(gamma_gen(level, "a"), gamma_gen(level, "ab"))]
+        for _ in range(j_bound):
+            w.append(gamma_comm(w[-1], bgen))
+        comm_ok = all(
+            gamma_pow(w[level - y.k], (y.num * (-1) ** (level - y.k)) % (1 << y.k)) == t_y
+            for y, t_y in zip(chain, centers)
         )
         realizable = next(
             (i for i, lev in enumerate(tower.levels) if lev >= c.k), None
@@ -360,9 +324,8 @@ def witness_not_transfinitely_nilpotent(
             WitnessSample(
                 value=str(c),
                 depth=c.k,
-                chain_ok=chain_ok,
                 model_level=level,
-                model_chain_ok=model_ok,
+                model_ok=model_ok,
                 commutator_power_ok=comm_ok,
                 realizable_stage=realizable,
             )
@@ -374,6 +337,5 @@ def witness_not_transfinitely_nilpotent(
         edges=tuple(str(data.s) for data in tower.phis),
         j_bound=j_bound,
         samples=tuple(out),
-        gamma_omega_ok=gamma_omega_ok,
         five_term_consistent=five.emitted,
     )

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from vltower import groups
 from vltower.cli import main
 from vltower.report import PROVENANCES, Claim, Report
 
@@ -253,3 +254,41 @@ def test_closed_stdout_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def test_witness_demo_closed_stdout_pipe_exits_quietly():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "witness_demo.py"
+    proc = subprocess.Popen(
+        [sys.executable, str(script), "--edges", "1-b+b^2", "--J", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # closed before the script prints anything, so its first flush hits EPIPE
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+def test_tower_full_checks_build_a_power_s_twice_per_edge(capsys):
+    # relator_defect builds a^s and a^(3s); phi_build and the second-homology
+    # certificate reuse a^s instead of building it again.  Counted by code
+    # object, so a caller holding its own reference to a_power_s counts too.
+    code = groups.a_power_s.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        rc = main(["tower", "--edges", "1-b+b^2,b,1-b+b^2", "--checks", "full"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert rc == 0
+    assert calls <= 6

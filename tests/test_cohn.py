@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.laurent import ONE, B, LaurentPoly, parse_laurent
 from vltower import cohn
+from vltower.cli import main
 
 S = parse_laurent("1-b+b^2")
 
@@ -79,6 +81,30 @@ def test_cohn_local_suite_zero_failures():
         assert rep.ok
         assert rep.failures == ()
         assert rep.coherence_failures == 0
+
+
+def test_cohn_local_suite_records_a_failed_lift(monkeypatch, capsys):
+    # lift_unique raises when its own existence check fails; the suite must
+    # record that trial with its data instead of passing it
+    seen = []
+
+    def refuse(t, alpha, module):
+        seen.append((t, tuple(alpha)))
+        raise TheoremViolationError("lift does not reproduce alpha")
+
+    monkeypatch.setattr(cohn, "lift_unique", refuse)
+    rep = cohn.cohn_local_suite(cohn.NilpotentModuleSpec(3), 4, 3, 2, seed=5)
+    assert not rep.ok
+    assert len(rep.failures) == len(seen) == 4
+    for trial, (t, alpha) in zip(rep.failures, seen):
+        assert trial.n == t.n
+        assert trial.matrix == tuple(str(e) for row in t.entries for e in row)
+        assert trial.alpha == alpha
+    argv = ["cohn", "--m", "3", "--trials", "4", "--coherence", "0", "--format", "json"]
+    assert main(argv) == 2
+    claims = {c["id"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert not claims["cohn.lifting"]["pass"]
+    assert claims["cohn.lifting"]["data"] == {"failures": 4}
 
 
 def test_push_module_is_standard_inclusion():
