@@ -20,16 +20,22 @@ B A = A B t^-1 with t central among A, B, and conjugation by b acts as
 A |-> B, B |-> A B^3, t |-> t^-1.  For an S-element s, a^s is the product of
 the conjugates a^(n_i b^i) taken in ascending exponent order.
 
-The closed-form product law is derived from two ingredients: the reordering
-cocycle of A and B powers, and the center corrections of b-conjugation
-(collected forms of B^m (A B^3)^n and (t^3 A^-3 B)^m A^n).  The independent
-``word_oracle`` never uses those aggregate corrections: it evaluates words by
-prepending one generator at a time, crossing b letter by letter.
+The kernel is logarithmic in every exponent; its closed forms are the Deep
+Thought collection polynomials of this class-2 group (Leedham-Green and
+Soicher, Symbolic collection using Deep Thought, LMS J. Comput. Math. 1,
+1998).  Moving A^m2 left past B^n1 costs t^(-m2 n1), so a b-free power is
+(t^c A^m B^n)^e = t^(e c - C(e,2) m n) A^(e m) B^(e n) for every integer e.
+Conjugation by b^j is the class-2 automorphism fixed by t |-> t^((-1)^j) and
+the images of A and B; it is stored as a record of those images, applied
+with the same product law, and the record of b^j is built by squaring and
+composing the records of b and b^-1.  The independent ``word_oracle`` never
+uses these aggregate forms: it evaluates words by prepending one generator
+at a time, crossing b letter by letter.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,7 +45,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .laurent import ONE, LaurentPoly, augmentation, divide_exact, require_in_S
+from .laurent import ONE, LaurentPoly, divide_exact, require_in_S
 from .localization import CenterColim, Fraction, frac_eq
 from .quadratic import Vec, evaluate_at_U, norm, two_adic_split, u_pow, vec_mat
 
@@ -85,30 +91,50 @@ class Model:
 # triples meaning t^c A^m B^n
 
 
-def phi(h: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Conjugation by b: b^-1 (t^c A^m B^n) b, collected.
+Triple = tuple[int, int, int]
+# (sign, c_A, c_B, p, q, r, s): t |-> t^sign, A |-> t^c_A A^p B^q, B |-> t^c_B A^r B^s.
+Aut = tuple[int, int, int, int, int, int, int]
+_AUT_ONE: Aut = (1, 0, 0, 1, 0, 0, 1)
+_CONJ_B: Aut = (-1, 3, 0, -3, 1, 1, 0)  # b X b^-1: A |-> t^3 A^-3 B, B |-> A
+_CONJ_B_INV: Aut = (-1, 0, 0, 0, 1, 1, 3)  # b^-1 X b: A |-> B, B |-> A B^3
 
-    B^m (A B^3)^n = A^n B^(m+3n) t^(e(n) - m n) with e(n) = -3 n (n-1) / 2.
-    """
+
+def _aut_apply(f: Aut, h: Triple) -> Triple:
+    """f(t)^c f(A)^m f(B)^n, collected: each power by the b-free closed form,
+    then A^(n r) moved left past B^(m q) at t^(-m n q r)."""
+    sign, c_a, c_b, p, q, r, s = f
     c, m, n = h
-    return (-c - 3 * n * (n - 1) // 2 - m * n, n, m + 3 * n)
+    return (
+        sign * c + m * c_a - m * (m - 1) // 2 * p * q
+        + n * c_b - n * (n - 1) // 2 * r * s - m * n * q * r,
+        m * p + n * r,
+        m * q + n * s,
+    )
 
 
-def phi_inv(h: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Conjugation by b^-1: b (t^c A^m B^n) b^-1, collected.
-
-    (t^3 A^-3 B)^m A^n = A^(n-3m) B^m t^(f(m) - m n) with f(m) = 3 m (m+1) / 2.
-    """
-    c, m, n = h
-    return (-c + 3 * m * (m + 1) // 2 - m * n, n - 3 * m, m)
+def _aut_compose(f: Aut, g: Aut) -> Aut:
+    """The record of f after g."""
+    c_a, p, q = _aut_apply(f, (g[1], g[3], g[4]))
+    c_b, r, s = _aut_apply(f, (g[2], g[5], g[6]))
+    return (f[0] * g[0], c_a, c_b, p, q, r, s)
 
 
-def conj_by_b_pow(h: tuple[int, int, int], j: int) -> tuple[int, int, int]:
-    """b^j (t^c A^m B^n) b^-j."""
-    f = phi_inv if j >= 0 else phi
-    for _ in range(abs(j)):
-        h = f(h)
-    return h
+@functools.lru_cache(maxsize=1024)
+def _conj_record(j: int) -> Aut:
+    """The record of X |-> b^j X b^-j, by square-and-multiply in O(log |j|)."""
+    out, base, e = _AUT_ONE, (_CONJ_B if j >= 0 else _CONJ_B_INV), abs(j)
+    while e:
+        if e & 1:
+            out = _aut_compose(out, base)
+        e >>= 1
+        if e:
+            base = _aut_compose(base, base)
+    return out
+
+
+def conj_by_b_pow(h: Triple, j: int) -> Triple:
+    """b^j (t^c A^m B^n) b^-j: module part (m, n) U^-j, center by the record of b^j."""
+    return _aut_apply(_conj_record(j), h) if j else h
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +192,13 @@ def gamma_inv(x: GammaKElem) -> GammaKElem:
 
 
 def gamma_pow(x: GammaKElem, e: int) -> GammaKElem:
+    """x^e for every integer e.  A b-free x = t^c A^m B^n has the closed form
+    t^(e c - C(e,2) m n) A^(e m) B^(e n); square-and-multiply is left only
+    for elements with a b part."""
+    if not x.j:
+        m, n = x.n
+        c = e * x.c - e * (e - 1) // 2 * m * n
+        return GammaKElem(x.k, _center(x.k, c), (e * m, e * n), 0)
     if e < 0:
         return gamma_pow(gamma_inv(x), -e)
     out = gamma_identity(x.k)
@@ -183,7 +216,8 @@ def gamma_conj(x: GammaKElem, y: GammaKElem) -> GammaKElem:
 
 
 def gamma_comm(x: GammaKElem, y: GammaKElem) -> GammaKElem:
-    return gamma_mul(gamma_inv(x), gamma_mul(gamma_inv(y), gamma_mul(x, y)))
+    """[x, y] = x^-1 y^-1 x y, evaluated as (y x)^-1 (x y)."""
+    return gamma_mul(gamma_inv(gamma_mul(y, x)), gamma_mul(x, y))
 
 
 def base_form(x: GammaKElem) -> tuple[Vec, int]:
@@ -400,6 +434,12 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     The center exponent r is solved in the *target* group, where the map must
     be well-defined; every defining relator of the source is then evaluated
     on the images and required to vanish.
+
+    ``require_in_S`` is the one check behind two claims about the map: with
+    b = 1 the target collapses to Z/gcd(3, augmentation(s)) modulo the
+    normal closure of the image, and the map multiplies first homology
+    Z/3 (+) Z by augmentation(s) on the Z/3 summand.  Both hold once
+    augmentation(s) is a unit mod 3, and an S-element has augmentation 1.
     """
     require_in_S(s)
     if k < 0:
@@ -461,17 +501,6 @@ def phi_apply(phi_data: PhiData, g: GammaKElem) -> GammaKElem:
     out = gamma_mul(out, gamma_pow(phi_data.img_a, g.n[0]))
     out = gamma_mul(out, gamma_pow(phi_data.img_ab, g.n[1]))
     return gamma_mul(out, gamma_pow(gamma_gen(phi_data.target_k, "b"), g.j))
-
-
-def normal_surjectivity_check(phi_data: PhiData) -> bool:
-    """Collapse test: quotient of the target by the normal closure of the image.
-
-    Setting b = 1 identifies all conjugates of a and kills t, leaving the
-    cyclic group on a with a^3 = 1 (from the defining relation) and
-    a^(augmentation of s) = 1 (from the image of a); the quotient is trivial
-    exactly when gcd(3, augmentation) = 1.
-    """
-    return math.gcd(3, augmentation(phi_data.s)) == 1
 
 
 # ---------------------------------------------------------------------------

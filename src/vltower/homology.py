@@ -16,7 +16,6 @@ from typing import Literal
 
 from .errors import TheoremViolationError
 from .groups import PhiData, TowerPrefix, gamma_comm, gamma_conj, gamma_gen, gamma_make
-from .laurent import augmentation
 from .quadratic import two_adic_split
 
 
@@ -52,35 +51,27 @@ def h2_generator_image_valuation(phi_data: PhiData) -> int:
 @dataclass(frozen=True)
 class TwoConnectedReport:
     """Certificate that a level map induces an isomorphism on first homology
-    and (at least) a surjection on second homology; the second-homology half
-    is the valuation, which h2_generator_image_valuation has checked."""
+    and (at least) a surjection on second homology.  The first-homology half
+    is augmentation(s) = 1, which phi_build requires of every map it builds;
+    the second-homology half is the valuation, which
+    h2_generator_image_valuation has checked."""
 
     s: str
     source_k: int
     target_k: int
-    h1_a_multiplier_mod3: int
-    h1_iso: bool
     h2_valuation: int
-
-    @property
-    def ok(self) -> bool:
-        return self.h1_iso
 
 
 def two_connected_certificate(phi_data: PhiData) -> TwoConnectedReport:
     """Both abelianizations are Z/3 (+) Z: the defining relation abelianizes
     to a^3 = 1 and the commutator relators die.  The induced matrix is
-    [[augmentation(s) mod 3, 0], [0, 1]] (b is fixed), invertible since
-    augmentation is 1; the second-homology half delegates to the valuation
-    certificate."""
-    aug = augmentation(phi_data.s)
-    a_mult = aug % 3
+    [[augmentation(s) mod 3, 0], [0, 1]] (b is fixed), the identity for the
+    S-element s of a built map; the second-homology half delegates to the
+    valuation certificate, which raises unless it holds."""
     return TwoConnectedReport(
         s=str(phi_data.s),
         source_k=phi_data.source_k,
         target_k=phi_data.target_k,
-        h1_a_multiplier_mod3=a_mult,
-        h1_iso=a_mult in (1, 2),  # invertible mod 3; equals 1 for S-elements
         h2_valuation=h2_generator_image_valuation(phi_data),
     )
 

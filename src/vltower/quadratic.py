@@ -6,6 +6,13 @@ right multiplication and the defining relation of the ambient group reads
 U^2 = 3U + I.  Evaluating an element s of the group ring at U gives the
 multiplication-by-s map; its determinant is the norm |s| whose 2-adic part
 drives everything downstream.
+
+Since U^2 = 3U + I, every s(U) is alpha I + beta U = [[alpha, beta], [beta,
+alpha + 3 beta]] for one integer pair (alpha, beta), and |s| = alpha^2 +
+3 alpha beta - beta^2.  Powers of U are such pairs too, computed by doubling
+with (alpha I + beta U)(gamma I + delta U) = (alpha gamma + beta delta) I +
+(alpha delta + beta gamma + 3 beta delta) U, so no kernel here loops over an
+exponent.
 """
 
 from __future__ import annotations
@@ -52,22 +59,31 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def scale(self, n: int) -> "Mat2":
-        return Mat2(n * self.a, n * self.b, n * self.c, n * self.d)
-
 
 IDENTITY = Mat2(1, 0, 0, 1)
 U = Mat2(0, 1, 1, 3)
-# U^-1 = U - 3I, from the Cayley-Hamilton relation U^2 - 3U - I = 0.
-U_INV = Mat2(-3, 1, 1, 0)
+
+
+def _u_pair(i: int) -> tuple[int, int]:
+    """(alpha, beta) with U^i = alpha I + beta U, by square-and-multiply."""
+    alpha, beta = 1, 0
+    g, d = (0, 1) if i >= 0 else (-3, 1)  # U, or U^-1 = U - 3I by Cayley-Hamilton
+    e = abs(i)
+    while e:
+        if e & 1:
+            alpha, beta = alpha * g + beta * d, alpha * d + beta * g + 3 * beta * d
+        e >>= 1
+        if e:
+            g, d = g * g + d * d, 2 * g * d + 3 * d * d
+    return alpha, beta
+
+
+def _pair_mat(alpha: int, beta: int) -> Mat2:
+    return Mat2(alpha, beta, beta, alpha + 3 * beta)
 
 
 def u_pow(i: int) -> Mat2:
-    base = U if i >= 0 else U_INV
-    out = IDENTITY
-    for _ in range(abs(i)):
-        out = out * base
-    return out
+    return _pair_mat(*_u_pair(i))
 
 
 def vec_mat(v: Vec, m: Mat2) -> Vec:
@@ -82,28 +98,33 @@ def vec_neg(v: Vec) -> Vec:
     return (-v[0], -v[1])
 
 
-def evaluate_at_U(s: LaurentPoly) -> Mat2:
-    """Sum of n_i * U^i over the support of s (U^-1 = U - 3I for negative i)."""
-    out = Mat2(0, 0, 0, 0)
+def _s_pair(s: LaurentPoly) -> tuple[int, int]:
+    """(alpha, beta) with s(U) = alpha I + beta U."""
+    alpha = beta = 0
     for e, c in s.terms:
-        out = out + u_pow(e).scale(c)
-    return out
+        a, b = _u_pair(e)
+        alpha += c * a
+        beta += c * b
+    return alpha, beta
+
+
+def evaluate_at_U(s: LaurentPoly) -> Mat2:
+    """Sum of n_i * U^i over the support of s, as alpha I + beta U."""
+    return _pair_mat(*_s_pair(s))
 
 
 def norm(s: LaurentPoly) -> int:
     """det of s evaluated at U; multiplicative, and nonzero on S."""
-    return evaluate_at_U(s).det()
+    alpha, beta = _s_pair(s)
+    return alpha * alpha + 3 * alpha * beta - beta * beta
 
 
 def two_adic_split(n: int) -> tuple[int, int]:
     """Write n = 2**p * v with v odd; rejects n = 0."""
     if n == 0:
         raise PreconditionError("two_adic_split of zero")
-    p = 0
-    while n % 2 == 0:
-        n //= 2
-        p += 1
-    return p, n
+    p = (n & -n).bit_length() - 1
+    return p, n >> p
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vltower.errors import InsufficientTowerError, LevelMismatchError
+from vltower.errors import InsufficientTowerError, LevelMismatchError, NotInSError
 from vltower.laurent import ONE, parse_laurent
 from vltower.localization import CenterColim, Fraction, frac_eq
 from vltower.quadratic import evaluate_at_U, norm, u_pow, vec_add, vec_mat
@@ -351,8 +351,13 @@ def test_phi_apply_level_check():
 
 
 def test_normal_surjectivity():
-    assert G.normal_surjectivity_check(G.phi_build(S, 0))
-    assert G.normal_surjectivity_check(G.phi_build(ONE, 2))
+    # the quotient collapses exactly when gcd(3, augmentation(s)) = 1, and
+    # phi_build accepts only augmentation 1
+    assert G.phi_build(S, 0).target_k == 2
+    assert G.phi_build(ONE, 2).target_k == 2
+    for text in ("1+b+b^2", "2b", "3-b^2"):
+        with pytest.raises(NotInSError):
+            G.phi_build(parse_laurent(text), 0)
 
 
 # --- towers ------------------------------------------------------------------
