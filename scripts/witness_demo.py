@@ -26,10 +26,9 @@ def main() -> int:
     tower = tower_build(edges)
     print(f"tower levels: {list(tower.levels)}, norms: {[data.norm for data in tower.phis]}")
     for i, data in enumerate(tower.phis):
-        cert = homology.two_connected_certificate(data)
         print(
             f"  edge {i}: s = {data.s}, r = {data.r}, "
-            f"H2 valuation {cert.h2_valuation} -> 2-connected"
+            f"H2 valuation {homology.two_connected_certificate(data)} -> 2-connected"
         )
     h2 = homology.colim_h2(tower)
     print(f"colimit H2 fold: {h2.value}")

@@ -35,7 +35,6 @@ at a time, crossing b letter by letter.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -94,7 +93,6 @@ class Model:
 Triple = tuple[int, int, int]
 # (sign, c_A, c_B, p, q, r, s): t |-> t^sign, A |-> t^c_A A^p B^q, B |-> t^c_B A^r B^s.
 Aut = tuple[int, int, int, int, int, int, int]
-_AUT_ONE: Aut = (1, 0, 0, 1, 0, 0, 1)
 _CONJ_B: Aut = (-1, 3, 0, -3, 1, 1, 0)  # b X b^-1: A |-> t^3 A^-3 B, B |-> A
 _CONJ_B_INV: Aut = (-1, 0, 0, 0, 1, 1, 3)  # b^-1 X b: A |-> B, B |-> A B^3
 
@@ -119,16 +117,17 @@ def _aut_compose(f: Aut, g: Aut) -> Aut:
     return (f[0] * g[0], c_a, c_b, p, q, r, s)
 
 
-@functools.lru_cache(maxsize=1024)
 def _conj_record(j: int) -> Aut:
-    """The record of X |-> b^j X b^-j, by square-and-multiply in O(log |j|)."""
-    out, base, e = _AUT_ONE, (_CONJ_B if j >= 0 else _CONJ_B_INV), abs(j)
-    while e:
+    """The record of X |-> b^j X b^-j for j != 0, by square-and-multiply:
+    at most 2 log2 |j| compositions, none for j = +-1."""
+    base, e = (_CONJ_B if j > 0 else _CONJ_B_INV), abs(j)
+    while not e & 1:
+        base, e = _aut_compose(base, base), e >> 1
+    out = base
+    while e := e >> 1:
+        base = _aut_compose(base, base)
         if e & 1:
             out = _aut_compose(out, base)
-        e >>= 1
-        if e:
-            base = _aut_compose(base, base)
     return out
 
 

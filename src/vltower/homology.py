@@ -4,9 +4,10 @@ The homology groups themselves are known constants (order-2 cyclic for the
 base group and every truncation, generated by the class of t^(2^k)) and are
 not computed.  What is computed exactly is everything the construction needs
 about induced maps: whether an S-element kills the base class (parity of its
-norm), the 2-adic valuation of the generator image under a level map,
-first-homology invertibility, and the colimit fold that makes the localized
-base group's second homology vanish.
+norm), the 2-adic valuation of the generator image under a level map, and
+the colimit fold that makes the localized base group's second homology
+vanish.  First-homology invertibility is augmentation(s) = 1, which
+phi_build checks.
 """
 
 from __future__ import annotations
@@ -48,32 +49,16 @@ def h2_generator_image_valuation(phi_data: PhiData) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class TwoConnectedReport:
-    """Certificate that a level map induces an isomorphism on first homology
-    and (at least) a surjection on second homology.  The first-homology half
-    is augmentation(s) = 1, which phi_build requires of every map it builds;
-    the second-homology half is the valuation, which
-    h2_generator_image_valuation has checked."""
+def two_connected_certificate(phi_data: PhiData) -> int:
+    """The level map is 2-connected; returns its second-homology valuation.
 
-    s: str
-    source_k: int
-    target_k: int
-    h2_valuation: int
-
-
-def two_connected_certificate(phi_data: PhiData) -> TwoConnectedReport:
-    """Both abelianizations are Z/3 (+) Z: the defining relation abelianizes
+    Both abelianizations are Z/3 (+) Z: the defining relation abelianizes
     to a^3 = 1 and the commutator relators die.  The induced matrix is
     [[augmentation(s) mod 3, 0], [0, 1]] (b is fixed), the identity for the
-    S-element s of a built map; the second-homology half delegates to the
-    valuation certificate, which raises unless it holds."""
-    return TwoConnectedReport(
-        s=str(phi_data.s),
-        source_k=phi_data.source_k,
-        target_k=phi_data.target_k,
-        h2_valuation=h2_generator_image_valuation(phi_data),
-    )
+    S-element s of a built map, since phi_build requires augmentation 1.
+    The second-homology half is the valuation certificate, which raises
+    unless the valuation is the target level."""
+    return h2_generator_image_valuation(phi_data)
 
 
 @dataclass(frozen=True)

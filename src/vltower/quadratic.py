@@ -64,18 +64,26 @@ IDENTITY = Mat2(1, 0, 0, 1)
 U = Mat2(0, 1, 1, 3)
 
 
+def _pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(alpha I + beta U)(gamma I + delta U), reduced by U^2 = 3U + I."""
+    (alpha, beta), (gamma, delta) = x, y
+    return alpha * gamma + beta * delta, alpha * delta + beta * gamma + 3 * beta * delta
+
+
 def _u_pair(i: int) -> tuple[int, int]:
-    """(alpha, beta) with U^i = alpha I + beta U, by square-and-multiply."""
-    alpha, beta = 1, 0
-    g, d = (0, 1) if i >= 0 else (-3, 1)  # U, or U^-1 = U - 3I by Cayley-Hamilton
-    e = abs(i)
-    while e:
+    """(alpha, beta) with U^i = alpha I + beta U, by square-and-multiply:
+    at most 2 log2 |i| pair products, none for i = 0 or +-1."""
+    if not i:
+        return 1, 0
+    base, e = ((0, 1) if i > 0 else (-3, 1)), abs(i)  # U, or U^-1 = U - 3I by Cayley-Hamilton
+    while not e & 1:
+        base, e = _pair_mul(base, base), e >> 1
+    out = base
+    while e := e >> 1:
+        base = _pair_mul(base, base)
         if e & 1:
-            alpha, beta = alpha * g + beta * d, alpha * d + beta * g + 3 * beta * d
-        e >>= 1
-        if e:
-            g, d = g * g + d * d, 2 * g * d + 3 * d * d
-    return alpha, beta
+            out = _pair_mul(out, base)
+    return out
 
 
 def _pair_mat(alpha: int, beta: int) -> Mat2:

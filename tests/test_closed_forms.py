@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from vltower import groups as G
+from vltower import quadratic as Q
 from vltower.cli import main
 from vltower.errors import PreconditionError
 from vltower.laurent import LaurentPoly, parse_laurent
@@ -209,6 +210,8 @@ def test_two_adic_split_matches_the_loop():
 
 
 def _count_calls(code, fn):
+    """Calls of one code object while fn runs, seen through sys.setprofile;
+    an outer profile function is put back afterwards."""
     calls = 0
 
     def count(frame, event, arg):
@@ -216,29 +219,13 @@ def _count_calls(code, fn):
         if event == "call" and frame.f_code is code:
             calls += 1
 
+    outer = sys.getprofile()
     sys.setprofile(count)
     try:
         fn()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return calls
-
-
-def _count_lines(fn):
-    lines = 0
-
-    def trace(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return trace
-
-    sys.settrace(trace)
-    try:
-        fn()
-    finally:
-        sys.settrace(None)
-    return lines
 
 
 def test_witness_gamma_mul_count_grows_linearly_in_j(capsys):
@@ -252,15 +239,22 @@ def test_witness_gamma_mul_count_grows_linearly_in_j(capsys):
 
 
 def test_u_pow_and_norm_take_logarithmic_steps():
-    bound = 12 * (2000).bit_length()
+    # one pair product per squaring and per set bit; the loop took 2000 Mat2 products
+    products = Q._pair_mul.__code__
+    bound = 2 * (2000).bit_length()
     for i in (2000, -2000):
-        assert _count_lines(lambda: u_pow(i)) <= bound
+        assert 1 <= _count_calls(products, lambda: u_pow(i)) <= bound
     s = parse_laurent("1-b^2000+b^2001")
-    assert _count_lines(lambda: norm(s)) <= 3 * bound
+    assert 1 <= _count_calls(products, lambda: norm(s)) <= 2 * bound
+    for i in (1, -1):
+        assert _count_calls(products, lambda: u_pow(i)) == 0
 
 
 def test_conj_by_b_pow_takes_logarithmic_steps():
+    # one record composition per squaring and per set bit; the loop conjugated 2000 times
+    compositions = G._aut_compose.__code__
     for j in (2000, -2000):
-        G._conj_record.cache_clear()
-        # one doubling step composes two records of seven entries each
-        assert _count_lines(lambda: G.conj_by_b_pow((1, 2, 3), j)) <= 64 * (2000).bit_length()
+        calls = _count_calls(compositions, lambda: G.conj_by_b_pow((1, 2, 3), j))
+        assert 1 <= calls <= 2 * (2000).bit_length()
+    for j in (1, -1):
+        assert _count_calls(compositions, lambda: G.conj_by_b_pow((1, 2, 3), j)) == 0
