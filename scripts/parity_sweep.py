@@ -13,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vltower.laurent import enumerate_S
-from vltower.quadratic import norm, verify_parity_range
+from vltower.quadratic import norm, predicted_parity
 
 
 def main() -> int:
@@ -26,15 +26,21 @@ def main() -> int:
     for span in range(0, args.max_span + 1):
         for coeff in range(1, args.max_coeff + 1):
             t0 = time.monotonic()
-            rep = verify_parity_range(span, coeff)
-            even = sum(1 for s in enumerate_S(span, coeff) if norm(s) % 2 == 0)
+            checked = even = 0
+            bad: list[str] = []
+            for s in enumerate_S(span, coeff):
+                parity = norm(s) % 2
+                checked += 1
+                even += parity == 0
+                if predicted_parity(s) != parity:
+                    bad.append(str(s))
             dt = time.monotonic() - t0
             print(
-                f"{span:>4} {coeff:>5} {rep.checked:>9} {even:>8} "
-                f"{rep.checked - even:>8} {len(rep.counterexamples):>4} {dt:>6.2f}"
+                f"{span:>4} {coeff:>5} {checked:>9} {even:>8} "
+                f"{checked - even:>8} {len(bad):>4} {dt:>6.2f}"
             )
-            if rep.counterexamples:
-                print("counterexamples:", ", ".join(rep.counterexamples))
+            if bad:
+                print("counterexamples:", ", ".join(bad))
                 return 2
     return 0
 

@@ -10,6 +10,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vltower import homology, series
+from vltower.errors import TheoremViolationError, VltowerError
 from vltower.groups import tower_build
 from vltower.laurent import parse_laurent
 
@@ -56,5 +57,12 @@ if __name__ == "__main__":
         # The reader closed the pipe (say, `| head`); point stdout at the null
         # device so the flush at exit stays quiet, as `vltower` does.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    except TheoremViolationError as exc:
+        print(f"theorem violation: {exc}", file=sys.stderr)
+        code = 2
+    except VltowerError as exc:
+        # invalid input: one line and exit 1, as `vltower` gives
+        print(f"error: {exc}", file=sys.stderr)
         code = 1
     sys.exit(code)

@@ -244,22 +244,35 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     in [-max_abs_coeff, max_abs_coeff].
 
     Deterministic total order: ascending actual support span, then
-    lexicographic on the coefficient tuple (n_0, ..., n_d).  No duplicates:
-    each polynomial corresponds to exactly one tuple within the fixed window.
+    lexicographic on the coefficient tuple (n_0, ..., n_D) over the whole
+    window, D = max_degree_span.  No duplicates: each polynomial corresponds
+    to exactly one tuple within the fixed window.
+
+    The elements stream in that order with nothing stored or sorted.  For a
+    fixed span d, lexicographic order is every core (n_f, ..., n_{f+d}) with
+    negative leading coefficient by ascending offset f, then every core with
+    positive leading coefficient by descending f.  At one offset the cores
+    run lexicographically over n_f and the middle; n_{f+d} = 1 - n_f -
+    (sum of the middle) is kept when nonzero and within the bound.  Span 0
+    is the single core (1) at descending offsets.
     """
     if max_degree_span < 0 or max_abs_coeff < 0:
         raise PreconditionError("bounds must be nonnegative")
+    c = max_abs_coeff
     width = max_degree_span + 1
-    rng = range(-max_abs_coeff, max_abs_coeff + 1)
-    found = [t for t in itertools.product(rng, repeat=width) if sum(t) == 1]
-
-    def order_key(t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        support = [i for i, c in enumerate(t) if c]
-        return (support[-1] - support[0], t)
-
-    found.sort(key=order_key)
-    for t in found:
-        yield LaurentPoly.from_dict({i: c for i, c in enumerate(t)})
+    if c:
+        for f in reversed(range(width)):
+            yield LaurentPoly(((f, 1),))
+    rng = range(-c, c + 1)
+    for d in range(1, width):
+        offsets = range(width - d)
+        for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
+            for f in fs:
+                for core in itertools.product(leads, *[rng] * (d - 1)):
+                    last = 1 - sum(core)
+                    if last and -c <= last <= c:
+                        terms = tuple([(f + i, n) for i, n in enumerate(core) if n])
+                        yield LaurentPoly(terms + ((f + d, last),))
 
 
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:

@@ -107,13 +107,23 @@ def vec_neg(v: Vec) -> Vec:
 
 
 def _s_pair(s: LaurentPoly) -> tuple[int, int]:
-    """(alpha, beta) with s(U) = alpha I + beta U."""
-    alpha = beta = 0
-    for e, c in s.terms:
-        a, b = _u_pair(e)
-        alpha += c * a
-        beta += c * b
-    return alpha, beta
+    """(alpha, beta) with s(U) = alpha I + beta U, by Horner's rule from the
+    top term down.  A gap of 1 to the next exponent is (alpha, beta) ->
+    (beta, alpha + 3 beta), a longer gap one product with U^gap, and the
+    lowest exponent one final product, so sparse polynomials of high degree
+    stay logarithmic."""
+    if not s.terms:
+        return 0, 0
+    top, alpha = s.terms[-1]
+    beta = 0
+    for e, c in reversed(s.terms[:-1]):
+        if top - e == 1:
+            alpha, beta = beta + c, alpha + 3 * beta
+        else:
+            alpha, beta = _pair_mul((alpha, beta), _u_pair(top - e))
+            alpha += c
+        top = e
+    return _pair_mul((alpha, beta), _u_pair(top)) if top else (alpha, beta)
 
 
 def evaluate_at_U(s: LaurentPoly) -> Mat2:
@@ -155,20 +165,18 @@ def norm_data(s: LaurentPoly) -> NormData:
 def predicted_parity(s: LaurentPoly) -> int:
     """Predicted value of |s| mod 2 from the coefficient pair formula.
 
-    The formula is stated for supports starting at exponent 0; a general
-    Laurent support is first shifted by a power of b.  The shift multiplies
-    the norm by det(U) = -1 per step, which leaves the parity unchanged.
+    The formula is 1 + the sum of n_i n_j over pairs i < j of the support
+    with 3 not dividing j - i, that is over pairs in different classes mod
+    3.  With N_c the sum of the n_i over i = c mod 3 that pair sum is
+    exactly N0 N1 + N0 N2 + N1 N2, one pass over the terms.  A shift by a
+    power of b permutes the classes cyclically and leaves it unchanged.
     """
     require_in_S(s)
-    terms = [(e - s.min_exp, c) for e, c in s.terms]
-    total = 1
-    for x in range(len(terms)):
-        for y in range(x + 1, len(terms)):
-            i, ni = terms[x]
-            j, nj = terms[y]
-            if (j - i) % 3 != 0:
-                total += ni * nj
-    return total % 2
+    sums = [0, 0, 0]
+    for e, c in s.terms:
+        sums[e % 3] += c
+    n0, n1, n2 = sums
+    return (1 + n0 * n1 + n0 * n2 + n1 * n2) % 2
 
 
 @dataclass(frozen=True)

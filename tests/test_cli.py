@@ -272,6 +272,20 @@ def test_witness_demo_closed_stdout_pipe_exits_quietly():
     assert "Exception ignored" not in err
 
 
+@pytest.mark.parametrize("edges", ["2b", "b"])
+def test_witness_demo_invalid_input_is_one_error_line(edges):
+    # 2b is not in S; b has odd norm, so the tower cannot reach the samples
+    script = Path(__file__).resolve().parent.parent / "scripts" / "witness_demo.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--edges", edges, "--J", "5"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_tower_full_checks_build_a_power_s_twice_per_edge(capsys):
     # relator_defect builds a^s and a^(3s); phi_build and the second-homology
     # certificate reuse a^s instead of building it again.  Counted by code

@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vltower.errors import LaurentParseError, NotInSError
+from vltower.errors import LaurentParseError, NotInSError, PreconditionError
 from vltower.laurent import (
     B,
     ONE,
@@ -22,6 +23,20 @@ polys = st.builds(
     LaurentPoly.from_dict,
     st.dictionaries(st.integers(-5, 7), st.integers(-9, 9), max_size=6),
 )
+
+
+def ref_enumerate_S(max_degree_span, max_abs_coeff):
+    """The enumerator before it streamed: every coefficient tuple of the
+    window, filtered to augmentation 1 and sorted by (span, tuple)."""
+    rng = range(-max_abs_coeff, max_abs_coeff + 1)
+    found = [t for t in itertools.product(rng, repeat=max_degree_span + 1) if sum(t) == 1]
+
+    def order_key(t):
+        support = [i for i, c in enumerate(t) if c]
+        return (support[-1] - support[0], t)
+
+    found.sort(key=order_key)
+    return [LaurentPoly.from_dict(dict(enumerate(t))) for t in found]
 
 
 def test_parse_examples():
@@ -105,17 +120,31 @@ def test_enumerate_S_window_one():
     assert list(enumerate_S(1, 1)) == [B, ONE]
 
 
-@pytest.mark.parametrize("span,coeff", [(1, 2), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("span,coeff", [(d, c) for d in range(6) for c in range(4)] + [(6, 2)])
 def test_enumerate_S_matches_bruteforce_count(span, coeff):
+    # the same elements in the same order as the sorted product, c = 0 included
     out = list(enumerate_S(span, coeff))
-    brute = [
-        t
-        for t in itertools.product(range(-coeff, coeff + 1), repeat=span + 1)
-        if sum(t) == 1
-    ]
-    assert len(out) == len(brute)
+    assert out == ref_enumerate_S(span, coeff)
     assert len(set(out)) == len(out)  # no duplicates
     assert all(in_S(s) for s in out)
+
+
+@pytest.mark.parametrize("span,coeff", [(-1, 1), (1, -1)])
+def test_enumerate_S_rejects_negative_bounds(span, coeff):
+    with pytest.raises(PreconditionError):
+        next(enumerate_S(span, coeff))
+
+
+def test_enumerate_S_streams():
+    # the (6, 3) window has 59,710 elements; iterating it holds one at a time
+    tracemalloc.start()
+    try:
+        for _ in enumerate_S(6, 3):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_enumerate_S_order_is_documented():

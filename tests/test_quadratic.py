@@ -19,6 +19,7 @@ from vltower.quadratic import (
     norm_data,
     predicted_parity,
     two_adic_split,
+    u_pow,
     vec_mat,
     verify_parity_range,
 )
@@ -27,6 +28,37 @@ polys = st.builds(
     LaurentPoly.from_dict,
     st.dictionaries(st.integers(-3, 4), st.integers(-4, 4), max_size=4),
 )
+
+
+def ref_predicted_parity(s):
+    """The coefficient-pair formula as stated: 1 + the sum of n_i n_j over
+    pairs of the support at distance not divisible by 3, mod 2."""
+    terms = s.terms
+    total = 1
+    for x in range(len(terms)):
+        for y in range(x + 1, len(terms)):
+            (i, ni), (j, nj) = terms[x], terms[y]
+            if (j - i) % 3 != 0:
+                total += ni * nj
+    return total % 2
+
+
+def ref_evaluate(s):
+    """s(U) one term at a time: the sum of c U^e."""
+    out = Mat2(0, 0, 0, 0)
+    for e, c in s.terms:
+        p = u_pow(e)
+        out = out + Mat2(c * p.a, c * p.b, c * p.c, c * p.d)
+    return out
+
+
+def _random_S(rng, lo, hi, size):
+    """A random polynomial with exponents in [lo, hi], moved into S by
+    adjusting the coefficient of its lowest exponent."""
+    coeffs = {rng.randint(lo, hi): rng.randint(-9, 9) for _ in range(size)}
+    low = min(coeffs)
+    coeffs[low] += 1 - sum(coeffs.values())
+    return LaurentPoly.from_dict(coeffs)
 
 
 def test_action_matrix_is_the_fixed_constant():
@@ -117,6 +149,28 @@ def test_predicted_parity_examples():
     assert predicted_parity(parse_laurent("1-b+b^2")) == 0
     assert predicted_parity(parse_laurent("1")) == 1
     assert predicted_parity(parse_laurent("1-b^3+b^4")) == 1
+
+
+def test_predicted_parity_matches_the_pair_formula():
+    for s in enumerate_S(4, 2):
+        assert predicted_parity(s) == ref_predicted_parity(s)
+    rng = random.Random(11)
+    for _ in range(2000):
+        s = _random_S(rng, -40, 40, rng.randint(1, 8))
+        assert predicted_parity(s) == ref_predicted_parity(s) == norm(s) % 2
+
+
+def test_horner_evaluation_matches_the_term_sum():
+    rng = random.Random(12)
+    for _ in range(1000):
+        e, terms = rng.randint(-(1 << 12), 1 << 12), {}
+        for _ in range(rng.randint(0, 6)):
+            terms[e] = rng.randint(-9, 9)
+            e += rng.choice([1, 2, 3, rng.randint(1, 1 << 12)])
+        s = LaurentPoly.from_dict(terms)
+        ref = ref_evaluate(s)
+        assert evaluate_at_U(s) == ref
+        assert norm(s) == ref.det()
 
 
 def test_predicted_parity_requires_S():
