@@ -26,11 +26,11 @@ Soicher, Symbolic collection using Deep Thought, LMS J. Comput. Math. 1,
 1998).  Moving A^m2 left past B^n1 costs t^(-m2 n1), so a b-free power is
 (t^c A^m B^n)^e = t^(e c - C(e,2) m n) A^(e m) B^(e n) for every integer e.
 Conjugation by b^j is the class-2 automorphism fixed by t |-> t^((-1)^j) and
-the images of A and B; it is stored as a record of those images, applied
-with the same product law, and the record of b^j is built by squaring and
-composing the records of b and b^-1.  The independent ``word_oracle`` never
-uses these aggregate forms: it evaluates words by prepending one generator
-at a time, crossing b letter by letter.
+the images of A and B, stored as a record of those images and applied with
+the same product law; the record of b^j is built by squaring and composing
+those of b and b^-1.  A level map is the same kind of record on the b-free
+part, with t |-> t^|s|, and fixes b.  The independent ``word_oracle`` never
+uses these aggregate forms: it evaluates words letter by letter.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .laurent import ONE, LaurentPoly, divide_exact, require_in_S
-from .localization import CenterColim, Fraction, frac_eq
+from .localization import CenterColim, Fraction, frac_act_b, frac_add, frac_eq, frac_neg
 from .quadratic import Vec, evaluate_at_U, norm, two_adic_split, u_pow, vec_mat
 
 
@@ -86,24 +86,24 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# conjugation by b on the class-2 subgroup generated by A, B, t, as (c, m, n)
-# triples meaning t^c A^m B^n
+# class-2 maps of the subgroup <A, B, t>, on triples (c, m, n) = t^c A^m B^n
 
 
 Triple = tuple[int, int, int]
-# (sign, c_A, c_B, p, q, r, s): t |-> t^sign, A |-> t^c_A A^p B^q, B |-> t^c_B A^r B^s.
+# (e, c_A, c_B, p, q, r, s): t |-> t^e, A |-> t^c_A A^p B^q, B |-> t^c_B A^r B^s.
+# The center multiplier e is +-1 for conjugation and |s| for a level map.
 Aut = tuple[int, int, int, int, int, int, int]
 _CONJ_B: Aut = (-1, 3, 0, -3, 1, 1, 0)  # b X b^-1: A |-> t^3 A^-3 B, B |-> A
 _CONJ_B_INV: Aut = (-1, 0, 0, 0, 1, 1, 3)  # b^-1 X b: A |-> B, B |-> A B^3
 
 
 def _aut_apply(f: Aut, h: Triple) -> Triple:
-    """f(t)^c f(A)^m f(B)^n, collected: each power by the b-free closed form,
-    then A^(n r) moved left past B^(m q) at t^(-m n q r)."""
-    sign, c_a, c_b, p, q, r, s = f
+    """f(t)^c f(A)^m f(B)^n with f(t) = t^e, collected: each power by the b-free
+    closed form, then A^(n r) moved left past B^(m q) at t^(-m n q r)."""
+    e, c_a, c_b, p, q, r, s = f
     c, m, n = h
     return (
-        sign * c + m * c_a - m * (m - 1) // 2 * p * q
+        e * c + m * c_a - m * (m - 1) // 2 * p * q
         + n * c_b - n * (n - 1) // 2 * r * s - m * n * q * r,
         m * p + n * r,
         m * q + n * s,
@@ -492,14 +492,14 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
 
 
 def phi_apply(phi_data: PhiData, g: GammaKElem) -> GammaKElem:
+    """t^c A^m B^n b^j |-> t^(|s| c) img_a^m img_ab^n b^j, one record application."""
     if g.k != phi_data.source_k:
         raise LevelMismatchError(
             f"element at level {g.k}, map expects {phi_data.source_k}"
         )
-    out = gamma_pow(phi_data.img_t, g.c)
-    out = gamma_mul(out, gamma_pow(phi_data.img_a, g.n[0]))
-    out = gamma_mul(out, gamma_pow(phi_data.img_ab, g.n[1]))
-    return gamma_mul(out, gamma_pow(gamma_gen(phi_data.target_k, "b"), g.j))
+    a, ab, k = phi_data.img_a, phi_data.img_ab, phi_data.target_k
+    c, m, n = _aut_apply((phi_data.norm, a.c, ab.c, *a.n, *ab.n), (g.c, *g.n))
+    return GammaKElem(k, _center(k, c), (m, n), g.j)
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +557,11 @@ def _check_base_diagram(data: PhiData) -> None:
         for j in (-1, 0, 1)
     ]
     s_matrix = evaluate_at_U(data.s)
+    u = {j: u_pow(j) for j in (-1, 0, 1)}  # base_form's U^j, once per edge; phi fixes j
     for g in pool:
-        n, j = base_form(g)
-        if base_form(phi_apply(data, g)) != (vec_mat(n, s_matrix), j):
+        img = phi_apply(data, g)
+        n = vec_mat(g.n, u[g.j])
+        if (vec_mat(img.n, u[img.j]), img.j) != (vec_mat(n, s_matrix), g.j):
             raise TheoremViolationError(
                 f"base diagram does not commute for s={data.s} at level {k}"
             )
@@ -578,14 +580,10 @@ class HbarElem:
 
 
 def hbar_mul(x: HbarElem, y: HbarElem) -> HbarElem:
-    from .localization import frac_act_b, frac_add
-
     return HbarElem(frac_add(frac_act_b(x.n, y.j), y.n), x.j + y.j)
 
 
 def hbar_inv(x: HbarElem) -> HbarElem:
-    from .localization import frac_act_b, frac_neg
-
     return HbarElem(frac_neg(frac_act_b(x.n, -x.j)), -x.j)
 
 

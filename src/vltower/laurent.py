@@ -30,19 +30,19 @@ from .errors import LaurentParseError, NotInSError, PreconditionError
 class LaurentPoly:
     """A sparse integer Laurent polynomial.
 
-    ``terms`` is the canonical form: pairs ``(exponent, coefficient)`` sorted
-    by exponent, with no zero coefficients.  Two values are equal exactly when
-    their canonical forms are identical.
+    ``terms`` is the canonical form: pairs ``(exponent, coefficient)`` with
+    strictly increasing exponents and no zero coefficients.  Two values are
+    equal exactly when their canonical forms are identical.
     """
 
     terms: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        last = float("-inf")
         for e, c in self.terms:
-            if c == 0:
-                raise ValueError("canonical form must not contain zero coefficients")
-        if list(self.terms) != sorted(self.terms):
-            raise ValueError("canonical form must be sorted by exponent")
+            if c == 0 or e <= last:
+                raise ValueError("canonical form: nonzero coefficients, strictly increasing exponents")
+            last = e
 
     @staticmethod
     def from_dict(coeffs: dict[int, int]) -> "LaurentPoly":

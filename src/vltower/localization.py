@@ -88,10 +88,12 @@ def dyadic_make(num: int, k: int) -> Dyadic:
     if k < 0:
         raise ValueError("negative denominator exponent")
     num %= 1 << k
-    while num and num % 2 == 0:
-        num //= 2
-        k -= 1
-    return Dyadic(num, k) if num else DYADIC_ZERO
+    if not num:
+        return DYADIC_ZERO
+    p = (num & -num).bit_length() - 1  # the 2-adic valuation, as in two_adic_split
+    out = object.__new__(Dyadic)  # canonical by construction: skip __post_init__
+    out.__dict__.update(num=num >> p, k=k - p)
+    return out
 
 
 def dyadic_add(x: Dyadic, y: Dyadic) -> Dyadic:

@@ -86,6 +86,14 @@ def ref_two_adic_split(n):
     return p, n
 
 
+def ref_phi_apply(data, g):
+    """The four-power composition img_t^c img_a^m img_ab^n b^j over gamma_mul."""
+    out = G.gamma_pow(data.img_t, g.c)
+    out = G.gamma_mul(out, G.gamma_pow(data.img_a, g.n[0]))
+    out = G.gamma_mul(out, G.gamma_pow(data.img_ab, g.n[1]))
+    return G.gamma_mul(out, G.gamma_pow(G.gamma_gen(data.target_k, "b"), g.j))
+
+
 def _inverse_word(w):
     return [(g, -e) for g, e in reversed(w)]
 
@@ -174,6 +182,25 @@ def test_word_oracle_uses_no_closed_form():
         G._OracleState(None).prepend_b(2)
 
 
+# --- phi_apply -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("edge", ["1-b+b^2", "b", "2b-b^3", "-2-2b^147+5b^311"])
+def test_phi_apply_matches_the_four_power_composition(edge):
+    rng = random.Random(edge)
+    big = 1 << 12
+    for k in (0, 1, 3, 7):
+        data = G.phi_build(parse_laurent(edge), k)
+        corners = [(c, m, n, j) for c in (0, big) for m in (-big, big) for n in (-big, 0) for j in (-9, 9)]
+        draws = [
+            (rng.randint(-big, big), rng.randint(-big, big), rng.randint(-big, big), rng.randint(-9, 9))
+            for _ in range(150)
+        ]
+        for c, m, n, j in corners + draws:
+            g = G.gamma_make(k, c, (m, n), j)
+            assert G.phi_apply(data, g) == ref_phi_apply(data, g)
+
+
 # --- powers of U, evaluation at U, the norm -------------------------------------
 
 
@@ -258,3 +285,13 @@ def test_conj_by_b_pow_takes_logarithmic_steps():
         assert 1 <= calls <= 2 * (2000).bit_length()
     for j in (1, -1):
         assert _count_calls(compositions, lambda: G.conj_by_b_pow((1, 2, 3), j)) == 0
+
+
+def test_base_diagram_check_multiplies_nothing():
+    # phi_apply is one collection step and U^j is computed once per edge, for
+    # j in {-1, 0, 1}; the four-power composition made 104 gamma_mul and 48 u_pow
+    # calls per edge
+    tower = G.tower_build(parse_laurent(e) for e in "1-b+b^2,b,1-b+b^2".split(","))
+    for data in tower.phis:
+        assert _count_calls(G.gamma_mul.__code__, lambda: G._check_base_diagram(data)) == 0
+        assert _count_calls(Q.u_pow.__code__, lambda: G._check_base_diagram(data)) <= 3

@@ -66,6 +66,24 @@ def test_print_parse_roundtrip(p):
     assert parse_laurent(str(p)) == p
 
 
+def test_repeated_exponents_are_not_canonical():
+    # (0, 1), (0, 2) would print as 1+2 and differ from the constant 3
+    for terms in (((0, 1), (0, 2)), ((-1, 1), (2, 1), (2, -3)), ((3, 1), (1, 1))):
+        with pytest.raises(ValueError):
+            LaurentPoly(terms)
+
+
+@given(st.lists(st.tuples(st.integers(-5, 7), st.integers(-9, 9)), max_size=8))
+def test_from_dict_and_parse_output_validates(pairs):
+    coeffs = {}
+    for e, c in pairs:
+        coeffs[e] = coeffs.get(e, 0) + c
+    p = LaurentPoly.from_dict(coeffs)
+    text = "".join(f"{c:+d}b^{e}" for e, c in pairs) or "0"
+    for q in (p, parse_laurent(text)):
+        assert LaurentPoly(q.terms) == q == p
+
+
 def test_augmentation_examples():
     assert augmentation(parse_laurent("1-b+b^2")) == 1
     assert augmentation(ZERO) == 0

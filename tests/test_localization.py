@@ -119,6 +119,27 @@ def test_dyadic_canonical_form_enforced():
         Dyadic(9, 3)
 
 
+def ref_dyadic_make(num, k):
+    """The divide loop dyadic_make used before it shifted once."""
+    num %= 1 << k
+    while num and num % 2 == 0:
+        num //= 2
+        k -= 1
+    return Dyadic(num, k) if num else DYADIC_ZERO
+
+
+def test_dyadic_make_matches_the_divide_loop():
+    for k in range(13):
+        for num in range(-(1 << 10), (1 << 10) + 1):
+            x = dyadic_make(num, k)
+            assert x == ref_dyadic_make(num, k)
+            Dyadic(x.num, x.k)  # the shortcut builds only values __post_init__ accepts
+    with pytest.raises(ValueError):
+        Dyadic(2, 2)
+    with pytest.raises(ValueError):
+        dyadic_make(1, -1)
+
+
 @given(dyadics)
 def test_double_halve_roundtrip(x):
     assert dyadic_double(dyadic_halve(x)) == x
