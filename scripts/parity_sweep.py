@@ -21,6 +21,14 @@ def main() -> int:
     ap.add_argument("--max-span", type=int, default=6)
     ap.add_argument("--max-coeff", type=int, default=3)
     args = ap.parse_args()
+    # an empty sweep would print only the header: one line and exit 1, as `vltower` gives
+    if args.max_span < 0 or args.max_coeff < 1:
+        print(
+            f"error: need --max-span >= 0 and --max-coeff >= 1, "
+            f"got {args.max_span} and {args.max_coeff}",
+            file=sys.stderr,
+        )
+        return 1
 
     print(f"{'span':>4} {'coeff':>5} {'checked':>9} {'even':>8} {'odd':>8} {'bad':>4} {'sec':>6}")
     for span in range(0, args.max_span + 1):

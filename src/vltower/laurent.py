@@ -251,10 +251,13 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     The elements stream in that order with nothing stored or sorted.  For a
     fixed span d, lexicographic order is every core (n_f, ..., n_{f+d}) with
     negative leading coefficient by ascending offset f, then every core with
-    positive leading coefficient by descending f.  At one offset the cores
-    run lexicographically over n_f and the middle; n_{f+d} = 1 - n_f -
-    (sum of the middle) is kept when nonzero and within the bound.  Span 0
-    is the single core (1) at descending offsets.
+    positive leading coefficient by descending f.  Span 0 is the single core
+    (1) at descending offsets, and span 1 the cores (n_f, 1 - n_f) with
+    1 - n_f nonzero and within the bound.  For d >= 2 the product runs over
+    the head (n_f, ..., n_{f+d-2}) only, with R = 1 - (sum of the head).  The
+    last middle coefficient m then ascends over [max(-c, R - c), min(c, R + c)]
+    with m = R skipped, which is exactly the set of m with n_{f+d} = R - m
+    nonzero and in [-c, c], so every core that is built is kept.
     """
     if max_degree_span < 0 or max_abs_coeff < 0:
         raise PreconditionError("bounds must be nonnegative")
@@ -268,11 +271,22 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
         offsets = range(width - d)
         for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
             for f in fs:
-                for core in itertools.product(leads, *[rng] * (d - 1)):
-                    last = 1 - sum(core)
-                    if last and -c <= last <= c:
-                        terms = tuple([(f + i, n) for i, n in enumerate(core) if n])
-                        yield LaurentPoly(terms + ((f + d, last),))
+                if d == 1:
+                    for n in leads:
+                        if n != 1 and -c <= 1 - n <= c:
+                            yield LaurentPoly(((f, n), (f + 1, 1 - n)))
+                    continue
+                m_at, last_at = f + d - 1, f + d
+                for head in itertools.product(leads, *[rng] * (d - 2)):
+                    r = 1 - sum(head)
+                    terms = tuple([(f + i, n) for i, n in enumerate(head) if n])
+                    for m in range(max(-c, r - c), min(c, r + c) + 1):
+                        if m == r:
+                            continue
+                        if m:
+                            yield LaurentPoly(terms + ((m_at, m), (last_at, r - m)))
+                        else:
+                            yield LaurentPoly(terms + ((last_at, r),))
 
 
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:

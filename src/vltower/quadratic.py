@@ -13,6 +13,11 @@ alpha + 3 beta]] for one integer pair (alpha, beta), and |s| = alpha^2 +
 with (alpha I + beta U)(gamma I + delta U) = (alpha gamma + beta delta) I +
 (alpha delta + beta gamma + 3 beta delta) U, so no kernel here loops over an
 exponent.
+
+The norm never needs the power of U at the lowest exponent f of s: with
+s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
+(-1)^f |s0|.  The pair of the core s0 is what Horner's rule produces
+before its final product with U^f.
 """
 
 from __future__ import annotations
@@ -106,14 +111,14 @@ def vec_neg(v: Vec) -> Vec:
     return (-v[0], -v[1])
 
 
-def _s_pair(s: LaurentPoly) -> tuple[int, int]:
-    """(alpha, beta) with s(U) = alpha I + beta U, by Horner's rule from the
-    top term down.  A gap of 1 to the next exponent is (alpha, beta) ->
-    (beta, alpha + 3 beta), a longer gap one product with U^gap, and the
-    lowest exponent one final product, so sparse polynomials of high degree
-    stay logarithmic."""
+def _core_pair(s: LaurentPoly) -> tuple[int, int, int]:
+    """(alpha, beta, f) with s(U) = (alpha I + beta U) U^f, f the lowest
+    exponent of s, by Horner's rule from the top term down.  A gap of 1 to
+    the next exponent is (alpha, beta) -> (beta, alpha + 3 beta) and a longer
+    gap one product with U^gap, so sparse polynomials of high degree stay
+    logarithmic."""
     if not s.terms:
-        return 0, 0
+        return 0, 0, 0
     top, alpha = s.terms[-1]
     beta = 0
     for e, c in reversed(s.terms[:-1]):
@@ -123,18 +128,28 @@ def _s_pair(s: LaurentPoly) -> tuple[int, int]:
             alpha, beta = _pair_mul((alpha, beta), _u_pair(top - e))
             alpha += c
         top = e
-    return _pair_mul((alpha, beta), _u_pair(top)) if top else (alpha, beta)
+    return alpha, beta, top
 
 
 def evaluate_at_U(s: LaurentPoly) -> Mat2:
-    """Sum of n_i * U^i over the support of s, as alpha I + beta U."""
-    return _pair_mat(*_s_pair(s))
+    """Sum of n_i * U^i over the support of s, as alpha I + beta U: the
+    core pair times U^f."""
+    alpha, beta, f = _core_pair(s)
+    if f:
+        alpha, beta = _pair_mul((alpha, beta), _u_pair(f))
+    return _pair_mat(alpha, beta)
 
 
 def norm(s: LaurentPoly) -> int:
-    """det of s evaluated at U; multiplicative, and nonzero on S."""
-    alpha, beta = _s_pair(s)
-    return alpha * alpha + 3 * alpha * beta - beta * beta
+    """det of s evaluated at U; multiplicative, and nonzero on S.
+
+    Taken from the core pair as (-1)^f (alpha^2 + 3 alpha beta - beta^2),
+    because det U = -1: no power of U is built for the lowest exponent f,
+    so norm(b^f) costs nothing whatever the size of f.
+    """
+    alpha, beta, f = _core_pair(s)
+    n = alpha * alpha + 3 * alpha * beta - beta * beta
+    return -n if f & 1 else n
 
 
 def two_adic_split(n: int) -> tuple[int, int]:
@@ -170,12 +185,15 @@ def predicted_parity(s: LaurentPoly) -> int:
     3.  With N_c the sum of the n_i over i = c mod 3 that pair sum is
     exactly N0 N1 + N0 N2 + N1 N2, one pass over the terms.  A shift by a
     power of b permutes the classes cyclically and leaves it unchanged.
+    The same pass gives the augmentation N0 + N1 + N2, so membership in S
+    is checked without a second one.
     """
-    require_in_S(s)
     sums = [0, 0, 0]
     for e, c in s.terms:
         sums[e % 3] += c
     n0, n1, n2 = sums
+    if n0 + n1 + n2 != 1:
+        require_in_S(s)
     return (1 + n0 * n1 + n0 * n2 + n1 * n2) % 2
 
 
@@ -195,7 +213,13 @@ class ParityReport:
 
 def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityReport:
     """Compare predicted_parity against the determinant parity on all of
-    enumerate_S(max_degree_span, max_abs_coeff)."""
+    enumerate_S(max_degree_span, max_abs_coeff).
+
+    A coefficient bound of 0 is rejected: that window holds no S-element,
+    and a check over nothing would pass vacuously.
+    """
+    if max_abs_coeff == 0:
+        raise PreconditionError("coefficient bound 0 leaves no S-element to check")
     bad: list[str] = []
     checked = 0
     for s in enumerate_S(max_degree_span, max_abs_coeff):

@@ -208,6 +208,7 @@ def test_report_pass_reflects_claims():
         ["tower", "--edges", ","],
         ["norm", "--s", "b", "--out", "/nonexistent/x.json"],
         ["parity-verify", "--max-span", "-1", "--max-coeff", "2"],
+        ["parity-verify", "--max-span", "3", "--max-coeff", "0"],
         ["cohn", "--m", "-1"],
         ["cohn", "--m", "3", "--n", "0"],
         ["cohn", "--m", "3", "--deg", "-1"],
@@ -284,6 +285,29 @@ def test_witness_demo_invalid_input_is_one_error_line(edges):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--max-span", "-1"], ["--max-coeff", "-3"], ["--max-coeff", "0"]])
+def test_parity_sweep_invalid_input_is_one_error_line(argv):
+    # each of these windows is empty: the sweep would print only its header
+    script = Path(__file__).resolve().parent.parent / "scripts" / "parity_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_norm_of_huge_b_power_is_immediate(capsys):
+    # det U = -1, so |b^f| = (-1)^f without building U^f (f about 2^66 here)
+    rc, out, _ = run(capsys, ["norm", "--s", "b^99999999999999999999", "--format", "json"])
+    assert rc == 0
+    values = {c["id"]: c["data"] for c in json.loads(out)["claims"]}
+    assert values["norm.value"] == {"norm": -1, "p": 0, "v": -1}
 
 
 def test_tower_full_checks_build_a_power_s_twice_per_edge(capsys):

@@ -138,9 +138,12 @@ def test_enumerate_S_window_one():
     assert list(enumerate_S(1, 1)) == [B, ONE]
 
 
-@pytest.mark.parametrize("span,coeff", [(d, c) for d in range(6) for c in range(4)] + [(6, 2)])
+@pytest.mark.parametrize(
+    "span,coeff", [(d, c) for d in range(6) for c in range(4)] + [(6, 2), (7, 1), (7, 2)]
+)
 def test_enumerate_S_matches_bruteforce_count(span, coeff):
-    # the same elements in the same order as the sorted product, c = 0 included
+    # the same elements in the same order as the sorted product, c = 0 included;
+    # span 7 runs the two-coefficient tail at window width 8
     out = list(enumerate_S(span, coeff))
     assert out == ref_enumerate_S(span, coeff)
     assert len(set(out)) == len(out)  # no duplicates

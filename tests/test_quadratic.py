@@ -180,9 +180,10 @@ def test_predicted_parity_requires_S():
 
 def test_predicted_parity_shift_invariant():
     s = parse_laurent("1-b+b^2")
-    for m in (-3, -1, 2, 5):
+    # shifts near 2^66 too: the norm takes the sign (-1)^m, never U^m
+    for m in (-3, -1, 2, 5, 10**20, 10**20 + 1, -(10**20) - 1):
         assert predicted_parity(s.shift(m)) == predicted_parity(s)
-        assert norm(s.shift(m)) == (-1) ** m * norm(s)
+        assert norm(s.shift(m)) == (-1) ** (m % 2) * norm(s)
 
 
 @pytest.mark.parametrize("span,coeff", [(0, 1), (2, 1), (2, 2), (4, 2)])
