@@ -29,8 +29,10 @@ Conjugation by b^j is the class-2 automorphism fixed by t |-> t^((-1)^j) and
 the images of A and B, stored as a record of those images and applied with
 the same product law; the record of b^j is built by squaring and composing
 those of b and b^-1.  A level map is the same kind of record on the b-free
-part, with t |-> t^|s|, and fixes b.  The independent ``word_oracle`` never
-uses these aggregate forms: it evaluates words letter by letter.
+part, with t |-> t^|s|, and fixes b.  Checking a level map is constant work:
+once [x, b] = x^-2 for x = t^|s|, the k-fold [x, b, ..., b] is x^((-2)^k).
+The independent ``word_oracle`` never uses these aggregate forms: it
+evaluates words letter by letter.
 """
 
 from __future__ import annotations
@@ -419,12 +421,12 @@ class PhiData:
         return self.target_k - self.source_k
 
 
-def _gamma_iterated_comm_with_b(x: GammaKElem, times: int) -> GammaKElem:
-    out = x
-    bgen = gamma_gen(x.k, "b")
-    for _ in range(times):
-        out = gamma_comm(out, bgen)
-    return out
+def _order_relator_vanishes(x: GammaKElem, k: int) -> bool:
+    """[x, b, ..., b] with k letters b is 1, for x with [x, b] = x^-2 (as t^c):
+    then x^b = x^-1, so x^e |-> [x^e, b] = x^(-2e) on the cyclic group <x>
+    and its k-th iterate is the closed-form power x^((-2)^k)."""
+    b = gamma_gen(x.k, "b")
+    return gamma_comm(x, b) == gamma_pow(x, -2) and gamma_pow(x, (-2) ** k) == gamma_identity(x.k)
 
 
 def phi_build(s: LaurentPoly, k: int) -> PhiData:
@@ -439,6 +441,8 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     normal closure of the image, and the map multiplies first homology
     Z/3 (+) Z by augmentation(s) on the Z/3 summand.  Both hold once
     augmentation(s) is a unit mod 3, and an S-element has augmentation 1.
+
+    The order relator [t, b, ..., b] (k b's) is img_t^((-2)^k) once [img_t, b] = img_t^-2.
     """
     require_in_S(s)
     if k < 0:
@@ -456,8 +460,7 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     img_ab = gamma_conj(img_a, bgen)
     img_t = gamma_comm(img_a, img_ab)
 
-    expected_t = gamma_make(target_k, s_norm, (0, 0), 0)
-    if img_t != expected_t:
+    if img_t != gamma_make(target_k, s_norm, (0, 0), 0):
         raise TheoremViolationError(
             f"center image for s={s}, k={k}: got {img_t}, expected t^{s_norm}"
         )
@@ -470,21 +473,19 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     for other in (img_a, img_ab):
         if gamma_comm(img_t, other) != gamma_identity(target_k):
             raise TheoremViolationError(f"centrality relator image nonzero for s={s}, k={k}")
-    if _gamma_iterated_comm_with_b(img_t, k) != gamma_identity(target_k):
+    if not _order_relator_vanishes(img_t, k):
         raise TheoremViolationError(f"order relator image nonzero for s={s}, k={k}")
 
     source_mod = 1 << k
-    l_mod = l_exact % source_mod
-    source_ok = (3 * r - l_exact) % source_mod == 0
     return PhiData(
         s=s,
         norm=s_norm,
         source_k=k,
         target_k=target_k,
         r=r,
-        l=l_mod,
+        l=l_exact % source_mod,
         l_exact=l_exact,
-        source_congruence_ok=source_ok,
+        source_congruence_ok=(3 * r - l_exact) % source_mod == 0,
         img_a=img_a,
         img_ab=img_ab,
         img_t=img_t,
@@ -548,20 +549,20 @@ def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
     return TowerPrefix(tuple(levels), tuple(phis))
 
 
+_BASE_POOL = tuple(
+    (c, (m, n), j)
+    for c, m in ((0, -1), (0, 0), (0, 2), (1, -1)) for n in (0, 1) for j in (-1, 0, 1)
+)
+
+
 def _check_base_diagram(data: PhiData) -> None:
+    """base_form(phi(g)) = (n U^j s(U), j) on the pool, compared as phi(g).n =
+    n s(U), phi(g).j = j: U^j is invertible and commutes with s(U)."""
     k = data.source_k
-    pool = [
-        gamma_make(k, c, (m, n), j)
-        for c, m in ((0, -1), (0, 0), (0, 2), (1, -1))
-        for n in (0, 1)
-        for j in (-1, 0, 1)
-    ]
     s_matrix = evaluate_at_U(data.s)
-    u = {j: u_pow(j) for j in (-1, 0, 1)}  # base_form's U^j, once per edge; phi fixes j
-    for g in pool:
-        img = phi_apply(data, g)
-        n = vec_mat(g.n, u[g.j])
-        if (vec_mat(img.n, u[img.j]), img.j) != (vec_mat(n, s_matrix), g.j):
+    for c, n, j in _BASE_POOL:
+        img = phi_apply(data, gamma_make(k, c, n, j))
+        if img.n != vec_mat(n, s_matrix) or img.j != j:
             raise TheoremViolationError(
                 f"base diagram does not commute for s={data.s} at level {k}"
             )

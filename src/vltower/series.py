@@ -110,14 +110,6 @@ def lcs_chain(model: Model, depth: int) -> list[SubgroupData]:
     return chain
 
 
-def module_chain_lattice(i: int) -> Lattice:
-    """The module part of stage i+1: the image of (U - I)^i."""
-    m = IDENTITY
-    for _ in range(i):
-        m = m * _U_MINUS_I
-    return Lattice.from_rows(m.rows())
-
-
 @dataclass(frozen=True)
 class GammaOmegaCertificate:
     """Desk certificate for the limit stage of one model; gamma_omega raises
@@ -146,26 +138,31 @@ def gamma_omega(
 ) -> tuple[SubgroupData, GammaOmegaCertificate]:
     """The limit stage with its two-part certificate.
 
-    (a) the center parts of the finite stages are constantly the full <t>
-    from stage 2 through depth_bound (vacuous for the base model); (b) every
-    probe vector exits the module chain at a finite index, so the module part
-    of the limit is trivial on all probes.
+    (a) the center parts of stages 2 through depth_bound >= 2 are constantly
+    the full <t> (vacuous for the base model); (b) every probe vector exits
+    the module chain at a finite index, so the limit's module part is trivial.
     """
-    chain = lcs_chain(model, depth_bound)
-    central = model.central
-    exps = tuple(stage.center_exp for stage in chain[1:])
-    if central and any(e != 0 for e in exps):
+    if depth_bound < 2:
+        raise PreconditionError(f"the limit-stage certificate needs depth >= 2, got {depth_bound}")
+    exps = tuple(stage.center_exp for stage in lcs_chain(model, depth_bound)[1:])
+    if model.central and any(e != 0 for e in exps):
         raise TheoremViolationError(f"center parts of finite stages not constant: {exps}")
     probes = probe_set if probe_set is not None else _default_probes(2)
+    images = [Lattice.whole()]  # Z^2 (U - I)^i, the module part of stage i + 1
+
+    def module_chain(i: int) -> Lattice:  # grown one product at a time, shared by the probes
+        while len(images) <= i:
+            images.append(images[-1].mul_mat(_U_MINUS_I))
+        return images[i]
+
     results: list[tuple[Vec, int]] = []
     for v in probes:
-        exit_i = intersect_chain_probe(v, module_chain_lattice, probe_exit_bound)
+        exit_i = intersect_chain_probe(v, module_chain, probe_exit_bound)
         if exit_i is None:
             raise TheoremViolationError(f"probe {v} never exits the module chain")
         results.append((v, exit_i))
-    cert = GammaOmegaCertificate(model, depth_bound, exps, tuple(results))
-    limit = SubgroupData(0 if central else None, Lattice.zero(), False)
-    return limit, cert
+    limit = SubgroupData(0 if model.central else None, Lattice.zero(), False)
+    return limit, GammaOmegaCertificate(model, depth_bound, exps, tuple(results))
 
 
 @dataclass(frozen=True)

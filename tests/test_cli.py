@@ -222,6 +222,7 @@ def test_report_pass_reflects_claims():
         ["lcs", "--model", "H", "--transfinite", "-1"],
         ["lcs", "--model", "H", "--transfinite", "5"],
         ["lcs", "--model", "G2", "--transfinite", "3"],
+        ["lcs", "--model", "Gamma2", "--depth", "1", "--gamma-omega"],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

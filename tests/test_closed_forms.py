@@ -2,20 +2,25 @@
 
 Each reference below is the loop the kernel used before it became
 logarithmic in its exponent: square-and-multiply for b-free powers, one
-conjugation by b at a time for conj_by_b_pow, and one Mat2 product per
-step for powers of U.  The letter-level word_oracle checks the group law
-independently of both.
+conjugation by b at a time for conj_by_b_pow, one Mat2 product per step for
+powers of U, one commutator per letter for the order relator, and one module
+chain rebuilt per probe index for the limit-stage certificate.  The
+letter-level word_oracle checks the group law independently of both.
 """
 
+import dataclasses
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vltower import groups as G
 from vltower import quadratic as Q
+from vltower import series
 from vltower.cli import main
-from vltower.errors import PreconditionError
+from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.laurent import LaurentPoly, parse_laurent
 from vltower.quadratic import (
     IDENTITY,
@@ -92,6 +97,36 @@ def ref_phi_apply(data, g):
     out = G.gamma_mul(out, G.gamma_pow(data.img_a, g.n[0]))
     out = G.gamma_mul(out, G.gamma_pow(data.img_ab, g.n[1]))
     return G.gamma_mul(out, G.gamma_pow(G.gamma_gen(data.target_k, "b"), g.j))
+
+
+def ref_iterated_comm_with_b(x, times):
+    """[x, b, ..., b] with `times` letters b, one gamma_comm per letter."""
+    out = x
+    bgen = G.gamma_gen(x.k, "b")
+    for _ in range(times):
+        out = G.gamma_comm(out, bgen)
+    return out
+
+
+def ref_core_pair(s):
+    """Horner's rule with one product by U^gap for every gap, 1 and 2 included."""
+    if not s.terms:
+        return 0, 0, 0
+    top, alpha = s.terms[-1]
+    beta = 0
+    for e, c in reversed(s.terms[:-1]):
+        alpha, beta = Q._pair_mul((alpha, beta), Q._u_pair(top - e))
+        alpha += c
+        top = e
+    return alpha, beta, top
+
+
+def ref_module_chain_lattice(i):
+    """The image of (U - I)^i, rebuilt from scratch: i Mat2 products and one HNF."""
+    m = IDENTITY
+    for _ in range(i):
+        m = m * (U - IDENTITY)
+    return Q.Lattice.from_rows(m.rows())
 
 
 def _inverse_word(w):
@@ -201,6 +236,45 @@ def test_phi_apply_matches_the_four_power_composition(edge):
             assert G.phi_apply(data, g) == ref_phi_apply(data, g)
 
 
+# --- the order relator and the limit-stage probes ---------------------------------
+
+
+@pytest.mark.parametrize("edge", ["1-b+b^2", "b", "2b-b^3", "-2-2b^147+5b^311"])
+def test_order_relator_closed_form_matches_the_literal_loop(edge):
+    s = parse_laurent(edge)
+    for source_k in (0, 3, 12):
+        img_t = G.phi_build(s, source_k).img_t
+        one = G.gamma_identity(img_t.k)
+        verdicts = []
+        for k in range(41):
+            literal = ref_iterated_comm_with_b(img_t, k) == one
+            assert G._order_relator_vanishes(img_t, k) == literal
+            verdicts.append(literal)
+        # img_t = t^|s| dies after exactly source_k letters b
+        assert verdicts == [k >= source_k for k in range(41)]
+
+
+def test_order_relator_closed_form_on_center_elements():
+    for level in (None, 0, 1, 5, 9):
+        for c in (0, 1, 2, 3, 12, 40, -7):
+            x = G.gamma_make(level, c, (0, 0), 0)
+            one = G.gamma_identity(level)
+            for k in range(41):
+                assert G._order_relator_vanishes(x, k) == (ref_iterated_comm_with_b(x, k) == one)
+
+
+@pytest.mark.parametrize("model", ["H", "G2", "Gamma0", "Gamma3"])
+def test_gamma_omega_probe_exits_match_the_per_probe_reference(model):
+    probes = [(x, y) for x in range(-7, 8) for y in range(-7, 8) if (x, y) != (0, 0)]
+    for probe_set in (None, probes):
+        _, cert = series.gamma_omega(G.Model.parse(model), probe_set=probe_set)
+        expected = [
+            (v, Q.intersect_chain_probe(v, ref_module_chain_lattice, 60))
+            for v in (probe_set or series._default_probes(2))
+        ]
+        assert list(cert.probes) == expected
+
+
 # --- powers of U, evaluation at U, the norm -------------------------------------
 
 
@@ -219,6 +293,23 @@ def test_evaluate_and_norm_match_repeated_products():
         ref = ref_evaluate(s, powers)
         assert evaluate_at_U(s) == ref
         assert norm(s) == ref.det()
+
+
+_SPARSE_TERMS = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(-9, 9).filter(bool)), max_size=10
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-50, 50), st.integers(-9, 9).filter(bool), _SPARSE_TERMS)
+def test_core_pair_matches_one_product_per_gap(lo, c0, steps):
+    # exponents lo < lo + g1 < ... with small gaps g, so gaps of 1 and 2 are common
+    terms, e = {lo: c0}, lo
+    for gap, c in steps:
+        e += gap
+        terms[e] = c
+    s = LaurentPoly.from_dict(terms)
+    assert Q._core_pair(s) == ref_core_pair(s)
 
 
 def test_two_adic_split_matches_the_loop():
@@ -288,10 +379,33 @@ def test_conj_by_b_pow_takes_logarithmic_steps():
 
 
 def test_base_diagram_check_multiplies_nothing():
-    # phi_apply is one collection step and U^j is computed once per edge, for
-    # j in {-1, 0, 1}; the four-power composition made 104 gamma_mul and 48 u_pow
-    # calls per edge
+    # phi_apply is one collection step, and the square is compared on module
+    # parts, so no power of U is built; the four-power composition made 104
+    # gamma_mul and 48 u_pow calls per edge, and the base-form comparison 3 u_pow
     tower = G.tower_build(parse_laurent(e) for e in "1-b+b^2,b,1-b+b^2".split(","))
     for data in tower.phis:
         assert _count_calls(G.gamma_mul.__code__, lambda: G._check_base_diagram(data)) == 0
-        assert _count_calls(Q.u_pow.__code__, lambda: G._check_base_diagram(data)) <= 3
+        assert _count_calls(Q.u_pow.__code__, lambda: G._check_base_diagram(data)) == 0
+
+
+def test_base_diagram_check_applies_phi_once_per_sample():
+    tower = G.tower_build(parse_laurent(e) for e in "1-b+b^2,b,-2-2b^147+5b^311".split(","))
+    for data in tower.phis:
+        assert _count_calls(G.phi_apply.__code__, lambda: G._check_base_diagram(data)) == 24
+
+
+def test_base_diagram_check_rejects_a_corrupted_module_image():
+    data = G.phi_build(parse_laurent("1-b+b^2"), 3)
+    m, n = data.img_a.n
+    for bad_n in ((m + 1, n), (m, n - 1)):
+        bad = dataclasses.replace(data, img_a=data.img_a._replace(n=bad_n))
+        with pytest.raises(TheoremViolationError):
+            G._check_base_diagram(bad)
+
+
+def test_phi_build_commutator_count_does_not_depend_on_k():
+    # the order relator was k literal gamma_comm calls; it is one commutator
+    # and one closed-form power at every level
+    s = parse_laurent("1-b+b^2")
+    counts = [_count_calls(G.gamma_comm.__code__, lambda: G.phi_build(s, k)) for k in (0, 500)]
+    assert counts[0] == counts[1]
