@@ -29,15 +29,15 @@ Conjugation by b^j is the class-2 automorphism fixed by t |-> t^((-1)^j) and
 the images of A and B, stored as a record of those images and applied with
 the same product law; the record of b^j is built by squaring and composing
 those of b and b^-1.  A level map is the same kind of record on the b-free
-part, with t |-> t^|s|, and fixes b.  Checking a level map is constant work:
-once [x, b] = x^-2 for x = t^|s|, the k-fold [x, b, ..., b] is x^((-2)^k).
-The independent ``word_oracle`` never uses these aggregate forms: it
-evaluates words letter by letter.
+part, with t |-> t^|s|, and fixes b; for x = t^|s|, once [x, b] = x^-2, the
+k-fold [x, b, ..., b] is x^((-2)^k).  The independent ``word_oracle`` never
+uses these aggregate forms: it evaluates words letter by letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -422,9 +422,7 @@ class PhiData:
 
 
 def _order_relator_vanishes(x: GammaKElem, k: int) -> bool:
-    """[x, b, ..., b] with k letters b is 1, for x with [x, b] = x^-2 (as t^c):
-    then x^b = x^-1, so x^e |-> [x^e, b] = x^(-2e) on the cyclic group <x>
-    and its k-th iterate is the closed-form power x^((-2)^k)."""
+    """[x, b, ..., b] (k letters b) is 1: [x, b] = x^-2, then x^((-2)^k) = 1."""
     b = gamma_gen(x.k, "b")
     return gamma_comm(x, b) == gamma_pow(x, -2) and gamma_pow(x, (-2) ** k) == gamma_identity(x.k)
 
@@ -434,15 +432,16 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
 
     The center exponent r is solved in the *target* group, where the map must
     be well-defined; every defining relator of the source is then evaluated
-    on the images and required to vanish.
+    on the images and required to vanish.  The centrality relators make img_t
+    central, so x |-> [x, b] = x^-1 x^b is an endomorphism of <img_t>: once
+    [img_t, b] = img_t^-2, the order relator [t, b, ..., b] (k letters b)
+    maps to the closed-form power img_t^((-2)^k).
 
     ``require_in_S`` is the one check behind two claims about the map: with
     b = 1 the target collapses to Z/gcd(3, augmentation(s)) modulo the
     normal closure of the image, and the map multiplies first homology
     Z/3 (+) Z by augmentation(s) on the Z/3 summand.  Both hold once
     augmentation(s) is a unit mod 3, and an S-element has augmentation 1.
-
-    The order relator [t, b, ..., b] (k b's) is img_t^((-2)^k) once [img_t, b] = img_t^-2.
     """
     require_in_S(s)
     if k < 0:
@@ -460,7 +459,8 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     img_ab = gamma_conj(img_a, bgen)
     img_t = gamma_comm(img_a, img_ab)
 
-    if img_t != gamma_make(target_k, s_norm, (0, 0), 0):
+    expected_t = gamma_make(target_k, s_norm, (0, 0), 0)
+    if img_t != expected_t:
         raise TheoremViolationError(
             f"center image for s={s}, k={k}: got {img_t}, expected t^{s_norm}"
         )
@@ -477,15 +477,17 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
         raise TheoremViolationError(f"order relator image nonzero for s={s}, k={k}")
 
     source_mod = 1 << k
+    l_mod = l_exact % source_mod
+    source_ok = (3 * r - l_exact) % source_mod == 0
     return PhiData(
         s=s,
         norm=s_norm,
         source_k=k,
         target_k=target_k,
         r=r,
-        l=l_exact % source_mod,
+        l=l_mod,
         l_exact=l_exact,
-        source_congruence_ok=(3 * r - l_exact) % source_mod == 0,
+        source_congruence_ok=source_ok,
         img_a=img_a,
         img_ab=img_ab,
         img_t=img_t,
@@ -549,20 +551,17 @@ def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
     return TowerPrefix(tuple(levels), tuple(phis))
 
 
-_BASE_POOL = tuple(
-    (c, (m, n), j)
-    for c, m in ((0, -1), (0, 0), (0, 2), (1, -1)) for n in (0, 1) for j in (-1, 0, 1)
-)
+_BASE_POOL = tuple(product(((0, -1), (0, 0), (0, 2), (1, -1)), (0, 1), (-1, 0, 1)))
 
 
 def _check_base_diagram(data: PhiData) -> None:
-    """base_form(phi(g)) = (n U^j s(U), j) on the pool, compared as phi(g).n =
-    n s(U), phi(g).j = j: U^j is invertible and commutes with s(U)."""
+    """base_form(phi(g)) = (g.n U^j s(U), j) on the pool, compared as phi(g).n =
+    g.n s(U): phi fixes j, and U^j is invertible and commutes with s(U)."""
     k = data.source_k
     s_matrix = evaluate_at_U(data.s)
-    for c, n, j in _BASE_POOL:
-        img = phi_apply(data, gamma_make(k, c, n, j))
-        if img.n != vec_mat(n, s_matrix) or img.j != j:
+    for (c, m), n, j in _BASE_POOL:
+        img = phi_apply(data, gamma_make(k, c, (m, n), j))
+        if img.n != vec_mat((m, n), s_matrix):
             raise TheoremViolationError(
                 f"base diagram does not commute for s={data.s} at level {k}"
             )

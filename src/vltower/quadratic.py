@@ -114,9 +114,9 @@ def vec_neg(v: Vec) -> Vec:
 def _core_pair(s: LaurentPoly) -> tuple[int, int, int]:
     """(alpha, beta, f) with s(U) = (alpha I + beta U) U^f, f the lowest
     exponent of s, by Horner's rule from the top term down.  A gap of 1 to
-    the next exponent is (alpha, beta) -> (beta, alpha + 3 beta), a gap of 2
-    (alpha + 3 beta, 3 alpha + 10 beta) by U^2 = 3U + I, and a longer gap one
-    product with U^gap, so sparse polynomials of high degree stay logarithmic."""
+    the next exponent is (alpha, beta) -> (beta, alpha + 3 beta) and a longer
+    gap one product with U^gap, so sparse polynomials of high degree stay
+    logarithmic."""
     if not s.terms:
         return 0, 0, 0
     top, alpha = s.terms[-1]
@@ -124,8 +124,6 @@ def _core_pair(s: LaurentPoly) -> tuple[int, int, int]:
     for e, c in reversed(s.terms[:-1]):
         if top - e == 1:
             alpha, beta = beta + c, alpha + 3 * beta
-        elif top - e == 2:
-            alpha, beta = alpha + 3 * beta + c, 3 * alpha + 10 * beta
         else:
             alpha, beta = _pair_mul((alpha, beta), _u_pair(top - e))
             alpha += c

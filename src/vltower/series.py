@@ -144,13 +144,15 @@ def gamma_omega(
     """
     if depth_bound < 2:
         raise PreconditionError(f"the limit-stage certificate needs depth >= 2, got {depth_bound}")
-    exps = tuple(stage.center_exp for stage in lcs_chain(model, depth_bound)[1:])
-    if model.central and any(e != 0 for e in exps):
+    chain = lcs_chain(model, depth_bound)
+    central = model.central
+    exps = tuple(stage.center_exp for stage in chain[1:])
+    if central and any(e != 0 for e in exps):
         raise TheoremViolationError(f"center parts of finite stages not constant: {exps}")
     probes = probe_set if probe_set is not None else _default_probes(2)
-    images = [Lattice.whole()]  # Z^2 (U - I)^i, the module part of stage i + 1
+    images = [stage.module for stage in chain]  # Z^2 (U - I)^i, the module part of stage i + 1
 
-    def module_chain(i: int) -> Lattice:  # grown one product at a time, shared by the probes
+    def module_chain(i: int) -> Lattice:  # extended past depth_bound one product at a time
         while len(images) <= i:
             images.append(images[-1].mul_mat(_U_MINUS_I))
         return images[i]
@@ -161,8 +163,9 @@ def gamma_omega(
         if exit_i is None:
             raise TheoremViolationError(f"probe {v} never exits the module chain")
         results.append((v, exit_i))
-    limit = SubgroupData(0 if model.central else None, Lattice.zero(), False)
-    return limit, GammaOmegaCertificate(model, depth_bound, exps, tuple(results))
+    cert = GammaOmegaCertificate(model, depth_bound, exps, tuple(results))
+    limit = SubgroupData(0 if central else None, Lattice.zero(), False)
+    return limit, cert
 
 
 @dataclass(frozen=True)
