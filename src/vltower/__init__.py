@@ -4,8 +4,8 @@ The package realizes, with machine-verified exact computations, a chain of
 constructions over the two-generator group with relations a^(b^2) = a a^(3b)
 and [a, a^b] = 1: the norm and parity theory of augmentation-1 group-ring
 elements, the class-2 central extensions and their truncations, validated
-2-connected maps between truncation levels, the colimit model with its
-quasi-cyclic center, lower central series through transfinite stages, and the
+2-connected maps between truncation levels, the quasi-cyclic center of the
+tower's colimit, lower central series through transfinite stages, and the
 unique-lifting property of the center truncations.
 """
 

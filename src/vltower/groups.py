@@ -10,9 +10,10 @@ elements as plain tuples; only ``gamma_make`` and ``gamma_gen`` validate.
 ``Model`` is the validated selector H, G2 or Gamma<K>: it fixes the center
 level and whether the lower central series keeps a center part (H does not).
 
-Built on the kernel: ``HbarElem``, the localized base group with module
-part an S-fraction, and ``LElem``, the colimit model over a built tower
-prefix, stored as a staged truncation element.
+Built on the kernel: level maps, tower prefixes and, for the
+telescope-coherence check (acceptance c10), ``fraction_stage_vector``, the
+integral representative of an S-fraction at a stage of a built prefix
+(with ``TowerPrefix.prefix_product``, the stage's telescope denominator).
 
 Collection conventions (fixed once, used everywhere): x^y = y^-1 x y and
 [x, y] = x^-1 y^-1 x y.  Writing A = a, B = a^b, the defining relations give
@@ -31,7 +32,9 @@ the same product law; the record of b^j is built by squaring and composing
 those of b and b^-1.  A level map is the same kind of record on the b-free
 part, with t |-> t^|s|, and fixes b; for x = t^|s|, once [x, b] = x^-2, the
 k-fold [x, b, ..., b] is x^((-2)^k).  The independent ``word_oracle`` never
-uses these aggregate forms: it evaluates words letter by letter.
+uses these aggregate forms: it evaluates words letter by letter.  It,
+``eval_word`` and ``base_form`` are kept as the references the tests check
+the kernel against; no claim calls them.
 """
 
 from __future__ import annotations
@@ -40,14 +43,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    InsufficientTowerError,
-    LevelMismatchError,
-    PreconditionError,
-    TheoremViolationError,
-)
+from .errors import LevelMismatchError, PreconditionError, TheoremViolationError
 from .laurent import ONE, LaurentPoly, divide_exact, require_in_S
-from .localization import CenterColim, Fraction, frac_act_b, frac_add, frac_eq, frac_neg
+from .localization import Fraction
 from .quadratic import Vec, evaluate_at_U, norm, two_adic_split, u_pow, vec_mat
 
 
@@ -568,57 +566,7 @@ def _check_base_diagram(data: PhiData) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the localized base group
-
-
-@dataclass(frozen=True)
-class HbarElem:
-    """b^j a^f with f an S-fraction."""
-
-    n: Fraction
-    j: int
-
-
-def hbar_mul(x: HbarElem, y: HbarElem) -> HbarElem:
-    return HbarElem(frac_add(frac_act_b(x.n, y.j), y.n), x.j + y.j)
-
-
-def hbar_inv(x: HbarElem) -> HbarElem:
-    return HbarElem(frac_neg(frac_act_b(x.n, -x.j)), -x.j)
-
-
-def hbar_eq(x: HbarElem, y: HbarElem) -> bool:
-    return x.j == y.j and frac_eq(x.n, y.n)
-
-
-def hbar_from_h(x: GammaKElem) -> HbarElem:
-    """The inclusion of the base group, on level-0 elements."""
-    n, j = base_form(x)
-    return HbarElem(Fraction(n, ONE), j)
-
-
-# ---------------------------------------------------------------------------
-# the colimit model
-
-
-@dataclass(frozen=True)
-class LElem:
-    """An element of the colimit model: a truncation element at a tower stage."""
-
-    stage: int
-    g: GammaKElem
-
-
-def l_identity(tower: TowerPrefix) -> LElem:
-    return LElem(0, gamma_identity(tower.levels[0]))
-
-
-def l_from_gamma(tower: TowerPrefix, stage: int, g: GammaKElem) -> LElem:
-    if not (0 <= stage < len(tower.levels)):
-        raise PreconditionError(f"stage {stage} outside tower")
-    if g.k != tower.levels[stage]:
-        raise LevelMismatchError(f"element level {g.k} != stage level {tower.levels[stage]}")
-    return LElem(stage, g)
+# telescope fractions
 
 
 def fraction_stage_vector(f: Fraction, tower: TowerPrefix, stage: int) -> Vec | None:
@@ -628,49 +576,3 @@ def fraction_stage_vector(f: Fraction, tower: TowerPrefix, stage: int) -> Vec | 
     if q is None:
         return None
     return vec_mat(f.num, evaluate_at_U(q))
-
-
-def l_make(center: CenterColim, f: Fraction, j: int, tower: TowerPrefix) -> LElem:
-    """Assemble t^center a^f b^j at the center's stage."""
-    stage = center.stage
-    vec = fraction_stage_vector(f, tower, stage)
-    if vec is None:
-        raise InsufficientTowerError(
-            f"denominator {f.den} is not realizable at stage {stage}"
-        )
-    k = tower.levels[stage]
-    return LElem(stage, gamma_make(k, center.residue, vec, j))
-
-
-def l_push_to(x: LElem, stage: int, tower: TowerPrefix) -> LElem:
-    while x.stage < stage:
-        x = LElem(x.stage + 1, phi_apply(tower.phis[x.stage], x.g))
-    return x
-
-
-def l_mul(x: LElem, y: LElem, tower: TowerPrefix) -> LElem:
-    stage = max(x.stage, y.stage)
-    xg = l_push_to(x, stage, tower).g
-    yg = l_push_to(y, stage, tower).g
-    return LElem(stage, gamma_mul(xg, yg))
-
-
-def l_inv(x: LElem) -> LElem:
-    return LElem(x.stage, gamma_inv(x.g))
-
-
-def l_eq(x: LElem, y: LElem, tower: TowerPrefix) -> bool:
-    stage = max(x.stage, y.stage)
-    return l_push_to(x, stage, tower).g == l_push_to(y, stage, tower).g
-
-
-def l_project(x: LElem, tower: TowerPrefix) -> HbarElem:
-    """Drop the center: the localized-base-group component."""
-    n, j = base_form(x.g)
-    return HbarElem(Fraction(n, tower.prefix_product(x.stage)), j)
-
-
-def l_parts(x: LElem, tower: TowerPrefix) -> tuple[CenterColim, Fraction, int]:
-    """The (center, module fraction, b-exponent) coordinates at x's stage."""
-    hb = l_project(x, tower)
-    return CenterColim(x.stage, x.g.c), hb.n, x.g.j

@@ -20,9 +20,15 @@ from .groups import PhiData, TowerPrefix, gamma_comm, gamma_conj, gamma_gen, gam
 from .quadratic import two_adic_split
 
 
-def h2_generator_image_valuation(phi_data: PhiData) -> int:
-    """2-adic valuation of the generator image under a level map.
+def two_connected_certificate(phi_data: PhiData) -> int:
+    """The level map is 2-connected; returns its second-homology valuation.
 
+    Both abelianizations are Z/3 (+) Z: the defining relation abelianizes
+    to a^3 = 1 and the commutator relators die.  The induced matrix is
+    [[augmentation(s) mod 3, 0], [0, 1]] (b is fixed), the identity for the
+    S-element s of a built map, since phi_build requires augmentation 1.
+
+    The second-homology half is the 2-adic valuation of the generator image.
     The generator at the source is the class of t**(2**source_k); its image
     is the commutator of the image of a with its b-conjugate, raised to that
     power.  The commutator is evaluated with the integer center (the center
@@ -47,18 +53,6 @@ def h2_generator_image_valuation(phi_data: PhiData) -> int:
             f"valuation {val} != target level {phi_data.target_k}"
         )
     return val
-
-
-def two_connected_certificate(phi_data: PhiData) -> int:
-    """The level map is 2-connected; returns its second-homology valuation.
-
-    Both abelianizations are Z/3 (+) Z: the defining relation abelianizes
-    to a^3 = 1 and the commutator relators die.  The induced matrix is
-    [[augmentation(s) mod 3, 0], [0, 1]] (b is fixed), the identity for the
-    S-element s of a built map, since phi_build requires augmentation 1.
-    The second-homology half is the valuation certificate, which raises
-    unless the valuation is the target level."""
-    return h2_generator_image_valuation(phi_data)
 
 
 @dataclass(frozen=True)
@@ -100,10 +94,6 @@ class FiveTermStatement:
     conclusion: str
     reason: str
     provenance: str
-
-    @property
-    def ok(self) -> bool:
-        return self.emitted
 
 
 def five_term_report(result: ColimH2Result) -> FiveTermStatement:

@@ -60,9 +60,6 @@ class LaurentPoly:
     def coeffs(self) -> dict[int, int]:
         return dict(self.terms)
 
-    def coeff(self, exp: int) -> int:
-        return self.coeffs.get(exp, 0)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -4,14 +4,18 @@ Fractions are pairs (numerator vector, S-denominator) compared by
 cross-multiplication: n_f * den_g(U) == n_g * den_f(U).  That relation is
 transitive because every s-map on the module is injective (its determinant,
 the norm, is nonzero on S), so fractions are never reduced to any canonical
-form; no divisor theory in the quadratic order is assumed.
+form; no divisor theory in the quadratic order is assumed.  Fractions are
+kept for the telescope-coherence check (acceptance c10): a fraction over a
+stage's telescope product equals its integral stage representative.  No
+claim does fraction arithmetic.
 
 Dyadic values model the 2-quasi-cyclic group: num / 2**k taken mod 1,
 canonically with num odd, or (0, 0) for zero.  CenterColim is the
 tower-indexed view of the same group: a residue mod 2**(level of its stage),
 pushed along tower edges by multiplying with the edge norm.  Odd unit
 factors accumulated by those pushes are stripped only at the dyadic
-boundary, in center_to_dyadic.
+boundary, in center_to_dyadic.  That map is the tested identification of
+the tower's center colimit with the dyadics the witness computes in.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .laurent import LaurentPoly, require_in_S
-from .quadratic import Vec, evaluate_at_U, u_pow, vec_add, vec_mat, vec_neg
+from .quadratic import Vec, evaluate_at_U, vec_mat
 
 
 @dataclass(frozen=True)
@@ -36,27 +40,6 @@ class Fraction:
 
 def frac_eq(f: Fraction, g: Fraction) -> bool:
     return vec_mat(f.num, evaluate_at_U(g.den)) == vec_mat(g.num, evaluate_at_U(f.den))
-
-
-def frac_add(f: Fraction, g: Fraction) -> Fraction:
-    num = vec_add(
-        vec_mat(f.num, evaluate_at_U(g.den)), vec_mat(g.num, evaluate_at_U(f.den))
-    )
-    return Fraction(num, f.den * g.den)
-
-
-def frac_neg(f: Fraction) -> Fraction:
-    return Fraction(vec_neg(f.num), f.den)
-
-
-def frac_act_b(f: Fraction, power: int = 1) -> Fraction:
-    """Apply the b-action: U acts on the numerator, the denominator is a
-    scalar of the commutative ring image and is untouched."""
-    return Fraction(vec_mat(f.num, u_pow(power)), f.den)
-
-
-def frac_scale(f: Fraction, s: LaurentPoly) -> Fraction:
-    return Fraction(vec_mat(f.num, evaluate_at_U(s)), f.den)
 
 
 @dataclass(frozen=True)

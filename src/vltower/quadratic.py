@@ -103,14 +103,6 @@ def vec_mat(v: Vec, m: Mat2) -> Vec:
     return (v[0] * m.a + v[1] * m.c, v[0] * m.b + v[1] * m.d)
 
 
-def vec_add(v: Vec, w: Vec) -> Vec:
-    return (v[0] + w[0], v[1] + w[1])
-
-
-def vec_neg(v: Vec) -> Vec:
-    return (-v[0], -v[1])
-
-
 def _core_pair(s: LaurentPoly) -> tuple[int, int, int]:
     """(alpha, beta, f) with s(U) = (alpha I + beta U) U^f, f the lowest
     exponent of s, by Horner's rule from the top term down.  A gap of 1 to

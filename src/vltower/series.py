@@ -237,7 +237,6 @@ def default_center_samples(seed: int = 0) -> list[Dyadic]:
 class WitnessSample:
     value: str
     depth: int
-    model_level: int
     model_ok: bool
     commutator_power_ok: bool
     realizable_stage: int | None
@@ -291,8 +290,9 @@ def witness_not_transfinitely_nilpotent(
     if any(s.num == 0 for s in samples):
         raise PreconditionError("witness samples must be nonzero center elements")
 
-    # Each call raises unless the limit stage of its truncation is certified.
-    gamma_omega(Model(max(tower.max_level, 1)))
+    # Raises unless the limit stage is certified.  lcs_step reads only
+    # model.central, never model.k, so the certificate (center parts and probe
+    # exits) is the same at every truncation level, the prefix's included.
     gamma_omega(Model(max(s.k for s in samples) + j_bound))
 
     out: list[WitnessSample] = []
@@ -324,7 +324,6 @@ def witness_not_transfinitely_nilpotent(
             WitnessSample(
                 value=str(c),
                 depth=c.k,
-                model_level=level,
                 model_ok=model_ok,
                 commutator_power_ok=comm_ok,
                 realizable_stage=realizable,

@@ -134,7 +134,7 @@ def test_c04_phi_validity_over_enumerated_edges():
         for k in range(0, 7):
             data = G.phi_build(s, k)  # raises on any relator image failure
             assert data.img_t == G.gamma_make(data.target_k, nd.norm, (0, 0), 0)
-            val = homology.h2_generator_image_valuation(data)
+            val = homology.two_connected_certificate(data)
             assert val == k + nd.p
             built += 1
     _report(

@@ -17,6 +17,13 @@ def run(capsys, argv):
     return rc, out.out, out.err
 
 
+def test_public_names_resolve():
+    import vltower
+
+    missing = [name for name in vltower.__all__ if not hasattr(vltower, name)]
+    assert not missing
+
+
 def test_norm_command(capsys):
     rc, out, _ = run(capsys, ["norm", "--s", "1-b+b^2", "--format", "json"])
     assert rc == 0

@@ -23,10 +23,10 @@ def test_three_way_parity_agreement():
 
 
 def test_valuation_worked_examples():
-    assert homology.h2_generator_image_valuation(phi_build(S, 0)) == 2
-    assert homology.h2_generator_image_valuation(phi_build(S, 2)) == 4
+    assert homology.two_connected_certificate(phi_build(S, 0)) == 2
+    assert homology.two_connected_certificate(phi_build(S, 2)) == 4
     for k in (0, 1, 3):
-        assert homology.h2_generator_image_valuation(phi_build(ONE, k)) == k
+        assert homology.two_connected_certificate(phi_build(ONE, k)) == k
 
 
 def test_valuation_equals_source_plus_p_for_enumerated_edges():
@@ -34,7 +34,7 @@ def test_valuation_equals_source_plus_p_for_enumerated_edges():
     for s in enumerate_S(3, 1):
         if norm(s) % 2 == 0:
             data = phi_build(s, 1)
-            assert homology.h2_generator_image_valuation(data) == data.target_k
+            assert homology.two_connected_certificate(data) == data.target_k
             count += 1
     assert count > 0
 

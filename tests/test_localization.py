@@ -23,11 +23,7 @@ from vltower.localization import (
     dyadic_halve,
     dyadic_make,
     dyadic_neg,
-    frac_act_b,
-    frac_add,
     frac_eq,
-    frac_neg,
-    frac_scale,
     parse_dyadic,
 )
 
@@ -77,28 +73,6 @@ def test_frac_eq_is_an_equivalence_relation():
             assert frac_eq(f, h)
         assert frac_eq(f, g)  # constructed equal
         assert frac_eq(f, h)
-
-
-def test_frac_add_and_neg():
-    f = Fraction((3, -2), S)
-    z = frac_add(f, frac_neg(f))
-    assert frac_eq(z, Fraction((0, 0), ONE))
-
-
-def test_frac_act_b_on_basis():
-    assert frac_eq(frac_act_b(Fraction((1, 0), ONE)), Fraction((0, 1), ONE))
-
-
-def test_frac_scale_worked_example():
-    assert frac_eq(frac_scale(Fraction((1, 0), S), S), Fraction((2, 2), S))
-
-
-def test_frac_scale_matches_denominator_extension():
-    # n/s == (n * s(U)) / s^2
-    from vltower.quadratic import evaluate_at_U, vec_mat
-
-    f = Fraction((1, 0), S)
-    assert frac_eq(f, Fraction(vec_mat((1, 0), evaluate_at_U(S)), S * S))
 
 
 # --- dyadics ----------------------------------------------------------------

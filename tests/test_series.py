@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from vltower.cli import main
 from vltower.errors import InsufficientTowerError, PreconditionError
 from vltower.groups import Model, gamma_comm, gamma_gen, gamma_make, tower_build
 from vltower.laurent import parse_laurent
@@ -198,6 +199,30 @@ def test_witness_commutator_count_grows_linearly_in_j(monkeypatch):
         assert series.witness_not_transfinitely_nilpotent(tower, j_bound, samples=samples).passed
         counts.append(calls)
     assert counts[1] <= 4.2 * counts[0]
+
+
+def test_witness_certifies_the_limit_stage_once(monkeypatch, capsys):
+    # one gamma_omega call: 24 default probes, one probe search each
+    calls = 0
+    probe = series.intersect_chain_probe
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return probe(*args)
+
+    monkeypatch.setattr(series, "intersect_chain_probe", counted)
+    argv = ["witness", "--edges", "1-b+b^2,1-b+b^2,1-b+b^2", "--J", "20"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == 24
+
+
+def test_gamma_omega_certificate_does_not_depend_on_the_truncation_level():
+    _, low = series.gamma_omega(Model(1))
+    _, high = series.gamma_omega(Model(87))
+    assert low.center_exps == high.center_exps
+    assert low.probes == high.probes
 
 
 def test_witness_j_zero_reduces_to_gamma_omega():
