@@ -11,14 +11,7 @@ import os
 import sys
 
 from . import cohn, homology, series
-from .errors import (
-    InsufficientTowerError,
-    LaurentParseError,
-    NotInSError,
-    PreconditionError,
-    TheoremViolationError,
-    VltowerError,
-)
+from .errors import PreconditionError, TheoremViolationError, VltowerError
 from .groups import Model, phi_build, tower_build
 from .laurent import LaurentPoly, parse_laurent
 from .localization import parse_dyadic
@@ -378,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT if exc.code else 0
     try:
         report: Report = args.fn(args)
-    except (LaurentParseError, NotInSError, PreconditionError, InsufficientTowerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return VIOLATION_EXIT

@@ -518,10 +518,6 @@ class TowerPrefix:
     levels: tuple[int, ...]
     phis: tuple[PhiData, ...]
 
-    @property
-    def max_level(self) -> int:
-        return self.levels[-1]
-
     def prefix_product(self, stage: int) -> LaurentPoly:
         out = ONE
         for data in self.phis[:stage]:

@@ -18,13 +18,16 @@ The norm never needs the power of U at the lowest exponent f of s: with
 s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
 (-1)^f |s0|.  The pair of the core s0 is what Horner's rule produces
 before its final product with U^f.
+
+The module parts of the lower-central-series stages are principal ideals
+Z^2 (alpha I + beta U) of Z[U], so a Lattice is one such pair: products
+are pair products, and b-invariance holds by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from .errors import PreconditionError
 from .laurent import LaurentPoly, enumerate_S, require_in_S
@@ -222,117 +225,61 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
 
 
 class Lattice:
-    """A subgroup of Z^2 given by a canonical row basis in Hermite form.
+    """The module part Z^2 (alpha I + beta U) of a series stage, stored as its
+    generator pair (alpha, beta).
 
-    The basis is () for the zero lattice, one row for rank 1, two rows
-    ((a, b), (0, c)) with a > 0, c > 0, 0 <= b < c for full rank.  Equality
-    of lattices is equality of canonical bases.
+    Reading a row vector (x, y) as x I + y U identifies Z^2 with Z[U], and
+    right multiplication by alpha I + beta U with multiplication in that
+    ring; a stage's module part is then the principal ideal (alpha + beta U),
+    which U maps into itself, so every lattice here is b-invariant by
+    construction.  Its rows are (alpha, beta) and (beta, alpha + 3 beta).
+    Equality of lattices is equality of generators: the stages are all
+    built by the same products, so equal stages carry equal pairs.
     """
 
-    __slots__ = ("basis",)
+    __slots__ = ("pair",)
 
-    def __init__(self, basis: tuple[Vec, ...]):
-        self.basis = basis
-
-    @staticmethod
-    def from_rows(rows: Iterable[Vec]) -> "Lattice":
-        return Lattice(_hnf(list(rows)))
+    def __init__(self, pair: tuple[int, int]):
+        self.pair = pair
 
     @staticmethod
     def zero() -> "Lattice":
-        return Lattice(())
+        return Lattice((0, 0))
 
     @staticmethod
     def whole() -> "Lattice":
-        return Lattice(((1, 0), (0, 1)))
+        return Lattice((1, 0))
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return self.pair == (0, 0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lattice) and self.basis == other.basis
+        return isinstance(other, Lattice) and self.pair == other.pair
 
     def __hash__(self) -> int:
-        return hash(self.basis)
+        return hash(self.pair)
 
     def __repr__(self) -> str:
-        return f"Lattice{self.basis!r}"
+        return f"Lattice{self.pair!r}"
+
+    def _det(self) -> int:
+        alpha, beta = self.pair
+        return alpha * alpha + 3 * alpha * beta - beta * beta
 
     def contains(self, v: Vec) -> bool:
-        x, y = v
-        rows = self.basis
-        if not rows:
+        """v = w (alpha I + beta U) for an integer row w: v adj divisible by
+        det, with adj = (alpha + 3 beta) I - beta U.  The norm form has no
+        nonzero integer root (13 is no square), so det = 0 only for (0, 0)."""
+        det = self._det()
+        if not det:
             return v == (0, 0)
-        if len(rows) == 1:
-            (a, b), = rows
-            if a != 0:
-                if x % a != 0:
-                    return False
-                return y == (x // a) * b
-            return x == 0 and (y % b == 0)
-        (a, b), (_, c) = rows
-        if x % a != 0:
-            return False
-        return (y - (x // a) * b) % c == 0
+        (alpha, beta), (x, y) = self.pair, v
+        return (x * (alpha + 3 * beta) - y * beta) % det == 0 and (y * alpha - x * beta) % det == 0
 
     def index(self) -> int | float:
-        """Index in Z^2: |det| of the basis for full rank, math.inf otherwise."""
-        if len(self.basis) == 2:
-            return abs(self.basis[0][0] * self.basis[1][1])
-        return math.inf
+        """Index in Z^2: |det| of the generator, math.inf for the zero lattice."""
+        return abs(self._det()) or math.inf
 
-    def mul_mat(self, m: Mat2) -> "Lattice":
-        """Image of this lattice under right multiplication by m."""
-        return Lattice.from_rows([vec_mat(r, m) for r in self.basis])
-
-    def issubset(self, other: "Lattice") -> bool:
-        return all(other.contains(r) for r in self.basis)
-
-
-def _hnf(rows: list[Vec]) -> tuple[Vec, ...]:
-    work = [list(r) for r in rows if r != (0, 0)]
-    if not work:
-        return ()
-    # Clear the first column down to a single pivot by repeated division.
-    while True:
-        nz = [r for r in work if r[0] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[0]))
-        piv, rest = nz[0], nz[1:]
-        for r in rest:
-            q = r[0] // piv[0]
-            r[0] -= q * piv[0]
-            r[1] -= q * piv[1]
-        work = [r for r in work if r != [0, 0]]
-    first = [r for r in work if r[0] != 0]
-    second = [r for r in work if r[0] == 0]
-    g2 = 0
-    for r in second:
-        g2 = math.gcd(g2, r[1])
-    out: list[Vec] = []
-    if first:
-        a, b = first[0]
-        if a < 0:
-            a, b = -a, -b
-        if g2:
-            b %= g2
-        out.append((a, b))
-    if g2:
-        out.append((0, g2))
-    return tuple(out)
-
-
-def image(m: Mat2) -> Lattice:
-    """The row span of m as a lattice (image of Z^2 under right multiplication)."""
-    return Lattice.from_rows(m.rows())
-
-
-def intersect_chain_probe(
-    v: Vec, chain: Callable[[int], Lattice], bound: int
-) -> int | None:
-    """Least i in [1, bound] with v not in chain(i); None if it never exits."""
-    for i in range(1, bound + 1):
-        if not chain(i).contains(v):
-            return i
-    return None
+    def times(self, pair: tuple[int, int]) -> "Lattice":
+        """This lattice times gamma I + delta U."""
+        return Lattice(_pair_mul(self.pair, pair))

@@ -4,9 +4,11 @@ Every function here takes a ``groups.Model``: the center level (Z for G2,
 Z/2^K for Gamma_K) and whether the stages keep a center part at all (not for
 the base group H).  Finite stages are computed exactly: in every model the
 i-th stage (for i >= 2) is a set of the shape (center part <t^(2^e)>, module
-lattice, trivial b part), the module part advancing by one (U - I)
+part, trivial b part), the module part advancing by one (U - I)
 multiplication per step and the center part generated by the commutator
 pairings of the module generators together with [t^(2^e), b] = t^(-2^(e+1)).
+Each module part is the principal ideal Z^2 (U - I)^i of Z[U], held as its
+generator pair, so it is b-invariant by construction.
 
 The limit stage of a truncation is certified, not computed by an infinite
 intersection: the center parts of the finite stages are constant and every
@@ -25,9 +27,9 @@ from . import homology
 from .errors import InsufficientTowerError, PreconditionError, TheoremViolationError
 from .groups import Model, TowerPrefix, gamma_comm, gamma_gen, gamma_make, gamma_pow
 from .localization import Dyadic, dyadic_double, dyadic_halve, dyadic_neg
-from .quadratic import IDENTITY, U, Lattice, Vec, intersect_chain_probe
+from .quadratic import Lattice, Vec
 
-_U_MINUS_I = U - IDENTITY
+_U_MINUS_I = (-1, 1)  # the generator pair of U - I
 
 
 @dataclass(frozen=True)
@@ -75,17 +77,16 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
     Contributions: [x, b] advances the module part by (U - I); [x, a] and
     [x, a^b] are pure center elements with exponents given by the symplectic
     pairings of x against the basis; [t^(2^e), b] doubles the center depth.
-    The module part must be b-invariant for the shape to be representable.
+    The shape needs a b-invariant module part, and a principal ideal of Z[U]
+    is one by construction.
     """
-    if not s.module.mul_mat(U).issubset(s.module):
-        raise PreconditionError("module part is not b-invariant; not a series stage")
     central = model.central
     candidates: list[int] = []
     if central and s.center_exp is not None:
         candidates.append(1 << (s.center_exp + 1))
     if central:
-        for row in s.module.basis:
-            candidates.extend((row[0], row[1]))  # pairings against a and a^b
+        alpha, beta = s.module.pair  # generator rows (alpha, beta), (beta, alpha + 3 beta)
+        candidates.extend((alpha, beta, beta, alpha + 3 * beta))  # pairings against a and a^b
         if s.b_whole:
             candidates.append(2)  # [b, t]
     g = 0
@@ -97,7 +98,7 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
         if g & (g - 1):
             raise TheoremViolationError(f"center generator gcd {g} is not a 2-power")
         center_exp = g.bit_length() - 1
-    return SubgroupData(center_exp, s.module.mul_mat(_U_MINUS_I), False)
+    return SubgroupData(center_exp, s.module.times(_U_MINUS_I), False)
 
 
 def lcs_chain(model: Model, depth: int) -> list[SubgroupData]:
@@ -151,18 +152,16 @@ def gamma_omega(
         raise TheoremViolationError(f"center parts of finite stages not constant: {exps}")
     probes = probe_set if probe_set is not None else _default_probes(2)
     images = [stage.module for stage in chain]  # Z^2 (U - I)^i, the module part of stage i + 1
-
-    def module_chain(i: int) -> Lattice:  # extended past depth_bound one product at a time
-        while len(images) <= i:
-            images.append(images[-1].mul_mat(_U_MINUS_I))
-        return images[i]
-
     results: list[tuple[Vec, int]] = []
     for v in probes:
-        exit_i = intersect_chain_probe(v, module_chain, probe_exit_bound)
-        if exit_i is None:
+        for i in range(1, probe_exit_bound + 1):
+            if i == len(images):  # extended past depth_bound one product at a time
+                images.append(images[-1].times(_U_MINUS_I))
+            if not images[i].contains(v):
+                results.append((v, i))
+                break
+        else:
             raise TheoremViolationError(f"probe {v} never exits the module chain")
-        results.append((v, exit_i))
     cert = GammaOmegaCertificate(model, depth_bound, exps, tuple(results))
     limit = SubgroupData(0 if central else None, Lattice.zero(), False)
     return limit, cert

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_closed_forms import ref_in_row_span
 
 from vltower.errors import NotInSError, PreconditionError
 from vltower.laurent import LaurentPoly, enumerate_S, parse_laurent
@@ -13,8 +14,6 @@ from vltower.quadratic import (
     Lattice,
     Mat2,
     evaluate_at_U,
-    image,
-    intersect_chain_probe,
     norm,
     norm_data,
     predicted_parity,
@@ -198,19 +197,26 @@ def test_verify_parity_range_no_counterexamples(span, coeff):
 # --- lattices ---------------------------------------------------------------
 
 
-def test_lattice_examples():
-    l1 = image(U - IDENTITY)
-    assert l1.index() == 3
-    assert l1.contains((0, 0))
-    assert not l1.contains((1, 0))
-    assert intersect_chain_probe((1, 0), lambda i: _chain(i), 10) == 1
+def _generator_rows(pair):
+    """The rows of alpha I + beta U."""
+    alpha, beta = pair
+    return (alpha, beta), (beta, alpha + 3 * beta)
 
 
-def _chain(i):
+def _u_minus_i_power(i):
     m = IDENTITY
     for _ in range(i):
         m = m * (U - IDENTITY)
-    return image(m)
+    return m
+
+
+def test_lattice_examples():
+    l1 = Lattice.whole().times((-1, 1))
+    assert l1 == Lattice((-1, 1))
+    assert l1.index() == 3
+    assert l1.contains((0, 0))
+    assert l1.contains((-1, 1)) and l1.contains((3, 0))
+    assert not l1.contains((1, 0))
 
 
 def test_lattice_whole_and_zero():
@@ -221,57 +227,62 @@ def test_lattice_whole_and_zero():
     assert Lattice.zero().index() == math.inf
 
 
-def test_lattice_rank_one():
-    l = Lattice.from_rows([(2, 4)])
-    assert l.contains((4, 8))
-    assert not l.contains((2, 3))
-    assert not l.contains((1, 2))
-    assert l.index() == math.inf
-
-
 def test_lattice_membership_against_bruteforce():
     rng = random.Random(7)
-    for _ in range(50):
-        rows = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
-        lat = Lattice.from_rows(rows)
+    powers = [_u_minus_i_power(i) for i in range(6)]
+    pairs = [(0, 0), (1, 0), (-1, 0), (0, 1), *((m.a, m.b) for m in powers)]
+    pairs += [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(40)]
+    box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    for pair in pairs:
+        lat = Lattice(pair)
+        rows = _generator_rows(pair)
         spanned = set()
-        coeffs = range(-6, 7)
-        for combo in _combos(len(rows), coeffs):
-            x = sum(c * r[0] for c, r in zip(combo, rows))
-            y = sum(c * r[1] for c, r in zip(combo, rows))
-            spanned.add((x, y))
-        for v in [(x, y) for x in range(-4, 5) for y in range(-4, 5)]:
+        for c0 in range(-6, 7):
+            for c1 in range(-6, 7):
+                spanned.add((c0 * rows[0][0] + c1 * rows[1][0], c0 * rows[0][1] + c1 * rows[1][1]))
+        generator = Mat2(*rows[0], *rows[1])
+        for v in box:
+            # every small combination is a member; membership beyond the
+            # coefficient window is decided by an exact rational solve
+            assert lat.contains(v) == ref_in_row_span(generator, v), (pair, v)
             if v in spanned:
-                assert lat.contains(v), (rows, v)
-            elif lat.contains(v):
-                # membership beyond the brute-force coefficient window is legal;
-                # confirm by solving directly against the canonical basis
-                assert _solves(lat, v), (rows, v)
+                assert lat.contains(v), (pair, v)
 
 
-def _combos(n, rng):
-    if n == 1:
-        return [(c,) for c in rng]
-    return [(c, *rest) for c in rng for rest in _combos(n - 1, rng)]
+def test_lattice_index_and_membership_against_sympy_hermite_form():
+    # an independent oracle: sympy's Hermite normal form of the generator
+    # rows, whose columns (after transposing) span the same lattice
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
 
-
-def _solves(lat, v):
-    basis = lat.basis
-    if len(basis) == 2:
-        (a, b), (_, c) = basis
-        return v[0] % a == 0 and (v[1] - (v[0] // a) * b) % c == 0
-    if len(basis) == 1:
-        (a, b), = basis
-        if a:
-            return v[0] % a == 0 and v[1] == (v[0] // a) * b
-        return v[0] == 0 and v[1] % b == 0
-    return v == (0, 0)
+    rng = random.Random(13)
+    pairs = [(m.a, m.b) for m in map(_u_minus_i_power, range(13))]
+    pairs += [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(30)]
+    box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    for pair in pairs:
+        lat = Lattice(pair)
+        w = hermite_normal_form(sympy.Matrix(_generator_rows(pair)).T)
+        if w.cols < 2:
+            assert lat.index() == math.inf and pair == (0, 0)
+            continue
+        (p, q), (_, r) = w.tolist()
+        assert lat.index() == p * r, pair
+        for x, y in box:
+            # (x, y) = c0 (p, 0) + c1 (q, r) for integers c0, c1
+            member = y % r == 0 and (x - (y // r) * q) % p == 0
+            assert lat.contains((x, y)) == member, (pair, (x, y))
 
 
 def test_lattice_equality_by_mutual_inclusion():
-    l1 = Lattice.from_rows([(1, 0), (0, 1)])
-    l2 = Lattice.from_rows([(1, 1), (0, 1), (1, 0)])
-    assert l1 == l2
-    l3 = Lattice.from_rows([(2, 0), (0, 1)])
-    assert l1 != l3
-    assert l3.issubset(l1) and not l1.issubset(l3)
+    # equal stage products carry equal generators, and the lattices they
+    # span contain each other's generator rows; a proper sublattice differs
+    l1 = Lattice.whole().times((-1, 1)).times((-1, 1))
+    m = _u_minus_i_power(2)
+    l2 = Lattice((m.a, m.b))
+    assert l1 == l2 and hash(l1) == hash(l2)
+    assert all(l1.contains(r) for r in _generator_rows(l2.pair))
+    assert all(l2.contains(r) for r in _generator_rows(l1.pair))
+    l3 = Lattice.whole().times((2, 0))
+    assert l3 != Lattice.whole()
+    assert all(Lattice.whole().contains(r) for r in _generator_rows(l3.pair))
+    assert not all(l3.contains(r) for r in _generator_rows(Lattice.whole().pair))
