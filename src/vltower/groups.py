@@ -19,7 +19,8 @@ Collection conventions (fixed once, used everywhere): x^y = y^-1 x y and
 [x, y] = x^-1 y^-1 x y.  Writing A = a, B = a^b, the defining relations give
 B A = A B t^-1 with t central among A, B, and conjugation by b acts as
 A |-> B, B |-> A B^3, t |-> t^-1.  For an S-element s, a^s is the product of
-the conjugates a^(n_i b^i) taken in ascending exponent order.
+the conjugates a^(n_i b^i) taken in ascending exponent order, collected by
+Horner's rule on triples from the top term down.
 
 The kernel is logarithmic in every exponent; its closed forms are the Deep
 Thought collection polynomials of this class-2 group (Leedham-Green and
@@ -31,16 +32,17 @@ the images of A and B, stored as a record of those images and applied with
 the same product law; the record of b^j is built by squaring and composing
 those of b and b^-1.  A level map is the same kind of record on the b-free
 part, with t |-> t^|s|, and fixes b; for x = t^|s|, once [x, b] = x^-2, the
-k-fold [x, b, ..., b] is x^((-2)^k).  The independent ``word_oracle`` never
-uses these aggregate forms: it evaluates words letter by letter.  It,
-``eval_word`` and ``base_form`` are kept as the references the tests check
-the kernel against; no claim calls them.
+k-fold [x, b, ..., b] is x^((-2)^k).  A tower edge certifies the bottom
+square of its diagram on the generators t, a, a^b and b: both ways round
+the square are homomorphisms to H, so agreement there is agreement
+everywhere.  The independent ``word_oracle`` never uses these aggregate
+forms: it evaluates words letter by letter.  It and ``base_form`` are kept
+as the references the tests check the kernel against; no claim calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import LevelMismatchError, PreconditionError, TheoremViolationError
@@ -345,25 +347,31 @@ def word_oracle(word: Word, model: Model) -> GammaKElem:
     return GammaKElem(model.k, c, (m, n), j)
 
 
-def eval_word(word: Word, model: Model) -> GammaKElem:
-    """Evaluate a word with the closed-form law."""
-    out = gamma_identity(model.k)
-    for gen, e in word:
-        out = gamma_mul(out, gamma_pow(gamma_gen(model.k, gen), e))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the maps between truncation levels
 
 
 def a_power_s(s: LaurentPoly) -> GammaKElem:
-    """a^s in G2: the product of a^(n_i b^i) over the support of s, ascending."""
-    out = gamma_identity(None)
-    for e, coeff in s.terms:
-        c, m, n = conj_by_b_pow((0, coeff, 0), -e)
-        out = gamma_mul(out, GammaKElem(None, c, (m, n), 0))
-    return out
+    """a^s in G2: the product of a^(n_i b^i) over the support of s, ascending.
+
+    By Horner's rule on triples, from the top term down: the conjugate
+    b^e (a^(n_e b^e) ... a^(n_top b^top)) b^-e is A^(n_e) times the same
+    conjugate for the next exponent e' > e, conjugated by b^(e - e').
+    Prepending A^(n_e) crosses no B, so it adds no center term; one
+    conjugation by b^-f, f the lowest exponent, ends it.  A gap of 1 applies
+    the b^-1 record as it is, with no composition, as ``quadratic._core_pair``
+    does for pairs."""
+    if not s.terms:
+        return gamma_identity(None)
+    top, m = s.terms[-1]
+    c = n = 0
+    for e, coeff in reversed(s.terms[:-1]):
+        gap = e - top
+        c, m, n = _aut_apply(_CONJ_B_INV if gap == -1 else _conj_record(gap), (c, m, n))
+        m += coeff
+        top = e
+    c, m, n = conj_by_b_pow((c, m, n), -top)
+    return GammaKElem(None, c, (m, n), 0)
 
 
 def relator_defect(s: LaurentPoly) -> tuple[int, int, GammaKElem]:
@@ -531,9 +539,9 @@ class TowerPrefix:
 def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
     """Build a validated tower prefix from S-edges.
 
-    Each edge gets a verified level map; the bottom square of the diagram
-    (projection to the base group intertwines the map with the s-action) is
-    spot-checked on deterministic sample elements.
+    Each edge gets a verified level map and a certificate, on the generators,
+    that the bottom square of the diagram commutes: projection to the base
+    group intertwines the map with the s-action.
     """
     levels = [0]
     phis: list[PhiData] = []
@@ -545,17 +553,22 @@ def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
     return TowerPrefix(tuple(levels), tuple(phis))
 
 
-_BASE_POOL = tuple(product(((0, -1), (0, 0), (0, 2), (1, -1)), (0, 1), (-1, 0, 1)))
-
-
 def _check_base_diagram(data: PhiData) -> None:
-    """base_form(phi(g)) = (g.n U^j s(U), j) on the pool, compared as phi(g).n =
-    g.n s(U): phi fixes j, and U^j is invertible and commutes with s(U)."""
+    """base_form(phi(g)) = (g.n U^j s(U), j) for every g of the source group.
+
+    base_form after phi and the s-action on H = Z^2 x| <b> are both
+    homomorphisms from the source group to H, because s(U) commutes with U;
+    two homomorphisms that agree on generators are equal, so checking t, a,
+    a^b and b certifies the square for every element.  Each is compared as
+    phi(g).n = g.n s(U): phi fixes j, and U^j is invertible and commutes with
+    s(U).  Checking t and b too makes a module law that wrongly depends on c
+    or j fail here.
+    """
     k = data.source_k
     s_matrix = evaluate_at_U(data.s)
-    for (c, m), n, j in _BASE_POOL:
-        img = phi_apply(data, gamma_make(k, c, (m, n), j))
-        if img.n != vec_mat((m, n), s_matrix):
+    for name in ("t", "a", "ab", "b"):
+        g = gamma_gen(k, name)
+        if phi_apply(data, g).n != vec_mat(g.n, s_matrix):
             raise TheoremViolationError(
                 f"base diagram does not commute for s={data.s} at level {k}"
             )

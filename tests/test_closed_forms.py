@@ -5,7 +5,8 @@ logarithmic in its exponent: square-and-multiply for b-free powers, one
 conjugation by b at a time for conj_by_b_pow, one Mat2 product per step for
 powers of U, one commutator per letter for the order relator, and one module
 chain rebuilt per probe index for the limit-stage certificate.  The
-letter-level word_oracle checks the group law independently of both.
+letter-level word_oracle checks the group law independently of both, and
+sympy, where installed, checks a^s against matrix powers of U.
 """
 
 import dataclasses
@@ -14,13 +15,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vltower import groups as G
 from vltower import quadratic as Q
 from vltower import series
 from vltower.cli import main
 from vltower.errors import PreconditionError, TheoremViolationError
-from vltower.laurent import LaurentPoly, parse_laurent
+from vltower.laurent import ZERO, LaurentPoly, parse_laurent
 from vltower.quadratic import (
     IDENTITY,
     U,
@@ -30,6 +33,7 @@ from vltower.quadratic import (
     two_adic_split,
     u_pow,
 )
+from words import eval_word
 
 LEVELS = (None, 0, 3, 7)
 U_INV = Mat2(-3, 1, 1, 0)
@@ -88,6 +92,16 @@ def ref_two_adic_split(n):
         n //= 2
         p += 1
     return p, n
+
+
+def ref_a_power_s(s):
+    """The per-term product: each conjugate a^(n_i b^i) built on its own by
+    conj_by_b_pow and multiplied in ascending order."""
+    out = G.gamma_identity(None)
+    for e, coeff in s.terms:
+        c, m, n = G.conj_by_b_pow((0, coeff, 0), -e)
+        out = G.gamma_mul(out, G.GammaKElem(None, c, (m, n), 0))
+    return out
 
 
 def ref_phi_apply(data, g):
@@ -192,7 +206,7 @@ def test_powers_of_b_free_words_match_the_oracle():
     for k in LEVELS:
         model = G.Model(k)
         for w in words:
-            x = G.eval_word(w, model)
+            x = eval_word(w, model)
             assert x.j == 0
             for e in range(-25, 26):
                 assert G.gamma_pow(x, e) == G.word_oracle(w * e if e >= 0 else _inverse_word(w) * -e, model)
@@ -226,6 +240,48 @@ def test_word_oracle_uses_no_closed_form():
     assert not names & kernel
     with pytest.raises(ValueError):
         G._OracleState(None).prepend_b(2)
+
+
+# --- a_power_s -------------------------------------------------------------------
+
+_COEFFS = st.integers(-40, 40).filter(bool)
+_DENSE = st.dictionaries(st.integers(-40, 40), _COEFFS, max_size=12).map(LaurentPoly.from_dict)
+
+
+@st.composite
+def _sparse(draw):
+    # a lowest exponent in [-40, 40], then gaps up to 400, as on sparse edges
+    e, out = draw(st.integers(-40, 40)), {}
+    for gap in draw(st.lists(st.integers(1, 400), max_size=5)):
+        out[e] = draw(_COEFFS)
+        e += gap
+    out[e] = draw(_COEFFS)
+    return LaurentPoly.from_dict(out)
+
+
+@given(st.one_of(_DENSE, _sparse()))
+@example(parse_laurent("-2-2b^147+5b^311"))
+@example(parse_laurent("b^-2+b^-1-b^300"))
+@example(ZERO)
+def test_a_power_s_horner_matches_the_per_term_product(s):
+    assert G.a_power_s(s) == ref_a_power_s(s)
+
+
+def test_a_power_s_module_part_against_sympy_powers_of_u():
+    # an independent oracle: a^s has module part (1, 0) s(U), with s(U) built
+    # from sympy matrix powers of U and of U^-1
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Matrix([[0, 1], [1, 3]])
+    u_inv = sympy.Matrix([[-3, 1], [1, 0]])
+    assert u * u_inv == sympy.eye(2)
+    rng = random.Random(5)
+    polys = [parse_laurent(e) for e in ("1-b+b^2", "b^-1-1+b", "b^-2+b^-1-b^300", "-2-2b^147+5b^311", "b^-40")]
+    polys += [LaurentPoly.from_dict({rng.randint(-60, 60): rng.randint(-9, 9) for _ in range(4)}) for _ in range(20)]
+    for s in polys:
+        s_of_u = sympy.zeros(2, 2)
+        for e, c in s.terms:
+            s_of_u += c * (u**e if e >= 0 else u_inv ** (-e))
+        assert G.a_power_s(s).n == tuple(sympy.Matrix([[1, 0]]) * s_of_u), s
 
 
 # --- phi_apply -------------------------------------------------------------------
@@ -375,6 +431,15 @@ def test_conj_by_b_pow_takes_logarithmic_steps():
         assert _count_calls(compositions, lambda: G.conj_by_b_pow((1, 2, 3), j)) == 0
 
 
+def test_a_power_s_composes_no_record_on_gaps_of_one():
+    # Horner steps of gap 1 apply the b^-1 record as it is, and the closing
+    # conjugation by b^-f is by b^0 or b^1 here
+    compositions = G._aut_compose.__code__
+    for edge in ("1-b+b^2", "b^-1-1+b"):
+        s = parse_laurent(edge)
+        assert _count_calls(compositions, lambda: G.a_power_s(s)) == 0
+
+
 def test_base_diagram_check_multiplies_nothing():
     # phi_apply is one collection step, and the square is compared on module
     # parts, so no power of U is built; the four-power composition made 104
@@ -386,9 +451,10 @@ def test_base_diagram_check_multiplies_nothing():
 
 
 def test_base_diagram_check_applies_phi_once_per_sample():
+    # the samples are the generators t, a, a^b and b
     tower = G.tower_build(parse_laurent(e) for e in "1-b+b^2,b,-2-2b^147+5b^311".split(","))
     for data in tower.phis:
-        assert _count_calls(G.phi_apply.__code__, lambda: G._check_base_diagram(data)) == 24
+        assert _count_calls(G.phi_apply.__code__, lambda: G._check_base_diagram(data)) == 4
 
 
 def test_base_diagram_check_rejects_a_corrupted_module_image():
@@ -398,6 +464,41 @@ def test_base_diagram_check_rejects_a_corrupted_module_image():
         bad = dataclasses.replace(data, img_a=data.img_a._replace(n=bad_n))
         with pytest.raises(TheoremViolationError):
             G._check_base_diagram(bad)
+
+
+def test_base_diagram_check_rejects_a_corrupted_ab_image():
+    data = G.phi_build(parse_laurent("1-b+b^2"), 3)
+    m, n = data.img_ab.n
+    for bad_n in ((m - 1, n), (m, n + 1)):
+        bad = dataclasses.replace(data, img_ab=data.img_ab._replace(n=bad_n))
+        with pytest.raises(TheoremViolationError):
+            G._check_base_diagram(bad)
+
+
+def _phi_apply_with_module_shift(monkeypatch, shift):
+    """Make phi_apply add (shift(g), 0) to the module part of every image."""
+    real = G.phi_apply
+
+    def shifted(data, g):
+        img = real(data, g)
+        return img._replace(n=(img.n[0] + shift(g), img.n[1]))
+
+    monkeypatch.setattr(G, "phi_apply", shifted)
+
+
+def test_tower_rejects_a_module_law_that_depends_on_j(monkeypatch, capsys):
+    _phi_apply_with_module_shift(monkeypatch, lambda g: g.j)
+    assert main(["tower", "--edges", "1-b+b^2,1-b+b^2"]) == 2
+    assert "base diagram" in capsys.readouterr().err
+
+
+def test_tower_rejects_a_module_law_that_depends_on_c(monkeypatch, capsys):
+    # t is trivial at level 0, where the shift changes nothing; the second
+    # edge leaves level 2, where t is checked
+    _phi_apply_with_module_shift(monkeypatch, lambda g: g.c)
+    assert main(["tower", "--edges", "1-b+b^2"]) == 0
+    assert main(["tower", "--edges", "1-b+b^2,1-b+b^2"]) == 2
+    assert "base diagram" in capsys.readouterr().err
 
 
 def test_phi_build_commutator_count_does_not_depend_on_k():

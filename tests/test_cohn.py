@@ -162,6 +162,17 @@ def test_bareiss_det_matches_leibniz():
     assert cohn._bareiss_det([[0, 0], [0, 1]]) == 0
 
 
+def test_bareiss_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(22)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:  # zero leading pivots need row swaps
+            mat[0][0] = 0
+        assert cohn._bareiss_det(mat) == sympy.Matrix(mat).det(), mat
+
+
 def test_lift_size_sixteen():
     m = cohn.NilpotentModuleSpec(12)
     rng = random.Random(16)

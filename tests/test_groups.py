@@ -9,6 +9,7 @@ from vltower.laurent import ONE, parse_laurent
 from vltower.localization import Fraction, frac_eq
 from vltower.quadratic import evaluate_at_U, norm, u_pow, vec_mat
 from vltower import groups as G
+from words import eval_word
 
 S = parse_laurent("1-b+b^2")
 H = G.Model.parse("H")
@@ -170,7 +171,7 @@ def test_gamma_level_zero_is_the_base_group():
     rng = random.Random(3)
     for _ in range(200):
         w = random_word(rng, max_len=12, max_b=5)
-        g = G.eval_word(w, H)
+        g = eval_word(w, H)
         assert g.k == 0 and g.c == 0
         assert g == G.word_oracle(w, H)
         assert G.base_form(g) == _semidirect_eval(w)
@@ -216,7 +217,7 @@ def test_oracle_agrees_with_closed_form_all_models():
     for _ in range(800):
         w = random_word(rng)
         for model in models:
-            assert G.word_oracle(w, model) == G.eval_word(w, model)
+            assert G.word_oracle(w, model) == eval_word(w, model)
 
 
 def test_oracle_adversarial_words():
@@ -227,7 +228,7 @@ def test_oracle_adversarial_words():
         [("b", -8), ("a", -2), ("b", 8)],
         [("a", 3), ("b", -5), ("a", -3), ("b", 5)],
     ):
-        assert G.word_oracle(w, G2) == G.eval_word(w, G2)
+        assert G.word_oracle(w, G2) == eval_word(w, G2)
 
 
 # --- the relation exponent and the level maps --------------------------------

@@ -273,6 +273,22 @@ def test_lattice_index_and_membership_against_sympy_hermite_form():
             assert lat.contains((x, y)) == member, (pair, (x, y))
 
 
+def test_norm_against_sympy_determinant():
+    # an independent oracle: det of sum n_i U^i with sympy matrix powers,
+    # negative exponents through U^-1
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Matrix([[0, 1], [1, 3]])
+    u_inv = u.inv()
+    rng = random.Random(17)
+    polys = [parse_laurent(e) for e in ("1-b+b^2", "b^-1-1+b", "b^-2+b^-1-b^300", "-2-2b^147+5b^311", "b^-7", "2")]
+    polys += [LaurentPoly.from_dict({rng.randint(-30, 30): rng.randint(-9, 9) for _ in range(4)}) for _ in range(30)]
+    for s in polys:
+        s_of_u = sympy.zeros(2, 2)
+        for e, c in s.terms:
+            s_of_u += c * (u**e if e >= 0 else u_inv ** (-e))
+        assert norm(s) == s_of_u.det(), s
+
+
 def test_lattice_equality_by_mutual_inclusion():
     # equal stage products carry equal generators, and the lattices they
     # span contain each other's generator rows; a proper sublattice differs
