@@ -358,16 +358,14 @@ def a_power_s(s: LaurentPoly) -> GammaKElem:
     b^e (a^(n_e b^e) ... a^(n_top b^top)) b^-e is A^(n_e) times the same
     conjugate for the next exponent e' > e, conjugated by b^(e - e').
     Prepending A^(n_e) crosses no B, so it adds no center term; one
-    conjugation by b^-f, f the lowest exponent, ends it.  A gap of 1 applies
-    the b^-1 record as it is, with no composition, as ``quadratic._core_pair``
-    does for pairs."""
+    conjugation by b^-f, f the lowest exponent, ends it.  _conj_record
+    composes nothing for a gap of 1."""
     if not s.terms:
         return gamma_identity(None)
     top, m = s.terms[-1]
     c = n = 0
     for e, coeff in reversed(s.terms[:-1]):
-        gap = e - top
-        c, m, n = _aut_apply(_CONJ_B_INV if gap == -1 else _conj_record(gap), (c, m, n))
+        c, m, n = _aut_apply(_conj_record(e - top), (c, m, n))
         m += coeff
         top = e
     c, m, n = conj_by_b_pow((c, m, n), -top)
@@ -559,7 +557,11 @@ def _check_base_diagram(data: PhiData) -> None:
     base_form after phi and the s-action on H = Z^2 x| <b> are both
     homomorphisms from the source group to H, because s(U) commutes with U;
     two homomorphisms that agree on generators are equal, so checking t, a,
-    a^b and b certifies the square for every element.  Each is compared as
+    a^b and b certifies the square for every element.  That argument takes
+    phi_apply to be a homomorphism, which holds because its module part is
+    linear in g.n (m img_a.n + n img_ab.n); neither this check nor the
+    relator checks in phi_build verify it, and a module law that is not
+    linear in g.n can pass here.  Each is compared as
     phi(g).n = g.n s(U): phi fixes j, and U^j is invertible and commutes with
     s(U).  Checking t and b too makes a module law that wrongly depends on c
     or j fail here.

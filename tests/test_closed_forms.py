@@ -32,6 +32,7 @@ from vltower.quadratic import (
     norm,
     two_adic_split,
     u_pow,
+    vec_mat,
 )
 from words import eval_word
 
@@ -432,7 +433,7 @@ def test_conj_by_b_pow_takes_logarithmic_steps():
 
 
 def test_a_power_s_composes_no_record_on_gaps_of_one():
-    # Horner steps of gap 1 apply the b^-1 record as it is, and the closing
+    # _conj_record composes nothing for a gap of 1, and the closing
     # conjugation by b^-f is by b^0 or b^1 here
     compositions = G._aut_compose.__code__
     for edge in ("1-b+b^2", "b^-1-1+b"):
@@ -499,6 +500,19 @@ def test_tower_rejects_a_module_law_that_depends_on_c(monkeypatch, capsys):
     assert main(["tower", "--edges", "1-b+b^2"]) == 0
     assert main(["tower", "--edges", "1-b+b^2,1-b+b^2"]) == 2
     assert "base diagram" in capsys.readouterr().err
+
+
+def test_base_diagram_check_misses_a_module_law_not_linear_in_n(monkeypatch):
+    # the generator certificate takes phi_apply to be a homomorphism; an m*n
+    # cross term vanishes on t, a, a^b and b, so only sampled elements with
+    # m and n both nonzero (test_groups::test_tower_projection_diagram,
+    # test_groups::test_phi_apply_is_a_homomorphism) catch it
+    data = G.phi_build(parse_laurent("1-b+b^2"), 0)
+    s_matrix = evaluate_at_U(data.s)
+    _phi_apply_with_module_shift(monkeypatch, lambda g: g.n[0] * g.n[1])
+    G._check_base_diagram(data)
+    g = G.gamma_make(0, 0, (2, -1), 1)
+    assert G.phi_apply(data, g).n != vec_mat(g.n, s_matrix)
 
 
 def test_phi_build_commutator_count_does_not_depend_on_k():
