@@ -214,7 +214,11 @@ def cmd_witness(args) -> Report:
         if "/" in args.samples:
             samples = [parse_dyadic(tok) for tok in args.samples.split(",")]
         elif args.samples.isdecimal():
-            samples = series.default_center_samples(seed=args.seed)[: int(args.samples)]
+            try:
+                count = int(args.samples)
+            except ValueError:
+                raise PreconditionError(f"sample count of {len(args.samples)} digits is too long") from None
+            samples = series.default_center_samples(seed=args.seed)[:count]
         else:
             raise PreconditionError(f"samples {args.samples!r} are neither a count nor dyadics")
     rep = Report(
@@ -370,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code else 0
     try:
+        if [] in vars(args).values():  # argparse 3.11 reads "--opt=--" as [], past type and choices
+            raise PreconditionError("'--' is not an option value")
         report: Report = args.fn(args)
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import LevelMismatchError, PreconditionError, TheoremViolationError
-from .laurent import ONE, LaurentPoly, divide_exact, require_in_S
+from .laurent import ONE, LaurentPoly, divide_exact, power, require_in_S
 from .localization import Fraction
 from .quadratic import Vec, evaluate_at_U, norm, two_adic_split, u_pow, vec_mat
 
@@ -78,7 +78,10 @@ class Model:
             return cls(None)
         digits = text[5:]
         if text[:5].lower() == "gamma" and digits.isascii() and digits.isdigit():
-            return cls(int(digits))
+            try:
+                return cls(int(digits))
+            except ValueError:
+                raise PreconditionError(f"truncation level of {len(digits)} digits is too long") from None
         raise PreconditionError(f"unknown model {text!r}; use H, G2, or GammaK with K >= 0")
 
     @property
@@ -122,15 +125,7 @@ def _aut_compose(f: Aut, g: Aut) -> Aut:
 def _conj_record(j: int) -> Aut:
     """The record of X |-> b^j X b^-j for j != 0, by square-and-multiply:
     at most 2 log2 |j| compositions, none for j = +-1."""
-    base, e = (_CONJ_B if j > 0 else _CONJ_B_INV), abs(j)
-    while not e & 1:
-        base, e = _aut_compose(base, base), e >> 1
-    out = base
-    while e := e >> 1:
-        base = _aut_compose(base, base)
-        if e & 1:
-            out = _aut_compose(out, base)
-    return out
+    return power(_aut_compose, _CONJ_B if j > 0 else _CONJ_B_INV, abs(j))
 
 
 def conj_by_b_pow(h: Triple, j: int) -> Triple:
@@ -201,15 +196,8 @@ def gamma_pow(x: GammaKElem, e: int) -> GammaKElem:
         c = e * x.c - e * (e - 1) // 2 * m * n
         return GammaKElem(x.k, _center(x.k, c), (e * m, e * n), 0)
     if e < 0:
-        return gamma_pow(gamma_inv(x), -e)
-    out = gamma_identity(x.k)
-    base = x
-    while e:
-        if e & 1:
-            out = gamma_mul(out, base)
-        base = gamma_mul(base, base)
-        e >>= 1
-    return out
+        x, e = gamma_inv(x), -e
+    return power(gamma_mul, x, e) if e else gamma_identity(x.k)
 
 
 def gamma_conj(x: GammaKElem, y: GammaKElem) -> GammaKElem:

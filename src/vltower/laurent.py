@@ -13,6 +13,7 @@ Literal grammar (EBNF), shared with the command line interface::
     sign   = "+" | "-" ;
 
 Whitespace is allowed between tokens.  Examples: ``1-b+b^2``, ``2b^-1 - b^3``.
+``parse_laurent`` reads the grammar one term at a time, with one pattern.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction as _QFrac
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .errors import LaurentParseError, NotInSError, PreconditionError
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers of a general polynomial are not defined")
-        acc = ONE
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return power(LaurentPoly.__mul__, self, n) if n else ONE
 
     def scale(self, n: int) -> "LaurentPoly":
         return LaurentPoly.from_dict({e: n * c for e, c in self.terms})
@@ -140,6 +136,19 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
+def power(mul: Callable[[_T, _T], _T], x: _T, e: int) -> _T:
+    """x^e for e >= 1 under an associative product ``mul``, by
+    square-and-multiply: at most 2 log2 e products, none for e = 1."""
+    while not e & 1:
+        x, e = mul(x, x), e >> 1
+    out = x
+    while e := e >> 1:
+        x = mul(x, x)
+        if e & 1:
+            out = mul(out, x)
+    return out
+
+
 ZERO = LaurentPoly()
 ONE = LaurentPoly.constant(1)
 B = LaurentPoly.monomial(1)
@@ -161,79 +170,31 @@ def require_in_S(s: LaurentPoly) -> LaurentPoly:
     return s
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<b>b)|(?P<caret>\^)|(?P<star>\*)|(?P<sign>[+-]))")
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?:(?P<mag>\d+)\s*\*?\s*)?(?P<b>b(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>\d+))?)?\s*"
+)
 
 
 def parse_laurent(text: str) -> LaurentPoly:
-    """Parse a Laurent polynomial literal.  See the module docstring for the grammar."""
-    pos = 0
-    n = len(text)
-    tokens: list[tuple[str, str, int]] = []
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise LaurentParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-
+    """Parse a Laurent polynomial literal; the module docstring has the grammar."""
     coeffs: dict[int, int] = {}
-    i = 0
-
-    def peek(kind: str) -> bool:
-        return i < len(tokens) and tokens[i][0] == kind
-
-    def expect(kind: str) -> tuple[str, int]:
-        nonlocal i
-        if not peek(kind):
-            where = tokens[i][2] if i < len(tokens) else n
-            raise LaurentParseError(f"expected {kind}", where)
-        _, val, at = tokens[i]
-        i += 1
-        return val, at
-
-    first = True
-    while i < len(tokens):
-        sign = 1
-        if peek("sign"):
-            val, _ = expect("sign")
-            sign = -1 if val == "-" else 1
-        elif not first:
-            raise LaurentParseError("expected '+' or '-' between terms", tokens[i][2])
-        first = False
-
-        mag: int | None = None
-        if peek("int"):
-            mag = int(expect("int")[0])
-            if peek("star"):
-                expect("star")
-        exp = 0
-        has_b = False
-        if peek("b"):
-            expect("b")
-            has_b = True
-            exp = 1
-            if peek("caret"):
-                expect("caret")
-                esign = 1
-                if peek("sign"):
-                    v, at = expect("sign")
-                    if v == "+":
-                        raise LaurentParseError("exponent sign must be '-' or absent", at)
-                    esign = -1
-                ev, _ = expect("int")
-                exp = esign * int(ev)
-        if mag is None and not has_b:
-            where = tokens[i][2] if i < len(tokens) else n
-            raise LaurentParseError("expected a coefficient or 'b'", where)
-        coeff = sign * (1 if mag is None else mag)
-        coeffs[exp] = coeffs.get(exp, 0) + coeff
-
-    if first:
-        raise LaurentParseError("empty polynomial literal", 0)
-    return LaurentPoly.from_dict(coeffs)
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if not (m["mag"] or m["b"]):
+            raise LaurentParseError("expected a coefficient or 'b'", m.end())
+        if pos and not m["sign"]:
+            raise LaurentParseError("expected '+' or '-' between terms", pos)
+        try:
+            mag = int(m["mag"] or 1)
+            exp = int(m["exp"] or 1) if m["b"] else 0
+        except ValueError:
+            raise LaurentParseError("integer too long", pos) from None
+        exp = -exp if m["neg"] else exp
+        coeffs[exp] = coeffs.get(exp, 0) + (-mag if m["sign"] == "-" else mag)
+        pos = m.end()
+        if pos == len(text):
+            return LaurentPoly.from_dict(coeffs)
 
 
 def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPoly]:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .laurent import LaurentPoly, enumerate_S, require_in_S
+from .laurent import LaurentPoly, enumerate_S, power, require_in_S
 
 Vec = tuple[int, int]
 
@@ -83,15 +83,8 @@ def _u_pair(i: int) -> tuple[int, int]:
     at most 2 log2 |i| pair products, none for i = 0 or +-1."""
     if not i:
         return 1, 0
-    base, e = ((0, 1) if i > 0 else (-3, 1)), abs(i)  # U, or U^-1 = U - 3I by Cayley-Hamilton
-    while not e & 1:
-        base, e = _pair_mul(base, base), e >> 1
-    out = base
-    while e := e >> 1:
-        base = _pair_mul(base, base)
-        if e & 1:
-            out = _pair_mul(out, base)
-    return out
+    # U, or U^-1 = U - 3I by Cayley-Hamilton
+    return power(_pair_mul, (0, 1) if i > 0 else (-3, 1), abs(i))
 
 
 def _pair_mat(alpha: int, beta: int) -> Mat2:

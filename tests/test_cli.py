@@ -1,10 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vltower import groups
 from vltower.cli import main
@@ -230,6 +233,14 @@ def test_report_pass_reflects_claims():
         ["lcs", "--model", "H", "--transfinite", "5"],
         ["lcs", "--model", "G2", "--transfinite", "3"],
         ["lcs", "--model", "Gamma2", "--depth", "1", "--gamma-omega"],
+        # digit strings past int()'s 4,300-digit limit
+        ["lcs", "--model", "Gamma" + "1" * 5000],
+        ["witness", "--edges", "1-b+b^2", "--samples", "1" * 5000],
+        ["norm", "--s", "1" * 5000],
+        ["tower", "--edges", "1-b+b^2,b^" + "1" * 4301],
+        # "--opt=--" gives an empty list of values
+        ["norm", "--s=--"],
+        ["tower", "--edges", "1-b+b^2", "--checks=--"],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
@@ -338,3 +349,73 @@ def test_tower_full_checks_build_a_power_s_twice_per_edge(capsys):
     capsys.readouterr()
     assert rc == 0
     assert calls <= 6
+
+
+DIGITS = "0123456789"
+digit_strings = st.one_of(
+    st.text(DIGITS, min_size=1, max_size=6),
+    st.builds(str.__mul__, st.sampled_from(DIGITS), st.integers(1, 5000)),
+)
+# Token soup with at most three digits in a row, plus exponents past the
+# 4,300-digit limit.  A b-exponent is a work bound like --J: U^e has entries
+# of about e/2 digits, so a level map for b^(10^6) takes tens of seconds.
+literals = st.one_of(
+    st.lists(st.sampled_from(list(DIGITS + "b^*+- \tx,") + ["b^-3", "b ^ - 4", "3*b^2", "1-b+b^2"]), max_size=8)
+    .map("".join)
+    .filter(lambda text: not re.search(r"\d{4}", text)),
+    st.sampled_from(["1-b+b^2", "b", "2b-b^3", "b^-2+b^-1-b^300", "-2-2b^147+5b^227", "2b", "1-b"]),
+    digit_strings,
+    st.builds("b^{}".format, st.text(DIGITS, min_size=4301, max_size=5000)),
+)
+dyadics = st.builds("{}/{}".format, st.integers(-9, 9), st.sampled_from(["1", "2", "3", "8", "1024", "0"]))
+samples = st.one_of(
+    digit_strings,
+    st.lists(st.one_of(dyadics, literals), min_size=1, max_size=3).map(",".join),
+)
+# K is the length of the transfinite chain, so it is a loop bound too.
+models = st.one_of(
+    st.sampled_from(["H", "G2", "Gamma0", "gamma3", "Gamma12", "Gamma-1", "Gamma 2", "Gammax", ""]),
+    st.builds("Gamma{}".format, st.text(DIGITS, min_size=4301, max_size=5000)),
+    digit_strings,
+    literals,
+)
+
+
+def _command(name, required, optional):
+    """argv for one subcommand: every required flag, each optional flag drawn or left out."""
+    return st.builds(
+        lambda flags, fmt: [name, *[f"--{k}={v}" for k, v in flags.items()], "--format", fmt],
+        st.fixed_dictionaries(required, optional=optional),
+        st.sampled_from(["json", "text"]),
+    )
+
+
+small = st.integers(-2, 3)
+argvs = st.one_of(
+    _command("norm", {"s": literals}, {}),
+    _command("parity-verify", {"max-span": st.integers(-1, 3), "max-coeff": st.integers(-1, 4)}, {}),
+    _command("phi-check", {"s": literals}, {"k": st.integers(-2, 12)}),
+    _command("tower", {"edges": literals}, {"checks": st.sampled_from(["basic", "full"])}),
+    st.builds(
+        lambda argv, omega: argv + ["--gamma-omega"] * omega,
+        _command("lcs", {"model": models}, {"depth": st.integers(-2, 12), "transfinite": st.integers(-2, 12)}),
+        st.booleans(),
+    ),
+    _command("witness", {"edges": literals}, {"J": st.integers(-2, 10), "samples": samples, "seed": small}),
+    _command(
+        "cohn",
+        {"m": st.integers(-1, 8)},
+        {"n": st.integers(-1, 4), "trials": st.integers(-1, 3), "deg": small, "coherence": small, "seed": small},
+    ),
+)
+
+
+@given(argvs)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_valid_argv_exits_cleanly(capsys, argv):
+    capsys.readouterr()
+    rc, out, err = run(capsys, argv)
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -39,6 +40,82 @@ def ref_enumerate_S(max_degree_span, max_abs_coeff):
     return [LaurentPoly.from_dict(dict(enumerate(t))) for t in found]
 
 
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<b>b)|(?P<caret>\^)|(?P<star>\*)|(?P<sign>[+-]))")
+
+
+def ref_parse_laurent(text: str) -> LaurentPoly:
+    """The parser before it read one term at a time: a token list and an
+    LL(1) parser over it."""
+    pos = 0
+    n = len(text)
+    tokens: list[tuple[str, str, int]] = []
+    while pos < n:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise LaurentParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+
+    coeffs: dict[int, int] = {}
+    i = 0
+
+    def peek(kind: str) -> bool:
+        return i < len(tokens) and tokens[i][0] == kind
+
+    def expect(kind: str) -> tuple[str, int]:
+        nonlocal i
+        if not peek(kind):
+            where = tokens[i][2] if i < len(tokens) else n
+            raise LaurentParseError(f"expected {kind}", where)
+        _, val, at = tokens[i]
+        i += 1
+        return val, at
+
+    first = True
+    while i < len(tokens):
+        sign = 1
+        if peek("sign"):
+            val, _ = expect("sign")
+            sign = -1 if val == "-" else 1
+        elif not first:
+            raise LaurentParseError("expected '+' or '-' between terms", tokens[i][2])
+        first = False
+
+        mag: int | None = None
+        if peek("int"):
+            mag = int(expect("int")[0])
+            if peek("star"):
+                expect("star")
+        exp = 0
+        has_b = False
+        if peek("b"):
+            expect("b")
+            has_b = True
+            exp = 1
+            if peek("caret"):
+                expect("caret")
+                esign = 1
+                if peek("sign"):
+                    v, at = expect("sign")
+                    if v == "+":
+                        raise LaurentParseError("exponent sign must be '-' or absent", at)
+                    esign = -1
+                ev, _ = expect("int")
+                exp = esign * int(ev)
+        if mag is None and not has_b:
+            where = tokens[i][2] if i < len(tokens) else n
+            raise LaurentParseError("expected a coefficient or 'b'", where)
+        coeff = sign * (1 if mag is None else mag)
+        coeffs[exp] = coeffs.get(exp, 0) + coeff
+
+    if first:
+        raise LaurentParseError("empty polynomial literal", 0)
+    return LaurentPoly.from_dict(coeffs)
+
+
 def test_parse_examples():
     assert parse_laurent("1-b+b^2").coeffs == {0: 1, 1: -1, 2: 1}
     assert parse_laurent("b").coeffs == {1: 1}
@@ -53,11 +130,34 @@ def test_parse_more_syntax():
     assert parse_laurent("+b") == B
 
 
-@pytest.mark.parametrize("bad", ["", "b^", "1++2", "x", "2^3", "1 2", "b^+2"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "b^", "1++2", "x", "2^3", "1 2", "b^+2", "*b", "b b", "2**b", "b^--2", "-"]
+    + [pytest.param("1" * 5000, id="5000-digit coefficient")],
+)
 def test_parse_errors_carry_position(bad):
     with pytest.raises(LaurentParseError) as err:
         parse_laurent(bad)
     assert err.value.position >= 0
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except LaurentParseError:
+        return LaurentParseError
+
+
+soup = st.lists(
+    st.sampled_from(list("0123456789b^*+- \tx") + ["b^-3", "b ^ - 4", "3*b^2", "b^+2", "12", "b^", "2b"]),
+    max_size=12,
+).map("".join)
+
+
+@given(soup)
+@settings(max_examples=400)
+def test_parser_matches_token_parser(text):
+    assert _outcome(parse_laurent, text) == _outcome(ref_parse_laurent, text)
 
 
 @given(polys)
