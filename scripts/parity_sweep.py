@@ -12,8 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vltower.laurent import enumerate_S
-from vltower.quadratic import norm, predicted_parity
+from vltower.quadratic import verify_parity_range
 
 
 def main() -> int:
@@ -34,21 +33,14 @@ def main() -> int:
     for span in range(0, args.max_span + 1):
         for coeff in range(1, args.max_coeff + 1):
             t0 = time.monotonic()
-            checked = even = 0
-            bad: list[str] = []
-            for s in enumerate_S(span, coeff):
-                parity = norm(s) % 2
-                checked += 1
-                even += parity == 0
-                if predicted_parity(s) != parity:
-                    bad.append(str(s))
+            rep = verify_parity_range(span, coeff)
             dt = time.monotonic() - t0
             print(
-                f"{span:>4} {coeff:>5} {checked:>9} {even:>8} "
-                f"{checked - even:>8} {len(bad):>4} {dt:>6.2f}"
+                f"{span:>4} {coeff:>5} {rep.checked:>9} {rep.even:>8} "
+                f"{rep.checked - rep.even:>8} {len(rep.counterexamples):>4} {dt:>6.2f}"
             )
-            if bad:
-                print("counterexamples:", ", ".join(bad))
+            if rep.counterexamples:
+                print("counterexamples:", ", ".join(rep.counterexamples))
                 return 2
     return 0
 

@@ -29,10 +29,21 @@ def _parse_edges(text: str) -> list[LaurentPoly]:
     return edges
 
 
+def _require_printable(*norms: int) -> None:
+    """Reject a norm with more digits than Python turns into text (4,300 by
+    default), which the report could not print."""
+    for n in norms:
+        try:
+            str(n)
+        except ValueError:
+            raise PreconditionError(f"a norm of {n.bit_length()} bits has too many digits to print") from None
+
+
 def cmd_norm(args) -> Report:
     s = parse_laurent(args.s)
     rep = Report("norm", {"s": str(s)})
     nd = norm_data(s)
+    _require_printable(nd.norm)
     rep.add(
         "norm.value",
         f"|s| = {nd.norm} with 2-adic split (p, v) = ({nd.p}, {nd.v})",
@@ -75,6 +86,7 @@ def cmd_phi_check(args) -> Report:
     s = parse_laurent(args.s)
     rep = Report("phi-check", {"s": str(s), "k": args.k})
     data = phi_build(s, args.k)
+    _require_printable(data.norm)
     rep.add(
         "phi.build",
         f"level map built: source {data.source_k}, target {data.target_k}, "
@@ -122,6 +134,7 @@ def cmd_tower(args) -> Report:
     edges = _parse_edges(args.edges)
     rep = Report("tower", {"edges": [str(e) for e in edges], "checks": args.checks})
     tower = tower_build(edges)
+    _require_printable(*(data.norm for data in tower.phis))
     rep.add(
         "tower.built",
         f"levels {list(tower.levels)}",

@@ -197,6 +197,56 @@ def parse_laurent(text: str) -> LaurentPoly:
             return LaurentPoly.from_dict(coeffs)
 
 
+def _head_groups(
+    max_degree_span: int, max_abs_coeff: int
+) -> Iterator[tuple[int, int, tuple[int, ...], int, range]]:
+    """The walk behind ``enumerate_S``, one head group at a time.
+
+    A group is ``(f, d, head, r, ms)``: offset f, span d, the head
+    coefficients (n_f, ..., n_{f+d-2}), R = 1 - (sum of the head) and the
+    ascending range of the last middle coefficient m.  Its elements are, for
+    each m in ms other than R,
+
+        b^f (head(b) + m b^(d-1) + (R - m) b^d),
+
+    and every one of them is in the window: m = R is exactly the choice that
+    leaves n_{f+d} = 0.  The groups come in the order of ``enumerate_S``.
+    Span 0 is the group (f, 0, (), 1, {0}), whose one element is b^f, and
+    span 1 the group (f, 1, (), 1, ms) with ms the leading coefficients n
+    whose partner 1 - n is within the bound.
+    """
+    if max_degree_span < 0 or max_abs_coeff < 0:
+        raise PreconditionError("bounds must be nonnegative")
+    c = max_abs_coeff
+    width = max_degree_span + 1
+    if c:
+        for f in reversed(range(width)):
+            yield f, 0, (), 1, range(1)
+    rng = range(-c, c + 1)
+    for d in range(1, width):
+        offsets = range(width - d)
+        for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
+            for f in fs:
+                if d == 1:
+                    yield f, 1, (), 1, range(max(leads.start, 1 - c), min(leads.stop, 2 + c))
+                    continue
+                for head in itertools.product(leads, *[rng] * (d - 2)):
+                    r = 1 - sum(head)
+                    yield f, d, head, r, range(max(-c, r - c), min(c, r + c) + 1)
+
+
+def _head_terms(f: int, head: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple([(f + i, n) for i, n in enumerate(head) if n])
+
+
+def _group_element(f: int, d: int, terms: tuple[tuple[int, int], ...], r: int, m: int) -> LaurentPoly:
+    """The element of a head group with last middle coefficient m (m != R);
+    ``terms`` are the head's canonical terms, from ``_head_terms``."""
+    if m:
+        return LaurentPoly(terms + ((f + d - 1, m), (f + d, r - m)))
+    return LaurentPoly(terms + ((f + d, r),))
+
+
 def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPoly]:
     """Enumerate S-elements with support in [0, max_degree_span], coefficients
     in [-max_abs_coeff, max_abs_coeff].
@@ -215,36 +265,14 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     the head (n_f, ..., n_{f+d-2}) only, with R = 1 - (sum of the head).  The
     last middle coefficient m then ascends over [max(-c, R - c), min(c, R + c)]
     with m = R skipped, which is exactly the set of m with n_{f+d} = R - m
-    nonzero and in [-c, c], so every core that is built is kept.
+    nonzero and in [-c, c], so every core that is built is kept.  That walk
+    is ``_head_groups``; this function expands each group into its elements.
     """
-    if max_degree_span < 0 or max_abs_coeff < 0:
-        raise PreconditionError("bounds must be nonnegative")
-    c = max_abs_coeff
-    width = max_degree_span + 1
-    if c:
-        for f in reversed(range(width)):
-            yield LaurentPoly(((f, 1),))
-    rng = range(-c, c + 1)
-    for d in range(1, width):
-        offsets = range(width - d)
-        for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
-            for f in fs:
-                if d == 1:
-                    for n in leads:
-                        if n != 1 and -c <= 1 - n <= c:
-                            yield LaurentPoly(((f, n), (f + 1, 1 - n)))
-                    continue
-                m_at, last_at = f + d - 1, f + d
-                for head in itertools.product(leads, *[rng] * (d - 2)):
-                    r = 1 - sum(head)
-                    terms = tuple([(f + i, n) for i, n in enumerate(head) if n])
-                    for m in range(max(-c, r - c), min(c, r + c) + 1):
-                        if m == r:
-                            continue
-                        if m:
-                            yield LaurentPoly(terms + ((m_at, m), (last_at, r - m)))
-                        else:
-                            yield LaurentPoly(terms + ((last_at, r),))
+    for f, d, head, r, ms in _head_groups(max_degree_span, max_abs_coeff):
+        terms = _head_terms(f, head)
+        for m in ms:
+            if m != r:
+                yield _group_element(f, d, terms, r, m)
 
 
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .laurent import LaurentPoly, enumerate_S, power, require_in_S
+from .laurent import LaurentPoly, _group_element, _head_groups, _head_terms, power, require_in_S
 
 Vec = tuple[int, int]
 
@@ -128,16 +128,21 @@ def evaluate_at_U(s: LaurentPoly) -> Mat2:
     return _pair_mat(alpha, beta)
 
 
+def _norm_form(alpha: int, beta: int, f: int = 0) -> int:
+    """det((alpha I + beta U) U^f) = (-1)^f (alpha^2 + 3 alpha beta - beta^2),
+    because det U = -1."""
+    n = alpha * alpha + 3 * alpha * beta - beta * beta
+    return -n if f & 1 else n
+
+
 def norm(s: LaurentPoly) -> int:
     """det of s evaluated at U; multiplicative, and nonzero on S.
 
-    Taken from the core pair as (-1)^f (alpha^2 + 3 alpha beta - beta^2),
-    because det U = -1: no power of U is built for the lowest exponent f,
-    so norm(b^f) costs nothing whatever the size of f.
+    Taken from the core pair with the sign (-1)^f: no power of U is built
+    for the lowest exponent f, so norm(b^f) costs nothing whatever the size
+    of f.
     """
-    alpha, beta, f = _core_pair(s)
-    n = alpha * alpha + 3 * alpha * beta - beta * beta
-    return -n if f & 1 else n
+    return _norm_form(*_core_pair(s))
 
 
 def two_adic_split(n: int) -> tuple[int, int]:
@@ -165,6 +170,12 @@ def norm_data(s: LaurentPoly) -> NormData:
     return NormData(s, n, p, v)
 
 
+def _pair_parity(n0: int, n1: int, n2: int) -> int:
+    """1 + N0 N1 + N0 N2 + N1 N2 mod 2, from the class sums N_c of the
+    coefficients n_i over i = c mod 3."""
+    return (1 + n0 * n1 + n0 * n2 + n1 * n2) % 2
+
+
 def predicted_parity(s: LaurentPoly) -> int:
     """Predicted value of |s| mod 2 from the coefficient pair formula.
 
@@ -179,10 +190,9 @@ def predicted_parity(s: LaurentPoly) -> int:
     sums = [0, 0, 0]
     for e, c in s.terms:
         sums[e % 3] += c
-    n0, n1, n2 = sums
-    if n0 + n1 + n2 != 1:
+    if sum(sums) != 1:
         require_in_S(s)
-    return (1 + n0 * n1 + n0 * n2 + n1 * n2) % 2
+    return _pair_parity(*sums)
 
 
 @dataclass(frozen=True)
@@ -193,6 +203,7 @@ class ParityReport:
     max_abs_coeff: int
     checked: int
     counterexamples: tuple[str, ...]
+    even: int
 
     @property
     def ok(self) -> bool:
@@ -201,20 +212,54 @@ class ParityReport:
 
 def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityReport:
     """Compare predicted_parity against the determinant parity on all of
-    enumerate_S(max_degree_span, max_abs_coeff).
+    enumerate_S(max_degree_span, max_abs_coeff), in its order.
+
+    The window is walked one head group at a time (``laurent._head_groups``):
+    the elements b^f (head(b) + m b^(d-1) + (R - m) b^d) of a group share
+    everything but m.  Each head is evaluated once, to its pair (alpha, beta)
+    by Horner's rule and its class sums (N0, N1, N2) by exponent mod 3; with
+    the pairs of U^(d-1) and U^d from a table built once per window, an
+    element's pair and class sums are then linear in m.  So every element
+    costs the norm form with sign (-1)^f, the pair formula and a handful of
+    integer products, and no LaurentPoly is built; a counterexample is
+    rendered as str(s) only when its parities differ.
 
     A coefficient bound of 0 is rejected: that window holds no S-element,
     and a check over nothing would pass vacuously.
     """
     if max_abs_coeff == 0:
         raise PreconditionError("coefficient bound 0 leaves no S-element to check")
+    form, parity = _norm_form, _pair_parity
+    powers = [_u_pair(k) for k in range(-1, max_degree_span + 1)]  # U^k at index k + 1
     bad: list[str] = []
-    checked = 0
-    for s in enumerate_S(max_degree_span, max_abs_coeff):
-        checked += 1
-        if predicted_parity(s) != norm(s) % 2:
-            bad.append(str(s))
-    return ParityReport(max_degree_span, max_abs_coeff, checked, tuple(bad))
+    checked = odd = 0
+    for f, d, head, r, ms in _head_groups(max_degree_span, max_abs_coeff):
+        alpha = beta = 0
+        for n in reversed(head):  # Horner: the pair of head(U)
+            alpha, beta = beta + n, alpha + 3 * beta
+        sums = [0, 0, 0]
+        for e, n in enumerate(head, f):
+            sums[e % 3] += n
+        # The element with last middle coefficient m has the pair
+        # head(U) + m U^(d-1) + (R - m) U^d = (a0, b0) + m (da, db), and the
+        # class sums (sums, R added at class f + d) + m (step).
+        (pa, pb), (qa, qb) = powers[d], powers[d + 1]
+        a0, b0, da, db = alpha + r * qa, beta + r * qb, pa - qa, pb - qb
+        lo, hi = (f + d - 1) % 3, (f + d) % 3
+        sums[hi] += r
+        step = [0, 0, 0]
+        step[lo], step[hi] = 1, -1
+        n0, n1, n2 = sums
+        s0, s1, s2 = step
+        for m in ms:
+            if m == r:
+                continue
+            v = form(a0 + m * da, b0 + m * db, f) & 1
+            odd += v
+            if parity(n0 + m * s0, n1 + m * s1, n2 + m * s2) != v:
+                bad.append(str(_group_element(f, d, _head_terms(f, head), r, m)))
+        checked += len(ms) - (r in ms)
+    return ParityReport(max_degree_span, max_abs_coeff, checked, tuple(bad), checked - odd)
 
 
 class Lattice:
@@ -256,8 +301,7 @@ class Lattice:
         return f"Lattice{self.pair!r}"
 
     def _det(self) -> int:
-        alpha, beta = self.pair
-        return alpha * alpha + 3 * alpha * beta - beta * beta
+        return _norm_form(*self.pair)
 
     def contains(self, v: Vec) -> bool:
         """v = w (alpha I + beta U) for an integer row w: v adj divisible by

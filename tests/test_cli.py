@@ -207,6 +207,9 @@ def test_report_pass_reflects_claims():
     assert not rep.passed
 
 
+_HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -241,6 +244,11 @@ def test_report_pass_reflects_claims():
         # "--opt=--" gives an empty list of values
         ["norm", "--s=--"],
         ["tower", "--edges", "1-b+b^2", "--checks=--"],
+        # |9...9 b - 9...8| with 2,200-digit coefficients has about 4,400
+        # digits, past the 4,300 that Python turns into text
+        ["norm", "--s", _HUGE_NORM],
+        ["phi-check", "--s", _HUGE_NORM],
+        ["tower", "--edges", _HUGE_NORM],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

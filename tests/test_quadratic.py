@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_closed_forms import ref_in_row_span
 
+from vltower import quadratic
+from vltower.cli import main
 from vltower.errors import NotInSError, PreconditionError
 from vltower.laurent import LaurentPoly, enumerate_S, parse_laurent
 from vltower.quadratic import (
@@ -192,6 +195,66 @@ def test_verify_parity_range_no_counterexamples(span, coeff):
     assert rep.counterexamples == ()
     if (span, coeff) == (0, 1):
         assert rep.checked == 1  # exactly s = 1
+
+
+def ref_parity_report(span, coeff):
+    """The window check one element at a time: (checked, even, counterexamples)."""
+    checked = even = 0
+    bad = []
+    for s in enumerate_S(span, coeff):
+        parity = norm(s) % 2
+        checked += 1
+        even += parity == 0
+        if predicted_parity(s) != parity:
+            bad.append(str(s))
+    return checked, even, tuple(bad)
+
+
+def test_grouped_parity_check_matches_the_element_loop():
+    for span in range(6):
+        for coeff in range(1, 4):
+            rep = verify_parity_range(span, coeff)
+            assert (rep.checked, rep.even, rep.counterexamples) == ref_parity_report(span, coeff)
+            assert (rep.max_degree_span, rep.max_abs_coeff) == (span, coeff)
+
+
+@pytest.mark.parametrize("span,coeff", [(0, 2), (1, 3), (3, 2), (4, 3)])
+def test_grouped_parity_check_takes_each_norm_in_window_order(monkeypatch, span, coeff):
+    expected = [norm(s) for s in enumerate_S(span, coeff)]
+    seen = []
+    form = quadratic._norm_form
+
+    def spy(*args):
+        seen.append(form(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(quadratic, "_norm_form", spy)
+    verify_parity_range(span, coeff)
+    assert seen == expected
+
+
+def _without_n1_n2(n0, n1, n2):
+    # 1 + N0 (N1 + N2) = 1 + N0 (1 - N0) on S: predicts odd everywhere
+    return (1 + n0 * n1 + n0 * n2) % 2
+
+
+def _plus_n0(n0, n1, n2):
+    # wrong exactly where N0 is odd, so it tells the classes apart
+    return (1 + n0 * n1 + n0 * n2 + n1 * n2 + n0) % 2
+
+
+@pytest.mark.parametrize("fault", [_without_n1_n2, _plus_n0])
+def test_planted_parity_fault_gives_the_element_loop_counterexamples(monkeypatch, capsys, fault):
+    monkeypatch.setattr(quadratic, "_pair_parity", fault)
+    for span, coeff in [(2, 2), (3, 2), (4, 3)]:
+        rep = verify_parity_range(span, coeff)
+        checked, even, bad = ref_parity_report(span, coeff)
+        assert bad and rep.counterexamples == bad
+        assert (rep.checked, rep.even) == (checked, even)
+    assert main(["parity-verify", "--max-span", "3", "--max-coeff", "2", "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert doc["claims"][0]["data"]["counterexamples"] == list(ref_parity_report(3, 2)[2])
 
 
 # --- lattices ---------------------------------------------------------------
