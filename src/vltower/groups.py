@@ -25,19 +25,23 @@ Horner's rule on triples from the top term down.
 The kernel is logarithmic in every exponent; its closed forms are the Deep
 Thought collection polynomials of this class-2 group (Leedham-Green and
 Soicher, Symbolic collection using Deep Thought, LMS J. Comput. Math. 1,
-1998).  Moving A^m2 left past B^n1 costs t^(-m2 n1), so a b-free power is
-(t^c A^m B^n)^e = t^(e c - C(e,2) m n) A^(e m) B^(e n) for every integer e.
-Conjugation by b^j is the class-2 automorphism fixed by t |-> t^((-1)^j) and
-the images of A and B, stored as a record of those images and applied with
-the same product law; the record of b^j is built by squaring and composing
-those of b and b^-1.  A level map is the same kind of record on the b-free
-part, with t |-> t^|s|, and fixes b; for x = t^|s|, once [x, b] = x^-2, the
-k-fold [x, b, ..., b] is x^((-2)^k).  A tower edge certifies the bottom
-square of its diagram on the generators t, a, a^b and b: both ways round
-the square are homomorphisms to H, so agreement there is agreement
-everywhere.  The independent ``word_oracle`` never uses these aggregate
-forms: it evaluates words letter by letter.  It and ``base_form`` are kept
-as the references the tests check the kernel against; no claim calls them.
+1998).  The b-free law on triples (c, m, n) = t^c A^m B^n is written once
+and ``gamma_*`` is built on it.  Moving A^m2 left past B^n1 costs t^(-m2 n1),
+so a b-free power is (t^c A^m B^n)^e = t^(e c - C(e,2) m n) A^(e m) B^(e n)
+for every integer e.  Conjugation by b^j is the class-2 automorphism fixed by
+t |-> t^((-1)^j) and the images of A and B, stored as a record of those
+images and applied with the same product law; the record of b^j is built by
+squaring and composing those of b and b^-1.  A level map is the same kind of
+record on the b-free part, with t |-> t^|s|, and fixes b; for x = t^|s|,
+once [x, b] = x^-2, the k-fold [x, b, ..., b] is x^((-2)^k).  The relators
+of a level map, its second-homology certificate and the witness links are
+checked on b-free triples, with one record application per conjugation by b.
+A tower edge certifies the bottom square of its diagram on the generators
+t, a, a^b and b: both ways round the square are homomorphisms to H, so
+agreement there is agreement everywhere.  The independent ``word_oracle``
+never uses these aggregate forms: it evaluates words letter by letter.  It
+and ``base_form`` are kept as the references the tests check the kernel
+against; no claim calls them.
 """
 
 from __future__ import annotations
@@ -133,6 +137,47 @@ def conj_by_b_pow(h: Triple, j: int) -> Triple:
     return _aut_apply(_conj_record(j), h) if j else h
 
 
+def free_mul(x: Triple, y: Triple) -> Triple:
+    """Moving A^m2 left past B^n1 costs t^(-m2*n1), one BA -> AB t^-1 swap at a time."""
+    c1, m1, n1 = x
+    c2, m2, n2 = y
+    return (c1 + c2 - m2 * n1, m1 + m2, n1 + n2)
+
+
+def free_inv(x: Triple) -> Triple:
+    c, m, n = x
+    return (-c - m * n, -m, -n)
+
+
+def free_pow(x: Triple, e: int) -> Triple:
+    c, m, n = x
+    return (e * c - e * (e - 1) // 2 * m * n, e * m, e * n)
+
+
+def free_comm(x: Triple, y: Triple) -> Triple:
+    """[x, y] = x^-1 y^-1 x y, evaluated as (y x)^-1 (x y)."""
+    return free_mul(free_inv(free_mul(y, x)), free_mul(x, y))
+
+
+def conj_b(x: Triple) -> Triple:
+    """x^b = b^-1 x b, one application of the record of b^-1."""
+    return _aut_apply(_CONJ_B_INV, x)
+
+
+def comm_b(x: Triple) -> Triple:
+    """[x, b] = x^-1 x^b."""
+    return free_mul(free_inv(x), conj_b(x))
+
+
+def free_eq(x: Triple, y: Triple, k: int | None) -> bool:
+    """x = y at center level k.  The b-free law reduces centers mod 2**k only
+    here, and that gives the verdict of the level-k kernel, which reduces after
+    every step: each step sends the center to an integer polynomial in c, m, n
+    (c enters with multiplier +-1, or e in a power) and never feeds c into the
+    module part, so reducing mod 2**k commutes with it."""
+    return x[1:] == y[1:] and _center(k, x[0] - y[0]) == 0
+
+
 # ---------------------------------------------------------------------------
 # the class-2 kernel: t^c A^m B^n b^j at center level k
 
@@ -174,39 +219,23 @@ def gamma_gen(k: int | None, name: str) -> GammaKElem:
 def gamma_mul(x: GammaKElem, y: GammaKElem) -> GammaKElem:
     if x.k != y.k:
         raise LevelMismatchError(f"levels {x.k} and {y.k}")
-    c2, m2, n2 = conj_by_b_pow((y.c, *y.n), x.j)
-    m1, n1 = x.n
-    # Moving A^m2 left past B^n1 costs t^(-m2*n1), one BA -> AB t^-1 swap at a time.
-    c = x.c + c2 - m2 * n1
-    return GammaKElem(x.k, _center(x.k, c), (m1 + m2, n1 + n2), x.j + y.j)
+    c, m, n = free_mul((x.c, *x.n), conj_by_b_pow((y.c, *y.n), x.j))
+    return GammaKElem(x.k, _center(x.k, c), (m, n), x.j + y.j)
 
 
 def gamma_inv(x: GammaKElem) -> GammaKElem:
-    m, n = x.n
-    c, m, n = conj_by_b_pow((-x.c - m * n, -m, -n), -x.j)
+    c, m, n = conj_by_b_pow(free_inv((x.c, *x.n)), -x.j)
     return GammaKElem(x.k, _center(x.k, c), (m, n), -x.j)
 
 
 def gamma_pow(x: GammaKElem, e: int) -> GammaKElem:
-    """x^e for every integer e.  A b-free x = t^c A^m B^n has the closed form
-    t^(e c - C(e,2) m n) A^(e m) B^(e n); square-and-multiply is left only
-    for elements with a b part."""
+    """x^e for every integer e; square-and-multiply only for elements with a b part."""
     if not x.j:
-        m, n = x.n
-        c = e * x.c - e * (e - 1) // 2 * m * n
-        return GammaKElem(x.k, _center(x.k, c), (e * m, e * n), 0)
+        c, m, n = free_pow((x.c, *x.n), e)
+        return GammaKElem(x.k, _center(x.k, c), (m, n), 0)
     if e < 0:
         x, e = gamma_inv(x), -e
     return power(gamma_mul, x, e) if e else gamma_identity(x.k)
-
-
-def gamma_conj(x: GammaKElem, y: GammaKElem) -> GammaKElem:
-    return gamma_mul(gamma_inv(y), gamma_mul(x, y))
-
-
-def gamma_comm(x: GammaKElem, y: GammaKElem) -> GammaKElem:
-    """[x, y] = x^-1 y^-1 x y, evaluated as (y x)^-1 (x y)."""
-    return gamma_mul(gamma_inv(gamma_mul(y, x)), gamma_mul(x, y))
 
 
 def base_form(x: GammaKElem) -> tuple[Vec, int]:
@@ -371,15 +400,15 @@ def relator_defect(s: LaurentPoly) -> tuple[int, int, GammaKElem]:
     require_in_S(s)
     x = a_power_s(s)
     y = a_power_s(s.scale(3))
-    b = gamma_gen(None, "b")
-    lhs = gamma_conj(gamma_conj(x, b), b)
-    rhs = gamma_mul(x, gamma_conj(y, b))
-    if lhs.n != rhs.n:
+    a, a3 = (x.c, *x.n), (y.c, *y.n)
+    lhs = conj_b(conj_b(a))
+    rhs = free_mul(a, conj_b(a3))
+    if lhs[1:] != rhs[1:]:
         raise TheoremViolationError(f"relator module parts differ for s={s}")
-    x3 = gamma_pow(x, 3)
-    if y.n != x3.n:
+    cube = free_pow(a, 3)
+    if a3[1:] != cube[1:]:
         raise TheoremViolationError(f"cube module parts differ for s={s}")
-    return lhs.c - rhs.c, y.c - x3.c, x
+    return lhs[0] - rhs[0], a3[0] - cube[0], x
 
 
 @dataclass(frozen=True)
@@ -413,10 +442,9 @@ class PhiData:
         return self.target_k - self.source_k
 
 
-def _order_relator_vanishes(x: GammaKElem, k: int) -> bool:
-    """[x, b, ..., b] (k letters b) is 1: [x, b] = x^-2, then x^((-2)^k) = 1."""
-    b = gamma_gen(x.k, "b")
-    return gamma_comm(x, b) == gamma_pow(x, -2) and gamma_pow(x, (-2) ** k) == gamma_identity(x.k)
+def _order_relator_vanishes(x: Triple, k: int, level: int | None) -> bool:
+    """[x, b, ..., b] (k letters b) is 1 at ``level``: [x, b] = x^-2, then x^((-2)^k) = 1."""
+    return free_eq(comm_b(x), free_pow(x, -2), level) and free_eq(free_pow(x, (-2) ** k), (0, 0, 0), level)
 
 
 def phi_build(s: LaurentPoly, k: int) -> PhiData:
@@ -446,26 +474,22 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     # 3 is invertible mod any power of two.
     r = ((d - l_exact) * pow(3, -1, target_mod)) % target_mod
 
-    img_a = gamma_make(target_k, x.c + r, x.n, 0)
-    bgen = gamma_gen(target_k, "b")
-    img_ab = gamma_conj(img_a, bgen)
-    img_t = gamma_comm(img_a, img_ab)
+    a = (x.c + r, *x.n)
+    ab = conj_b(a)
+    t = free_comm(a, ab)
+    img_a, img_ab, img_t = (GammaKElem(target_k, _center(target_k, h[0]), h[1:], 0) for h in (a, ab, t))
+    if not free_eq(t, (s_norm, 0, 0), target_k):
+        raise TheoremViolationError(f"center image for s={s}, k={k}: got {img_t}, expected t^{s_norm}")
 
-    expected_t = gamma_make(target_k, s_norm, (0, 0), 0)
-    if img_t != expected_t:
-        raise TheoremViolationError(
-            f"center image for s={s}, k={k}: got {img_t}, expected t^{s_norm}"
-        )
-
-    # Relator images in the target group.
-    lhs = gamma_conj(gamma_conj(img_a, bgen), bgen)
-    rhs = gamma_mul(img_a, gamma_conj(gamma_pow(img_a, 3), bgen))
-    if lhs != rhs:
-        raise TheoremViolationError(f"main relator image nonzero for s={s}, k={k}")
-    for other in (img_a, img_ab):
-        if gamma_comm(img_t, other) != gamma_identity(target_k):
+    # Relator images in the target group.  r is solved from the main relator, so its
+    # center part holds on img_a whatever the record of b^-1 says; on a it checks that record.
+    for h in (a, (0, 1, 0)):
+        if not free_eq(conj_b(conj_b(h)), free_mul(h, conj_b(free_pow(h, 3))), target_k):
+            raise TheoremViolationError(f"main relator image nonzero for s={s}, k={k}")
+    for other in (a, ab):
+        if not free_eq(free_comm(t, other), (0, 0, 0), target_k):
             raise TheoremViolationError(f"centrality relator image nonzero for s={s}, k={k}")
-    if not _order_relator_vanishes(img_t, k):
+    if not _order_relator_vanishes(t, k, target_k):
         raise TheoremViolationError(f"order relator image nonzero for s={s}, k={k}")
 
     source_mod = 1 << k

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import TheoremViolationError
-from .groups import PhiData, TowerPrefix, gamma_comm, gamma_conj, gamma_gen, gamma_make
+from .groups import PhiData, TowerPrefix, conj_b, free_comm
 from .quadratic import two_adic_split
 
 
@@ -31,22 +31,20 @@ def two_connected_certificate(phi_data: PhiData) -> int:
     The second-homology half is the 2-adic valuation of the generator image.
     The generator at the source is the class of t**(2**source_k); its image
     is the commutator of the image of a with its b-conjugate, raised to that
-    power.  The commutator is evaluated with the integer center (the center
-    part of a's image drops out of it, so its residue serves as the lift),
-    yielding t**|s| exactly, so the valuation is source_k + p(s): an odd
-    multiple of the target generator, certifying the induced map is an
-    isomorphism.  Raises unless the valuation is the target level.
+    power.  The commutator is evaluated on b-free triples with the integer
+    center (the center part of a's image drops out of it, so its residue
+    serves as the lift), yielding t**|s| exactly, so the valuation is
+    source_k + p(s): an odd multiple of the target generator, certifying the
+    induced map is an isomorphism.  Raises unless the valuation is the target
+    level.
     """
-    img_a = phi_data.img_a
-    g_a = gamma_make(None, img_a.c, img_a.n, 0)
-    comm = gamma_comm(g_a, gamma_conj(g_a, gamma_gen(None, "b")))
-    if comm.n != (0, 0) or comm.j != 0:
+    a = (phi_data.img_a.c, *phi_data.img_a.n)
+    c, m, n = free_comm(a, conj_b(a))
+    if (m, n) != (0, 0):
         raise TheoremViolationError("generator image is not central")
-    if comm.c != phi_data.norm:
-        raise TheoremViolationError(
-            f"generator image t^{comm.c} != t^|s| = t^{phi_data.norm}"
-        )
-    p, _ = two_adic_split(comm.c)
+    if c != phi_data.norm:
+        raise TheoremViolationError(f"generator image t^{c} != t^|s| = t^{phi_data.norm}")
+    p, _ = two_adic_split(c)
     val = phi_data.source_k + p
     if val != phi_data.target_k:
         raise TheoremViolationError(

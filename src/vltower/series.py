@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import homology
 from .errors import InsufficientTowerError, PreconditionError, TheoremViolationError
-from .groups import Model, TowerPrefix, gamma_comm, gamma_gen, gamma_make, gamma_pow
+from .groups import Model, TowerPrefix, comm_b, free_comm, free_eq, free_pow
 from .localization import Dyadic, dyadic_double, dyadic_halve, dyadic_neg
 from .quadratic import Lattice, Vec
 
@@ -272,9 +272,9 @@ def witness_not_transfinitely_nilpotent(
     power expression evaluated in a truncation deep enough to hold c; (b) a
     full chain of commutator preimages c = [y1, b], y1 = [y2, b], ... of
     length j_bound exists, verified both in dyadic arithmetic (by
-    commutator_preimage) and in the truncation model, so c lies in every stage
-    omega + j.  Requires at least one even-norm edge, since otherwise the
-    prefix's center colimit is trivial.
+    commutator_preimage) and in the truncation model, on b-free triples with
+    [x, b] = x^-1 x^b, so c lies in every stage omega + j.  Requires at least
+    one even-norm edge, since otherwise the prefix's center colimit is trivial.
     """
     if j_bound < 0:
         raise PreconditionError("negative stage bound")
@@ -302,18 +302,15 @@ def witness_not_transfinitely_nilpotent(
         # chain[j] has denominator 2^(c.k + j); in the level c.k + j_bound
         # truncation it is t^(num * 2^(j_bound - j)) via the doubling inclusions.
         level = c.k + j_bound
-        centers = [gamma_make(level, y.num << (level - y.k), (0, 0), 0) for y in chain]
-        bgen = gamma_gen(level, "b")
-        model_ok = all(
-            gamma_comm(centers[j + 1], bgen) == centers[j] for j in range(j_bound)
-        )
+        centers = [(y.num << (level - y.k), 0, 0) for y in chain]
+        model_ok = all(free_eq(comm_b(centers[j + 1]), centers[j], level) for j in range(j_bound))
         # w_e = [a, a^b, b, ..., b] with e letters b is t^((-2)^e), so y with
         # denominator 2^(level - e) is the odd power y.num * (-1)^e of w_e.
-        w = [gamma_comm(gamma_gen(level, "a"), gamma_gen(level, "ab"))]
+        w = [free_comm((0, 1, 0), (0, 0, 1))]
         for _ in range(j_bound):
-            w.append(gamma_comm(w[-1], bgen))
+            w.append(comm_b(w[-1]))
         comm_ok = all(
-            gamma_pow(w[level - y.k], (y.num * (-1) ** (level - y.k)) % (1 << y.k)) == t_y
+            free_eq(free_pow(w[level - y.k], (y.num * (-1) ** (level - y.k)) % (1 << y.k)), t_y, level)
             for y, t_y in zip(chain, centers)
         )
         realizable = next(

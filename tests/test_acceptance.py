@@ -16,7 +16,7 @@ from vltower.groups import tower_build
 from vltower.laurent import enumerate_S, parse_laurent
 from vltower.localization import Fraction, frac_eq
 from vltower.quadratic import norm, norm_data, verify_parity_range
-from words import eval_word
+from words import eval_word, gamma_comm, gamma_conj
 
 S = parse_laurent("1-b+b^2")
 
@@ -68,16 +68,16 @@ def _random_word(rng, max_len=20, max_b=10):
 def _gamma_relators_hold(k: int) -> bool:
     a, ab, b = G.gamma_gen(k, "a"), G.gamma_gen(k, "ab"), G.gamma_gen(k, "b")
     ident = G.gamma_identity(k)
-    lhs = G.gamma_conj(G.gamma_conj(a, b), b)
-    rhs = G.gamma_mul(a, G.gamma_conj(G.gamma_pow(a, 3), b))
+    lhs = gamma_conj(gamma_conj(a, b), b)
+    rhs = G.gamma_mul(a, gamma_conj(G.gamma_pow(a, 3), b))
     if lhs != rhs:
         return False
-    t = G.gamma_comm(a, ab)
-    if G.gamma_comm(t, a) != ident or G.gamma_comm(t, ab) != ident:
+    t = gamma_comm(a, ab)
+    if gamma_comm(t, a) != ident or gamma_comm(t, ab) != ident:
         return False
     w = t
     for _ in range(k):
-        w = G.gamma_comm(w, b)
+        w = gamma_comm(w, b)
     return w == ident
 
 

@@ -23,7 +23,7 @@ from vltower import quadratic as Q
 from vltower import series
 from vltower.cli import main
 from vltower.errors import PreconditionError, TheoremViolationError
-from vltower.laurent import ZERO, LaurentPoly, parse_laurent
+from vltower.laurent import ZERO, LaurentPoly, augmentation, parse_laurent
 from vltower.quadratic import (
     IDENTITY,
     U,
@@ -34,7 +34,7 @@ from vltower.quadratic import (
     u_pow,
     vec_mat,
 )
-from words import eval_word
+from words import eval_word, gamma_comm, gamma_conj
 
 LEVELS = (None, 0, 3, 7)
 U_INV = Mat2(-3, 1, 1, 0)
@@ -118,7 +118,7 @@ def ref_iterated_comm_with_b(x, times):
     out = x
     bgen = G.gamma_gen(x.k, "b")
     for _ in range(times):
-        out = G.gamma_comm(out, bgen)
+        out = gamma_comm(out, bgen)
     return out
 
 
@@ -316,7 +316,7 @@ def test_order_relator_closed_form_matches_the_literal_loop(edge):
         verdicts = []
         for k in range(41):
             literal = ref_iterated_comm_with_b(img_t, k) == one
-            assert G._order_relator_vanishes(img_t, k) == literal
+            assert G._order_relator_vanishes((img_t.c, *img_t.n), k, img_t.k) == literal
             verdicts.append(literal)
         # img_t = t^|s| dies after exactly source_k letters b
         assert verdicts == [k >= source_k for k in range(41)]
@@ -328,7 +328,38 @@ def test_order_relator_closed_form_on_center_elements():
             x = G.gamma_make(level, c, (0, 0), 0)
             one = G.gamma_identity(level)
             for k in range(41):
-                assert G._order_relator_vanishes(x, k) == (ref_iterated_comm_with_b(x, k) == one)
+                assert G._order_relator_vanishes((c, 0, 0), k, level) == (ref_iterated_comm_with_b(x, k) == one)
+
+
+def _check_phi_build_on_the_generic_kernel(s, k):
+    """phi_build's images, relator defect and center exponent, recomputed
+    through gamma_conj, gamma_comm, gamma_mul and gamma_pow."""
+    data = G.phi_build(s, k)
+    x, y = G.a_power_s(s), G.a_power_s(s.scale(3))
+    bz = G.gamma_gen(None, "b")
+    lhs, rhs = gamma_conj(gamma_conj(x, bz), bz), G.gamma_mul(x, gamma_conj(y, bz))
+    assert lhs.n == rhs.n and data.l_exact == lhs.c - rhs.c
+    d = y.c - G.gamma_pow(x, 3).c
+    level = data.target_k
+    assert data.r == (d - data.l_exact) * pow(3, -1, 1 << level) % (1 << level)
+    b = G.gamma_gen(level, "b")
+    img_a = G.gamma_make(level, x.c + data.r, x.n, 0)
+    assert data.img_a == img_a
+    assert data.img_ab == gamma_conj(img_a, b)
+    assert data.img_t == gamma_comm(img_a, data.img_ab) == G.gamma_make(level, data.norm, (0, 0), 0)
+    assert gamma_conj(data.img_ab, b) == G.gamma_mul(img_a, gamma_conj(G.gamma_pow(img_a, 3), b))
+
+
+@pytest.mark.parametrize("edge", ["1-b+b^2", "b", "2b-b^3", "-2-2b^147+5b^311"])
+def test_phi_build_matches_the_generic_kernel_on_the_readme_edges(edge):
+    for k in range(41):
+        _check_phi_build_on_the_generic_kernel(parse_laurent(edge), k)
+
+
+@given(st.one_of(_DENSE, _sparse()), st.integers(0, 40))
+def test_phi_build_matches_the_generic_kernel_on_s_elements(s, k):
+    # shifting the constant term by 1 - augmentation(s) puts s in S
+    _check_phi_build_on_the_generic_kernel(s + LaurentPoly.constant(1 - augmentation(s)), k)
 
 
 @pytest.mark.parametrize("model", ["H", "G2", "Gamma0", "Gamma3"])
@@ -401,12 +432,14 @@ def _count_calls(code, fn):
 
 
 def test_witness_gamma_mul_count_grows_linearly_in_j(capsys):
-    # gamma_pow on the J-bit chain exponents is a closed form, so four times
+    # the power on the J-bit chain exponents is a closed form, so four times
     # the chain length costs about four times the multiplications (square-and-
-    # multiply there would cost about sixteen)
+    # multiply there would cost about sixteen); the witness multiplies b-free
+    # triples, so the count is of free_mul, which gamma_mul is built on
     argv = ["witness", "--edges", "1-b+b^2,1-b+b^2,1-b+b^2", "--format", "json", "--J"]
-    counts = [_count_calls(G.gamma_mul.__code__, lambda: main([*argv, j])) for j in ("50", "200")]
+    counts = [_count_calls(G.free_mul.__code__, lambda: main([*argv, j])) for j in ("50", "200")]
     capsys.readouterr()
+    assert counts[0] > 0
     assert counts[1] <= 4.5 * counts[0]
 
 
@@ -516,8 +549,9 @@ def test_base_diagram_check_misses_a_module_law_not_linear_in_n(monkeypatch):
 
 
 def test_phi_build_commutator_count_does_not_depend_on_k():
-    # the order relator was k literal gamma_comm calls; it is one commutator
-    # and one closed-form power at every level
+    # the order relator was k literal commutators; it is one commutator with
+    # b and one closed-form power at every level
     s = parse_laurent("1-b+b^2")
-    counts = [_count_calls(G.gamma_comm.__code__, lambda: G.phi_build(s, k)) for k in (0, 500)]
+    counts = [_count_calls(G.comm_b.__code__, lambda: G.phi_build(s, k)) for k in (0, 500)]
+    assert counts[0] > 0
     assert counts[0] == counts[1]

@@ -9,7 +9,7 @@ from vltower.laurent import ONE, parse_laurent
 from vltower.localization import Fraction, frac_eq
 from vltower.quadratic import evaluate_at_U, norm, u_pow, vec_mat
 from vltower import groups as G
-from words import eval_word
+from words import eval_word, gamma_comm, gamma_conj
 
 S = parse_laurent("1-b+b^2")
 H = G.Model.parse("H")
@@ -81,23 +81,23 @@ def test_h_group_axioms(t1, t2, t3):
 
 
 def test_g2_commutator_is_t():
-    assert G.gamma_comm(A, AB) == T
+    assert gamma_comm(A, AB) == T
 
 
 def test_g2_t_inverted_by_b():
-    assert G.gamma_conj(T, B) == G.gamma_inv(T)
+    assert gamma_conj(T, B) == G.gamma_inv(T)
 
 
 def test_g2_defining_relation_with_zero_center():
-    lhs = G.gamma_conj(G.gamma_conj(A, B), B)
-    rhs = G.gamma_mul(A, G.gamma_conj(G.gamma_pow(A, 3), B))
+    lhs = gamma_conj(gamma_conj(A, B), B)
+    rhs = G.gamma_mul(A, gamma_conj(G.gamma_pow(A, 3), B))
     assert lhs == rhs
     assert lhs.c == 0
 
 
 def test_g2_t_central_among_module_generators():
     for g in (A, AB):
-        assert G.gamma_comm(T, g) == ID
+        assert gamma_comm(T, g) == ID
 
 
 def test_t_has_order_exactly_2k():
@@ -113,15 +113,15 @@ def test_gamma_relators_all_levels():
         ab = G.gamma_gen(k, "ab")
         b = G.gamma_gen(k, "b")
         ident = G.gamma_identity(k)
-        lhs = G.gamma_conj(G.gamma_conj(a, b), b)
-        rhs = G.gamma_mul(a, G.gamma_conj(G.gamma_pow(a, 3), b))
+        lhs = gamma_conj(gamma_conj(a, b), b)
+        rhs = G.gamma_mul(a, gamma_conj(G.gamma_pow(a, 3), b))
         assert lhs == rhs
-        t = G.gamma_comm(a, ab)
-        assert G.gamma_comm(t, a) == ident
-        assert G.gamma_comm(t, ab) == ident
+        t = gamma_comm(a, ab)
+        assert gamma_comm(t, a) == ident
+        assert gamma_comm(t, ab) == ident
         w = t
         for _ in range(k):
-            w = G.gamma_comm(w, b)
+            w = gamma_comm(w, b)
         assert w == ident  # the level relator
 
 
@@ -296,8 +296,8 @@ def test_phi_r_is_the_unique_target_solution():
     solutions = []
     for r in range(1 << k_target):
         img_a = G.gamma_make(k_target, x.c + r, x.n, 0)
-        lhs = G.gamma_conj(G.gamma_conj(img_a, b), b)
-        rhs = G.gamma_mul(img_a, G.gamma_conj(G.gamma_pow(img_a, 3), b))
+        lhs = gamma_conj(gamma_conj(img_a, b), b)
+        rhs = G.gamma_mul(img_a, gamma_conj(G.gamma_pow(img_a, 3), b))
         if lhs == rhs:
             solutions.append(r)
     assert solutions == [data.r]

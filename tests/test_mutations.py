@@ -1,0 +1,90 @@
+"""Planted faults: each verified claim of phi-check, tower and witness fails
+when the step it rests on is broken.
+
+Each fault is planted with monkeypatch in the b-free triple law that the
+claim's check evaluates, and the command must then exit 2 (or report the
+claim as failed).  The stderr line names the check that caught the fault.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from vltower import groups as G
+from vltower import homology, series
+from vltower.cli import main
+
+PHI_CHECK = ["phi-check", "--s", "1-b+b^2", "--k", "3"]
+TOWER = ["tower", "--edges", "1-b+b^2,b,1-b+b^2", "--checks", "full"]
+
+
+def _flipped_mul(x, y):
+    """free_mul with the sign of its -m2*n1 term flipped."""
+    c1, m1, n1 = x
+    c2, m2, n2 = y
+    return (c1 + c2 + m2 * n1, m1 + m2, n1 + n2)
+
+
+def _exit_and_error(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [PHI_CHECK, TOWER], ids=["phi-check", "tower"])
+@pytest.mark.parametrize("index", [1, 2], ids=["c_A", "c_B"])
+def test_phi_build_catches_a_center_coefficient_of_the_b_record(monkeypatch, capsys, argv, index):
+    # phi.build: r absorbs a center defect of a^s, so only the relator on the
+    # generator a sees the record's center part
+    record = list(G._CONJ_B_INV)
+    record[index] += 1
+    monkeypatch.setattr(G, "_CONJ_B_INV", tuple(record))
+    code, err = _exit_and_error(argv, capsys)
+    assert code == 2
+    assert "main relator image nonzero" in err
+
+
+@pytest.mark.parametrize("argv", [PHI_CHECK, TOWER], ids=["phi-check", "tower"])
+def test_phi_center_catches_a_sign_flip_in_the_b_free_product(monkeypatch, capsys, argv):
+    # phi.center: img_t is the commutator of img_a and img_ab on triples
+    monkeypatch.setattr(G, "free_mul", _flipped_mul)
+    code, err = _exit_and_error(argv, capsys)
+    assert code == 2
+    assert "center image" in err
+
+
+def _certificate_against_norm_plus_one(monkeypatch):
+    real = homology.two_connected_certificate
+
+    def shifted(data):
+        return real(dataclasses.replace(data, norm=data.norm + 1))
+
+    monkeypatch.setattr(homology, "two_connected_certificate", shifted)
+
+
+def _certificate_with_flipped_product(monkeypatch):
+    def flipped_comm(x, y):
+        return _flipped_mul(G.free_inv(_flipped_mul(y, x)), _flipped_mul(x, y))
+
+    monkeypatch.setattr(homology, "free_comm", flipped_comm)
+
+
+@pytest.mark.parametrize("argv", [PHI_CHECK, TOWER], ids=["phi-two-connected", "tower-edge-two-connected"])
+@pytest.mark.parametrize("plant", [_certificate_against_norm_plus_one, _certificate_with_flipped_product])
+def test_two_connected_claims_catch_a_faulty_certificate(monkeypatch, capsys, argv, plant):
+    # phi.two_connected and tower.edge*.two_connected; the level maps are
+    # built before the fault can act, since only the certificate is patched
+    plant(monkeypatch)
+    code, err = _exit_and_error(argv, capsys)
+    assert code == 2
+    assert "generator image" in err
+
+
+def test_witness_chains_catch_a_faulty_commutator_with_b(monkeypatch, capsys):
+    # [x, b] computed as x x^b instead of x^-1 x^b
+    monkeypatch.setattr(series, "comm_b", lambda x: G.free_mul(x, G.conj_b(x)))
+    argv = ["witness", "--edges", "1-b+b^2,1-b+b^2,1-b+b^2", "--J", "20", "--format", "json"]
+    assert main(argv) == 2
+    claims = {c["id"]: c["pass"] for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert claims["witness.chains"] is False
+    assert claims["witness.gamma_omega"] is False

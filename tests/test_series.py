@@ -4,12 +4,13 @@ import pytest
 
 from vltower.cli import main
 from vltower.errors import InsufficientTowerError, PreconditionError
-from vltower.groups import Model, gamma_comm, gamma_gen, gamma_make, tower_build
+from vltower.groups import Model, gamma_gen, gamma_make, tower_build
 from vltower.laurent import parse_laurent
 from vltower.localization import Dyadic, dyadic_double, dyadic_neg
 from vltower.quadratic import IDENTITY, U, Mat2
 from vltower import series
 from test_closed_forms import ref_in_row_span
+from words import gamma_comm
 
 S = parse_laurent("1-b+b^2")
 H = Model.parse("H")
@@ -196,16 +197,16 @@ def test_witness_small():
 def test_witness_commutator_count_grows_linearly_in_j(monkeypatch):
     # each chain element is checked against the iterated commutator built
     # once per sample, so four times the chain length costs about four times
-    # the commutators (rebuilding it per element would cost about sixteen)
+    # the commutators with b (rebuilding it per element would cost about sixteen)
     calls = 0
-    comm = series.gamma_comm
+    comm = series.comm_b
 
-    def counted(x, y):
+    def counted(x):
         nonlocal calls
         calls += 1
-        return comm(x, y)
+        return comm(x)
 
-    monkeypatch.setattr(series, "gamma_comm", counted)
+    monkeypatch.setattr(series, "comm_b", counted)
     tower = tower_build([S, S, S])
     samples = [Dyadic(1, 1), Dyadic(3, 4), Dyadic(5, 7)]
     counts = []
@@ -213,6 +214,7 @@ def test_witness_commutator_count_grows_linearly_in_j(monkeypatch):
         calls = 0
         assert series.witness_not_transfinitely_nilpotent(tower, j_bound, samples=samples).passed
         counts.append(calls)
+    assert counts[0] > 0
     assert counts[1] <= 4.2 * counts[0]
 
 
