@@ -18,11 +18,10 @@ from .errors import (
     TheoremViolationError,
     VltowerError,
 )
-from .laurent import LaurentPoly, augmentation, enumerate_S, in_S, parse_laurent
-from .localization import CenterColim, Dyadic, Fraction, dyadic_make, frac_eq
+from .laurent import LaurentPoly, augmentation, in_S, parse_laurent
+from .localization import CenterColim, Dyadic, dyadic_make
 from .quadratic import (
     Lattice,
-    Mat2,
     NormData,
     evaluate_at_U,
     norm,
@@ -35,13 +34,11 @@ from .quadratic import (
 __all__ = [
     "CenterColim",
     "Dyadic",
-    "Fraction",
     "InsufficientTowerError",
     "Lattice",
     "LaurentParseError",
     "LaurentPoly",
     "LevelMismatchError",
-    "Mat2",
     "NormData",
     "NotInSError",
     "PreconditionError",
@@ -49,9 +46,7 @@ __all__ = [
     "VltowerError",
     "augmentation",
     "dyadic_make",
-    "enumerate_S",
     "evaluate_at_U",
-    "frac_eq",
     "in_S",
     "norm",
     "norm_data",

@@ -4,16 +4,12 @@ One law covers every group of the tower: the class-2 extension of the base
 group H by its commutator t = [a, a^b], with normal form t^c A^m B^n b^j
 (b rightmost).  A ``GammaKElem`` carries its center level k: None reads c in
 Z (the infinite-center group G2), an integer k >= 0 reads c mod 2**k (the
-truncation Gamma_k), and level 0 is the base group H itself (t dies).  The
-kernel (``gamma_mul``, ``gamma_inv`` and what is built on them) creates
-elements as plain tuples; only ``gamma_make`` and ``gamma_gen`` validate.
-``Model`` is the validated selector H, G2 or Gamma<K>: it fixes the center
-level and whether the lower central series keeps a center part (H does not).
+truncation Gamma_k), and level 0 is the base group H itself (t dies).  Only
+``gamma_make`` and ``gamma_gen`` validate an element.  ``Model`` is the
+validated selector H, G2 or Gamma<K>: it fixes the center level and whether
+the lower central series keeps a center part (H does not).
 
-Built on the kernel: level maps, tower prefixes and, for the
-telescope-coherence check (acceptance c10), ``fraction_stage_vector``, the
-integral representative of an S-fraction at a stage of a built prefix
-(with ``TowerPrefix.prefix_product``, the stage's telescope denominator).
+Built on the kernel: level maps and tower prefixes.
 
 Collection conventions (fixed once, used everywhere): x^y = y^-1 x y and
 [x, y] = x^-1 y^-1 x y.  Writing A = a, B = a^b, the defining relations give
@@ -25,34 +21,32 @@ Horner's rule on triples from the top term down.
 The kernel is logarithmic in every exponent; its closed forms are the Deep
 Thought collection polynomials of this class-2 group (Leedham-Green and
 Soicher, Symbolic collection using Deep Thought, LMS J. Comput. Math. 1,
-1998).  The b-free law on triples (c, m, n) = t^c A^m B^n is written once
-and ``gamma_*`` is built on it.  Moving A^m2 left past B^n1 costs t^(-m2 n1),
-so a b-free power is (t^c A^m B^n)^e = t^(e c - C(e,2) m n) A^(e m) B^(e n)
-for every integer e.  Conjugation by b^j is the class-2 automorphism fixed by
-t |-> t^((-1)^j) and the images of A and B, stored as a record of those
-images and applied with the same product law; the record of b^j is built by
-squaring and composing those of b and b^-1.  A level map is the same kind of
-record on the b-free part, with t |-> t^|s|, and fixes b; for x = t^|s|,
-once [x, b] = x^-2, the k-fold [x, b, ..., b] is x^((-2)^k).  The relators
-of a level map, its second-homology certificate and the witness links are
-checked on b-free triples, with one record application per conjugation by b.
-A tower edge certifies the bottom square of its diagram on the generators
-t, a, a^b and b: both ways round the square are homomorphisms to H, so
-agreement there is agreement everywhere.  The independent ``word_oracle``
-never uses these aggregate forms: it evaluates words letter by letter.  It
-and ``base_form`` are kept as the references the tests check the kernel
-against; no claim calls them.
+1998).  The b-free law on triples (c, m, n) = t^c A^m B^n is written once.
+Moving A^m2 left past B^n1 costs t^(-m2 n1), so a b-free power is
+(t^c A^m B^n)^e = t^(e c - C(e,2) m n) A^(e m) B^(e n) for every integer e.
+Conjugation by b^j is the class-2 automorphism fixed by t |-> t^((-1)^j) and
+the images of A and B, stored as a record of those images and applied with
+the same product law; the record of b^j is built by squaring and composing
+those of b and b^-1.  A level map is the same kind of record on the b-free
+part, with t |-> t^|s|, and fixes b; for x = t^|s|, once [x, b] = x^-2, the
+k-fold [x, b, ..., b] is x^((-2)^k).  The relators of a level map, its
+second-homology certificate and the witness links are checked on b-free
+triples, with one record application per conjugation by b.  A tower edge
+certifies the bottom square of its diagram on the generators t, a, a^b and
+b: both ways round the square are homomorphisms to H, so agreement there is
+agreement everywhere.  The full-group law on t^c A^m B^n b^j and the
+letter-level word oracle the tests check this kernel against live with the
+tests; no claim needs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import LevelMismatchError, PreconditionError, TheoremViolationError
-from .laurent import ONE, LaurentPoly, divide_exact, power, require_in_S
-from .localization import Fraction
-from .quadratic import Vec, evaluate_at_U, norm, two_adic_split, u_pow, vec_mat
+from .laurent import LaurentPoly, power, require_in_S
+from .quadratic import Vec, _pair_mul, evaluate_at_U, norm, two_adic_split
 
 
 @dataclass(frozen=True)
@@ -216,154 +210,6 @@ def gamma_gen(k: int | None, name: str) -> GammaKElem:
     raise ValueError(f"unknown generator {name!r}")
 
 
-def gamma_mul(x: GammaKElem, y: GammaKElem) -> GammaKElem:
-    if x.k != y.k:
-        raise LevelMismatchError(f"levels {x.k} and {y.k}")
-    c, m, n = free_mul((x.c, *x.n), conj_by_b_pow((y.c, *y.n), x.j))
-    return GammaKElem(x.k, _center(x.k, c), (m, n), x.j + y.j)
-
-
-def gamma_inv(x: GammaKElem) -> GammaKElem:
-    c, m, n = conj_by_b_pow(free_inv((x.c, *x.n)), -x.j)
-    return GammaKElem(x.k, _center(x.k, c), (m, n), -x.j)
-
-
-def gamma_pow(x: GammaKElem, e: int) -> GammaKElem:
-    """x^e for every integer e; square-and-multiply only for elements with a b part."""
-    if not x.j:
-        c, m, n = free_pow((x.c, *x.n), e)
-        return GammaKElem(x.k, _center(x.k, c), (m, n), 0)
-    if e < 0:
-        x, e = gamma_inv(x), -e
-    return power(gamma_mul, x, e) if e else gamma_identity(x.k)
-
-
-def base_form(x: GammaKElem) -> tuple[Vec, int]:
-    """Quotient by the center: t^c a^n b^j |-> b^j a^(n U^j), as (n U^j, j)."""
-    return vec_mat(x.n, u_pow(x.j)), x.j
-
-
-# ---------------------------------------------------------------------------
-# word oracle: slow, letter-level evaluator over the rewriting rules
-
-Word = Sequence[tuple[str, int]]
-"""A word: pairs (generator, exponent) with generator in {"a", "b"}."""
-
-
-class _OracleState:
-    """Normal form t^c A^m B^n b^j built by prepending letters.
-
-    Only single-letter rewrite rules are used: t is central among A and B;
-    one B past A^m costs t^-m (m swaps of BA -> AB t^-1); crossing one b
-    rebuilds the prefix from the letter images b X b^-1 (t -> t^-1,
-    A -> t^3 A^-3 B, B -> A) or b^-1 X b (t -> t^-1, A -> B, B -> A B^3),
-    appended one letter or run at a time.
-    """
-
-    __slots__ = ("c", "m", "n", "j", "mod")
-
-    def __init__(self, modulus: int | None):
-        self.c = 0
-        self.m = 0
-        self.n = 0
-        self.j = 0
-        self.mod = modulus
-
-    def _reduce(self):
-        if self.mod is not None:
-            self.c %= self.mod
-
-    # appends act on the A/B prefix only (used while rebuilding after a b-crossing)
-    def _append_t(self, e: int):
-        self.c += e
-
-    def _append_a(self, e: int):
-        self.c -= e * self.n  # A^e crossing B^n
-        self.m += e
-
-    def _append_b_gen(self, e: int):
-        self.n += e
-
-    def prepend_t(self, e: int):
-        self.c += e
-        self._reduce()
-
-    def prepend_a(self, e: int):
-        self.m += e
-
-    def prepend_ab(self, e: int):
-        self.c -= e * self.m  # B^e crossing A^m
-        self.n += e
-        self._reduce()
-
-    def prepend_b(self, e: int):
-        if e not in (1, -1):
-            raise ValueError("prepend one b at a time")
-        src_c, src_m, src_n = self.c, self.m, self.n
-        self.c, self.m, self.n = -src_c, 0, 0
-        if e == 1:
-            # b A b^-1 = t^3 A^-3 B; inverse letters in reversed order.
-            if src_m >= 0:
-                for _ in range(src_m):
-                    self._append_t(3)
-                    self._append_a(-3)
-                    self._append_b_gen(1)
-            else:
-                for _ in range(-src_m):
-                    self._append_b_gen(-1)
-                    self._append_a(3)
-                    self._append_t(-3)
-            self._append_a(src_n)  # b B b^-1 = A
-        else:
-            self._append_b_gen(src_m)  # b^-1 A b = B
-            # b^-1 B b = A B^3; inverse letters in reversed order.
-            if src_n >= 0:
-                for _ in range(src_n):
-                    self._append_a(1)
-                    self._append_b_gen(3)
-            else:
-                for _ in range(-src_n):
-                    self._append_b_gen(-3)
-                    self._append_a(-1)
-        self.j += e
-        self._reduce()
-
-
-def _oracle_collect(word: Word, modulus: int | None) -> tuple[int, int, int, int]:
-    st = _OracleState(modulus)
-    for gen, e in reversed(list(word)):
-        if e == 0:
-            continue
-        if gen == "a":
-            st.prepend_a(e)
-        elif gen == "b":
-            sgn = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                st.prepend_b(sgn)
-        elif gen == "t":
-            st.prepend_t(e)
-        elif gen == "ab":
-            sgn = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                st.prepend_ab(sgn)
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
-    st._reduce()
-    return st.c, st.m, st.n, st.j
-
-
-def word_oracle(word: Word, model: Model) -> GammaKElem:
-    """Evaluate a word over {a, b} (plus derived letters t, ab) in a model.
-
-    This path shares no formulas with the closed-form laws beyond the single
-    rewrite rules listed on _OracleState.
-    """
-    if not isinstance(model, Model):
-        raise PreconditionError(f"not a model: {model!r}")
-    c, m, n, j = _oracle_collect(word, None if model.k is None else 1 << model.k)
-    return GammaKElem(model.k, c, (m, n), j)
-
-
 # ---------------------------------------------------------------------------
 # the maps between truncation levels
 
@@ -486,6 +332,11 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     for h in (a, (0, 1, 0)):
         if not free_eq(conj_b(conj_b(h)), free_mul(h, conj_b(free_pow(h, 3))), target_k):
             raise TheoremViolationError(f"main relator image nonzero for s={s}, k={k}")
+    # a^s ends with a conjugation by b^-f, f the lowest exponent of s, which applies the
+    # record of b when f < 0; r absorbs any center defect that leaves, so the record is
+    # checked as the inverse of the record of b^-1, which the relator on a pins.
+    if s.min_exp < 0 and _aut_compose(_CONJ_B, _CONJ_B_INV) != (1, 0, 0, 1, 0, 0, 1):
+        raise TheoremViolationError("the records of b and b^-1 are not inverse")
     for other in (a, ab):
         if not free_eq(free_comm(t, other), (0, 0, 0), target_k):
             raise TheoremViolationError(f"centrality relator image nonzero for s={s}, k={k}")
@@ -536,12 +387,6 @@ class TowerPrefix:
     levels: tuple[int, ...]
     phis: tuple[PhiData, ...]
 
-    def prefix_product(self, stage: int) -> LaurentPoly:
-        out = ONE
-        for data in self.phis[:stage]:
-            out = out * data.s
-        return out
-
     def has_even_edge(self) -> bool:
         return any(data.norm % 2 == 0 for data in self.phis)
 
@@ -564,9 +409,10 @@ def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
 
 
 def _check_base_diagram(data: PhiData) -> None:
-    """base_form(phi(g)) = (g.n U^j s(U), j) for every g of the source group.
+    """The projection of phi(g) to H is (g.n U^j s(U), j) for every g of the
+    source group, projecting t^c a^n b^j to b^j a^(n U^j).
 
-    base_form after phi and the s-action on H = Z^2 x| <b> are both
+    The projection after phi and the s-action on H = Z^2 x| <b> are both
     homomorphisms from the source group to H, because s(U) commutes with U;
     two homomorphisms that agree on generators are equal, so checking t, a,
     a^b and b certifies the square for every element.  That argument takes
@@ -575,27 +421,15 @@ def _check_base_diagram(data: PhiData) -> None:
     relator checks in phi_build verify it, and a module law that is not
     linear in g.n can pass here.  Each is compared as
     phi(g).n = g.n s(U): phi fixes j, and U^j is invertible and commutes with
-    s(U).  Checking t and b too makes a module law that wrongly depends on c
-    or j fail here.
+    s(U).  Reading the row g.n = (x, y) as x I + y U, as ``Lattice`` does,
+    g.n s(U) is one pair product with the pair of s(U).  Checking t and b too
+    makes a module law that wrongly depends on c or j fail here.
     """
     k = data.source_k
-    s_matrix = evaluate_at_U(data.s)
+    pair = evaluate_at_U(data.s)
     for name in ("t", "a", "ab", "b"):
         g = gamma_gen(k, name)
-        if phi_apply(data, g).n != vec_mat(g.n, s_matrix):
+        if phi_apply(data, g).n != _pair_mul(g.n, pair):
             raise TheoremViolationError(
                 f"base diagram does not commute for s={data.s} at level {k}"
             )
-
-
-# ---------------------------------------------------------------------------
-# telescope fractions
-
-
-def fraction_stage_vector(f: Fraction, tower: TowerPrefix, stage: int) -> Vec | None:
-    """Integral stage representative of a fraction, if its denominator is a
-    divisor of the stage's telescope product within the edge monoid."""
-    q = divide_exact(tower.prefix_product(stage), f.den)
-    if q is None:
-        return None
-    return vec_mat(f.num, evaluate_at_U(q))

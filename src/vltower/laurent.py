@@ -3,7 +3,10 @@
 This is the group ring of the infinite cyclic group on ``b``.  The module
 also provides the augmentation map (sum of coefficients), the predicate for
 the multiplicative set S of augmentation-1 elements, and a deterministic
-enumerator of S within finite support/coefficient bounds.
+walk over S within finite support/coefficient bounds, one head group at a
+time.  The ring operators ``+``, ``-``, ``*`` and ``**`` are kept with the
+type, although the claims use only ``+`` and ``scale``: they are the
+arithmetic the tests and the S-fraction reference build on.
 
 Literal grammar (EBNF), shared with the command line interface::
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction as _QFrac
 from typing import Callable, Iterator, TypeVar
 
 from .errors import LaurentParseError, NotInSError, PreconditionError
@@ -200,7 +202,8 @@ def parse_laurent(text: str) -> LaurentPoly:
 def _head_groups(
     max_degree_span: int, max_abs_coeff: int
 ) -> Iterator[tuple[int, int, tuple[int, ...], int, range]]:
-    """The walk behind ``enumerate_S``, one head group at a time.
+    """The S-elements with support in [0, max_degree_span] and coefficients
+    in [-max_abs_coeff, max_abs_coeff], one head group at a time.
 
     A group is ``(f, d, head, r, ms)``: offset f, span d, the head
     coefficients (n_f, ..., n_{f+d-2}), R = 1 - (sum of the head) and the
@@ -210,10 +213,16 @@ def _head_groups(
         b^f (head(b) + m b^(d-1) + (R - m) b^d),
 
     and every one of them is in the window: m = R is exactly the choice that
-    leaves n_{f+d} = 0.  The groups come in the order of ``enumerate_S``.
-    Span 0 is the group (f, 0, (), 1, {0}), whose one element is b^f, and
-    span 1 the group (f, 1, (), 1, ms) with ms the leading coefficients n
-    whose partner 1 - n is within the bound.
+    leaves n_{f+d} = 0.  Span 0 is the group (f, 0, (), 1, {0}), whose one
+    element is b^f, and span 1 the group (f, 1, (), 1, ms) with ms the
+    leading coefficients n whose partner 1 - n is within the bound.
+
+    Expanded in this order, the elements come by ascending support span,
+    then lexicographically on the coefficient tuple (n_0, ..., n_D) over the
+    whole window, each exactly once and with nothing stored or sorted: for a
+    fixed span d that order is every core (n_f, ..., n_{f+d}) with negative
+    leading coefficient by ascending offset f, then every core with positive
+    leading coefficient by descending f.
     """
     if max_degree_span < 0 or max_abs_coeff < 0:
         raise PreconditionError("bounds must be nonnegative")
@@ -245,68 +254,3 @@ def _group_element(f: int, d: int, terms: tuple[tuple[int, int], ...], r: int, m
     if m:
         return LaurentPoly(terms + ((f + d - 1, m), (f + d, r - m)))
     return LaurentPoly(terms + ((f + d, r),))
-
-
-def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPoly]:
-    """Enumerate S-elements with support in [0, max_degree_span], coefficients
-    in [-max_abs_coeff, max_abs_coeff].
-
-    Deterministic total order: ascending actual support span, then
-    lexicographic on the coefficient tuple (n_0, ..., n_D) over the whole
-    window, D = max_degree_span.  No duplicates: each polynomial corresponds
-    to exactly one tuple within the fixed window.
-
-    The elements stream in that order with nothing stored or sorted.  For a
-    fixed span d, lexicographic order is every core (n_f, ..., n_{f+d}) with
-    negative leading coefficient by ascending offset f, then every core with
-    positive leading coefficient by descending f.  Span 0 is the single core
-    (1) at descending offsets, and span 1 the cores (n_f, 1 - n_f) with
-    1 - n_f nonzero and within the bound.  For d >= 2 the product runs over
-    the head (n_f, ..., n_{f+d-2}) only, with R = 1 - (sum of the head).  The
-    last middle coefficient m then ascends over [max(-c, R - c), min(c, R + c)]
-    with m = R skipped, which is exactly the set of m with n_{f+d} = R - m
-    nonzero and in [-c, c], so every core that is built is kept.  That walk
-    is ``_head_groups``; this function expands each group into its elements.
-    """
-    for f, d, head, r, ms in _head_groups(max_degree_span, max_abs_coeff):
-        terms = _head_terms(f, head)
-        for m in ms:
-            if m != r:
-                yield _group_element(f, d, terms, r, m)
-
-
-def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """Exact division in Z[b, b^-1]: return q with den*q == num, else None.
-
-    Division is performed over the rationals (shift both operands so the
-    divisor is an honest polynomial with nonzero constant term); the result
-    is accepted only when the remainder vanishes and q has integer
-    coefficients.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return ZERO
-    nshift = num.min_exp
-    dshift = den.min_exp
-    rem: dict[int, _QFrac] = {e - nshift: _QFrac(c) for e, c in num.terms}
-    d: dict[int, _QFrac] = {e - dshift: _QFrac(c) for e, c in den.terms}
-    ddeg = max(d)
-    dlead = d[ddeg]
-    q: dict[int, _QFrac] = {}
-    while rem:
-        rdeg = max(rem)
-        if rdeg < ddeg:
-            return None
-        f = rem[rdeg] / dlead
-        q[rdeg - ddeg] = f
-        for e, c in d.items():
-            k = e + rdeg - ddeg
-            v = rem.get(k, _QFrac(0)) - f * c
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    if any(f.denominator != 1 for f in q.values()):
-        return None
-    return LaurentPoly.from_dict({e + nshift - dshift: int(f) for e, f in q.items()})

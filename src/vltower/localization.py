@@ -1,13 +1,4 @@
-"""S-localized module elements, dyadic rationals mod 1, and the tower center.
-
-Fractions are pairs (numerator vector, S-denominator) compared by
-cross-multiplication: n_f * den_g(U) == n_g * den_f(U).  That relation is
-transitive because every s-map on the module is injective (its determinant,
-the norm, is nonzero on S), so fractions are never reduced to any canonical
-form; no divisor theory in the quadratic order is assumed.  Fractions are
-kept for the telescope-coherence check (acceptance c10): a fraction over a
-stage's telescope product equals its integral stage representative.  No
-claim does fraction arithmetic.
+"""Dyadic rationals mod 1 and the tower center.
 
 Dyadic values model the 2-quasi-cyclic group: num / 2**k taken mod 1,
 canonically with num odd, or (0, 0) for zero.  CenterColim is the
@@ -16,6 +7,8 @@ pushed along tower edges by multiplying with the edge norm.  Odd unit
 factors accumulated by those pushes are stripped only at the dyadic
 boundary, in center_to_dyadic.  That map is the tested identification of
 the tower's center colimit with the dyadics the witness computes in.
+The S-fractions of the localized module are kept with the tests, since no
+claim computes with them.
 """
 
 from __future__ import annotations
@@ -23,23 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .laurent import LaurentPoly, require_in_S
-from .quadratic import Vec, evaluate_at_U, vec_mat
-
-
-@dataclass(frozen=True)
-class Fraction:
-    """An element of the S-localized module: num / den with den in S."""
-
-    num: Vec
-    den: LaurentPoly
-
-    def __post_init__(self):
-        require_in_S(self.den)
-
-
-def frac_eq(f: Fraction, g: Fraction) -> bool:
-    return vec_mat(f.num, evaluate_at_U(g.den)) == vec_mat(g.num, evaluate_at_U(f.den))
+from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -77,11 +54,6 @@ def dyadic_make(num: int, k: int) -> Dyadic:
     out = object.__new__(Dyadic)  # canonical by construction: skip __post_init__
     out.__dict__.update(num=num >> p, k=k - p)
     return out
-
-
-def dyadic_add(x: Dyadic, y: Dyadic) -> Dyadic:
-    k = max(x.k, y.k)
-    return dyadic_make((x.num << (k - x.k)) + (y.num << (k - y.k)), k)
 
 
 def dyadic_neg(x: Dyadic) -> Dyadic:

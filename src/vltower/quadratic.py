@@ -9,8 +9,11 @@ drives everything downstream.
 
 Since U^2 = 3U + I, every s(U) is alpha I + beta U = [[alpha, beta], [beta,
 alpha + 3 beta]] for one integer pair (alpha, beta), and |s| = alpha^2 +
-3 alpha beta - beta^2.  Powers of U are such pairs too, computed by doubling
-with (alpha I + beta U)(gamma I + delta U) = (alpha gamma + beta delta) I +
+3 alpha beta - beta^2.  That pair is the one representation of the module
+map here: no matrix is built.  Reading a row vector (x, y) as x I + y U
+identifies Z^2 with Z[U], so v s(U) is the pair product of v with the pair
+of s.  Powers of U are such pairs too, computed by doubling with
+(alpha I + beta U)(gamma I + delta U) = (alpha gamma + beta delta) I +
 (alpha delta + beta gamma + 3 beta delta) U, so no kernel here loops over an
 exponent.
 
@@ -35,43 +38,6 @@ from .laurent import LaurentPoly, _group_element, _head_groups, _head_terms, pow
 Vec = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Row-major 2x2 integer matrix [[a, b], [c, d]]."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def rows(self) -> tuple[Vec, Vec]:
-        return (self.a, self.b), (self.c, self.d)
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return self + (-other)
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-
-IDENTITY = Mat2(1, 0, 0, 1)
-U = Mat2(0, 1, 1, 3)
-
-
 def _pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     """(alpha I + beta U)(gamma I + delta U), reduced by U^2 = 3U + I."""
     (alpha, beta), (gamma, delta) = x, y
@@ -85,18 +51,6 @@ def _u_pair(i: int) -> tuple[int, int]:
         return 1, 0
     # U, or U^-1 = U - 3I by Cayley-Hamilton
     return power(_pair_mul, (0, 1) if i > 0 else (-3, 1), abs(i))
-
-
-def _pair_mat(alpha: int, beta: int) -> Mat2:
-    return Mat2(alpha, beta, beta, alpha + 3 * beta)
-
-
-def u_pow(i: int) -> Mat2:
-    return _pair_mat(*_u_pair(i))
-
-
-def vec_mat(v: Vec, m: Mat2) -> Vec:
-    return (v[0] * m.a + v[1] * m.c, v[0] * m.b + v[1] * m.d)
 
 
 def _core_pair(s: LaurentPoly) -> tuple[int, int, int]:
@@ -119,13 +73,13 @@ def _core_pair(s: LaurentPoly) -> tuple[int, int, int]:
     return alpha, beta, top
 
 
-def evaluate_at_U(s: LaurentPoly) -> Mat2:
-    """Sum of n_i * U^i over the support of s, as alpha I + beta U: the
-    core pair times U^f."""
+def evaluate_at_U(s: LaurentPoly) -> tuple[int, int]:
+    """The pair (alpha, beta) with s(U) = sum of n_i U^i = alpha I + beta U:
+    the core pair times U^f."""
     alpha, beta, f = _core_pair(s)
     if f:
         alpha, beta = _pair_mul((alpha, beta), _u_pair(f))
-    return _pair_mat(alpha, beta)
+    return alpha, beta
 
 
 def _norm_form(alpha: int, beta: int, f: int = 0) -> int:
@@ -211,8 +165,9 @@ class ParityReport:
 
 
 def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityReport:
-    """Compare predicted_parity against the determinant parity on all of
-    enumerate_S(max_degree_span, max_abs_coeff), in its order.
+    """Compare predicted_parity against the determinant parity on every
+    S-element of the window: support in [0, max_degree_span], coefficients
+    in [-max_abs_coeff, max_abs_coeff], in the order of ``_head_groups``.
 
     The window is walked one head group at a time (``laurent._head_groups``):
     the elements b^f (head(b) + m b^(d-1) + (R - m) b^d) of a group share

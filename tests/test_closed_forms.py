@@ -24,17 +24,10 @@ from vltower import series
 from vltower.cli import main
 from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.laurent import ZERO, LaurentPoly, augmentation, parse_laurent
-from vltower.quadratic import (
-    IDENTITY,
-    U,
-    Mat2,
-    evaluate_at_U,
-    norm,
-    two_adic_split,
-    u_pow,
-    vec_mat,
-)
-from words import eval_word, gamma_comm, gamma_conj
+from vltower.quadratic import evaluate_at_U, norm, two_adic_split
+import words
+from references import IDENTITY, U, Mat2, s_matrix, u_pow, vec_mat
+from words import eval_word, gamma_comm, gamma_conj, gamma_inv, gamma_mul, gamma_pow, word_oracle
 
 LEVELS = (None, 0, 3, 7)
 U_INV = Mat2(-3, 1, 1, 0)
@@ -46,13 +39,13 @@ U_INV = Mat2(-3, 1, 1, 0)
 def ref_pow(x, e):
     """Square-and-multiply over gamma_mul."""
     if e < 0:
-        return ref_pow(G.gamma_inv(x), -e)
+        return ref_pow(gamma_inv(x), -e)
     out = G.gamma_identity(x.k)
     base = x
     while e:
         if e & 1:
-            out = G.gamma_mul(out, base)
-        base = G.gamma_mul(base, base)
+            out = gamma_mul(out, base)
+        base = gamma_mul(base, base)
         e >>= 1
     return out
 
@@ -101,16 +94,16 @@ def ref_a_power_s(s):
     out = G.gamma_identity(None)
     for e, coeff in s.terms:
         c, m, n = G.conj_by_b_pow((0, coeff, 0), -e)
-        out = G.gamma_mul(out, G.GammaKElem(None, c, (m, n), 0))
+        out = gamma_mul(out, G.GammaKElem(None, c, (m, n), 0))
     return out
 
 
 def ref_phi_apply(data, g):
     """The four-power composition img_t^c img_a^m img_ab^n b^j over gamma_mul."""
-    out = G.gamma_pow(data.img_t, g.c)
-    out = G.gamma_mul(out, G.gamma_pow(data.img_a, g.n[0]))
-    out = G.gamma_mul(out, G.gamma_pow(data.img_ab, g.n[1]))
-    return G.gamma_mul(out, G.gamma_pow(G.gamma_gen(data.target_k, "b"), g.j))
+    out = gamma_pow(data.img_t, g.c)
+    out = gamma_mul(out, gamma_pow(data.img_a, g.n[0]))
+    out = gamma_mul(out, gamma_pow(data.img_ab, g.n[1]))
+    return gamma_mul(out, gamma_pow(G.gamma_gen(data.target_k, "b"), g.j))
 
 
 def ref_iterated_comm_with_b(x, times):
@@ -172,11 +165,11 @@ def test_gamma_pow_closed_form_matches_square_and_multiply(k):
     # one element with m n != 0 over the whole exponent range, e >= 2**k included
     x = G.gamma_make(k, 5, (3, -7), 0)
     for e in range(-(1 << 12), (1 << 12) + 1):
-        assert G.gamma_pow(x, e) == ref_pow(x, e)
+        assert gamma_pow(x, e) == ref_pow(x, e)
     for _ in range(60):
         x = _b_free(rng, k)
         for e in [0, 1, -1, 1 << 12, -(1 << 12)] + rng.sample(range(-(1 << 12), (1 << 12) + 1), 40):
-            assert G.gamma_pow(x, e) == ref_pow(x, e)
+            assert gamma_pow(x, e) == ref_pow(x, e)
 
 
 def test_gamma_pow_with_b_part_matches_square_and_multiply():
@@ -185,7 +178,7 @@ def test_gamma_pow_with_b_part_matches_square_and_multiply():
         for _ in range(40):
             x = G.gamma_make(k, rng.randint(-9, 9), (rng.randint(-3, 3), rng.randint(-3, 3)), rng.choice([-2, -1, 1, 3]))
             for e in range(-12, 13):
-                assert G.gamma_pow(x, e) == ref_pow(x, e)
+                assert gamma_pow(x, e) == ref_pow(x, e)
 
 
 @pytest.mark.parametrize("k", LEVELS)
@@ -194,7 +187,7 @@ def test_generator_powers_match_the_oracle(k):
     for gen in ("a", "ab", "b", "t"):
         x = G.gamma_gen(k, gen)
         for e in range(-150, 151):
-            assert G.gamma_pow(x, e) == G.word_oracle([(gen, e)], model)
+            assert gamma_pow(x, e) == word_oracle([(gen, e)], model)
 
 
 def test_powers_of_b_free_words_match_the_oracle():
@@ -210,7 +203,7 @@ def test_powers_of_b_free_words_match_the_oracle():
             x = eval_word(w, model)
             assert x.j == 0
             for e in range(-25, 26):
-                assert G.gamma_pow(x, e) == G.word_oracle(w * e if e >= 0 else _inverse_word(w) * -e, model)
+                assert gamma_pow(x, e) == word_oracle(w * e if e >= 0 else _inverse_word(w) * -e, model)
 
 
 # --- conj_by_b_pow -------------------------------------------------------------
@@ -231,16 +224,20 @@ def test_conj_by_b_pow_matches_the_phi_loop():
 
 
 def test_word_oracle_uses_no_closed_form():
-    # the oracle stays letter-level: none of its code names a kernel helper
-    codes = [G.word_oracle.__code__, G._oracle_collect.__code__] + [
-        f.__code__ for f in vars(G._OracleState).values() if hasattr(f, "__code__")
+    # the oracle stays letter-level: none of its code names a kernel helper,
+    # neither the package's b-free law and records nor the full-group law
+    # that sits beside the oracle in words.py
+    codes = [word_oracle.__code__, words._oracle_collect.__code__] + [
+        f.__code__ for f in vars(words._OracleState).values() if hasattr(f, "__code__")
     ]
     names = {name for code in codes for name in code.co_names}
-    kernel = {n for n in vars(G) if n.startswith(("gamma_", "_aut_", "_conj_", "conj_", "phi"))}
-    kernel |= {"eval_word", "u_pow", "evaluate_at_U", "norm", "vec_mat"}
+    prefixes = ("gamma_", "_aut_", "_conj_", "conj_", "phi", "free_", "comm_")
+    kernel = {n for module in (G, words) for n in vars(module) if n.startswith(prefixes)}
+    kernel |= {"eval_word", "base_form", "u_pow", "evaluate_at_U", "norm", "vec_mat", "_pair_mul", "_u_pair"}
+    assert {"free_mul", "free_pow", "conj_b", "comm_b", "gamma_mul", "gamma_inv", "gamma_pow"} <= kernel
     assert not names & kernel
     with pytest.raises(ValueError):
-        G._OracleState(None).prepend_b(2)
+        words._OracleState(None).prepend_b(2)
 
 
 # --- a_power_s -------------------------------------------------------------------
@@ -337,9 +334,9 @@ def _check_phi_build_on_the_generic_kernel(s, k):
     data = G.phi_build(s, k)
     x, y = G.a_power_s(s), G.a_power_s(s.scale(3))
     bz = G.gamma_gen(None, "b")
-    lhs, rhs = gamma_conj(gamma_conj(x, bz), bz), G.gamma_mul(x, gamma_conj(y, bz))
+    lhs, rhs = gamma_conj(gamma_conj(x, bz), bz), gamma_mul(x, gamma_conj(y, bz))
     assert lhs.n == rhs.n and data.l_exact == lhs.c - rhs.c
-    d = y.c - G.gamma_pow(x, 3).c
+    d = y.c - gamma_pow(x, 3).c
     level = data.target_k
     assert data.r == (d - data.l_exact) * pow(3, -1, 1 << level) % (1 << level)
     b = G.gamma_gen(level, "b")
@@ -347,7 +344,7 @@ def _check_phi_build_on_the_generic_kernel(s, k):
     assert data.img_a == img_a
     assert data.img_ab == gamma_conj(img_a, b)
     assert data.img_t == gamma_comm(img_a, data.img_ab) == G.gamma_make(level, data.norm, (0, 0), 0)
-    assert gamma_conj(data.img_ab, b) == G.gamma_mul(img_a, gamma_conj(G.gamma_pow(img_a, 3), b))
+    assert gamma_conj(data.img_ab, b) == gamma_mul(img_a, gamma_conj(gamma_pow(img_a, 3), b))
 
 
 @pytest.mark.parametrize("edge", ["1-b+b^2", "b", "2b-b^3", "-2-2b^147+5b^311"])
@@ -393,7 +390,7 @@ def test_evaluate_and_norm_match_repeated_products():
         terms = {rng.randint(-40, 40): rng.randint(-9, 9) for _ in range(rng.randint(0, 6))}
         s = LaurentPoly.from_dict(terms)
         ref = ref_evaluate(s, powers)
-        assert evaluate_at_U(s) == ref
+        assert s_matrix(s) == ref
         assert norm(s) == ref.det()
 
 
@@ -448,11 +445,11 @@ def test_u_pow_and_norm_take_logarithmic_steps():
     products = Q._pair_mul.__code__
     bound = 2 * (2000).bit_length()
     for i in (2000, -2000):
-        assert 1 <= _count_calls(products, lambda: u_pow(i)) <= bound
+        assert 1 <= _count_calls(products, lambda: Q._u_pair(i)) <= bound
     s = parse_laurent("1-b^2000+b^2001")
     assert 1 <= _count_calls(products, lambda: norm(s)) <= 2 * bound
     for i in (1, -1):
-        assert _count_calls(products, lambda: u_pow(i)) == 0
+        assert _count_calls(products, lambda: Q._u_pair(i)) == 0
 
 
 def test_conj_by_b_pow_takes_logarithmic_steps():
@@ -476,12 +473,15 @@ def test_a_power_s_composes_no_record_on_gaps_of_one():
 
 def test_base_diagram_check_multiplies_nothing():
     # phi_apply is one collection step, and the square is compared on module
-    # parts, so no power of U is built; the four-power composition made 104
-    # gamma_mul and 48 u_pow calls per edge, and the base-form comparison 3 u_pow
+    # parts, so no group product is taken and the only power of U built is
+    # the one evaluating s; the four-power composition made 104 gamma_mul and
+    # 48 u_pow calls per edge, and the base-form comparison 3 u_pow
     tower = G.tower_build(parse_laurent(e) for e in "1-b+b^2,b,1-b+b^2".split(","))
+    powers = Q._u_pair.__code__
     for data in tower.phis:
-        assert _count_calls(G.gamma_mul.__code__, lambda: G._check_base_diagram(data)) == 0
-        assert _count_calls(Q.u_pow.__code__, lambda: G._check_base_diagram(data)) == 0
+        assert _count_calls(G.free_mul.__code__, lambda: G._check_base_diagram(data)) == 0
+        evaluation = _count_calls(powers, lambda: evaluate_at_U(data.s))
+        assert _count_calls(powers, lambda: G._check_base_diagram(data)) == evaluation
 
 
 def test_base_diagram_check_applies_phi_once_per_sample():
@@ -541,11 +541,11 @@ def test_base_diagram_check_misses_a_module_law_not_linear_in_n(monkeypatch):
     # m and n both nonzero (test_groups::test_tower_projection_diagram,
     # test_groups::test_phi_apply_is_a_homomorphism) catch it
     data = G.phi_build(parse_laurent("1-b+b^2"), 0)
-    s_matrix = evaluate_at_U(data.s)
+    s_of_u = s_matrix(data.s)
     _phi_apply_with_module_shift(monkeypatch, lambda g: g.n[0] * g.n[1])
     G._check_base_diagram(data)
     g = G.gamma_make(0, 0, (2, -1), 1)
-    assert G.phi_apply(data, g).n != vec_mat(g.n, s_matrix)
+    assert G.phi_apply(data, g).n != vec_mat(g.n, s_of_u)
 
 
 def test_phi_build_commutator_count_does_not_depend_on_k():

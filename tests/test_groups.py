@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from vltower.errors import LevelMismatchError, NotInSError
 from vltower.laurent import ONE, parse_laurent
-from vltower.localization import Fraction, frac_eq
-from vltower.quadratic import evaluate_at_U, norm, u_pow, vec_mat
+from vltower.quadratic import norm
 from vltower import groups as G
-from words import eval_word, gamma_comm, gamma_conj
+from references import Fraction, frac_eq, fraction_stage_vector, s_matrix, u_pow, vec_mat
+from words import base_form, eval_word, gamma_comm, gamma_conj, gamma_inv, gamma_mul, gamma_pow, word_oracle
 
 S = parse_laurent("1-b+b^2")
 H = G.Model.parse("H")
@@ -40,27 +40,27 @@ def random_word(rng, max_len=20, max_b=10):
 
 def test_h_semidirect_law():
     # a * b = b * a^b, which is b a^(0, 1) in the b^j a^n form
-    lhs = G.gamma_mul(A0, B0)
-    rhs = G.gamma_mul(B0, AB0)
+    lhs = gamma_mul(A0, B0)
+    rhs = gamma_mul(B0, AB0)
     assert lhs == rhs
-    assert G.base_form(lhs) == ((0, 1), 1)
+    assert base_form(lhs) == ((0, 1), 1)
 
 
 def test_h_squaring():
-    assert G.gamma_mul(A0, A0) == G.gamma_make(0, 0, (2, 0), 0)
+    assert gamma_mul(A0, A0) == G.gamma_make(0, 0, (2, 0), 0)
 
 
 def test_h_defining_relation():
     # a^(b^2) = a * a^(3b)
-    b2 = G.gamma_pow(B0, 2)
-    lhs = G.gamma_mul(G.gamma_inv(b2), G.gamma_mul(A0, b2))
-    rhs = G.gamma_mul(A0, G.gamma_pow(AB0, 3))
+    b2 = gamma_pow(B0, 2)
+    lhs = gamma_mul(gamma_inv(b2), gamma_mul(A0, b2))
+    rhs = gamma_mul(A0, gamma_pow(AB0, 3))
     assert lhs == rhs
 
 
 def test_h_commutator_of_a_and_ab_trivial():
-    x = G.gamma_mul(
-        G.gamma_inv(A0), G.gamma_mul(G.gamma_inv(AB0), G.gamma_mul(A0, AB0))
+    x = gamma_mul(
+        gamma_inv(A0), gamma_mul(gamma_inv(AB0), gamma_mul(A0, AB0))
     )
     assert x == ID0
 
@@ -73,8 +73,8 @@ def test_h_commutator_of_a_and_ab_trivial():
 def test_h_group_axioms(t1, t2, t3):
     xs = [G.gamma_make(0, 0, (a, b), j) for a, b, j in (t1, t2, t3)]
     x, y, z = xs
-    assert G.gamma_mul(G.gamma_mul(x, y), z) == G.gamma_mul(x, G.gamma_mul(y, z))
-    assert G.gamma_mul(x, G.gamma_inv(x)) == ID0
+    assert gamma_mul(gamma_mul(x, y), z) == gamma_mul(x, gamma_mul(y, z))
+    assert gamma_mul(x, gamma_inv(x)) == ID0
 
 
 # --- class-2 models ----------------------------------------------------------
@@ -85,12 +85,12 @@ def test_g2_commutator_is_t():
 
 
 def test_g2_t_inverted_by_b():
-    assert gamma_conj(T, B) == G.gamma_inv(T)
+    assert gamma_conj(T, B) == gamma_inv(T)
 
 
 def test_g2_defining_relation_with_zero_center():
     lhs = gamma_conj(gamma_conj(A, B), B)
-    rhs = G.gamma_mul(A, gamma_conj(G.gamma_pow(A, 3), B))
+    rhs = gamma_mul(A, gamma_conj(gamma_pow(A, 3), B))
     assert lhs == rhs
     assert lhs.c == 0
 
@@ -103,8 +103,8 @@ def test_g2_t_central_among_module_generators():
 def test_t_has_order_exactly_2k():
     for k in range(1, 9):
         t = G.gamma_gen(k, "t")
-        assert G.gamma_pow(t, 1 << k) == G.gamma_identity(k)
-        assert G.gamma_pow(t, 1 << (k - 1)) != G.gamma_identity(k)
+        assert gamma_pow(t, 1 << k) == G.gamma_identity(k)
+        assert gamma_pow(t, 1 << (k - 1)) != G.gamma_identity(k)
 
 
 def test_gamma_relators_all_levels():
@@ -114,7 +114,7 @@ def test_gamma_relators_all_levels():
         b = G.gamma_gen(k, "b")
         ident = G.gamma_identity(k)
         lhs = gamma_conj(gamma_conj(a, b), b)
-        rhs = G.gamma_mul(a, gamma_conj(G.gamma_pow(a, 3), b))
+        rhs = gamma_mul(a, gamma_conj(gamma_pow(a, 3), b))
         assert lhs == rhs
         t = gamma_comm(a, ab)
         assert gamma_comm(t, a) == ident
@@ -138,15 +138,15 @@ def test_relators_vanish_under_the_oracle_too():
     comm_a = [w for w in t_inv] + [("a", -1)] + t_word + [("a", 1)]
     comm_ab = [w for w in t_inv] + ab_inv + t_word + ab_word
     for model in [G.Model(k) for k in range(0, 11)] + [G2, H]:
-        ident = G.word_oracle([], model)
-        assert G.word_oracle(main_relator, model) == ident
-        assert G.word_oracle(comm_a, model) == ident
-        assert G.word_oracle(comm_ab, model) == ident
+        ident = word_oracle([], model)
+        assert word_oracle(main_relator, model) == ident
+        assert word_oracle(comm_a, model) == ident
+        assert word_oracle(comm_ab, model) == ident
         if model.is_truncation:
             w = list(t_word)
             for _ in range(model.k):
                 w = _comm_word(w, [("b", 1)])
-            assert G.word_oracle(w, model) == ident
+            assert word_oracle(w, model) == ident
 
 
 def _comm_word(x, y):
@@ -173,15 +173,15 @@ def test_gamma_level_zero_is_the_base_group():
         w = random_word(rng, max_len=12, max_b=5)
         g = eval_word(w, H)
         assert g.k == 0 and g.c == 0
-        assert g == G.word_oracle(w, H)
-        assert G.base_form(g) == _semidirect_eval(w)
+        assert g == word_oracle(w, H)
+        assert base_form(g) == _semidirect_eval(w)
 
 
 def test_level_mismatch_raises():
     with pytest.raises(LevelMismatchError):
-        G.gamma_mul(G.gamma_gen(2, "a"), G.gamma_gen(3, "a"))
+        gamma_mul(G.gamma_gen(2, "a"), G.gamma_gen(3, "a"))
     with pytest.raises(LevelMismatchError):
-        G.gamma_mul(G.gamma_gen(None, "a"), G.gamma_gen(0, "a"))
+        gamma_mul(G.gamma_gen(None, "a"), G.gamma_gen(0, "a"))
 
 
 @given(
@@ -192,9 +192,9 @@ def test_level_mismatch_raises():
 def test_g2_group_axioms(t1, t2, t3):
     xs = [G.gamma_make(None, c, (m, n), j) for c, m, n, j in (t1, t2, t3)]
     x, y, z = xs
-    assert G.gamma_mul(G.gamma_mul(x, y), z) == G.gamma_mul(x, G.gamma_mul(y, z))
-    assert G.gamma_mul(x, G.gamma_inv(x)) == ID
-    assert G.gamma_mul(G.gamma_inv(x), x) == ID
+    assert gamma_mul(gamma_mul(x, y), z) == gamma_mul(x, gamma_mul(y, z))
+    assert gamma_mul(x, gamma_inv(x)) == ID
+    assert gamma_mul(gamma_inv(x), x) == ID
 
 
 # --- word oracle -------------------------------------------------------------
@@ -203,12 +203,12 @@ def test_g2_group_axioms(t1, t2, t3):
 def test_oracle_examples():
     # a^-1 (a^b)^-1 a a^b = t
     w = [("a", -1), ("b", -1), ("a", -1), ("b", 1), ("a", 1), ("b", -1), ("a", 1), ("b", 1)]
-    assert G.word_oracle(w, G2) == T
+    assert word_oracle(w, G2) == T
     # b^-1 t b = t^-1, with t spelled as the commutator word
     t_word = [("a", -1), ("b", -1), ("a", -1), ("b", 1), ("a", 1), ("b", -1), ("a", 1), ("b", 1)]
     conj = [("b", -1)] + t_word + [("b", 1)]
-    assert G.word_oracle(conj, G2) == G.gamma_inv(T)
-    assert G.word_oracle([], G2) == ID
+    assert word_oracle(conj, G2) == gamma_inv(T)
+    assert word_oracle([], G2) == ID
 
 
 def test_oracle_agrees_with_closed_form_all_models():
@@ -217,7 +217,7 @@ def test_oracle_agrees_with_closed_form_all_models():
     for _ in range(800):
         w = random_word(rng)
         for model in models:
-            assert G.word_oracle(w, model) == eval_word(w, model)
+            assert word_oracle(w, model) == eval_word(w, model)
 
 
 def test_oracle_adversarial_words():
@@ -228,7 +228,7 @@ def test_oracle_adversarial_words():
         [("b", -8), ("a", -2), ("b", 8)],
         [("a", 3), ("b", -5), ("a", -3), ("b", 5)],
     ):
-        assert G.word_oracle(w, G2) == eval_word(w, G2)
+        assert word_oracle(w, G2) == eval_word(w, G2)
 
 
 # --- the relation exponent and the level maps --------------------------------
@@ -249,7 +249,7 @@ def _relator_sides_by_oracle(s):
         word_3s += [("b", -e), ("a", 3 * c), ("b", e)]
     lhs = [("b", -2)] + word_s + [("b", 2)]
     rhs = word_s + [("b", -1)] + word_3s + [("b", 1)]
-    return G.word_oracle(lhs, G2), G.word_oracle(rhs, G2)
+    return word_oracle(lhs, G2), word_oracle(rhs, G2)
 
 
 @pytest.mark.parametrize(
@@ -281,7 +281,7 @@ def test_phi_build_worked_example_level_zero():
     data = G.phi_build(S, 0)
     assert data.source_k == 0 and data.target_k == 2
     # image of a is a a^-b a^(b^2) t^r with the module part of a^s
-    assert data.img_a.n == vec_mat((1, 0), evaluate_at_U(S))
+    assert data.img_a.n == vec_mat((1, 0), s_matrix(S))
     assert data.img_a.n == (2, 2)
     assert data.img_t == G.gamma_make(2, 12, (0, 0), 0)
 
@@ -297,7 +297,7 @@ def test_phi_r_is_the_unique_target_solution():
     for r in range(1 << k_target):
         img_a = G.gamma_make(k_target, x.c + r, x.n, 0)
         lhs = gamma_conj(gamma_conj(img_a, b), b)
-        rhs = G.gamma_mul(img_a, gamma_conj(G.gamma_pow(img_a, 3), b))
+        rhs = gamma_mul(img_a, gamma_conj(gamma_pow(img_a, 3), b))
         if lhs == rhs:
             solutions.append(r)
     assert solutions == [data.r]
@@ -334,7 +334,7 @@ def test_phi_apply_is_a_homomorphism():
     for _ in range(1000):
         x = G.gamma_make(1, rng.randrange(2), (rng.randint(-6, 6), rng.randint(-6, 6)), rng.randint(-3, 3))
         y = G.gamma_make(1, rng.randrange(2), (rng.randint(-6, 6), rng.randint(-6, 6)), rng.randint(-3, 3))
-        assert G.phi_apply(data, G.gamma_mul(x, y)) == G.gamma_mul(
+        assert G.phi_apply(data, gamma_mul(x, y)) == gamma_mul(
             G.phi_apply(data, x), G.phi_apply(data, y)
         )
 
@@ -383,8 +383,8 @@ def test_tower_projection_diagram():
     rng = random.Random(4)
     for _ in range(100):
         g = G.gamma_make(0, 0, (rng.randint(-8, 8), rng.randint(-8, 8)), rng.randint(-3, 3))
-        n, j = G.base_form(g)
-        assert G.base_form(G.phi_apply(tower.phis[0], g)) == (vec_mat(n, evaluate_at_U(S)), j)
+        n, j = base_form(g)
+        assert base_form(G.phi_apply(tower.phis[0], g)) == (vec_mat(n, s_matrix(S)), j)
 
 
 @pytest.fixture(scope="module")
@@ -395,17 +395,15 @@ def tower():
 def test_telescope_fraction_coherence(tower):
     # the fraction (n, s1) equals the stage-1 image of n
     rng = random.Random(77)
-    from vltower.groups import fraction_stage_vector
-
     for _ in range(100):
         n = (rng.randint(-9, 9), rng.randint(-9, 9))
         v = fraction_stage_vector(Fraction(n, S), tower, 1)
         assert v == n  # P_1 = s, so the representative is n itself
         v2 = fraction_stage_vector(Fraction(n, S), tower, 2)
-        assert v2 == vec_mat(n, evaluate_at_U(S))
+        assert v2 == vec_mat(n, s_matrix(S))
         assert frac_eq(Fraction(n, S), Fraction(v2, S * S))
 
 
 def test_word_oracle_rejects_unknown_model():
     with pytest.raises(ValueError):
-        G.word_oracle([], -3)
+        word_oracle([], -3)

@@ -13,12 +13,11 @@ from vltower.laurent import (
     ZERO,
     LaurentPoly,
     augmentation,
-    divide_exact,
-    enumerate_S,
     in_S,
     parse_laurent,
     require_in_S,
 )
+from references import divide_exact, enumerate_S
 
 polys = st.builds(
     LaurentPoly.from_dict,

@@ -12,20 +12,18 @@ from vltower.localization import (
     DYADIC_ZERO,
     CenterColim,
     Dyadic,
-    Fraction,
     center_eq,
     center_make,
     center_push,
     center_push_to,
     center_to_dyadic,
-    dyadic_add,
     dyadic_double,
     dyadic_halve,
     dyadic_make,
     dyadic_neg,
-    frac_eq,
     parse_dyadic,
 )
+from references import Fraction, dyadic_add, frac_eq, s_matrix, vec_mat
 
 S = parse_laurent("1-b+b^2")
 
@@ -45,26 +43,22 @@ def test_frac_eq_worked_example():
 
 def test_frac_eq_definition_instance():
     rng = random.Random(5)
-    from vltower.quadratic import evaluate_at_U, vec_mat
-
     for _ in range(50):
         n = (rng.randint(-9, 9), rng.randint(-9, 9))
-        assert frac_eq(Fraction(n, ONE), Fraction(vec_mat(n, evaluate_at_U(S)), S))
+        assert frac_eq(Fraction(n, ONE), Fraction(vec_mat(n, s_matrix(S)), S))
 
 
 def test_frac_eq_is_an_equivalence_relation():
     # Build related triples: f, f scaled by s with denominator s, and again.
     rng = random.Random(11)
-    from vltower.quadratic import evaluate_at_U, vec_mat
-
     scalers = [S, parse_laurent("2-b"), parse_laurent("b"), parse_laurent("1+b-b^2")]
     fracs = []
     for _ in range(1000):
         n = (rng.randint(-9, 9), rng.randint(-9, 9))
         den = rng.choice(scalers)
         f = Fraction(n, den)
-        g = Fraction(vec_mat(n, evaluate_at_U(den)), den * den)
-        h = Fraction(vec_mat(n, evaluate_at_U(ONE)), den)
+        g = Fraction(vec_mat(n, s_matrix(den)), den * den)
+        h = Fraction(vec_mat(n, s_matrix(ONE)), den)
         fracs.append((f, g, h))
     for f, g, h in fracs:
         assert frac_eq(f, f)

@@ -88,3 +88,16 @@ def test_witness_chains_catch_a_faulty_commutator_with_b(monkeypatch, capsys):
     claims = {c["id"]: c["pass"] for c in json.loads(capsys.readouterr().out)["claims"]}
     assert claims["witness.chains"] is False
     assert claims["witness.gamma_omega"] is False
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["c_A", "c_B"])
+def test_phi_build_catches_a_center_coefficient_of_the_record_of_b(monkeypatch, capsys, index):
+    # phi.build: an edge with a negative exponent conjugates a^s by the record
+    # of b, and r absorbs the center defect a fault there leaves; the record is
+    # checked as the inverse of the record of b^-1
+    record = list(G._CONJ_B)
+    record[index] += 1
+    monkeypatch.setattr(G, "_CONJ_B", tuple(record))
+    code, err = _exit_and_error(["phi-check", "--s", "b^-2+b^-1-b^300", "--k", "6"], capsys)
+    assert code == 2
+    assert "records of b and b^-1 are not inverse" in err

@@ -10,21 +10,17 @@ from test_closed_forms import ref_in_row_span
 from vltower import quadratic
 from vltower.cli import main
 from vltower.errors import NotInSError, PreconditionError
-from vltower.laurent import LaurentPoly, enumerate_S, parse_laurent
+from vltower.laurent import LaurentPoly, parse_laurent
 from vltower.quadratic import (
-    IDENTITY,
-    U,
     Lattice,
-    Mat2,
     evaluate_at_U,
     norm,
     norm_data,
     predicted_parity,
     two_adic_split,
-    u_pow,
-    vec_mat,
     verify_parity_range,
 )
+from references import IDENTITY, U, Mat2, enumerate_S, s_matrix, u_pow, vec_mat
 
 polys = st.builds(
     LaurentPoly.from_dict,
@@ -77,21 +73,39 @@ def test_u_squared_is_3u_plus_i():
 
 
 def test_cayley_hamilton_annihilates():
-    assert evaluate_at_U(parse_laurent("b^2 - 3b - 1")) == Mat2(0, 0, 0, 0)
+    assert s_matrix(parse_laurent("b^2 - 3b - 1")) == Mat2(0, 0, 0, 0)
 
 
 def test_evaluate_examples():
-    assert evaluate_at_U(parse_laurent("1")) == IDENTITY
-    assert evaluate_at_U(parse_laurent("1-b+b^2")) == Mat2(2, 2, 2, 8)
-    binv = evaluate_at_U(parse_laurent("b^-1"))
+    assert s_matrix(parse_laurent("1")) == IDENTITY
+    assert s_matrix(parse_laurent("1-b+b^2")) == Mat2(2, 2, 2, 8)
+    binv = s_matrix(parse_laurent("b^-1"))
     assert binv == Mat2(-3, 1, 1, 0)
     assert U * binv == IDENTITY
 
 
+def test_evaluate_returns_the_pair_of_s():
+    # s(U) = alpha I + beta U is kept as (alpha, beta), the first row of the matrix
+    assert evaluate_at_U(parse_laurent("1")) == (1, 0)
+    assert evaluate_at_U(parse_laurent("1-b+b^2")) == (2, 2)
+    assert evaluate_at_U(parse_laurent("b^-1")) == (-3, 1)
+    assert evaluate_at_U(parse_laurent("0")) == (0, 0)
+
+
+def test_row_times_s_of_u_is_one_pair_product():
+    # reading the row (x, y) as x I + y U identifies Z^2 with Z[U]: the row
+    # times the matrix of s(U) is the pair product with the pair of s
+    rng = random.Random(2000)
+    for _ in range(2000):
+        s = LaurentPoly.from_dict({rng.randint(-30, 30): rng.randint(-9, 9) for _ in range(rng.randint(0, 5))})
+        v = (rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6))
+        assert quadratic._pair_mul(v, evaluate_at_U(s)) == vec_mat(v, s_matrix(s))
+
+
 @given(polys, polys)
 def test_evaluate_is_a_ring_map(p, q):
-    assert evaluate_at_U(p + q) == evaluate_at_U(p) + evaluate_at_U(q)
-    assert evaluate_at_U(p * q) == evaluate_at_U(p) * evaluate_at_U(q)
+    assert s_matrix(p + q) == s_matrix(p) + s_matrix(q)
+    assert s_matrix(p * q) == s_matrix(p) * s_matrix(q)
 
 
 def test_norm_examples():
@@ -171,7 +185,7 @@ def test_horner_evaluation_matches_the_term_sum():
             e += rng.choice([1, 2, 3, rng.randint(1, 1 << 12)])
         s = LaurentPoly.from_dict(terms)
         ref = ref_evaluate(s)
-        assert evaluate_at_U(s) == ref
+        assert s_matrix(s) == ref
         assert norm(s) == ref.det()
 
 

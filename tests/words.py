@@ -1,8 +1,68 @@
-"""Word evaluation, conjugation and commutators with the closed-form law: the
-references the tests fold words and relators through to compare the kernel
-against the letter-level word_oracle and the b-free triple checks."""
+"""The group references the tests check the kernel against; no claim runs them.
 
-from vltower.groups import GammaKElem, Model, Word, gamma_gen, gamma_identity, gamma_inv, gamma_mul, gamma_pow
+- ``gamma_mul``, ``gamma_inv`` and ``gamma_pow`` are the full-group law on
+  t^c A^m B^n b^j, built on the package's b-free triple law and records.
+- ``eval_word``, ``gamma_conj`` and ``gamma_comm`` fold words, conjugates and
+  commutators through that law.
+- ``base_form`` is the quotient map to the base group in matrix form.
+- ``word_oracle`` evaluates words letter by letter over single rewrite rules
+  and shares no formula with the closed-form laws.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from references import u_pow, vec_mat
+from vltower.errors import LevelMismatchError, PreconditionError
+from vltower.groups import (
+    GammaKElem,
+    Model,
+    _center,
+    conj_by_b_pow,
+    free_inv,
+    free_mul,
+    free_pow,
+    gamma_gen,
+    gamma_identity,
+)
+from vltower.laurent import power
+from vltower.quadratic import Vec
+
+# --- the full-group law ------------------------------------------------------
+
+
+def gamma_mul(x: GammaKElem, y: GammaKElem) -> GammaKElem:
+    if x.k != y.k:
+        raise LevelMismatchError(f"levels {x.k} and {y.k}")
+    c, m, n = free_mul((x.c, *x.n), conj_by_b_pow((y.c, *y.n), x.j))
+    return GammaKElem(x.k, _center(x.k, c), (m, n), x.j + y.j)
+
+
+def gamma_inv(x: GammaKElem) -> GammaKElem:
+    c, m, n = conj_by_b_pow(free_inv((x.c, *x.n)), -x.j)
+    return GammaKElem(x.k, _center(x.k, c), (m, n), -x.j)
+
+
+def gamma_pow(x: GammaKElem, e: int) -> GammaKElem:
+    """x^e for every integer e; square-and-multiply only for elements with a b part."""
+    if not x.j:
+        c, m, n = free_pow((x.c, *x.n), e)
+        return GammaKElem(x.k, _center(x.k, c), (m, n), 0)
+    if e < 0:
+        x, e = gamma_inv(x), -e
+    return power(gamma_mul, x, e) if e else gamma_identity(x.k)
+
+
+def base_form(x: GammaKElem) -> tuple[Vec, int]:
+    """Quotient by the center: t^c a^n b^j |-> b^j a^(n U^j), as (n U^j, j)."""
+    return vec_mat(x.n, u_pow(x.j)), x.j
+
+
+# --- word evaluation, conjugation and commutators with that law ----------------
+
+Word = Sequence[tuple[str, int]]
+"""A word: pairs (generator, exponent) with generator in {"a", "b"}."""
 
 
 def eval_word(word: Word, model: Model) -> GammaKElem:
@@ -20,3 +80,120 @@ def gamma_conj(x: GammaKElem, y: GammaKElem) -> GammaKElem:
 def gamma_comm(x: GammaKElem, y: GammaKElem) -> GammaKElem:
     """[x, y] = x^-1 y^-1 x y, evaluated as (y x)^-1 (x y)."""
     return gamma_mul(gamma_inv(gamma_mul(y, x)), gamma_mul(x, y))
+
+
+# --- word oracle: slow, letter-level evaluator over the rewriting rules --------
+
+
+class _OracleState:
+    """Normal form t^c A^m B^n b^j built by prepending letters.
+
+    Only single-letter rewrite rules are used: t is central among A and B;
+    one B past A^m costs t^-m (m swaps of BA -> AB t^-1); crossing one b
+    rebuilds the prefix from the letter images b X b^-1 (t -> t^-1,
+    A -> t^3 A^-3 B, B -> A) or b^-1 X b (t -> t^-1, A -> B, B -> A B^3),
+    appended one letter or run at a time.
+    """
+
+    __slots__ = ("c", "m", "n", "j", "mod")
+
+    def __init__(self, modulus: int | None):
+        self.c = 0
+        self.m = 0
+        self.n = 0
+        self.j = 0
+        self.mod = modulus
+
+    def _reduce(self):
+        if self.mod is not None:
+            self.c %= self.mod
+
+    # appends act on the A/B prefix only (used while rebuilding after a b-crossing)
+    def _append_t(self, e: int):
+        self.c += e
+
+    def _append_a(self, e: int):
+        self.c -= e * self.n  # A^e crossing B^n
+        self.m += e
+
+    def _append_b_gen(self, e: int):
+        self.n += e
+
+    def prepend_t(self, e: int):
+        self.c += e
+        self._reduce()
+
+    def prepend_a(self, e: int):
+        self.m += e
+
+    def prepend_ab(self, e: int):
+        self.c -= e * self.m  # B^e crossing A^m
+        self.n += e
+        self._reduce()
+
+    def prepend_b(self, e: int):
+        if e not in (1, -1):
+            raise ValueError("prepend one b at a time")
+        src_c, src_m, src_n = self.c, self.m, self.n
+        self.c, self.m, self.n = -src_c, 0, 0
+        if e == 1:
+            # b A b^-1 = t^3 A^-3 B; inverse letters in reversed order.
+            if src_m >= 0:
+                for _ in range(src_m):
+                    self._append_t(3)
+                    self._append_a(-3)
+                    self._append_b_gen(1)
+            else:
+                for _ in range(-src_m):
+                    self._append_b_gen(-1)
+                    self._append_a(3)
+                    self._append_t(-3)
+            self._append_a(src_n)  # b B b^-1 = A
+        else:
+            self._append_b_gen(src_m)  # b^-1 A b = B
+            # b^-1 B b = A B^3; inverse letters in reversed order.
+            if src_n >= 0:
+                for _ in range(src_n):
+                    self._append_a(1)
+                    self._append_b_gen(3)
+            else:
+                for _ in range(-src_n):
+                    self._append_b_gen(-3)
+                    self._append_a(-1)
+        self.j += e
+        self._reduce()
+
+
+def _oracle_collect(word: Word, modulus: int | None) -> tuple[int, int, int, int]:
+    st = _OracleState(modulus)
+    for gen, e in reversed(list(word)):
+        if e == 0:
+            continue
+        if gen == "a":
+            st.prepend_a(e)
+        elif gen == "b":
+            sgn = 1 if e > 0 else -1
+            for _ in range(abs(e)):
+                st.prepend_b(sgn)
+        elif gen == "t":
+            st.prepend_t(e)
+        elif gen == "ab":
+            sgn = 1 if e > 0 else -1
+            for _ in range(abs(e)):
+                st.prepend_ab(sgn)
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
+    st._reduce()
+    return st.c, st.m, st.n, st.j
+
+
+def word_oracle(word: Word, model: Model) -> GammaKElem:
+    """Evaluate a word over {a, b} (plus derived letters t, ab) in a model.
+
+    This path shares no formulas with the closed-form laws beyond the single
+    rewrite rules listed on _OracleState.
+    """
+    if not isinstance(model, Model):
+        raise PreconditionError(f"not a model: {model!r}")
+    c, m, n, j = _oracle_collect(word, None if model.k is None else 1 << model.k)
+    return GammaKElem(model.k, c, (m, n), j)
