@@ -280,6 +280,11 @@ def witness_not_transfinitely_nilpotent(
     # exits) is the same at every truncation level, the prefix's included.
     gamma_omega(Model(max(s.k for s in samples) + j_bound))
 
+    # w_e = [a, a^b, b, ..., b] with e letters b is t^((-2)^e), so y with denominator
+    # 2^(level - e) is the odd power y.num * (-1)^e of w_e, for every sample.
+    w = [free_comm((0, 1, 0), (0, 0, 1))]
+    for _ in range(j_bound):
+        w.append(comm_b(w[-1]))
     out: list[WitnessSample] = []
     for c in samples:
         chain = [c]
@@ -290,11 +295,6 @@ def witness_not_transfinitely_nilpotent(
         level = c.k + j_bound
         centers = [(y.num << (level - y.k), 0, 0) for y in chain]
         model_ok = all(free_eq(comm_b(centers[j + 1]), centers[j], level) for j in range(j_bound))
-        # w_e = [a, a^b, b, ..., b] with e letters b is t^((-2)^e), so y with
-        # denominator 2^(level - e) is the odd power y.num * (-1)^e of w_e.
-        w = [free_comm((0, 1, 0), (0, 0, 1))]
-        for _ in range(j_bound):
-            w.append(comm_b(w[-1]))
         comm_ok = all(
             free_eq(free_pow(w[level - y.k], (y.num * (-1) ** (level - y.k)) % (1 << y.k)), t_y, level)
             for y, t_y in zip(chain, centers)

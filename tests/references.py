@@ -12,6 +12,9 @@
   are S-fractions and their telescope representatives (acceptance c10).
 - ``subgroup_contains`` is membership in a lower-central-series stage.
 - ``dyadic_add`` is addition in the dyadics mod 1.
+- ``aut7_apply``, ``aut7_compose`` and ``aut7_conj_record`` are the class-2
+  map records with the module part as the four matrix entries (p, q, r, s),
+  the form the package's records (e, c_A, c_B, alpha, beta) replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction as _QFrac
 from typing import Iterator
 
 from vltower.groups import Model, TowerPrefix
-from vltower.laurent import ONE, ZERO, LaurentPoly, _group_element, _head_groups, _head_terms, require_in_S
+from vltower.laurent import ONE, ZERO, LaurentPoly, _group_element, _head_groups, _head_terms, power, require_in_S
 from vltower.localization import Dyadic, dyadic_make
 from vltower.quadratic import Vec, _u_pair, evaluate_at_U
 from vltower.series import SubgroupData
@@ -210,3 +213,36 @@ def subgroup_contains(sub: SubgroupData, c: int, n: Vec, j: int, model: Model) -
 def dyadic_add(x: Dyadic, y: Dyadic) -> Dyadic:
     k = max(x.k, y.k)
     return dyadic_make((x.num << (k - x.k)) + (y.num << (k - y.k)), k)
+
+
+# --- class-2 map records with the module part as a matrix --------------------
+
+# (e, c_A, c_B, p, q, r, s): t |-> t^e, A |-> t^c_A A^p B^q, B |-> t^c_B A^r B^s.
+Aut7 = tuple[int, int, int, int, int, int, int]
+AUT7_CONJ_B: Aut7 = (-1, 3, 0, -3, 1, 1, 0)  # b X b^-1: A |-> t^3 A^-3 B, B |-> A
+AUT7_CONJ_B_INV: Aut7 = (-1, 0, 0, 0, 1, 1, 3)  # b^-1 X b: A |-> B, B |-> A B^3
+
+
+def aut7_apply(f: Aut7, h: tuple[int, int, int]) -> tuple[int, int, int]:
+    """f(t)^c f(A)^m f(B)^n with f(t) = t^e, collected: each power by the b-free
+    closed form, then A^(n r) moved left past B^(m q) at t^(-m n q r)."""
+    e, c_a, c_b, p, q, r, s = f
+    c, m, n = h
+    return (
+        e * c + m * c_a - m * (m - 1) // 2 * p * q
+        + n * c_b - n * (n - 1) // 2 * r * s - m * n * q * r,
+        m * p + n * r,
+        m * q + n * s,
+    )
+
+
+def aut7_compose(f: Aut7, g: Aut7) -> Aut7:
+    """The record of f after g."""
+    c_a, p, q = aut7_apply(f, (g[1], g[3], g[4]))
+    c_b, r, s = aut7_apply(f, (g[2], g[5], g[6]))
+    return (f[0] * g[0], c_a, c_b, p, q, r, s)
+
+
+def aut7_conj_record(j: int) -> Aut7:
+    """The record of X |-> b^j X b^-j for j != 0, by square-and-multiply."""
+    return power(aut7_compose, AUT7_CONJ_B if j > 0 else AUT7_CONJ_B_INV, abs(j))

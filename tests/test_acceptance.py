@@ -16,7 +16,19 @@ from vltower.groups import tower_build
 from vltower.laurent import parse_laurent
 from vltower.quadratic import norm, norm_data, verify_parity_range
 from references import Fraction, enumerate_S, frac_eq, fraction_stage_vector, prefix_product
-from words import eval_word, gamma_comm, gamma_conj, gamma_inv, gamma_mul, gamma_pow, word_oracle
+from words import (
+    eval_word,
+    gamma_comm,
+    gamma_conj,
+    gamma_gen,
+    gamma_identity,
+    gamma_inv,
+    gamma_make,
+    gamma_mul,
+    gamma_pow,
+    phi_images,
+    word_oracle,
+)
 
 S = parse_laurent("1-b+b^2")
 
@@ -66,8 +78,8 @@ def _random_word(rng, max_len=20, max_b=10):
 
 
 def _gamma_relators_hold(k: int) -> bool:
-    a, ab, b = G.gamma_gen(k, "a"), G.gamma_gen(k, "ab"), G.gamma_gen(k, "b")
-    ident = G.gamma_identity(k)
+    a, ab, b = gamma_gen(k, "a"), gamma_gen(k, "ab"), gamma_gen(k, "b")
+    ident = gamma_identity(k)
     lhs = gamma_conj(gamma_conj(a, b), b)
     rhs = gamma_mul(a, gamma_conj(gamma_pow(a, 3), b))
     if lhs != rhs:
@@ -105,9 +117,9 @@ def test_c03_group_law_soundness():
                 )
                 for _ in range(3)
             ]
-            x, y, z = (G.gamma_make(model.k, c, n, j) for c, n, j in parts)
+            x, y, z = (gamma_make(model.k, c, n, j) for c, n, j in parts)
             good = gamma_mul(gamma_mul(x, y), z) == gamma_mul(x, gamma_mul(y, z))
-            good = good and gamma_mul(x, gamma_inv(x)) == G.gamma_identity(model.k)
+            good = good and gamma_mul(x, gamma_inv(x)) == gamma_identity(model.k)
             if not good:
                 assoc_failures += 1
 
@@ -134,7 +146,7 @@ def test_c04_phi_validity_over_enumerated_edges():
         nd = norm_data(s)
         for k in range(0, 7):
             data = G.phi_build(s, k)  # raises on any relator image failure
-            assert data.img_t == G.gamma_make(data.target_k, nd.norm, (0, 0), 0)
+            assert phi_images(data)[2] == gamma_make(data.target_k, nd.norm, (0, 0), 0)
             val = homology.two_connected_certificate(data)
             assert val == k + nd.p
             built += 1

@@ -39,7 +39,6 @@ COMMANDS = [
 
 _COLIMIT = "the tower's own center colimit, which the witness does not check in yet"
 EXEMPT = {
-    "groups.gamma_identity": "a^s for s = 0, which no level map accepts, since an edge must be in S",
     "laurent._head_terms": "renders a parity counterexample, so it runs only when the parity check fails",
     "laurent._group_element": "renders a parity counterexample, so it runs only when the parity check fails",
     "localization._check_stage": _COLIMIT,

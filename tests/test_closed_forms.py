@@ -4,12 +4,15 @@ Each reference below is the loop the kernel used before it became
 logarithmic in its exponent: square-and-multiply for b-free powers, one
 conjugation by b at a time for conj_by_b_pow, one Mat2 product per step for
 powers of U, one commutator per letter for the order relator, and one module
-chain rebuilt per probe index for the limit-stage certificate.  The
+chain rebuilt per probe index for the limit-stage certificate.  The class-2
+map records are also checked against the form they replaced, with the module
+part as four matrix entries.  The
 letter-level word_oracle checks the group law independently of both, and
 sympy, where installed, checks a^s against matrix powers of U.
 """
 
 import dataclasses
+import math
 import random
 import sys
 from fractions import Fraction
@@ -26,8 +29,22 @@ from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.laurent import ZERO, LaurentPoly, augmentation, parse_laurent
 from vltower.quadratic import evaluate_at_U, norm, two_adic_split
 import words
-from references import IDENTITY, U, Mat2, s_matrix, u_pow, vec_mat
-from words import eval_word, gamma_comm, gamma_conj, gamma_inv, gamma_mul, gamma_pow, word_oracle
+from references import IDENTITY, U, Mat2, aut7_apply, aut7_conj_record, pair_mat, s_matrix, u_pow
+from words import (
+    GammaKElem,
+    eval_word,
+    gamma_comm,
+    gamma_conj,
+    gamma_gen,
+    gamma_identity,
+    gamma_inv,
+    gamma_make,
+    gamma_mul,
+    gamma_pow,
+    phi_apply,
+    phi_images,
+    word_oracle,
+)
 
 LEVELS = (None, 0, 3, 7)
 U_INV = Mat2(-3, 1, 1, 0)
@@ -40,7 +57,7 @@ def ref_pow(x, e):
     """Square-and-multiply over gamma_mul."""
     if e < 0:
         return ref_pow(gamma_inv(x), -e)
-    out = G.gamma_identity(x.k)
+    out = gamma_identity(x.k)
     base = x
     while e:
         if e & 1:
@@ -91,25 +108,26 @@ def ref_two_adic_split(n):
 def ref_a_power_s(s):
     """The per-term product: each conjugate a^(n_i b^i) built on its own by
     conj_by_b_pow and multiplied in ascending order."""
-    out = G.gamma_identity(None)
+    out = gamma_identity(None)
     for e, coeff in s.terms:
         c, m, n = G.conj_by_b_pow((0, coeff, 0), -e)
-        out = gamma_mul(out, G.GammaKElem(None, c, (m, n), 0))
-    return out
+        out = gamma_mul(out, GammaKElem(None, c, (m, n), 0))
+    return (out.c, *out.n)
 
 
 def ref_phi_apply(data, g):
     """The four-power composition img_t^c img_a^m img_ab^n b^j over gamma_mul."""
-    out = gamma_pow(data.img_t, g.c)
-    out = gamma_mul(out, gamma_pow(data.img_a, g.n[0]))
-    out = gamma_mul(out, gamma_pow(data.img_ab, g.n[1]))
-    return gamma_mul(out, gamma_pow(G.gamma_gen(data.target_k, "b"), g.j))
+    img_a, img_ab, img_t = phi_images(data)
+    out = gamma_pow(img_t, g.c)
+    out = gamma_mul(out, gamma_pow(img_a, g.n[0]))
+    out = gamma_mul(out, gamma_pow(img_ab, g.n[1]))
+    return gamma_mul(out, gamma_pow(gamma_gen(data.target_k, "b"), g.j))
 
 
 def ref_iterated_comm_with_b(x, times):
     """[x, b, ..., b] with `times` letters b, one gamma_comm per letter."""
     out = x
-    bgen = G.gamma_gen(x.k, "b")
+    bgen = gamma_gen(x.k, "b")
     for _ in range(times):
         out = gamma_comm(out, bgen)
     return out
@@ -153,7 +171,7 @@ def _inverse_word(w):
 
 
 def _b_free(rng, k):
-    return G.gamma_make(k, rng.randint(-50, 50), (rng.randint(-9, 9), rng.randint(-9, 9)), 0)
+    return gamma_make(k, rng.randint(-50, 50), (rng.randint(-9, 9), rng.randint(-9, 9)), 0)
 
 
 # --- gamma_pow -----------------------------------------------------------------
@@ -163,7 +181,7 @@ def _b_free(rng, k):
 def test_gamma_pow_closed_form_matches_square_and_multiply(k):
     rng = random.Random(2024 if k is None else k)
     # one element with m n != 0 over the whole exponent range, e >= 2**k included
-    x = G.gamma_make(k, 5, (3, -7), 0)
+    x = gamma_make(k, 5, (3, -7), 0)
     for e in range(-(1 << 12), (1 << 12) + 1):
         assert gamma_pow(x, e) == ref_pow(x, e)
     for _ in range(60):
@@ -176,7 +194,7 @@ def test_gamma_pow_with_b_part_matches_square_and_multiply():
     rng = random.Random(7)
     for k in LEVELS:
         for _ in range(40):
-            x = G.gamma_make(k, rng.randint(-9, 9), (rng.randint(-3, 3), rng.randint(-3, 3)), rng.choice([-2, -1, 1, 3]))
+            x = gamma_make(k, rng.randint(-9, 9), (rng.randint(-3, 3), rng.randint(-3, 3)), rng.choice([-2, -1, 1, 3]))
             for e in range(-12, 13):
                 assert gamma_pow(x, e) == ref_pow(x, e)
 
@@ -185,7 +203,7 @@ def test_gamma_pow_with_b_part_matches_square_and_multiply():
 def test_generator_powers_match_the_oracle(k):
     model = G.Model(k)
     for gen in ("a", "ab", "b", "t"):
-        x = G.gamma_gen(k, gen)
+        x = gamma_gen(k, gen)
         for e in range(-150, 151):
             assert gamma_pow(x, e) == word_oracle([(gen, e)], model)
 
@@ -221,6 +239,24 @@ def test_conj_by_b_pow_matches_the_phi_loop():
             up, down = ref_phi_inv(up), ref_phi(down)
             assert G.conj_by_b_pow(h, j) == up
             assert G.conj_by_b_pow(h, -j) == down
+
+
+def _as_pair_record(f7):
+    """A matrix record whose matrix is alpha I + beta U, as (e, c_A, c_B, alpha, beta)."""
+    e, c_a, c_b, p, q, r, s = f7
+    assert (r, s) == (q, p + 3 * q)
+    return e, c_a, c_b, p, q
+
+
+def test_conj_record_matches_the_matrix_record():
+    for j in range(-(1 << 10), (1 << 10) + 1):
+        if j:
+            assert G._conj_record(j) == _as_pair_record(aut7_conj_record(j)), j
+    # magnitudes log-uniform from 2**10 to 10**5, so every bit length is drawn
+    rng = random.Random(2**10)
+    for _ in range(200):
+        j = rng.choice((1, -1)) * round(math.exp(rng.uniform(math.log(1 << 10), math.log(10**5))))
+        assert G._conj_record(j) == _as_pair_record(aut7_conj_record(j)), j
 
 
 def test_word_oracle_uses_no_closed_form():
@@ -279,10 +315,10 @@ def test_a_power_s_module_part_against_sympy_powers_of_u():
         s_of_u = sympy.zeros(2, 2)
         for e, c in s.terms:
             s_of_u += c * (u**e if e >= 0 else u_inv ** (-e))
-        assert G.a_power_s(s).n == tuple(sympy.Matrix([[1, 0]]) * s_of_u), s
+        assert G.a_power_s(s)[1:] == tuple(sympy.Matrix([[1, 0]]) * s_of_u), s
 
 
-# --- phi_apply -------------------------------------------------------------------
+# --- level maps on the full group --------------------------------------------------
 
 
 @pytest.mark.parametrize("edge", ["1-b+b^2", "b", "2b-b^3", "-2-2b^147+5b^311"])
@@ -297,8 +333,8 @@ def test_phi_apply_matches_the_four_power_composition(edge):
             for _ in range(150)
         ]
         for c, m, n, j in corners + draws:
-            g = G.gamma_make(k, c, (m, n), j)
-            assert G.phi_apply(data, g) == ref_phi_apply(data, g)
+            g = gamma_make(k, c, (m, n), j)
+            assert phi_apply(data, g) == ref_phi_apply(data, g)
 
 
 # --- the order relator and the limit-stage probes ---------------------------------
@@ -308,8 +344,8 @@ def test_phi_apply_matches_the_four_power_composition(edge):
 def test_order_relator_closed_form_matches_the_literal_loop(edge):
     s = parse_laurent(edge)
     for source_k in (0, 3, 12):
-        img_t = G.phi_build(s, source_k).img_t
-        one = G.gamma_identity(img_t.k)
+        img_t = phi_images(G.phi_build(s, source_k))[2]
+        one = gamma_identity(img_t.k)
         verdicts = []
         for k in range(41):
             literal = ref_iterated_comm_with_b(img_t, k) == one
@@ -322,8 +358,8 @@ def test_order_relator_closed_form_matches_the_literal_loop(edge):
 def test_order_relator_closed_form_on_center_elements():
     for level in (None, 0, 1, 5, 9):
         for c in (0, 1, 2, 3, 12, 40, -7):
-            x = G.gamma_make(level, c, (0, 0), 0)
-            one = G.gamma_identity(level)
+            x = gamma_make(level, c, (0, 0), 0)
+            one = gamma_identity(level)
             for k in range(41):
                 assert G._order_relator_vanishes((c, 0, 0), k, level) == (ref_iterated_comm_with_b(x, k) == one)
 
@@ -332,19 +368,20 @@ def _check_phi_build_on_the_generic_kernel(s, k):
     """phi_build's images, relator defect and center exponent, recomputed
     through gamma_conj, gamma_comm, gamma_mul and gamma_pow."""
     data = G.phi_build(s, k)
-    x, y = G.a_power_s(s), G.a_power_s(s.scale(3))
-    bz = G.gamma_gen(None, "b")
+    x, y = (GammaKElem(None, h[0], h[1:], 0) for h in (G.a_power_s(s), G.a_power_s(s.scale(3))))
+    bz = gamma_gen(None, "b")
     lhs, rhs = gamma_conj(gamma_conj(x, bz), bz), gamma_mul(x, gamma_conj(y, bz))
     assert lhs.n == rhs.n and data.l_exact == lhs.c - rhs.c
     d = y.c - gamma_pow(x, 3).c
     level = data.target_k
     assert data.r == (d - data.l_exact) * pow(3, -1, 1 << level) % (1 << level)
-    b = G.gamma_gen(level, "b")
-    img_a = G.gamma_make(level, x.c + data.r, x.n, 0)
-    assert data.img_a == img_a
-    assert data.img_ab == gamma_conj(img_a, b)
-    assert data.img_t == gamma_comm(img_a, data.img_ab) == G.gamma_make(level, data.norm, (0, 0), 0)
-    assert gamma_conj(data.img_ab, b) == gamma_mul(img_a, gamma_conj(gamma_pow(img_a, 3), b))
+    b = gamma_gen(level, "b")
+    img_a = gamma_make(level, x.c + data.r, x.n, 0)
+    img_ab = gamma_conj(img_a, b)
+    assert phi_images(data)[:2] == (img_a, img_ab)
+    assert data.record == (data.norm, img_a.c, img_ab.c, *img_a.n)
+    assert gamma_comm(img_a, img_ab) == gamma_make(level, data.norm, (0, 0), 0)
+    assert gamma_conj(img_ab, b) == gamma_mul(img_a, gamma_conj(gamma_pow(img_a, 3), b))
 
 
 @pytest.mark.parametrize("edge", ["1-b+b^2", "b", "2b-b^3", "-2-2b^147+5b^311"])
@@ -357,6 +394,32 @@ def test_phi_build_matches_the_generic_kernel_on_the_readme_edges(edge):
 def test_phi_build_matches_the_generic_kernel_on_s_elements(s, k):
     # shifting the constant term by 1 - augmentation(s) puts s in S
     _check_phi_build_on_the_generic_kernel(s + LaurentPoly.constant(1 - augmentation(s)), k)
+
+
+def ref_matrix_a_power_s(s):
+    """a^s by Horner's rule on triples over the matrix records."""
+    top, m = s.terms[-1]
+    c = n = 0
+    for e, coeff in reversed(s.terms[:-1]):
+        c, m, n = aut7_apply(aut7_conj_record(e - top), (c, m, n))
+        m += coeff
+        top = e
+    return aut7_apply(aut7_conj_record(-top), (c, m, n)) if top else (c, m, n)
+
+
+@pytest.mark.parametrize("edge", ["1-b+b^2", "b", "2b-b^3", "-2-2b^147+5b^311"])
+def test_phi_record_matches_the_images_over_matrix_records(edge):
+    # the images of a and a^b as full-group elements, the centers mod
+    # 2**target_k and the module rows the rows of the record's matrix
+    s = parse_laurent(edge)
+    for k in (0, 3, 12):
+        data = G.phi_build(s, k)
+        level = data.target_k
+        c, m, n = ref_matrix_a_power_s(s)
+        img_a = gamma_make(level, c + data.r, (m, n), 0)
+        img_ab = gamma_conj(img_a, gamma_gen(level, "b"))
+        assert data.record[:3] == (data.norm, img_a.c, img_ab.c)
+        assert pair_mat(*data.record[3:]).rows() == (img_a.n, img_ab.n)
 
 
 @pytest.mark.parametrize("model", ["H", "G2", "Gamma0", "Gamma3"])
@@ -472,10 +535,10 @@ def test_a_power_s_composes_no_record_on_gaps_of_one():
 
 
 def test_base_diagram_check_multiplies_nothing():
-    # phi_apply is one collection step, and the square is compared on module
-    # parts, so no group product is taken and the only power of U built is
-    # the one evaluating s; the four-power composition made 104 gamma_mul and
-    # 48 u_pow calls per edge, and the base-form comparison 3 u_pow
+    # the square is one comparison of the record's pair with the pair of s(U),
+    # so no group product is taken and the only power of U built is the one
+    # evaluating s; the four-power composition made 104 gamma_mul and 48 u_pow
+    # calls per edge, and the base-form comparison 3 u_pow
     tower = G.tower_build(parse_laurent(e) for e in "1-b+b^2,b,1-b+b^2".split(","))
     powers = Q._u_pair.__code__
     for data in tower.phis:
@@ -484,68 +547,13 @@ def test_base_diagram_check_multiplies_nothing():
         assert _count_calls(powers, lambda: G._check_base_diagram(data)) == evaluation
 
 
-def test_base_diagram_check_applies_phi_once_per_sample():
-    # the samples are the generators t, a, a^b and b
-    tower = G.tower_build(parse_laurent(e) for e in "1-b+b^2,b,-2-2b^147+5b^311".split(","))
-    for data in tower.phis:
-        assert _count_calls(G.phi_apply.__code__, lambda: G._check_base_diagram(data)) == 4
-
-
 def test_base_diagram_check_rejects_a_corrupted_module_image():
     data = G.phi_build(parse_laurent("1-b+b^2"), 3)
-    m, n = data.img_a.n
-    for bad_n in ((m + 1, n), (m, n - 1)):
-        bad = dataclasses.replace(data, img_a=data.img_a._replace(n=bad_n))
+    e, c_a, c_b, alpha, beta = data.record
+    for bad_pair in ((alpha + 1, beta), (alpha, beta - 1)):
+        bad = dataclasses.replace(data, record=(e, c_a, c_b, *bad_pair))
         with pytest.raises(TheoremViolationError):
             G._check_base_diagram(bad)
-
-
-def test_base_diagram_check_rejects_a_corrupted_ab_image():
-    data = G.phi_build(parse_laurent("1-b+b^2"), 3)
-    m, n = data.img_ab.n
-    for bad_n in ((m - 1, n), (m, n + 1)):
-        bad = dataclasses.replace(data, img_ab=data.img_ab._replace(n=bad_n))
-        with pytest.raises(TheoremViolationError):
-            G._check_base_diagram(bad)
-
-
-def _phi_apply_with_module_shift(monkeypatch, shift):
-    """Make phi_apply add (shift(g), 0) to the module part of every image."""
-    real = G.phi_apply
-
-    def shifted(data, g):
-        img = real(data, g)
-        return img._replace(n=(img.n[0] + shift(g), img.n[1]))
-
-    monkeypatch.setattr(G, "phi_apply", shifted)
-
-
-def test_tower_rejects_a_module_law_that_depends_on_j(monkeypatch, capsys):
-    _phi_apply_with_module_shift(monkeypatch, lambda g: g.j)
-    assert main(["tower", "--edges", "1-b+b^2,1-b+b^2"]) == 2
-    assert "base diagram" in capsys.readouterr().err
-
-
-def test_tower_rejects_a_module_law_that_depends_on_c(monkeypatch, capsys):
-    # t is trivial at level 0, where the shift changes nothing; the second
-    # edge leaves level 2, where t is checked
-    _phi_apply_with_module_shift(monkeypatch, lambda g: g.c)
-    assert main(["tower", "--edges", "1-b+b^2"]) == 0
-    assert main(["tower", "--edges", "1-b+b^2,1-b+b^2"]) == 2
-    assert "base diagram" in capsys.readouterr().err
-
-
-def test_base_diagram_check_misses_a_module_law_not_linear_in_n(monkeypatch):
-    # the generator certificate takes phi_apply to be a homomorphism; an m*n
-    # cross term vanishes on t, a, a^b and b, so only sampled elements with
-    # m and n both nonzero (test_groups::test_tower_projection_diagram,
-    # test_groups::test_phi_apply_is_a_homomorphism) catch it
-    data = G.phi_build(parse_laurent("1-b+b^2"), 0)
-    s_of_u = s_matrix(data.s)
-    _phi_apply_with_module_shift(monkeypatch, lambda g: g.n[0] * g.n[1])
-    G._check_base_diagram(data)
-    g = G.gamma_make(0, 0, (2, -1), 1)
-    assert G.phi_apply(data, g).n != vec_mat(g.n, s_of_u)
 
 
 def test_phi_build_commutator_count_does_not_depend_on_k():

@@ -9,17 +9,31 @@ from vltower.laurent import ONE, parse_laurent
 from vltower.quadratic import norm
 from vltower import groups as G
 from references import Fraction, frac_eq, fraction_stage_vector, s_matrix, u_pow, vec_mat
-from words import base_form, eval_word, gamma_comm, gamma_conj, gamma_inv, gamma_mul, gamma_pow, word_oracle
+from words import (
+    base_form,
+    eval_word,
+    gamma_comm,
+    gamma_conj,
+    gamma_gen,
+    gamma_identity,
+    gamma_inv,
+    gamma_make,
+    gamma_mul,
+    gamma_pow,
+    phi_apply,
+    phi_images,
+    word_oracle,
+)
 
 S = parse_laurent("1-b+b^2")
 H = G.Model.parse("H")
 G2 = G.Model.parse("G2")
 
 # the base group is level 0; G2 is the infinite-center level None
-A0, AB0, B0 = (G.gamma_gen(0, g) for g in ("a", "ab", "b"))
-ID0 = G.gamma_identity(0)
-A, AB, B, T = (G.gamma_gen(None, g) for g in ("a", "ab", "b", "t"))
-ID = G.gamma_identity(None)
+A0, AB0, B0 = (gamma_gen(0, g) for g in ("a", "ab", "b"))
+ID0 = gamma_identity(0)
+A, AB, B, T = (gamma_gen(None, g) for g in ("a", "ab", "b", "t"))
+ID = gamma_identity(None)
 
 
 def random_word(rng, max_len=20, max_b=10):
@@ -47,7 +61,7 @@ def test_h_semidirect_law():
 
 
 def test_h_squaring():
-    assert gamma_mul(A0, A0) == G.gamma_make(0, 0, (2, 0), 0)
+    assert gamma_mul(A0, A0) == gamma_make(0, 0, (2, 0), 0)
 
 
 def test_h_defining_relation():
@@ -71,7 +85,7 @@ def test_h_commutator_of_a_and_ab_trivial():
     st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-5, 5)),
 )
 def test_h_group_axioms(t1, t2, t3):
-    xs = [G.gamma_make(0, 0, (a, b), j) for a, b, j in (t1, t2, t3)]
+    xs = [gamma_make(0, 0, (a, b), j) for a, b, j in (t1, t2, t3)]
     x, y, z = xs
     assert gamma_mul(gamma_mul(x, y), z) == gamma_mul(x, gamma_mul(y, z))
     assert gamma_mul(x, gamma_inv(x)) == ID0
@@ -102,17 +116,17 @@ def test_g2_t_central_among_module_generators():
 
 def test_t_has_order_exactly_2k():
     for k in range(1, 9):
-        t = G.gamma_gen(k, "t")
-        assert gamma_pow(t, 1 << k) == G.gamma_identity(k)
-        assert gamma_pow(t, 1 << (k - 1)) != G.gamma_identity(k)
+        t = gamma_gen(k, "t")
+        assert gamma_pow(t, 1 << k) == gamma_identity(k)
+        assert gamma_pow(t, 1 << (k - 1)) != gamma_identity(k)
 
 
 def test_gamma_relators_all_levels():
     for k in range(0, 11):
-        a = G.gamma_gen(k, "a")
-        ab = G.gamma_gen(k, "ab")
-        b = G.gamma_gen(k, "b")
-        ident = G.gamma_identity(k)
+        a = gamma_gen(k, "a")
+        ab = gamma_gen(k, "ab")
+        b = gamma_gen(k, "b")
+        ident = gamma_identity(k)
         lhs = gamma_conj(gamma_conj(a, b), b)
         rhs = gamma_mul(a, gamma_conj(gamma_pow(a, 3), b))
         assert lhs == rhs
@@ -179,9 +193,9 @@ def test_gamma_level_zero_is_the_base_group():
 
 def test_level_mismatch_raises():
     with pytest.raises(LevelMismatchError):
-        gamma_mul(G.gamma_gen(2, "a"), G.gamma_gen(3, "a"))
+        gamma_mul(gamma_gen(2, "a"), gamma_gen(3, "a"))
     with pytest.raises(LevelMismatchError):
-        gamma_mul(G.gamma_gen(None, "a"), G.gamma_gen(0, "a"))
+        gamma_mul(gamma_gen(None, "a"), gamma_gen(0, "a"))
 
 
 @given(
@@ -190,7 +204,7 @@ def test_level_mismatch_raises():
     st.tuples(st.integers(-20, 20), st.integers(-9, 9), st.integers(-9, 9), st.integers(-4, 4)),
 )
 def test_g2_group_axioms(t1, t2, t3):
-    xs = [G.gamma_make(None, c, (m, n), j) for c, m, n, j in (t1, t2, t3)]
+    xs = [gamma_make(None, c, (m, n), j) for c, m, n, j in (t1, t2, t3)]
     x, y, z = xs
     assert gamma_mul(gamma_mul(x, y), z) == gamma_mul(x, gamma_mul(y, z))
     assert gamma_mul(x, gamma_inv(x)) == ID
@@ -281,9 +295,10 @@ def test_phi_build_worked_example_level_zero():
     data = G.phi_build(S, 0)
     assert data.source_k == 0 and data.target_k == 2
     # image of a is a a^-b a^(b^2) t^r with the module part of a^s
-    assert data.img_a.n == vec_mat((1, 0), s_matrix(S))
-    assert data.img_a.n == (2, 2)
-    assert data.img_t == G.gamma_make(2, 12, (0, 0), 0)
+    img_a, _, img_t = phi_images(data)
+    assert img_a.n == vec_mat((1, 0), s_matrix(S))
+    assert data.record[3:] == (2, 2)
+    assert img_t == gamma_make(2, 12, (0, 0), 0)
 
 
 def test_phi_r_is_the_unique_target_solution():
@@ -291,11 +306,11 @@ def test_phi_r_is_the_unique_target_solution():
     # residue; the built map uses it and every other residue fails.
     data = G.phi_build(S, 0)
     k_target = data.target_k
-    x = G.a_power_s(S)
-    b = G.gamma_gen(k_target, "b")
+    c, m, n = G.a_power_s(S)
+    b = gamma_gen(k_target, "b")
     solutions = []
     for r in range(1 << k_target):
-        img_a = G.gamma_make(k_target, x.c + r, x.n, 0)
+        img_a = gamma_make(k_target, c + r, (m, n), 0)
         lhs = gamma_conj(gamma_conj(img_a, b), b)
         rhs = gamma_mul(img_a, gamma_conj(gamma_pow(img_a, 3), b))
         if lhs == rhs:
@@ -307,7 +322,7 @@ def test_phi_r_is_the_unique_target_solution():
 def test_phi_build_identity_edge():
     data = G.phi_build(ONE, 3)
     assert data.r == 0 and data.target_k == 3
-    assert data.img_a == G.gamma_gen(3, "a")
+    assert phi_images(data)[0] == gamma_gen(3, "a")
 
 
 def test_phi_build_source_level_two():
@@ -325,30 +340,30 @@ def test_phi_center_image_is_norm_power():
     for s in pool:
         for k in (0, 1, 3):
             data = G.phi_build(s, k)
-            assert data.img_t == G.gamma_make(data.target_k, norm(s), (0, 0), 0)
+            assert phi_images(data)[2] == gamma_make(data.target_k, norm(s), (0, 0), 0)
 
 
 def test_phi_apply_is_a_homomorphism():
     data = G.phi_build(S, 1)
     rng = random.Random(99)
     for _ in range(1000):
-        x = G.gamma_make(1, rng.randrange(2), (rng.randint(-6, 6), rng.randint(-6, 6)), rng.randint(-3, 3))
-        y = G.gamma_make(1, rng.randrange(2), (rng.randint(-6, 6), rng.randint(-6, 6)), rng.randint(-3, 3))
-        assert G.phi_apply(data, gamma_mul(x, y)) == gamma_mul(
-            G.phi_apply(data, x), G.phi_apply(data, y)
+        x = gamma_make(1, rng.randrange(2), (rng.randint(-6, 6), rng.randint(-6, 6)), rng.randint(-3, 3))
+        y = gamma_make(1, rng.randrange(2), (rng.randint(-6, 6), rng.randint(-6, 6)), rng.randint(-3, 3))
+        assert phi_apply(data, gamma_mul(x, y)) == gamma_mul(
+            phi_apply(data, x), phi_apply(data, y)
         )
 
 
 def test_phi_apply_fixes_b_and_identity():
     data = G.phi_build(S, 2)
-    assert G.phi_apply(data, G.gamma_gen(2, "b")) == G.gamma_gen(4, "b")
-    assert G.phi_apply(data, G.gamma_identity(2)) == G.gamma_identity(4)
+    assert phi_apply(data, gamma_gen(2, "b")) == gamma_gen(4, "b")
+    assert phi_apply(data, gamma_identity(2)) == gamma_identity(4)
 
 
 def test_phi_apply_level_check():
     data = G.phi_build(S, 2)
     with pytest.raises(LevelMismatchError):
-        G.phi_apply(data, G.gamma_gen(3, "a"))
+        phi_apply(data, gamma_gen(3, "a"))
 
 
 def test_normal_surjectivity():
@@ -373,18 +388,18 @@ def test_tower_levels_examples():
 def test_tower_center_transition_composite():
     tower = G.tower_build([S, S])
     # composite center transition = multiplication by the product of norms
-    t1 = G.gamma_gen(2, "t")
-    pushed = G.phi_apply(tower.phis[1], t1)
-    assert pushed == G.gamma_make(4, 12, (0, 0), 0)
+    t1 = gamma_gen(2, "t")
+    pushed = phi_apply(tower.phis[1], t1)
+    assert pushed == gamma_make(4, 12, (0, 0), 0)
 
 
 def test_tower_projection_diagram():
     tower = G.tower_build([S])
     rng = random.Random(4)
     for _ in range(100):
-        g = G.gamma_make(0, 0, (rng.randint(-8, 8), rng.randint(-8, 8)), rng.randint(-3, 3))
+        g = gamma_make(0, 0, (rng.randint(-8, 8), rng.randint(-8, 8)), rng.randint(-3, 3))
         n, j = base_form(g)
-        assert base_form(G.phi_apply(tower.phis[0], g)) == (vec_mat(n, s_matrix(S)), j)
+        assert base_form(phi_apply(tower.phis[0], g)) == (vec_mat(n, s_matrix(S)), j)
 
 
 @pytest.fixture(scope="module")

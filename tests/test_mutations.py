@@ -1,9 +1,10 @@
 """Planted faults: each verified claim of phi-check, tower and witness fails
 when the step it rests on is broken.
 
-Each fault is planted with monkeypatch in the b-free triple law that the
-claim's check evaluates, and the command must then exit 2 (or report the
-claim as failed).  The stderr line names the check that caught the fault.
+Each fault is planted with monkeypatch in the b-free triple law, a record
+or the evaluation that the claim's check reads, and the command must then
+exit 2 (or report the claim as failed).  The stderr line names the check
+that caught the fault.
 """
 
 import dataclasses
@@ -101,3 +102,18 @@ def test_phi_build_catches_a_center_coefficient_of_the_record_of_b(monkeypatch, 
     code, err = _exit_and_error(["phi-check", "--s", "b^-2+b^-1-b^300", "--k", "6"], capsys)
     assert code == 2
     assert "records of b and b^-1 are not inverse" in err
+
+
+def test_tower_built_catches_a_wrong_pair_of_s_of_u(monkeypatch, capsys):
+    # tower.built: the bottom square compares the level map's pair with the
+    # pair of s(U); a wrong evaluation of s at U must break it
+    real = G.evaluate_at_U
+
+    def shifted(s):
+        alpha, beta = real(s)
+        return alpha, beta + 1
+
+    monkeypatch.setattr(G, "evaluate_at_U", shifted)
+    code, err = _exit_and_error(["tower", "--edges", "1-b+b^2,b,1-b+b^2"], capsys)
+    assert code == 2
+    assert "base diagram" in err

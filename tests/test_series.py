@@ -4,13 +4,13 @@ import pytest
 
 from vltower.cli import main
 from vltower.errors import InsufficientTowerError, PreconditionError
-from vltower.groups import Model, gamma_gen, gamma_make, tower_build
+from vltower.groups import Model, tower_build
 from vltower.laurent import parse_laurent
 from vltower.localization import Dyadic, dyadic_double, dyadic_neg
 from references import IDENTITY, U, Mat2, subgroup_contains
 from vltower import series
 from test_closed_forms import ref_in_row_span
-from words import gamma_comm
+from words import gamma_comm, gamma_gen, gamma_make
 
 S = parse_laurent("1-b+b^2")
 H = Model.parse("H")

@@ -1,7 +1,11 @@
 """The group references the tests check the kernel against; no claim runs them.
 
+- ``GammaKElem`` is an element t^c A^m B^n b^j of the full group at a center
+  level k; ``gamma_make`` and ``gamma_gen`` validate one.
 - ``gamma_mul``, ``gamma_inv`` and ``gamma_pow`` are the full-group law on
   t^c A^m B^n b^j, built on the package's b-free triple law and records.
+- ``phi_apply`` applies a level map's record to a full-group element, and
+  ``phi_images`` gives the images of a, a^b and t as elements.
 - ``eval_word``, ``gamma_conj`` and ``gamma_comm`` fold words, conjugates and
   commutators through that law.
 - ``base_form`` is the quotient map to the base group in matrix form.
@@ -11,23 +15,55 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from references import u_pow, vec_mat
 from vltower.errors import LevelMismatchError, PreconditionError
 from vltower.groups import (
-    GammaKElem,
     Model,
+    PhiData,
+    _aut_apply,
     _center,
     conj_by_b_pow,
     free_inv,
     free_mul,
     free_pow,
-    gamma_gen,
-    gamma_identity,
 )
 from vltower.laurent import power
-from vltower.quadratic import Vec
+from vltower.quadratic import Vec, _pair_mul
+
+# --- elements of the full group ------------------------------------------------
+
+
+class GammaKElem(NamedTuple):
+    """t^c a^(n1) (a^b)^(n2) b^j; c read in Z (k None) or mod 2**k."""
+
+    k: int | None
+    c: int
+    n: Vec
+    j: int
+
+
+def gamma_make(k: int | None, c: int, n: Vec, j: int) -> GammaKElem:
+    if k is not None and k < 0:
+        raise PreconditionError(f"negative truncation level {k}")
+    return GammaKElem(k, _center(k, c), n, j)
+
+
+def gamma_identity(k: int | None) -> GammaKElem:
+    return gamma_make(k, 0, (0, 0), 0)
+
+
+def gamma_gen(k: int | None, name: str) -> GammaKElem:
+    vec = {"a": (1, 0), "ab": (0, 1)}.get(name)
+    if vec is not None:
+        return gamma_make(k, 0, vec, 0)
+    if name == "b":
+        return gamma_make(k, 0, (0, 0), 1)
+    if name == "t":
+        return gamma_make(k, 1, (0, 0), 0)
+    raise ValueError(f"unknown generator {name!r}")
+
 
 # --- the full-group law ------------------------------------------------------
 
@@ -57,6 +93,28 @@ def gamma_pow(x: GammaKElem, e: int) -> GammaKElem:
 def base_form(x: GammaKElem) -> tuple[Vec, int]:
     """Quotient by the center: t^c a^n b^j |-> b^j a^(n U^j), as (n U^j, j)."""
     return vec_mat(x.n, u_pow(x.j)), x.j
+
+
+# --- level maps on the full group ------------------------------------------------
+
+
+def phi_apply(data: PhiData, g: GammaKElem) -> GammaKElem:
+    """t^c A^m B^n b^j |-> the record applied to t^c A^m B^n, times b^j."""
+    if g.k != data.source_k:
+        raise LevelMismatchError(f"element at level {g.k}, map expects {data.source_k}")
+    k = data.target_k
+    c, m, n = _aut_apply(data.record, (g.c, *g.n))
+    return GammaKElem(k, _center(k, c), (m, n), g.j)
+
+
+def phi_images(data: PhiData) -> tuple[GammaKElem, GammaKElem, GammaKElem]:
+    """The images of a, a^b and t: rows (1, 0) M and (0, 1) M of the record's
+    pair, and the commutator of the first two."""
+    _, c_a, c_b, alpha, beta = data.record
+    k = data.target_k
+    img_a = gamma_make(k, c_a, (alpha, beta), 0)
+    img_ab = gamma_make(k, c_b, _pair_mul((0, 1), (alpha, beta)), 0)
+    return img_a, img_ab, gamma_comm(img_a, img_ab)
 
 
 # --- word evaluation, conjugation and commutators with that law ----------------
