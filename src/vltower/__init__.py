@@ -12,7 +12,6 @@ unique-lifting property of the center truncations.
 from .errors import (
     InsufficientTowerError,
     LaurentParseError,
-    LevelMismatchError,
     NotInSError,
     PreconditionError,
     TheoremViolationError,
@@ -38,7 +37,6 @@ __all__ = [
     "Lattice",
     "LaurentParseError",
     "LaurentPoly",
-    "LevelMismatchError",
     "NormData",
     "NotInSError",
     "PreconditionError",

@@ -217,11 +217,6 @@ class CohnTrial:
 
 @dataclass(frozen=True)
 class CohnReport:
-    m: int
-    trials: int
-    size_bound: int
-    degree_bound: int
-    seed: int
     failures: tuple[CohnTrial, ...]
     coherence_checked: int
     coherence_failures: int
@@ -271,13 +266,4 @@ def cohn_local_suite(
         pushed_then_lifted = lift_unique(t, push_module(alpha, module.m, deeper.m), deeper)
         checked += 1
         coh_failures += lifted_then_pushed != pushed_then_lifted
-    return CohnReport(
-        m=module.m,
-        trials=trials,
-        size_bound=size_bound,
-        degree_bound=degree_bound,
-        seed=seed,
-        failures=tuple(failures),
-        coherence_checked=checked,
-        coherence_failures=coh_failures,
-    )
+    return CohnReport(tuple(failures), checked, coh_failures)

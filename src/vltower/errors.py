@@ -17,10 +17,6 @@ class NotInSError(VltowerError, ValueError):
     """An operation required an augmentation-1 polynomial and got something else."""
 
 
-class LevelMismatchError(VltowerError, ValueError):
-    """Two truncation-level elements or maps were combined at different levels."""
-
-
 class InsufficientTowerError(VltowerError, ValueError):
     """A denominator or center element is not realizable within the built tower prefix."""
 

@@ -6,8 +6,11 @@ not computed.  What is computed exactly is everything the construction needs
 about induced maps: whether an S-element kills the base class (parity of its
 norm), the 2-adic valuation of the generator image under a level map, and
 the colimit fold that makes the localized base group's second homology
-vanish.  First-homology invertibility is augmentation(s) = 1, which
-phi_build checks.
+vanish, read from the prefix's even-norm edges (``has_even_edge``).  The
+five-term conclusion, that the omega-th and (omega+1)-st stages of the
+localization coincide, is a consequence of a zero fold and carries no
+computation of its own.  First-homology invertibility is augmentation(s) =
+1, which phi_build checks.
 """
 
 from __future__ import annotations
@@ -58,60 +61,27 @@ class ColimH2Result:
     """Fold of the induced maps on second homology along a tower prefix."""
 
     value: Literal["zero", "Z/2-so-far"]
-    first_even_edge: int | None
     note: str
 
 
 def colim_h2(tower: TowerPrefix) -> ColimH2Result:
-    """Zero as soon as one even-norm edge occurs in the prefix.
+    """Zero as soon as one even-norm edge occurs in the prefix, read from
+    ``tower.has_even_edge()``.
 
     The full vanishing statement needs even-norm edges cofinally often in an
     infinite tower; a prefix can only report what it has seen, and the note
-    says so.
+    says so.  A zero fold is what the five-term exact sequence needs: the
+    omega-th and (omega+1)-st lower central stages of the localization then
+    coincide.  That step is external bookkeeping (paper-assumed); the fold
+    feeding it is machine-verified.
     """
-    first_even = next((i for i, d in enumerate(tower.phis) if d.norm % 2 == 0), None)
-    if first_even is not None:
+    if tower.has_even_edge():
         return ColimH2Result(
             "zero",
-            first_even,
             "an even-norm edge kills the order-2 class; an infinite tower needs "
             "such edges cofinally, which the prefix cannot itself certify",
         )
     return ColimH2Result(
         "Z/2-so-far",
-        None,
         "all edge norms in this prefix are odd, so the class survives so far",
-    )
-
-
-@dataclass(frozen=True)
-class FiveTermStatement:
-    """Bookkeeping conclusion from the vanishing colimit homology."""
-
-    emitted: bool
-    conclusion: str
-    reason: str
-    provenance: str
-
-
-def five_term_report(result: ColimH2Result) -> FiveTermStatement:
-    """When the colimit second homology vanishes, the limit stage and the
-    next stage of the localization's lower central series coincide.  The
-    exact-sequence step is external bookkeeping, labeled as such; the parity
-    fold feeding it is machine-verified."""
-    if result.value == "zero":
-        return FiveTermStatement(
-            emitted=True,
-            conclusion=(
-                "the omega-th and (omega+1)-st lower central stages of the "
-                "localization coincide"
-            ),
-            reason="colimit second homology of the localized base group vanishes",
-            provenance="paper-assumed",
-        )
-    return FiveTermStatement(
-        emitted=False,
-        conclusion="",
-        reason="no even-norm edge in the prefix; the fold is still the order-2 group",
-        provenance="derived",
     )

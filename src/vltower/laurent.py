@@ -4,8 +4,10 @@ This is the group ring of the infinite cyclic group on ``b``.  The module
 also provides the augmentation map (sum of coefficients), the predicate for
 the multiplicative set S of augmentation-1 elements, and a deterministic
 walk over S within finite support/coefficient bounds, one head group at a
-time.  The ring operators ``+``, ``-``, ``*`` and ``**`` are kept with the
-type, although the claims use only ``+`` and ``scale``: they are the
+time.  Besides its canonical ``terms``, the type keeps the constructors
+``from_dict`` and ``constant``, the views ``coeffs`` and ``min_exp``,
+``scale``, and the ring operators ``+``, ``-``, ``*`` and ``**``; the
+claims use only ``+`` and ``scale`` of the operators, the others are the
 arithmetic the tests and the S-fraction reference build on.
 
 Literal grammar (EBNF), shared with the command line interface::
@@ -57,36 +59,15 @@ class LaurentPoly:
     def constant(n: int) -> "LaurentPoly":
         return LaurentPoly.from_dict({0: n})
 
-    @staticmethod
-    def monomial(exp: int, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly.from_dict({exp: coeff})
-
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def min_exp(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no support")
         return self.terms[0][0]
-
-    @property
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no support")
-        return self.terms[-1][0]
-
-    @property
-    def span(self) -> int:
-        return 0 if not self.terms else self.max_exp - self.min_exp
-
-    def shift(self, m: int) -> "LaurentPoly":
-        """Multiply by b**m."""
-        return LaurentPoly(tuple((e + m, c) for e, c in self.terms))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = self.coeffs
@@ -153,7 +134,7 @@ def power(mul: Callable[[_T, _T], _T], x: _T, e: int) -> _T:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.constant(1)
-B = LaurentPoly.monomial(1)
+B = LaurentPoly(((1, 1),))
 
 
 def augmentation(s: LaurentPoly) -> int:

@@ -111,7 +111,6 @@ def two_adic_split(n: int) -> tuple[int, int]:
 class NormData:
     """The norm of an S-element with its 2-adic decomposition."""
 
-    s: LaurentPoly
     norm: int
     p: int
     v: int
@@ -121,7 +120,7 @@ def norm_data(s: LaurentPoly) -> NormData:
     require_in_S(s)
     n = norm(s)
     p, v = two_adic_split(n)
-    return NormData(s, n, p, v)
+    return NormData(n, p, v)
 
 
 def _pair_parity(n0: int, n1: int, n2: int) -> int:
@@ -153,8 +152,6 @@ def predicted_parity(s: LaurentPoly) -> int:
 class ParityReport:
     """Result of the exhaustive parity check over an enumeration window."""
 
-    max_degree_span: int
-    max_abs_coeff: int
     checked: int
     counterexamples: tuple[str, ...]
     even: int
@@ -214,7 +211,7 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
             if parity(n0 + m * s0, n1 + m * s1, n2 + m * s2) != v:
                 bad.append(str(_group_element(f, d, _head_terms(f, head), r, m)))
         checked += len(ms) - (r in ms)
-    return ParityReport(max_degree_span, max_abs_coeff, checked, tuple(bad), checked - odd)
+    return ParityReport(checked, tuple(bad), checked - odd)
 
 
 class Lattice:
@@ -242,9 +239,6 @@ class Lattice:
     @staticmethod
     def whole() -> "Lattice":
         return Lattice((1, 0))
-
-    def is_zero(self) -> bool:
-        return self.pair == (0, 0)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Lattice) and self.pair == other.pair

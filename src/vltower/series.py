@@ -103,8 +103,6 @@ class GammaOmegaCertificate:
     """Desk certificate for the limit stage of one model; gamma_omega raises
     instead of returning one whose checks fail."""
 
-    model: Model
-    depth_bound: int
     center_exps: tuple[int | None, ...]
     probes: tuple[tuple[Vec, int], ...]
 
@@ -149,7 +147,7 @@ def gamma_omega(
                 break
         else:
             raise TheoremViolationError(f"probe {v} never exits the module chain")
-    cert = GammaOmegaCertificate(model, depth_bound, exps, tuple(results))
+    cert = GammaOmegaCertificate(exps, tuple(results))
     limit = SubgroupData(0 if central else None, Lattice.zero(), False)
     return limit, cert
 
@@ -235,7 +233,6 @@ class WitnessSample:
 class WitnessReport:
     """Executable evidence that the colimit model is not transfinitely nilpotent."""
 
-    edges: tuple[str, ...]
     j_bound: int
     samples: tuple[WitnessSample, ...]
     five_term_consistent: bool
@@ -301,11 +298,8 @@ def witness_not_transfinitely_nilpotent(
         )
         out.append(WitnessSample(value=str(c), depth=c.k, model_ok=model_ok, commutator_power_ok=comm_ok))
 
-    h2 = homology.colim_h2(tower)
-    five = homology.five_term_report(h2)
     return WitnessReport(
-        edges=tuple(str(data.s) for data in tower.phis),
         j_bound=j_bound,
         samples=tuple(out),
-        five_term_consistent=five.emitted,
+        five_term_consistent=homology.colim_h2(tower).value == "zero",
     )

@@ -7,7 +7,8 @@
   of U, row-vector products and s(U) in that form.
 - ``enumerate_S`` expands the package's window walk ``laurent._head_groups``
   into its S-elements.
-- ``divide_exact`` is exact division in Z[b, b^-1].
+- ``shift`` multiplies a Laurent polynomial by b^m, and ``divide_exact`` is
+  exact division in Z[b, b^-1].
 - ``Fraction``/``frac_eq``, ``prefix_product`` and ``fraction_stage_vector``
   are S-fractions and their telescope representatives (acceptance c10).
 - ``subgroup_contains`` is membership in a lower-central-series stage.
@@ -118,6 +119,11 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
                 yield _group_element(f, d, terms, r, m)
 
 
+def shift(s: LaurentPoly, m: int) -> LaurentPoly:
+    """s times b**m."""
+    return LaurentPoly(tuple((e + m, c) for e, c in s.terms))
+
+
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """Exact division in Z[b, b^-1]: return q with den*q == num, else None.
 
@@ -126,9 +132,9 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     is accepted only when the remainder vanishes and q has integer
     coefficients.
     """
-    if den.is_zero():
+    if not den.terms:
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
+    if not num.terms:
         return ZERO
     nshift = num.min_exp
     dshift = den.min_exp

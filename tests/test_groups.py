@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vltower.errors import LevelMismatchError, NotInSError
+from vltower.errors import NotInSError
 from vltower.laurent import ONE, parse_laurent
 from vltower.quadratic import norm
 from vltower import groups as G
 from references import Fraction, frac_eq, fraction_stage_vector, s_matrix, u_pow, vec_mat
 from words import (
+    LevelMismatchError,
     base_form,
     eval_word,
     gamma_comm,

@@ -17,7 +17,7 @@ from vltower.laurent import (
     parse_laurent,
     require_in_S,
 )
-from references import divide_exact, enumerate_S
+from references import divide_exact, enumerate_S, shift
 
 polys = st.builds(
     LaurentPoly.from_dict,
@@ -204,7 +204,7 @@ def test_s_membership_record():
 
 
 def test_ring_op_examples():
-    assert B * LaurentPoly.monomial(-1) == ONE
+    assert B * parse_laurent("b^-1") == ONE
     assert ONE + LaurentPoly.constant(-1) == ZERO
     s = parse_laurent("1-b+b^2")
     assert s * s == parse_laurent("1-2b+3b^2-2b^3+b^4")
@@ -269,7 +269,7 @@ def test_enumerate_S_streams():
 
 def test_enumerate_S_order_is_documented():
     out = list(enumerate_S(2, 1))
-    spans = [s.span for s in out]
+    spans = [s.terms[-1][0] - s.terms[0][0] for s in out]
     assert spans == sorted(spans)
 
 
@@ -287,7 +287,7 @@ def test_divide_exact():
     assert divide_exact(s * s * t, s * s) == t
     assert divide_exact(ONE, s) is None
     assert divide_exact(ZERO, s) == ZERO
-    assert divide_exact(s.shift(-3) * t, t) == s.shift(-3)
+    assert divide_exact(shift(s, -3) * t, t) == shift(s, -3)
     with pytest.raises(ZeroDivisionError):
         divide_exact(s, ZERO)
 
@@ -295,6 +295,6 @@ def test_divide_exact():
 @given(polys, polys)
 @settings(max_examples=60)
 def test_divide_exact_roundtrip(p, q):
-    if q.is_zero():
+    if not q.terms:
         return
     assert divide_exact(p * q, q) == p

