@@ -7,6 +7,7 @@ Exit codes: 0 when all checks in the report pass, 1 on usage or input errors,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -199,7 +200,7 @@ def cmd_lcs(args) -> Report:
         center_exps=[stage.center_exp for stage in chain],
     )
     if args.gamma_omega:
-        _, cert = series.gamma_omega(model, depth_bound=args.depth)
+        _, cert = series.gamma_omega(model, chain)
         rep.add(
             "lcs.gamma_omega",
             "limit stage certified: constant center parts, all probes exit",
@@ -231,7 +232,8 @@ def cmd_witness(args) -> Report:
                 count = int(args.samples)
             except ValueError:
                 raise PreconditionError(f"sample count of {len(args.samples)} digits is too long") from None
-            samples = series.default_center_samples(seed=args.seed)[:count]
+            # islice takes no count past sys.maxsize; there are far fewer samples
+            samples = list(itertools.islice(series.default_center_samples(args.seed), min(count, sys.maxsize)))
         else:
             raise PreconditionError(f"samples {args.samples!r} are neither a count nor dyadics")
     rep = Report(
@@ -396,15 +398,16 @@ def main(argv: list[str] | None = None) -> int:
     except VltowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    json_text = report.to_json() if args.out or args.format == "json" else None
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(report.to_json() + "\n")
+                fh.write(json_text + "\n")
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return USAGE_EXIT
     try:
-        print(report.to_json() if args.format == "json" else report.to_text(), flush=True)
+        print(json_text if args.format == "json" else report.to_text(), flush=True)
     except BrokenPipeError:
         # The reader closed the pipe (say, `| head`).  Python flushes stdout
         # again at exit; pointing it at the null device keeps that quiet.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import homology
 from .errors import InsufficientTowerError, PreconditionError, TheoremViolationError
@@ -118,19 +119,18 @@ def _default_probes(bound: int) -> list[Vec]:
 
 def gamma_omega(
     model: Model,
-    depth_bound: int = 12,
+    chain: list[SubgroupData],
     probe_set: list[Vec] | None = None,
     probe_exit_bound: int = 60,
 ) -> tuple[SubgroupData, GammaOmegaCertificate]:
-    """The limit stage with its two-part certificate.
+    """The limit stage with its two-part certificate, from chain = lcs_chain(model, d).
 
-    (a) the center parts of stages 2 through depth_bound >= 2 are constantly
-    the full <t> (vacuous for the base model); (b) every probe vector exits
-    the module chain at a finite index, so the limit's module part is trivial.
+    (a) the center parts of stages 2 through d >= 2 are constantly the full
+    <t> (vacuous for the base model); (b) every probe vector exits the module
+    chain at a finite index, so the limit's module part is trivial.
     """
-    if depth_bound < 2:
-        raise PreconditionError(f"the limit-stage certificate needs depth >= 2, got {depth_bound}")
-    chain = lcs_chain(model, depth_bound)
+    if len(chain) < 2:
+        raise PreconditionError(f"the limit-stage certificate needs depth >= 2, got {len(chain)}")
     central = model.central
     exps = tuple(stage.center_exp for stage in chain[1:])
     if central and any(e != 0 for e in exps):
@@ -140,7 +140,7 @@ def gamma_omega(
     results: list[tuple[Vec, int]] = []
     for v in probes:
         for i in range(1, probe_exit_bound + 1):
-            if i == len(images):  # extended past depth_bound one product at a time
+            if i == len(images):  # extended past the chain one product at a time
                 images.append(images[-1].times(_U_MINUS_I))
             if not images[i].contains(v):
                 results.append((v, i))
@@ -198,23 +198,21 @@ def commutator_preimage(c: Dyadic) -> Dyadic:
     return y
 
 
-def default_center_samples(seed: int = 0) -> list[Dyadic]:
+def default_center_samples(seed: int = 0) -> Iterator[Dyadic]:
     """Deterministic nonzero dyadic samples across denominators up to 2**10.
 
     All odd numerators are taken at levels with at most 7 of them; deeper
     levels contribute a seeded sample of 7 odd numerators each.  Levels are
-    drawn in ascending order, so the samples up to any depth are the same
-    as a shallower run would draw.
+    drawn in ascending order and one at a time, so a consumer that stops
+    early draws the same samples as the full run, and no more.
     """
     import random
 
     rng = random.Random(seed)
-    samples: list[Dyadic] = []
     for k in range(1, 11):
-        odds = list(range(1, 1 << k, 2))
-        take = odds if len(odds) <= 7 else sorted(rng.sample(odds, 7))
-        samples.extend(Dyadic(n, k) for n in take)
-    return samples
+        odds = range(1, 1 << k, 2)
+        for n in odds if len(odds) <= 7 else sorted(rng.sample(odds, 7)):
+            yield Dyadic(n, k)
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,7 @@ def witness_not_transfinitely_nilpotent(
             "no even-norm edge: the center colimit of this prefix is trivial"
         )
     if samples is None:
-        samples = default_center_samples(seed=seed)
+        samples = list(default_center_samples(seed))
     if not samples:
         raise PreconditionError("at least one center sample is required")
     if any(s.num == 0 for s in samples):
@@ -275,7 +273,8 @@ def witness_not_transfinitely_nilpotent(
     # Raises unless the limit stage is certified.  lcs_step reads only
     # model.central, never model.k, so the certificate (center parts and probe
     # exits) is the same at every truncation level, the prefix's included.
-    gamma_omega(Model(max(s.k for s in samples) + j_bound))
+    model = Model(max(s.k for s in samples) + j_bound)
+    gamma_omega(model, lcs_chain(model, 12))
 
     # w_e = [a, a^b, b, ..., b] with e letters b is t^((-2)^e), so y with denominator
     # 2^(level - e) is the odd power y.num * (-1)^e of w_e, for every sample.

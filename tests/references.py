@@ -16,11 +16,17 @@
 - ``aut7_apply``, ``aut7_compose`` and ``aut7_conj_record`` are the class-2
   map records with the module part as the four matrix entries (p, q, r, s),
   the form the package's records (e, c_A, c_B, alpha, beta) replaced.
+- ``center_samples_list`` draws the witness's default center samples as one
+  list, each level's RNG sample taken whole.
+- ``report_json`` is the stdlib encoding of a report that
+  ``Report.to_json`` writes byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction as _QFrac
 from typing import Iterator
@@ -252,3 +258,23 @@ def aut7_compose(f: Aut7, g: Aut7) -> Aut7:
 def aut7_conj_record(j: int) -> Aut7:
     """The record of X |-> b^j X b^-j for j != 0, by square-and-multiply."""
     return power(aut7_compose, AUT7_CONJ_B if j > 0 else AUT7_CONJ_B_INV, abs(j))
+
+
+# --- the witness's default center samples ------------------------------------------
+
+
+def center_samples_list(seed: int) -> list[Dyadic]:
+    rng = random.Random(seed)
+    samples = []
+    for k in range(1, 11):
+        odds = list(range(1, 1 << k, 2))
+        take = odds if len(odds) <= 7 else sorted(rng.sample(odds, 7))
+        samples.extend(Dyadic(n, k) for n in take)
+    return samples
+
+
+# --- the stdlib encoding of a report ----------------------------------------------
+
+
+def report_json(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=1, separators=(",", ": "))

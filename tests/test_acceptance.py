@@ -185,7 +185,7 @@ def acceptance_tower():
 
 
 def test_c06_witness_not_transfinitely_nilpotent(acceptance_tower):
-    samples = series.default_center_samples()
+    samples = list(series.default_center_samples())
     assert len(samples) >= 50
     assert max(s.k for s in samples) == 10
     rep = series.witness_not_transfinitely_nilpotent(

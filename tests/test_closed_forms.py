@@ -427,9 +427,10 @@ def test_gamma_omega_probe_exits_match_the_per_probe_reference(model):
     probes = [(x, y) for x in range(-7, 8) for y in range(-7, 8) if (x, y) != (0, 0)]
     # depth 2 builds stages 0 and 1 only, so the box's probes (exits up to 5)
     # need the chain extended past the stages
+    m = G.Model.parse(model)
     for depth_bound in (2, 12):
         for probe_set in (None, probes):
-            _, cert = series.gamma_omega(G.Model.parse(model), depth_bound, probe_set)
+            _, cert = series.gamma_omega(m, series.lcs_chain(m, depth_bound), probe_set)
             expected = [
                 (v, ref_probe_exit(v, 60))
                 for v in (probe_set or series._default_probes(2))

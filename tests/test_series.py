@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -7,7 +9,7 @@ from vltower.errors import InsufficientTowerError, PreconditionError
 from vltower.groups import Model, tower_build
 from vltower.laurent import parse_laurent
 from vltower.localization import Dyadic, dyadic_double, dyadic_neg
-from references import IDENTITY, U, Mat2, subgroup_contains
+from references import IDENTITY, U, Mat2, center_samples_list, subgroup_contains
 from vltower import series
 from test_closed_forms import ref_in_row_span
 from words import gamma_comm, gamma_gen, gamma_make
@@ -112,19 +114,19 @@ def test_lcs_depth_one_is_whole_group():
 
 
 def test_gamma_omega_truncation():
-    limit, _ = series.gamma_omega(Model(3), depth_bound=12)
+    limit, _ = series.gamma_omega(Model(3), series.lcs_chain(Model(3), 12))
     assert limit.center_exp == 0 and limit.module.pair == (0, 0)
     assert limit.center_order(Model(3)) == 8
 
 
 def test_gamma_omega_base_group():
-    limit, cert = series.gamma_omega(H, depth_bound=10)
+    limit, cert = series.gamma_omega(H, series.lcs_chain(H, 10))
     assert limit.center_exp is None and limit.module.pair == (0, 0)
     assert all(e is None for e in cert.center_exps)
 
 
 def test_gamma_omega_probe_exits():
-    _, cert = series.gamma_omega(Model(2), probe_set=[(1, 0)])
+    _, cert = series.gamma_omega(Model(2), series.lcs_chain(Model(2), 12), probe_set=[(1, 0)])
     assert cert.probes == (((1, 0), 1),)
 
 
@@ -132,7 +134,7 @@ def test_residual_nilpotence_probe_window():
     # every nonzero vector with coordinates in [-20, 20] exits the module
     # chain within 40 steps
     probes = [(x, y) for x in range(-20, 21) for y in range(-20, 21) if (x, y) != (0, 0)]
-    _, cert = series.gamma_omega(H, probe_set=probes, probe_exit_bound=40)
+    _, cert = series.gamma_omega(H, series.lcs_chain(H, 12), probe_set=probes, probe_exit_bound=40)
     assert len(cert.probes) == 41 * 41 - 1
     assert max(i for _, i in cert.probes) <= 40
 
@@ -178,7 +180,7 @@ def test_commutator_preimage_other_choice_also_valid():
 
 
 def test_default_center_samples_cover_denominators():
-    samples = series.default_center_samples()
+    samples = list(series.default_center_samples())
     assert len(samples) >= 50
     assert {s.k for s in samples} == set(range(1, 11))
     assert all(s.num % 2 == 1 for s in samples)
@@ -218,6 +220,49 @@ def test_witness_commutator_count_grows_linearly_in_j(monkeypatch):
     assert counts[1] <= 4.2 * counts[0]
 
 
+def test_lcs_gamma_omega_builds_the_chain_once(monkeypatch, capsys):
+    calls = 0
+    step = series.lcs_step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(series, "lcs_step", counted)
+    assert main(["lcs", "--model", "Gamma3", "--depth", "12", "--gamma-omega"]) == 0
+    capsys.readouterr()
+    assert calls == 11
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**70, -3])
+def test_default_center_samples_prefixes_match_the_full_list(seed):
+    full = center_samples_list(seed)
+    assert list(series.default_center_samples(seed)) == full
+    for count in range(61):
+        assert list(itertools.islice(series.default_center_samples(seed), count)) == full[:count]
+
+
+def test_witness_sample_count_draws_only_what_it_uses(monkeypatch, capsys):
+    # levels 1-3 hold the first 7 samples and draw nothing from the RNG
+    draws = 0
+    sample = random.Random.sample
+
+    def counted(self, *args, **kwargs):
+        nonlocal draws
+        draws += 1
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "sample", counted)
+    argv = ["witness", "--edges", "1-b+b^2", "--J", "2", "--samples", "7", "--format", "json"]
+    assert main(argv) == 0
+    assert '"samples": 7' in capsys.readouterr().out
+    assert draws == 0
+    assert main(argv[:-3] + ["8"]) == 0
+    capsys.readouterr()
+    assert draws == 1
+
+
 def test_witness_certifies_the_limit_stage_once(monkeypatch, capsys):
     calls = 0
     certify = series.gamma_omega
@@ -235,8 +280,8 @@ def test_witness_certifies_the_limit_stage_once(monkeypatch, capsys):
 
 
 def test_gamma_omega_certificate_does_not_depend_on_the_truncation_level():
-    _, low = series.gamma_omega(Model(1))
-    _, high = series.gamma_omega(Model(87))
+    _, low = series.gamma_omega(Model(1), series.lcs_chain(Model(1), 12))
+    _, high = series.gamma_omega(Model(87), series.lcs_chain(Model(87), 12))
     assert low.center_exps == high.center_exps
     assert low.probes == high.probes
 
@@ -246,6 +291,7 @@ def test_witness_j_zero_reduces_to_gamma_omega():
     rep = series.witness_not_transfinitely_nilpotent(tower, 0, samples=[Dyadic(1, 2)])
     assert rep.passed
     assert rep.j_bound == 0
+    assert rep.samples == (series.WitnessSample("1/4", 2, True, True),)
 
 
 def test_witness_requires_even_norm_edge():
