@@ -30,14 +30,14 @@ def _parse_edges(text: str) -> list[LaurentPoly]:
     return edges
 
 
-def _require_printable(*norms: int) -> None:
-    """Reject a norm with more digits than Python turns into text (4,300 by
+def _require_printable(*values: int, what: str = "a norm") -> None:
+    """Reject a value with more digits than Python turns into text (4,300 by
     default), which the report could not print."""
-    for n in norms:
+    for n in values:
         try:
             str(n)
         except ValueError:
-            raise PreconditionError(f"a norm of {n.bit_length()} bits has too many digits to print") from None
+            raise PreconditionError(f"{what} of {n.bit_length()} bits has too many digits to print") from None
 
 
 def cmd_norm(args) -> Report:
@@ -88,6 +88,7 @@ def cmd_phi_check(args) -> Report:
     rep = Report("phi-check", {"s": str(s), "k": args.k})
     data = phi_build(s, args.k)
     _require_printable(data.norm)
+    _require_printable(data.r, data.l, data.l_exact, what="a relator exponent")
     rep.add(
         "phi.build",
         f"level map built: source {data.source_k}, target {data.target_k}, "
@@ -188,6 +189,9 @@ def cmd_lcs(args) -> Report:
         raise PreconditionError(
             f"transfinite bound {args.transfinite} needs a truncation model GammaK, not {args.model}"
         )
+    # stage i has index 3^(i-1), and 3^(3 L) > 10^L is past a limit of L digits
+    last = max(args.depth - 1, 0)
+    _require_printable(3 ** min(last, 3 * sys.get_int_max_str_digits()), what="a module index")
     rep = Report("lcs", {"model": args.model, "depth": args.depth})
     chain = series.lcs_chain(model, args.depth)
     indices = [stage.module.index() for stage in chain]
@@ -234,6 +238,8 @@ def cmd_witness(args) -> Report:
                 raise PreconditionError(f"sample count of {len(args.samples)} digits is too long") from None
             # islice takes no count past sys.maxsize; there are far fewer samples
             samples = list(itertools.islice(series.default_center_samples(args.seed), min(count, sys.maxsize)))
+            if len(samples) < count:
+                raise PreconditionError(f"sample count {args.samples} is past the {len(samples)} default samples")
         else:
             raise PreconditionError(f"samples {args.samples!r} are neither a count nor dyadics")
     rep = Report(

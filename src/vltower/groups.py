@@ -31,15 +31,14 @@ the row (0, 1) M, with M = alpha I + beta U.  Reading a row (m, n) as
 m I + n U, as ``Lattice`` does, the module part of an image is one pair
 product with (alpha, beta), and composing two records multiplies their
 pairs.  Conjugation by b^j is such a record with e = (-1)^j and M = U^-j,
-built by squaring and composing those of b (M = U^-1 = U - 3I) and b^-1
-(M = U).  A level map is one with e = |s| and M = s(U), and fixes b; for
-x = t^|s|, once [x, b] = x^-2, the k-fold [x, b, ..., b] is x^((-2)^k).
-The relators of a level map, its second-homology certificate and the
-witness links are checked on b-free triples, with one record application
-per conjugation by b.  A tower edge certifies the bottom square of its
-diagram by one pair comparison, M = s(U).  The full-group law on
-t^c A^m B^n b^j and the letter-level word oracle the tests check this
-kernel against live with the tests; no claim needs them.
+in closed form from the pair of U^-j, so no records are composed.  A level
+map is one with e = |s| and M = s(U), and fixes b; for x = t^|s|, once
+[x, b] = x^-2, the k-fold [x, b, ..., b] is x^((-2)^k).  The relators of a
+level map, its second-homology certificate and the witness links are
+checked on b-free triples, with one record application per conjugation by
+b.  A tower edge certifies the bottom square of its diagram by one pair
+comparison, M = s(U).  The full-group law on t^c A^m B^n b^j and the
+letter-level word oracle that check this kernel live with the tests.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import PreconditionError, TheoremViolationError
-from .laurent import LaurentPoly, power, require_in_S
-from .quadratic import _pair_mul, evaluate_at_U, norm, two_adic_split
+from .laurent import LaurentPoly, require_in_S
+from .quadratic import _norm_form, _pair_mul, _u_pair, evaluate_at_U, norm, two_adic_split
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,6 @@ Triple = tuple[int, int, int]
 # M = alpha I + beta U.  The center multiplier e is +-1 for conjugation and |s|
 # for a level map.
 Aut = tuple[int, int, int, int, int]
-_CONJ_B: Aut = (-1, 3, 0, -3, 1)  # b X b^-1: A |-> t^3 A^-3 B, B |-> A; M = U - 3I
 _CONJ_B_INV: Aut = (-1, 0, 0, 0, 1)  # b^-1 X b: A |-> B, B |-> A B^3; M = U
 
 
@@ -120,22 +118,17 @@ def _aut_apply(f: Aut, h: Triple) -> Triple:
     return (_aut_center(f, c, m, n), *_pair_mul((m, n), f[3:]))
 
 
-def _aut_compose(f: Aut, g: Aut) -> Aut:
-    """The record of f after g: f applied to the images (1, 0) M_g and (0, 1) M_g,
-    whose module parts are the pair product M_g M_f."""
-    e, c_a, c_b, alpha, beta = g
-    return (
-        f[0] * e,
-        _aut_center(f, c_a, alpha, beta),
-        _aut_center(f, c_b, beta, alpha + 3 * beta),
-        *_pair_mul((alpha, beta), f[3:]),
-    )
+def _pair_record(alpha: int, beta: int) -> Aut:
+    """The record of b^j at the pair (alpha, beta) of U^-j: e = det M = (-1)^j.
+    It is the identity at (1, 0), and composing it with the record of b or b^-1
+    steps to the pair of U^-(j+1) or U^-(j-1); the tests prove both steps."""
+    a2, b2, ab = alpha * (alpha - 1) // 2, beta * (beta - 1) // 2, alpha * beta
+    return _norm_form(alpha, beta), a2 + ab - b2, -a2 - 2 * ab - 2 * b2, alpha, beta
 
 
 def _conj_record(j: int) -> Aut:
-    """The record of X |-> b^j X b^-j for j != 0, by square-and-multiply:
-    at most 2 log2 |j| compositions, none for j = +-1."""
-    return power(_aut_compose, _CONJ_B if j > 0 else _CONJ_B_INV, abs(j))
+    """The record of X |-> b^j X b^-j, after at most 2 log2 |j| pair products (none for j = +-1)."""
+    return _pair_record(*_u_pair(-j))
 
 
 def conj_by_b_pow(h: Triple, j: int) -> Triple:
@@ -201,7 +194,7 @@ def a_power_s(s: LaurentPoly) -> Triple:
     conjugate for the next exponent e' > e, conjugated by b^(e - e').
     Prepending A^(n_e) crosses no B, so it adds no center term; one
     conjugation by b^-f, f the lowest exponent, ends it.  _conj_record
-    composes nothing for a gap of 1."""
+    takes no pair product for a gap of 1."""
     if not s.terms:
         return 0, 0, 0
     top, m = s.terms[-1]
@@ -312,8 +305,9 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
             raise TheoremViolationError(f"main relator image nonzero for s={s}, k={k}")
     # a^s ends with a conjugation by b^-f, f the lowest exponent of s, which applies the
     # record of b when f < 0; r absorbs any center defect that leaves, so the record is
-    # checked as the inverse of the record of b^-1, which the relator on a pins.
-    if s.min_exp < 0 and _aut_compose(_CONJ_B, _CONJ_B_INV) != (1, 0, 0, 1, 0):
+    # checked on t, A and B as the inverse of the record of b^-1, which the relator on a pins.
+    generators = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    if s.min_exp < 0 and any(_aut_apply(_conj_record(1), conj_b(g)) != g for g in generators):
         raise TheoremViolationError("the records of b and b^-1 are not inverse")
     for other in (a, ab):
         if not free_eq(free_comm(t, other), (0, 0, 0), target_k):

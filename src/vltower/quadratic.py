@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TheoremViolationError
 from .laurent import LaurentPoly, _group_element, _head_groups, _head_terms, power, require_in_S
 
 Vec = tuple[int, int]
@@ -119,6 +119,9 @@ class NormData:
 def norm_data(s: LaurentPoly) -> NormData:
     require_in_S(s)
     n = norm(s)
+    # mod 3, x^2 - 3x - 1 = (x - 1)(x + 1), so |s| = s(1) s(-1) = s(-1) on S
+    if (n - sum(-c if e & 1 else c for e, c in s.terms)) % 3:
+        raise TheoremViolationError(f"|s| = {n} differs from s(-1) mod 3 for s={s}")
     p, v = two_adic_split(n)
     return NormData(n, p, v)
 

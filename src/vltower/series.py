@@ -44,7 +44,6 @@ class SubgroupData:
 
     center_exp: int | None
     module: Lattice
-    b_whole: bool
 
     def center_order(self, model: Model) -> int | float:
         if self.center_exp is None:
@@ -55,7 +54,7 @@ class SubgroupData:
 
 
 def whole_group(model: Model) -> SubgroupData:
-    return SubgroupData(0 if model.central else None, Lattice.whole(), True)
+    return SubgroupData(0 if model.central else None, Lattice.whole())
 
 
 def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
@@ -75,8 +74,6 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
     if central:
         alpha, beta = s.module.pair  # generator rows (alpha, beta), (beta, alpha + 3 beta)
         candidates.extend((alpha, beta, beta, alpha + 3 * beta))  # pairings against a and a^b
-        if s.b_whole:
-            candidates.append(2)  # [b, t]
     g = 0
     for cand in candidates:
         g = math.gcd(g, cand)
@@ -86,7 +83,7 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
         if g & (g - 1):
             raise TheoremViolationError(f"center generator gcd {g} is not a 2-power")
         center_exp = g.bit_length() - 1
-    return SubgroupData(center_exp, s.module.times(_U_MINUS_I), False)
+    return SubgroupData(center_exp, s.module.times(_U_MINUS_I))
 
 
 def lcs_chain(model: Model, depth: int) -> list[SubgroupData]:
@@ -148,7 +145,7 @@ def gamma_omega(
         else:
             raise TheoremViolationError(f"probe {v} never exits the module chain")
     cert = GammaOmegaCertificate(exps, tuple(results))
-    limit = SubgroupData(0 if central else None, Lattice.zero(), False)
+    limit = SubgroupData(0 if central else None, Lattice.zero())
     return limit, cert
 
 
@@ -180,7 +177,7 @@ def transfinite_chain(k: int, j_bound: int | None = None) -> TransfiniteReport:
     """
     model = Model(k)
     limit = j_bound if j_bound is not None else k
-    stages = [SubgroupData(0, Lattice.zero(), False)]
+    stages = [SubgroupData(0, Lattice.zero())]
     while stages[-1].center_order(model) > 1 and len(stages) <= limit:
         stages.append(lcs_step(model, stages[-1]))
     orders = tuple(int(s.center_order(model)) for s in stages)

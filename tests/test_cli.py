@@ -249,6 +249,11 @@ _HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
         ["norm", "--s", _HUGE_NORM],
         ["phi-check", "--s", _HUGE_NORM],
         ["tower", "--edges", _HUGE_NORM],
+        # r and l_exact of 14,300 bits, and a module index 3^9014
+        ["phi-check", "--s", "2-b", "--k", "14300"],
+        ["lcs", "--model", "G2", "--depth", "9015"],
+        # past the 56 default samples
+        ["witness", "--edges", "1-b+b^2", "--samples", "57"],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):

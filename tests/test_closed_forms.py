@@ -12,6 +12,7 @@ sympy, where installed, checks a^s against matrix powers of U.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -257,6 +258,63 @@ def test_conj_record_matches_the_matrix_record():
     for _ in range(200):
         j = rng.choice((1, -1)) * round(math.exp(rng.uniform(math.log(1 << 10), math.log(10**5))))
         assert G._conj_record(j) == _as_pair_record(aut7_conj_record(j)), j
+
+
+_CONJ_B = (-1, 3, 0, -3, 1)  # b X b^-1: A |-> t^3 A^-3 B, B |-> A; M = U - 3I
+_IDENTITY_RECORD = (1, 0, 0, 1, 0)
+
+
+def _composite(f, g):
+    """The record of f after g: the centers of f(g(t)), f(g(A)) and f(g(B)),
+    and the module part of f(g(A)), which is (1, 0) M_g M_f."""
+    e, c_a, c_b, alpha, beta = g
+    image_t, image_a, image_b = (
+        G._aut_apply(f, h) for h in ((e, 0, 0), (c_a, alpha, beta), (c_b, beta, alpha + 3 * beta))
+    )
+    assert image_t[1:] == (0, 0) and image_b[1:] == Q._pair_mul(image_a[1:], (0, 1))
+    return image_t[0], image_a[0], image_b[0], *image_a[1:]
+
+
+def _closed_form_failures(record):
+    """Where the induction for record(pair of U^-j) = the record of b^j fails:
+    the base record(1, 0) = identity, and on {0, 1, 2}^2 the two steps
+    record(P (U - 3I)) = (record of b) after record(P) and
+    record(P U) = (record of b^-1) after record(P)."""
+    failures = [] if record(1, 0) == _IDENTITY_RECORD else ["base"]
+    for p in itertools.product(range(3), repeat=2):
+        for base, step in ((_CONJ_B, (-3, 1)), (G._CONJ_B_INV, (0, 1))):
+            if record(*Q._pair_mul(p, step)) != _composite(base, record(*p)):
+                failures.append((p, step))
+    return failures
+
+
+def test_conj_record_closed_form_holds_for_every_j():
+    # Both sides of each step are polynomials of degree <= 2 in each of alpha
+    # and beta: the module parts are linear in them and the centers quadratic.
+    # Every // 2 on either side halves x (x - 1), which is even, so it is exact
+    # division.  A polynomial of degree <= 2 in each variable that vanishes on
+    # {0, 1, 2}^2 vanishes everywhere, so the two steps hold for every integer
+    # pair, and induction on |j| from the base proves _conj_record for every j,
+    # given the records of b and b^-1.  Those are inverse, the check phi_build
+    # makes on t, A and B.
+    assert _composite(_CONJ_B, G._CONJ_B_INV) == _IDENTITY_RECORD
+    assert (G._pair_record(-3, 1), G._pair_record(0, 1)) == (_CONJ_B, G._CONJ_B_INV)
+    assert _closed_form_failures(G._pair_record) == []
+
+
+@pytest.mark.parametrize(
+    "monomial",
+    [lambda a, b: a * a, lambda a, b: a * b, lambda a, b: b * b, lambda a, b: a, lambda a, b: b, lambda a, b: 1],
+    ids=["alpha^2", "alpha beta", "beta^2", "alpha", "beta", "1"],
+)
+@pytest.mark.parametrize("half", [1, 2], ids=["c_A", "c_B"])
+def test_conj_record_proof_catches_a_changed_coefficient(half, monomial):
+    def planted(alpha, beta):
+        record = list(G._pair_record(alpha, beta))
+        record[half] += monomial(alpha, beta)
+        return tuple(record)
+
+    assert _closed_form_failures(planted)
 
 
 def test_word_oracle_uses_no_closed_form():
@@ -516,23 +574,27 @@ def test_u_pow_and_norm_take_logarithmic_steps():
         assert _count_calls(products, lambda: Q._u_pair(i)) == 0
 
 
+def _record_products(fn):
+    """Pair products spent building records: every _pair_mul call less the
+    one that each record application makes."""
+    return _count_calls(Q._pair_mul.__code__, fn) - _count_calls(G._aut_apply.__code__, fn)
+
+
 def test_conj_by_b_pow_takes_logarithmic_steps():
-    # one record composition per squaring and per set bit; the loop conjugated 2000 times
-    compositions = G._aut_compose.__code__
+    # one pair product per squaring and per set bit of the power of U; the loop
+    # conjugated 2000 times, and composing records took as many compositions
     for j in (2000, -2000):
-        calls = _count_calls(compositions, lambda: G.conj_by_b_pow((1, 2, 3), j))
-        assert 1 <= calls <= 2 * (2000).bit_length()
+        assert 1 <= _record_products(lambda: G.conj_by_b_pow((1, 2, 3), j)) <= 2 * (2000).bit_length()
     for j in (1, -1):
-        assert _count_calls(compositions, lambda: G.conj_by_b_pow((1, 2, 3), j)) == 0
+        assert _record_products(lambda: G.conj_by_b_pow((1, 2, 3), j)) == 0
 
 
 def test_a_power_s_composes_no_record_on_gaps_of_one():
-    # _conj_record composes nothing for a gap of 1, and the closing
+    # _conj_record takes no pair product for a gap of 1, and the closing
     # conjugation by b^-f is by b^0 or b^1 here
-    compositions = G._aut_compose.__code__
     for edge in ("1-b+b^2", "b^-1-1+b"):
         s = parse_laurent(edge)
-        assert _count_calls(compositions, lambda: G.a_power_s(s)) == 0
+        assert _record_products(lambda: G.a_power_s(s)) == 0
 
 
 def test_base_diagram_check_multiplies_nothing():

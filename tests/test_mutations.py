@@ -1,10 +1,10 @@
-"""Planted faults: each verified claim of phi-check, tower and witness fails
-when the step it rests on is broken.
+"""Planted faults: each verified claim of norm, phi-check, tower and witness
+named here fails when the step it rests on is broken.
 
-Each fault is planted with monkeypatch in the b-free triple law, a record
-or the evaluation that the claim's check reads, and the command must then
-exit 2 (or report the claim as failed).  The stderr line names the check
-that caught the fault.
+Each fault is planted with monkeypatch in the b-free triple law, a record,
+the norm or the evaluation that the claim's check reads, and the command
+must then exit 2 (or report the claim as failed).  The stderr line names the
+check that caught the fault.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import json
 import pytest
 
 from vltower import groups as G
-from vltower import homology, series
+from vltower import homology, quadratic, series
 from vltower.cli import main
 
 PHI_CHECK = ["phi-check", "--s", "1-b+b^2", "--k", "3"]
@@ -94,14 +94,29 @@ def test_witness_chains_catch_a_faulty_commutator_with_b(monkeypatch, capsys):
 @pytest.mark.parametrize("index", [1, 2], ids=["c_A", "c_B"])
 def test_phi_build_catches_a_center_coefficient_of_the_record_of_b(monkeypatch, capsys, index):
     # phi.build: an edge with a negative exponent conjugates a^s by the record
-    # of b, and r absorbs the center defect a fault there leaves; the record is
-    # checked as the inverse of the record of b^-1
-    record = list(G._CONJ_B)
-    record[index] += 1
-    monkeypatch.setattr(G, "_CONJ_B", tuple(record))
+    # of b^2, and r absorbs the center defect a fault there leaves; the record
+    # of b is checked as the inverse of the record of b^-1
+    real = G._conj_record
+
+    def shifted(j):
+        record = list(real(j))
+        if j > 0:
+            record[index] += 1
+        return tuple(record)
+
+    monkeypatch.setattr(G, "_conj_record", shifted)
     code, err = _exit_and_error(["phi-check", "--s", "b^-2+b^-1-b^300", "--k", "6"], capsys)
     assert code == 2
     assert "records of b and b^-1 are not inverse" in err
+
+
+def test_norm_value_catches_a_wrong_norm(monkeypatch, capsys):
+    # norm.value: the norm is checked against s(-1) mod 3, a second computation
+    real = quadratic.norm
+    monkeypatch.setattr(quadratic, "norm", lambda s: real(s) + 4)
+    code, err = _exit_and_error(["norm", "--s", "1-b+b^2"], capsys)
+    assert code == 2
+    assert "differs from s(-1) mod 3" in err
 
 
 def test_tower_built_catches_a_wrong_pair_of_s_of_u(monkeypatch, capsys):

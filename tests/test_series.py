@@ -30,7 +30,6 @@ def test_lcs_step_base_group_second_stage():
     assert _generator(g2.module) == U - IDENTITY
     assert g2.module.index() == 3
     assert g2.center_exp is None
-    assert not g2.b_whole
 
 
 def test_lcs_step_truncation_second_stage():
