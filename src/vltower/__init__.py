@@ -20,7 +20,6 @@ from .errors import (
 from .laurent import LaurentPoly, augmentation, in_S, parse_laurent
 from .localization import CenterColim, Dyadic, dyadic_make
 from .quadratic import (
-    Lattice,
     NormData,
     evaluate_at_U,
     norm,
@@ -34,7 +33,6 @@ __all__ = [
     "CenterColim",
     "Dyadic",
     "InsufficientTowerError",
-    "Lattice",
     "LaurentParseError",
     "LaurentPoly",
     "NormData",

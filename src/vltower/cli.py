@@ -16,7 +16,7 @@ from .errors import PreconditionError, TheoremViolationError, VltowerError
 from .groups import Model, phi_build, tower_build
 from .laurent import LaurentPoly, parse_laurent
 from .localization import parse_dyadic
-from .quadratic import norm_data, predicted_parity, verify_parity_range
+from .quadratic import ideal_index, norm_data, predicted_parity, verify_parity_range
 from .report import Report
 
 USAGE_EXIT = 1
@@ -194,7 +194,7 @@ def cmd_lcs(args) -> Report:
     _require_printable(3 ** min(last, 3 * sys.get_int_max_str_digits()), what="a module index")
     rep = Report("lcs", {"model": args.model, "depth": args.depth})
     chain = series.lcs_chain(model, args.depth)
-    indices = [stage.module.index() for stage in chain]
+    indices = [ideal_index(stage.module) for stage in chain]
     rep.add(
         "lcs.chain",
         f"module indices {indices}",
@@ -204,13 +204,13 @@ def cmd_lcs(args) -> Report:
         center_exps=[stage.center_exp for stage in chain],
     )
     if args.gamma_omega:
-        _, cert = series.gamma_omega(model, chain)
+        probes = series.gamma_omega(model, chain)
         rep.add(
             "lcs.gamma_omega",
             "limit stage certified: constant center parts, all probes exit",
             "verified",
             True,
-            probes=len(cert.probes),
+            probes=len(probes),
         )
     if args.transfinite is not None and model.is_truncation:
         tr = series.transfinite_chain(model.k, args.transfinite or None)
@@ -227,8 +227,9 @@ def cmd_lcs(args) -> Report:
 
 def cmd_witness(args) -> Report:
     tower = tower_build(_parse_edges(args.edges))
-    samples = None
-    if args.samples:
+    if not args.samples:
+        samples = list(series.default_center_samples(args.seed))
+    else:
         if "/" in args.samples:
             samples = [parse_dyadic(tok) for tok in args.samples.split(",")]
         elif args.samples.isdecimal():
@@ -251,9 +252,7 @@ def cmd_witness(args) -> Report:
         },
         seed=args.seed,
     )
-    result = series.witness_not_transfinitely_nilpotent(
-        tower, args.J, samples=samples, seed=args.seed
-    )
+    result = series.witness_not_transfinitely_nilpotent(tower, args.J, samples)
     rep.add(
         "witness.chains",
         f"{len(result.samples)} center samples, each with a verified commutator "
@@ -304,11 +303,11 @@ def cmd_cohn(args) -> Report:
     )
     rep.add(
         "cohn.lifting",
-        f"{args.trials} unique-lift trials, {len(result.failures)} failures; "
+        f"{args.trials} unique-lift trials, {result.failures} failures; "
         f"{result.coherence_checked} coherence checks, {result.coherence_failures} failures",
         "verified",
         result.ok,
-        failures=len(result.failures),
+        failures=result.failures,
     )
     return rep
 

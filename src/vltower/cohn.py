@@ -19,7 +19,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError, TheoremViolationError
-from .laurent import LaurentPoly, ZERO, augmentation
+from .laurent import LaurentPoly, augmentation
 
 
 @dataclass(frozen=True)
@@ -189,35 +189,24 @@ def random_aug_invertible(rng: random.Random, n: int, degree_bound: int) -> Ring
         c = rng.randint(-2, 2)
         for col in range(n):
             base[i][col] += c * base[j][col]
-    entries: list[list[LaurentPoly]] = []
+    entries = []
     for i in range(n):
         row = []
         for j in range(n):
-            poly = LaurentPoly.constant(base[i][j]) if base[i][j] else ZERO
+            coeffs = {0: base[i][j]}
             for _ in range(rng.randrange(0, 3)):
-                e1 = rng.randint(0, degree_bound)
-                e2 = rng.randint(0, degree_bound)
-                c = rng.randint(-2, 2)
-                if e1 != e2 and c:
-                    # c*(b^e1 - b^e2) has augmentation zero
-                    poly = poly + LaurentPoly.from_dict({e1: c, e2: -c})
-            row.append(poly)
-        entries.append(row)
-    return RingMatrix(tuple(tuple(row) for row in entries))
-
-
-@dataclass(frozen=True)
-class CohnTrial:
-    """A failed lift: the matrix (entries row by row) and the data alpha."""
-
-    n: int
-    matrix: tuple[str, ...]
-    alpha: tuple[int, ...]
+                e1, e2, c = rng.randint(0, degree_bound), rng.randint(0, degree_bound), rng.randint(-2, 2)
+                # c*(b^e1 - b^e2) has augmentation zero
+                coeffs[e1] = coeffs.get(e1, 0) + c
+                coeffs[e2] = coeffs.get(e2, 0) - c
+            row.append(LaurentPoly.from_dict(coeffs))
+        entries.append(tuple(row))
+    return RingMatrix(tuple(entries))
 
 
 @dataclass(frozen=True)
 class CohnReport:
-    failures: tuple[CohnTrial, ...]
+    failures: int
     coherence_checked: int
     coherence_failures: int
 
@@ -245,8 +234,7 @@ def cohn_local_suite(
         raise PreconditionError("need trial and coherence counts >= 0, not both 0")
     rng = random.Random(seed)
     mod = module.modulus
-    failures: list[CohnTrial] = []
-    coh_failures = 0
+    failures = coh_failures = 0
     for _ in range(trials):
         n = rng.randint(1, size_bound)
         t = random_aug_invertible(rng, n, degree_bound)
@@ -254,8 +242,7 @@ def cohn_local_suite(
         try:
             lift_unique(t, alpha, module)  # raises unless act * beta == alpha
         except TheoremViolationError:
-            matrix = tuple(str(e) for row in t.entries for e in row)
-            failures.append(CohnTrial(n, matrix, tuple(alpha)))
+            failures += 1
     checked = 0
     for _ in range(coherence_trials):
         n = rng.randint(1, size_bound)
@@ -266,4 +253,4 @@ def cohn_local_suite(
         pushed_then_lifted = lift_unique(t, push_module(alpha, module.m, deeper.m), deeper)
         checked += 1
         coh_failures += lifted_then_pushed != pushed_then_lifted
-    return CohnReport(tuple(failures), checked, coh_failures)
+    return CohnReport(failures, checked, coh_failures)

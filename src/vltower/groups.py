@@ -28,7 +28,7 @@ B^n1 costs t^(-m2 n1), so a b-free power is
 Every class-2 map of the kernel is one record (e, c_A, c_B, alpha, beta):
 t |-> t^e, A |-> t^c_A times the module row (1, 0) M and B |-> t^c_B times
 the row (0, 1) M, with M = alpha I + beta U.  Reading a row (m, n) as
-m I + n U, as ``Lattice`` does, the module part of an image is one pair
+m I + n U, as the series stages do, the module part of an image is one pair
 product with (alpha, beta), and composing two records multiplies their
 pairs.  Conjugation by b^j is such a record with e = (-1)^j and M = U^-j,
 in closed form from the pair of U^-j, so no records are composed.  A level

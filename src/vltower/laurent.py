@@ -4,11 +4,11 @@ This is the group ring of the infinite cyclic group on ``b``.  The module
 also provides the augmentation map (sum of coefficients), the predicate for
 the multiplicative set S of augmentation-1 elements, and a deterministic
 walk over S within finite support/coefficient bounds, one head group at a
-time.  Besides its canonical ``terms``, the type keeps the constructors
-``from_dict`` and ``constant``, the views ``coeffs`` and ``min_exp``,
-``scale``, and the ring operators ``+``, ``-``, ``*`` and ``**``; the
-claims use only ``+`` and ``scale`` of the operators, the others are the
-arithmetic the tests and the S-fraction reference build on.
+time.  Besides its canonical ``terms``, the type keeps the constructor
+``from_dict``, the view ``min_exp``, ``scale``, and the ring operators
+``+``, ``-``, ``*`` and ``**``; the claims use only ``scale``, the
+operators are the arithmetic the tests and the S-fraction reference build
+on.
 
 Literal grammar (EBNF), shared with the command line interface::
 
@@ -55,14 +55,6 @@ class LaurentPoly:
     def from_dict(coeffs: dict[int, int]) -> "LaurentPoly":
         return LaurentPoly(tuple(sorted((e, c) for e, c in coeffs.items() if c != 0)))
 
-    @staticmethod
-    def constant(n: int) -> "LaurentPoly":
-        return LaurentPoly.from_dict({0: n})
-
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self.terms)
-
     @property
     def min_exp(self) -> int:
         if not self.terms:
@@ -70,7 +62,7 @@ class LaurentPoly:
         return self.terms[0][0]
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = self.coeffs
+        out = dict(self.terms)
         for e, c in other.terms:
             out[e] = out.get(e, 0) + c
         return LaurentPoly.from_dict(out)
@@ -133,7 +125,7 @@ def power(mul: Callable[[_T, _T], _T], x: _T, e: int) -> _T:
 
 
 ZERO = LaurentPoly()
-ONE = LaurentPoly.constant(1)
+ONE = LaurentPoly(((0, 1),))
 B = LaurentPoly(((1, 1),))
 
 

@@ -23,8 +23,10 @@ s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
 before its final product with U^f.
 
 The module parts of the lower-central-series stages are principal ideals
-Z^2 (alpha I + beta U) of Z[U], so a Lattice is one such pair: products
-are pair products, and b-invariance holds by construction.
+Z^2 (alpha I + beta U) of Z[U], each held as its generator pair: a stage
+step is one pair product, b-invariance holds by construction, and
+``ideal_contains`` and ``ideal_index`` read membership and index from the
+pair.
 """
 
 from __future__ import annotations
@@ -87,6 +89,23 @@ def _norm_form(alpha: int, beta: int, f: int = 0) -> int:
     because det U = -1."""
     n = alpha * alpha + 3 * alpha * beta - beta * beta
     return -n if f & 1 else n
+
+
+def ideal_contains(pair: tuple[int, int], v: Vec) -> bool:
+    """v in Z^2 (alpha I + beta U), that is v = w (alpha I + beta U) for an
+    integer row w: v adj divisible by det, with adj = (alpha + 3 beta) I -
+    beta U.  The norm form has no nonzero integer root (13 is no square), so
+    det = 0 only for (0, 0)."""
+    det = _norm_form(*pair)
+    if not det:
+        return v == (0, 0)
+    (alpha, beta), (x, y) = pair, v
+    return (x * (alpha + 3 * beta) - y * beta) % det == 0 and (y * alpha - x * beta) % det == 0
+
+
+def ideal_index(pair: tuple[int, int]) -> int | float:
+    """Index of Z^2 (alpha I + beta U) in Z^2: |det|, math.inf for (0, 0)."""
+    return abs(_norm_form(*pair)) or math.inf
 
 
 def norm(s: LaurentPoly) -> int:
@@ -215,60 +234,3 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
                 bad.append(str(_group_element(f, d, _head_terms(f, head), r, m)))
         checked += len(ms) - (r in ms)
     return ParityReport(checked, tuple(bad), checked - odd)
-
-
-class Lattice:
-    """The module part Z^2 (alpha I + beta U) of a series stage, stored as its
-    generator pair (alpha, beta).
-
-    Reading a row vector (x, y) as x I + y U identifies Z^2 with Z[U], and
-    right multiplication by alpha I + beta U with multiplication in that
-    ring; a stage's module part is then the principal ideal (alpha + beta U),
-    which U maps into itself, so every lattice here is b-invariant by
-    construction.  Its rows are (alpha, beta) and (beta, alpha + 3 beta).
-    Equality of lattices is equality of generators: the stages are all
-    built by the same products, so equal stages carry equal pairs.
-    """
-
-    __slots__ = ("pair",)
-
-    def __init__(self, pair: tuple[int, int]):
-        self.pair = pair
-
-    @staticmethod
-    def zero() -> "Lattice":
-        return Lattice((0, 0))
-
-    @staticmethod
-    def whole() -> "Lattice":
-        return Lattice((1, 0))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lattice) and self.pair == other.pair
-
-    def __hash__(self) -> int:
-        return hash(self.pair)
-
-    def __repr__(self) -> str:
-        return f"Lattice{self.pair!r}"
-
-    def _det(self) -> int:
-        return _norm_form(*self.pair)
-
-    def contains(self, v: Vec) -> bool:
-        """v = w (alpha I + beta U) for an integer row w: v adj divisible by
-        det, with adj = (alpha + 3 beta) I - beta U.  The norm form has no
-        nonzero integer root (13 is no square), so det = 0 only for (0, 0)."""
-        det = self._det()
-        if not det:
-            return v == (0, 0)
-        (alpha, beta), (x, y) = self.pair, v
-        return (x * (alpha + 3 * beta) - y * beta) % det == 0 and (y * alpha - x * beta) % det == 0
-
-    def index(self) -> int | float:
-        """Index in Z^2: |det| of the generator, math.inf for the zero lattice."""
-        return abs(self._det()) or math.inf
-
-    def times(self, pair: tuple[int, int]) -> "Lattice":
-        """This lattice times gamma I + delta U."""
-        return Lattice(_pair_mul(self.pair, pair))

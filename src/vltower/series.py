@@ -28,9 +28,10 @@ from . import homology
 from .errors import InsufficientTowerError, PreconditionError, TheoremViolationError
 from .groups import Model, TowerPrefix, comm_b, free_comm, free_eq, free_pow
 from .localization import Dyadic, dyadic_double, dyadic_halve, dyadic_neg
-from .quadratic import Lattice, Vec
+from .quadratic import Vec, _pair_mul, ideal_contains
 
 _U_MINUS_I = (-1, 1)  # the generator pair of U - I
+_PROBE_EXIT_BOUND = 60  # steps a probe may take to exit the module chain
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,12 @@ class SubgroupData:
 
     center_exp = e means the center part is <t^(2^e)> (inside Z or Z/2^k
     depending on the model); None means no center part.  The b part is the
-    whole cyclic group for the first stage only.
+    whole cyclic group for the first stage only.  module is the generator
+    pair (alpha, beta) of the module part Z^2 (alpha I + beta U).
     """
 
     center_exp: int | None
-    module: Lattice
+    module: tuple[int, int]
 
     def center_order(self, model: Model) -> int | float:
         if self.center_exp is None:
@@ -54,7 +56,7 @@ class SubgroupData:
 
 
 def whole_group(model: Model) -> SubgroupData:
-    return SubgroupData(0 if model.central else None, Lattice.whole())
+    return SubgroupData(0 if model.central else None, (1, 0))
 
 
 def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
@@ -68,11 +70,11 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
     is one by construction.
     """
     central = model.central
+    alpha, beta = s.module  # generator rows (alpha, beta), (beta, alpha + 3 beta)
     candidates: list[int] = []
     if central and s.center_exp is not None:
         candidates.append(1 << (s.center_exp + 1))
     if central:
-        alpha, beta = s.module.pair  # generator rows (alpha, beta), (beta, alpha + 3 beta)
         candidates.extend((alpha, beta, beta, alpha + 3 * beta))  # pairings against a and a^b
     g = 0
     for cand in candidates:
@@ -83,7 +85,7 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
         if g & (g - 1):
             raise TheoremViolationError(f"center generator gcd {g} is not a 2-power")
         center_exp = g.bit_length() - 1
-    return SubgroupData(center_exp, s.module.times(_U_MINUS_I))
+    return SubgroupData(center_exp, _pair_mul(s.module, _U_MINUS_I))
 
 
 def lcs_chain(model: Model, depth: int) -> list[SubgroupData]:
@@ -96,15 +98,6 @@ def lcs_chain(model: Model, depth: int) -> list[SubgroupData]:
     return chain
 
 
-@dataclass(frozen=True)
-class GammaOmegaCertificate:
-    """Desk certificate for the limit stage of one model; gamma_omega raises
-    instead of returning one whose checks fail."""
-
-    center_exps: tuple[int | None, ...]
-    probes: tuple[tuple[Vec, int], ...]
-
-
 def _default_probes(bound: int) -> list[Vec]:
     return [
         (x, y)
@@ -115,38 +108,35 @@ def _default_probes(bound: int) -> list[Vec]:
 
 
 def gamma_omega(
-    model: Model,
-    chain: list[SubgroupData],
-    probe_set: list[Vec] | None = None,
-    probe_exit_bound: int = 60,
-) -> tuple[SubgroupData, GammaOmegaCertificate]:
-    """The limit stage with its two-part certificate, from chain = lcs_chain(model, d).
+    model: Model, chain: list[SubgroupData], probe_set: list[Vec] | None = None
+) -> tuple[tuple[Vec, int], ...]:
+    """Certify the limit stage from chain = lcs_chain(model, d); returns each
+    probe with the index at which it exits the module chain.
 
     (a) the center parts of stages 2 through d >= 2 are constantly the full
     <t> (vacuous for the base model); (b) every probe vector exits the module
-    chain at a finite index, so the limit's module part is trivial.
+    chain within _PROBE_EXIT_BOUND steps, so the limit's module part is
+    trivial.  The limit stage is then <t> (none for the base model) with a
+    zero module part.
     """
     if len(chain) < 2:
         raise PreconditionError(f"the limit-stage certificate needs depth >= 2, got {len(chain)}")
-    central = model.central
-    exps = tuple(stage.center_exp for stage in chain[1:])
-    if central and any(e != 0 for e in exps):
+    exps = [stage.center_exp for stage in chain[1:]]
+    if model.central and any(e != 0 for e in exps):
         raise TheoremViolationError(f"center parts of finite stages not constant: {exps}")
     probes = probe_set if probe_set is not None else _default_probes(2)
     images = [stage.module for stage in chain]  # Z^2 (U - I)^i, the module part of stage i + 1
     results: list[tuple[Vec, int]] = []
     for v in probes:
-        for i in range(1, probe_exit_bound + 1):
+        for i in range(1, _PROBE_EXIT_BOUND + 1):
             if i == len(images):  # extended past the chain one product at a time
-                images.append(images[-1].times(_U_MINUS_I))
-            if not images[i].contains(v):
+                images.append(_pair_mul(images[-1], _U_MINUS_I))
+            if not ideal_contains(images[i], v):
                 results.append((v, i))
                 break
         else:
             raise TheoremViolationError(f"probe {v} never exits the module chain")
-    cert = GammaOmegaCertificate(exps, tuple(results))
-    limit = SubgroupData(0 if central else None, Lattice.zero())
-    return limit, cert
+    return tuple(results)
 
 
 @dataclass(frozen=True)
@@ -154,7 +144,6 @@ class TransfiniteReport:
     """Stages past the limit for a truncation: orders and quotient orders."""
 
     k: int
-    stages: tuple[SubgroupData, ...]
     orders: tuple[int, ...]
     quotient_orders: tuple[int, ...]
     terminates_at: int | None  # None: the bound cut the chain before it died
@@ -177,13 +166,13 @@ def transfinite_chain(k: int, j_bound: int | None = None) -> TransfiniteReport:
     """
     model = Model(k)
     limit = j_bound if j_bound is not None else k
-    stages = [SubgroupData(0, Lattice.zero())]
+    stages = [SubgroupData(0, (0, 0))]
     while stages[-1].center_order(model) > 1 and len(stages) <= limit:
         stages.append(lcs_step(model, stages[-1]))
     orders = tuple(int(s.center_order(model)) for s in stages)
     quotients = tuple(orders[i] // orders[i + 1] for i in range(len(orders) - 1))
     terminates = next((i for i, o in enumerate(orders) if o == 1), None)
-    return TransfiniteReport(k, tuple(stages), orders, quotients, terminates, limit)
+    return TransfiniteReport(k, orders, quotients, terminates, limit)
 
 
 def commutator_preimage(c: Dyadic) -> Dyadic:
@@ -214,8 +203,6 @@ def default_center_samples(seed: int = 0) -> Iterator[Dyadic]:
 
 @dataclass(frozen=True)
 class WitnessSample:
-    value: str
-    depth: int
     model_ok: bool
     commutator_power_ok: bool
 
@@ -237,12 +224,7 @@ class WitnessReport:
         return self.five_term_consistent and bool(self.samples) and all(s.ok for s in self.samples)
 
 
-def witness_not_transfinitely_nilpotent(
-    tower: TowerPrefix,
-    j_bound: int,
-    samples: list[Dyadic] | None = None,
-    seed: int = 0,
-) -> WitnessReport:
+def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, samples: list[Dyadic]) -> WitnessReport:
     """Certify that the limit stage of the colimit model never shrinks.
 
     For each sampled nonzero center element c: (a) c lies in the limit stage,
@@ -260,8 +242,6 @@ def witness_not_transfinitely_nilpotent(
         raise InsufficientTowerError(
             "no even-norm edge: the center colimit of this prefix is trivial"
         )
-    if samples is None:
-        samples = list(default_center_samples(seed))
     if not samples:
         raise PreconditionError("at least one center sample is required")
     if any(s.num == 0 for s in samples):
@@ -292,7 +272,7 @@ def witness_not_transfinitely_nilpotent(
             free_eq(free_pow(w[level - y.k], (y.num * (-1) ** (level - y.k)) % (1 << y.k)), t_y, level)
             for y, t_y in zip(chain, centers)
         )
-        out.append(WitnessSample(value=str(c), depth=c.k, model_ok=model_ok, commutator_power_ok=comm_ok))
+        out.append(WitnessSample(model_ok, comm_ok))
 
     return WitnessReport(
         j_bound=j_bound,

@@ -34,7 +34,7 @@ from typing import Iterator
 from vltower.groups import Model, TowerPrefix
 from vltower.laurent import ONE, ZERO, LaurentPoly, _group_element, _head_groups, _head_terms, power, require_in_S
 from vltower.localization import Dyadic, dyadic_make
-from vltower.quadratic import Lattice, Vec, _u_pair, evaluate_at_U
+from vltower.quadratic import Vec, _u_pair, evaluate_at_U, ideal_contains
 from vltower.series import SubgroupData
 
 # --- the 2x2 matrix form of the module map ------------------------------------
@@ -209,9 +209,9 @@ def fraction_stage_vector(f: Fraction, tower: TowerPrefix, stage: int) -> Vec | 
 
 
 def subgroup_contains(sub: SubgroupData, c: int, n: Vec, j: int, model: Model) -> bool:
-    if j != 0 and sub.module != Lattice.whole():  # the b part is whole at stage 1 only
+    if j != 0 and sub.module != (1, 0):  # the b part is whole at stage 1 only
         return False
-    if not sub.module.contains(n):
+    if not ideal_contains(sub.module, n):
         return False
     if sub.center_exp is None:
         return c == 0 or not model.central

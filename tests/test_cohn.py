@@ -42,14 +42,14 @@ def test_lift_worked_example_inverse_of_three():
 
 def test_lift_requires_unit_augmentation():
     m = cohn.NilpotentModuleSpec(3)
-    t = _matrix([LaurentPoly.constant(2)])
+    t = _matrix([LaurentPoly.from_dict({0: 2})])
     with pytest.raises(PreconditionError):
         cohn.lift_unique(t, [1], m)
 
 
 def test_lift_two_by_two():
     m = cohn.NilpotentModuleSpec(5)
-    t = _matrix([ONE, S], [LaurentPoly.constant(0) + B - B, ONE])
+    t = _matrix([ONE, S], [LaurentPoly.from_dict({0: 0}) + B - B, ONE])
     alpha = [3, 9]
     beta = cohn.lift_unique(t, alpha, m)
     act = t.action_matrix(m)
@@ -79,7 +79,7 @@ def test_cohn_local_suite_zero_failures():
             cohn.NilpotentModuleSpec(m), 60, 3, 3, seed=9, coherence_trials=10
         )
         assert rep.ok
-        assert rep.failures == ()
+        assert rep.failures == 0
         assert rep.coherence_failures == 0
 
 
@@ -95,11 +95,7 @@ def test_cohn_local_suite_records_a_failed_lift(monkeypatch, capsys):
     monkeypatch.setattr(cohn, "lift_unique", refuse)
     rep = cohn.cohn_local_suite(cohn.NilpotentModuleSpec(3), 4, 3, 2, seed=5)
     assert not rep.ok
-    assert len(rep.failures) == len(seen) == 4
-    for trial, (t, alpha) in zip(rep.failures, seen):
-        assert trial.n == t.n
-        assert trial.matrix == tuple(str(e) for row in t.entries for e in row)
-        assert trial.alpha == alpha
+    assert rep.failures == len(seen) == 4
     argv = ["cohn", "--m", "3", "--trials", "4", "--coherence", "0", "--format", "json"]
     assert main(argv) == 2
     claims = {c["id"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
@@ -193,3 +189,36 @@ def test_even_action_matrix_is_a_theorem_violation():
         cohn._inverse_mod_2k(t.action_matrix(m), m.modulus)
     with pytest.raises(PreconditionError, match="determinant 0 is not a unit"):
         cohn.lift_unique(t, [1, 1], m)
+
+
+def _ref_random_aug_invertible(rng, n, degree_bound):
+    """The construction as a sum of LaurentPoly values, one per perturbation."""
+    base = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(n * 3):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.randint(-2, 2)
+        for col in range(n):
+            base[i][col] += c * base[j][col]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            poly = LaurentPoly.from_dict({0: base[i][j]})
+            for _ in range(rng.randrange(0, 3)):
+                e1, e2, c = rng.randint(0, degree_bound), rng.randint(0, degree_bound), rng.randint(-2, 2)
+                poly = poly + LaurentPoly.from_dict({e1: c}) - LaurentPoly.from_dict({e2: c})
+            row.append(poly)
+        rows.append(tuple(row))
+    return cohn.RingMatrix(tuple(rows))
+
+
+def test_random_aug_invertible_matches_the_sum_of_perturbations():
+    # one coefficient dict per entry gives the matrix of the polynomial sums,
+    # from the same draws
+    for seed in range(300):
+        n, deg = 1 + seed % 5, seed % 7
+        fast, ref = random.Random(seed), random.Random(seed)
+        assert cohn.random_aug_invertible(fast, n, deg) == _ref_random_aug_invertible(ref, n, deg)
+        assert fast.random() == ref.random()

@@ -12,8 +12,10 @@ from vltower.cli import main
 from vltower.errors import NotInSError, PreconditionError
 from vltower.laurent import LaurentPoly, parse_laurent
 from vltower.quadratic import (
-    Lattice,
+    _pair_mul,
     evaluate_at_U,
+    ideal_contains,
+    ideal_index,
     norm,
     norm_data,
     predicted_parity,
@@ -287,20 +289,20 @@ def _u_minus_i_power(i):
 
 
 def test_lattice_examples():
-    l1 = Lattice.whole().times((-1, 1))
-    assert l1 == Lattice((-1, 1))
-    assert l1.index() == 3
-    assert l1.contains((0, 0))
-    assert l1.contains((-1, 1)) and l1.contains((3, 0))
-    assert not l1.contains((1, 0))
+    l1 = _pair_mul((1, 0), (-1, 1))
+    assert l1 == (-1, 1)
+    assert ideal_index(l1) == 3
+    assert ideal_contains(l1, (0, 0))
+    assert ideal_contains(l1, (-1, 1)) and ideal_contains(l1, (3, 0))
+    assert not ideal_contains(l1, (1, 0))
 
 
 def test_lattice_whole_and_zero():
-    assert Lattice.whole().index() == 1
-    assert Lattice.whole().contains((7, -5))
-    assert Lattice.zero().contains((0, 0))
-    assert not Lattice.zero().contains((0, 1))
-    assert Lattice.zero().index() == math.inf
+    assert ideal_index((1, 0)) == 1
+    assert ideal_contains((1, 0), (7, -5))
+    assert ideal_contains((0, 0), (0, 0))
+    assert not ideal_contains((0, 0), (0, 1))
+    assert ideal_index((0, 0)) == math.inf
 
 
 def test_lattice_membership_against_bruteforce():
@@ -310,7 +312,6 @@ def test_lattice_membership_against_bruteforce():
     pairs += [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(40)]
     box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
     for pair in pairs:
-        lat = Lattice(pair)
         rows = _generator_rows(pair)
         spanned = set()
         for c0 in range(-6, 7):
@@ -320,9 +321,9 @@ def test_lattice_membership_against_bruteforce():
         for v in box:
             # every small combination is a member; membership beyond the
             # coefficient window is decided by an exact rational solve
-            assert lat.contains(v) == ref_in_row_span(generator, v), (pair, v)
+            assert ideal_contains(pair, v) == ref_in_row_span(generator, v), (pair, v)
             if v in spanned:
-                assert lat.contains(v), (pair, v)
+                assert ideal_contains(pair, v), (pair, v)
 
 
 def test_lattice_index_and_membership_against_sympy_hermite_form():
@@ -336,17 +337,16 @@ def test_lattice_index_and_membership_against_sympy_hermite_form():
     pairs += [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(30)]
     box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
     for pair in pairs:
-        lat = Lattice(pair)
         w = hermite_normal_form(sympy.Matrix(_generator_rows(pair)).T)
         if w.cols < 2:
-            assert lat.index() == math.inf and pair == (0, 0)
+            assert ideal_index(pair) == math.inf and pair == (0, 0)
             continue
         (p, q), (_, r) = w.tolist()
-        assert lat.index() == p * r, pair
+        assert ideal_index(pair) == p * r, pair
         for x, y in box:
             # (x, y) = c0 (p, 0) + c1 (q, r) for integers c0, c1
             member = y % r == 0 and (x - (y // r) * q) % p == 0
-            assert lat.contains((x, y)) == member, (pair, (x, y))
+            assert ideal_contains(pair, (x, y)) == member, (pair, (x, y))
 
 
 def test_norm_against_sympy_determinant():
@@ -368,13 +368,13 @@ def test_norm_against_sympy_determinant():
 def test_lattice_equality_by_mutual_inclusion():
     # equal stage products carry equal generators, and the lattices they
     # span contain each other's generator rows; a proper sublattice differs
-    l1 = Lattice.whole().times((-1, 1)).times((-1, 1))
+    l1 = _pair_mul(_pair_mul((1, 0), (-1, 1)), (-1, 1))
     m = _u_minus_i_power(2)
-    l2 = Lattice((m.a, m.b))
-    assert l1 == l2 and hash(l1) == hash(l2)
-    assert all(l1.contains(r) for r in _generator_rows(l2.pair))
-    assert all(l2.contains(r) for r in _generator_rows(l1.pair))
-    l3 = Lattice.whole().times((2, 0))
-    assert l3 != Lattice.whole()
-    assert all(Lattice.whole().contains(r) for r in _generator_rows(l3.pair))
-    assert not all(l3.contains(r) for r in _generator_rows(Lattice.whole().pair))
+    l2 = (m.a, m.b)
+    assert l1 == l2
+    assert all(ideal_contains(l1, r) for r in _generator_rows(l2))
+    assert all(ideal_contains(l2, r) for r in _generator_rows(l1))
+    l3 = _pair_mul((1, 0), (2, 0))
+    assert l3 != (1, 0)
+    assert all(ideal_contains((1, 0), r) for r in _generator_rows(l3))
+    assert not all(ideal_contains(l3, r) for r in _generator_rows((1, 0)))
