@@ -26,7 +26,7 @@ from typing import Iterator
 
 from . import homology
 from .errors import InsufficientTowerError, PreconditionError, TheoremViolationError
-from .groups import Model, TowerPrefix, comm_b, free_comm, free_eq, free_pow
+from .groups import Model, TowerPrefix, comm_b, conj_b, free_comm, free_eq, free_pow
 from .localization import Dyadic, dyadic_double, dyadic_halve, dyadic_neg
 from .quadratic import Vec, _pair_mul, ideal_contains
 
@@ -67,10 +67,16 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
     [x, a^b] are pure center elements with exponents given by the symplectic
     pairings of x against the basis; [t^(2^e), b] doubles the center depth.
     The shape needs a b-invariant module part, and a principal ideal of Z[U]
-    is one by construction.
+    is one by construction.  The next generator pair is checked against the
+    module part of [x, b] = x^-1 x^b for the generator x, vU - v with vU the
+    module part of x^b, which the group kernel computes on its own.
     """
     central = model.central
     alpha, beta = s.module  # generator rows (alpha, beta), (beta, alpha + 3 beta)
+    module = _pair_mul(s.module, _U_MINUS_I)
+    _, m, n = conj_b((0, alpha, beta))
+    if (m - alpha, n - beta) != module:
+        raise TheoremViolationError(f"module part {module} is not that of [x, b] for x = {s.module}")
     candidates: list[int] = []
     if central and s.center_exp is not None:
         candidates.append(1 << (s.center_exp + 1))
@@ -85,7 +91,7 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
         if g & (g - 1):
             raise TheoremViolationError(f"center generator gcd {g} is not a 2-power")
         center_exp = g.bit_length() - 1
-    return SubgroupData(center_exp, _pair_mul(s.module, _U_MINUS_I))
+    return SubgroupData(center_exp, module)
 
 
 def lcs_chain(model: Model, depth: int) -> list[SubgroupData]:

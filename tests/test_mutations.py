@@ -1,5 +1,5 @@
-"""Planted faults: each verified claim of norm, phi-check, tower and witness
-named here fails when the step it rests on is broken.
+"""Planted faults: each verified claim of norm, phi-check, tower, lcs and
+witness named here fails when the step it rests on is broken.
 
 Each fault is planted with monkeypatch in the b-free triple law, a record,
 the norm or the evaluation that the claim's check reads, and the command
@@ -144,3 +144,23 @@ def test_witness_five_term_catches_an_odd_fold(monkeypatch, capsys):
     claims = {c["id"]: c["pass"] for c in json.loads(capsys.readouterr().out)["claims"]}
     assert claims["witness.five_term"] is False
     assert claims["witness.conclusion"] is False
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (-1, 2)], ids=["index-3", "index-9"])
+@pytest.mark.parametrize("flags", [[], ["--gamma-omega", "--transfinite"]], ids=["chain", "limit"])
+def test_lcs_chain_catches_a_wrong_pair_of_u_minus_i(monkeypatch, capsys, pair, flags):
+    # lcs.chain: the next generator pair is checked against the module part
+    # of [x, b], which the group kernel computes without the pair of U - I;
+    # (1, 1) has index 3 like U - I itself, so the indices alone cannot tell
+    monkeypatch.setattr(series, "_U_MINUS_I", pair)
+    code, err = _exit_and_error(["lcs", "--model", "Gamma3", "--depth", "6", *flags], capsys)
+    assert code == 2
+    assert "is not that of [x, b]" in err
+
+
+def test_lcs_gamma_omega_catches_a_membership_test_that_accepts_everything(monkeypatch, capsys):
+    # lcs.gamma_omega: no probe exits a chain whose stages hold every vector
+    monkeypatch.setattr(series, "ideal_contains", lambda pair, v: True)
+    code, err = _exit_and_error(["lcs", "--model", "Gamma3", "--depth", "12", "--gamma-omega"], capsys)
+    assert code == 2
+    assert "never exits the module chain" in err
