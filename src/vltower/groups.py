@@ -48,7 +48,7 @@ from typing import Iterable
 
 from .errors import PreconditionError, TheoremViolationError
 from .laurent import LaurentPoly, require_in_S
-from .quadratic import _norm_form, _pair_mul, _u_pair, evaluate_at_U, norm, two_adic_split
+from .quadratic import _norm_form, _pair_mul, _u_pair, evaluate_at_U, norm, two_adic_split, widest_gap
 
 
 @dataclass(frozen=True)
@@ -264,6 +264,11 @@ def _order_relator_vanishes(x: Triple, k: int, level: int | None) -> bool:
     return free_eq(comm_b(x), free_pow(x, -2), level) and free_eq(free_pow(x, (-2) ** k), (0, 0, 0), level)
 
 
+# The widest |exponent| or gap whose level map takes about 60 s (shared 2-vCPU
+# VM, Python 3.11): the records of b^j have entries of about 0.52 |j| digits
+LEVEL_MAP_BOUND = 2_500_000
+
+
 def phi_build(s: LaurentPoly, k: int) -> PhiData:
     """Construct and verify the level map for edge s leaving level k.
 
@@ -283,6 +288,9 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     require_in_S(s)
     if k < 0:
         raise PreconditionError("negative source level")
+    width = max(widest_gap(s), -s.terms[0][0], s.terms[-1][0])
+    if width > LEVEL_MAP_BOUND:
+        raise PreconditionError(f"an exponent or gap of {width} is past the bound {LEVEL_MAP_BOUND} of a level map")
     s_norm = norm(s)
     p, _ = two_adic_split(s_norm)
     target_k = k + p

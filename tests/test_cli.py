@@ -254,6 +254,12 @@ _HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
         ["lcs", "--model", "G2", "--depth", "9015"],
         # past the 56 default samples
         ["witness", "--edges", "1-b+b^2", "--samples", "57"],
+        # exponents and gaps past the bounds, rejected before any work
+        ["phi-check", "--s", "b^121212121212", "--k", "2"],
+        ["tower", "--edges", "1-b+b^2,b^121212121212"],
+        ["witness", "--edges", "b^-121212121212"],
+        ["phi-check", "--s", "b^-1300000+b^1300000-b^1300001"],
+        ["norm", "--s", "b^10000000-b^2+b"],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
