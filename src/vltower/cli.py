@@ -192,7 +192,10 @@ def cmd_lcs(args) -> Report:
     # stage i has index 3^(i-1), and 3^(3 L) > 10^L is past a limit of L digits
     last = max(args.depth - 1, 0)
     _require_printable(3 ** min(last, 3 * sys.get_int_max_str_digits()), what="a module index")
-    rep = Report("lcs", {"model": args.model, "depth": args.depth})
+    rep = Report(
+        "lcs",
+        {"model": args.model, "depth": args.depth, "gamma_omega": args.gamma_omega, "transfinite": args.transfinite},
+    )
     chain = series.lcs_chain(model, args.depth)
     indices = [ideal_index(stage.module) for stage in chain]
     rep.add(
@@ -286,7 +289,7 @@ def cmd_witness(args) -> Report:
 def cmd_cohn(args) -> Report:
     rep = Report(
         "cohn",
-        {"m": args.m, "trials": args.trials, "n": args.n, "deg": args.deg},
+        {"m": args.m, "trials": args.trials, "n": args.n, "deg": args.deg, "coherence": args.coherence},
         seed=args.seed,
     )
     module = cohn.NilpotentModuleSpec(args.m)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-SCHEMA = "vltower.report/1"
+SCHEMA = "vltower.report/2"
 
 PROVENANCES = ("verified", "derived", "paper-assumed")
 

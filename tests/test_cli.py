@@ -152,6 +152,33 @@ def test_json_output_deterministic(capsys):
     assert out1 == out2  # byte-identical for identical inputs and seed
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lcs", "--model", "Gamma3", "--depth", "3"],
+        ["lcs", "--model", "Gamma3", "--depth", "3", "--transfinite"],
+        ["lcs", "--model", "Gamma3", "--depth", "3", "--transfinite", "1"],
+        ["lcs", "--model", "Gamma3", "--depth", "3", "--gamma-omega"],
+        ["cohn", "--m", "2", "--trials", "3", "--coherence", "0"],
+        ["cohn", "--m", "2", "--trials", "3", "--coherence", "4"],
+    ],
+)
+def test_a_report_reruns_from_its_inputs(capsys, argv):
+    # every option that changes the claims is echoed: the argv rebuilt from
+    # the inputs gives the same report
+    _, out, _ = run(capsys, argv + ["--format", "json"])
+    report = json.loads(out)
+    rebuilt = [report["command"]]
+    flags = {"gamma_omega": "--gamma-omega"}
+    for key, value in report["inputs"].items():
+        if value is False or value is None:
+            continue
+        rebuilt.append(flags.get(key, f"--{key}"))
+        if value is not True:
+            rebuilt.append(str(value))
+    assert run(capsys, rebuilt + ["--format", "json"])[1] == out
+
+
 def test_out_writes_json(tmp_path, capsys):
     path = tmp_path / "report.json"
     rc, out, _ = run(capsys, ["norm", "--s", "b", "--out", str(path)])
