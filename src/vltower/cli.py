@@ -232,20 +232,19 @@ def cmd_witness(args) -> Report:
     tower = tower_build(_parse_edges(args.edges))
     if not args.samples:
         samples = list(series.default_center_samples(args.seed))
+    elif "/" in args.samples:
+        samples = [parse_dyadic(tok) for tok in args.samples.split(",")]
+    elif args.samples.isdecimal():
+        try:
+            count = int(args.samples)
+        except ValueError:
+            raise PreconditionError(f"sample count of {len(args.samples)} digits is too long") from None
+        # islice takes no count past sys.maxsize; there are far fewer samples
+        samples = list(itertools.islice(series.default_center_samples(args.seed), min(count, sys.maxsize)))
+        if len(samples) < count:
+            raise PreconditionError(f"sample count {args.samples} is past the {len(samples)} default samples")
     else:
-        if "/" in args.samples:
-            samples = [parse_dyadic(tok) for tok in args.samples.split(",")]
-        elif args.samples.isdecimal():
-            try:
-                count = int(args.samples)
-            except ValueError:
-                raise PreconditionError(f"sample count of {len(args.samples)} digits is too long") from None
-            # islice takes no count past sys.maxsize; there are far fewer samples
-            samples = list(itertools.islice(series.default_center_samples(args.seed), min(count, sys.maxsize)))
-            if len(samples) < count:
-                raise PreconditionError(f"sample count {args.samples} is past the {len(samples)} default samples")
-        else:
-            raise PreconditionError(f"samples {args.samples!r} are neither a count nor dyadics")
+        raise PreconditionError(f"samples {args.samples!r} are neither a count nor dyadics")
     rep = Report(
         "witness",
         {

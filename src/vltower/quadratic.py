@@ -148,8 +148,8 @@ class NormData:
 
 def norm_data(s: LaurentPoly) -> NormData:
     require_in_S(s)
-    if widest_gap(s) > NORM_GAP_BOUND:
-        raise PreconditionError(f"an exponent gap of {widest_gap(s)} is past the bound {NORM_GAP_BOUND} of a norm")
+    if (gap := widest_gap(s)) > NORM_GAP_BOUND:
+        raise PreconditionError(f"an exponent gap of {gap} is past the bound {NORM_GAP_BOUND} of a norm")
     n = norm(s)
     # mod 3, x^2 - 3x - 1 = (x - 1)(x + 1), so |s| = s(1) s(-1) = s(-1) on S
     if (n - sum(-c if e & 1 else c for e, c in s.terms)) % 3:

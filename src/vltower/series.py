@@ -127,7 +127,7 @@ def gamma_omega(
     """
     if len(chain) < 2:
         raise PreconditionError(f"the limit-stage certificate needs depth >= 2, got {len(chain)}")
-    exps = [stage.center_exp for stage in chain[1:]]
+    exps = tuple(stage.center_exp for stage in chain[1:])
     if model.central and any(e != 0 for e in exps):
         raise TheoremViolationError(f"center parts of finite stages not constant: {exps}")
     probes = probe_set if probe_set is not None else _default_probes(2)

@@ -20,9 +20,10 @@ H = Model.parse("H")
 G2 = Model.parse("G2")
 
 
-def _generator(lattice):
-    """The matrix alpha I + beta U whose rows span the lattice."""
-    alpha, beta = lattice
+def _generator(pair):
+    """The matrix alpha I + beta U whose rows span the module part with
+    generator pair (alpha, beta)."""
+    alpha, beta = pair
     return Mat2(alpha, beta, beta, alpha + 3 * beta)
 
 
