@@ -17,7 +17,9 @@ Collection conventions (fixed once, used everywhere): x^y = y^-1 x y and
 B A = A B t^-1 with t central among A, B, and conjugation by b acts as
 A |-> B, B |-> A B^3, t |-> t^-1.  For an S-element s, a^s is the product of
 the conjugates a^(n_i b^i) taken in ascending exponent order, collected by
-Horner's rule on triples from the top term down.
+Horner's rule on triples from the top term down; one walk collects a^s and
+a^(3s) together, applying each gap's record to both, and its last step is
+the conjugation by b^-f, f the lowest exponent.
 
 The kernel is logarithmic in every exponent; its closed forms are the Deep
 Thought collection polynomials of this class-2 group (Leedham-Green and
@@ -131,11 +133,6 @@ def _conj_record(j: int) -> Aut:
     return _pair_record(*_u_pair(-j))
 
 
-def conj_by_b_pow(h: Triple, j: int) -> Triple:
-    """b^j (t^c A^m B^n) b^-j: module part (m, n) U^-j, center by the record of b^j."""
-    return _aut_apply(_conj_record(j), h) if j else h
-
-
 def free_mul(x: Triple, y: Triple) -> Triple:
     """Moving A^m2 left past B^n1 costs t^(-m2*n1), one BA -> AB t^-1 swap at a time."""
     c1, m1, n1 = x
@@ -185,25 +182,25 @@ def free_eq(x: Triple, y: Triple, k: int | None) -> bool:
 # the maps between truncation levels
 
 
-def a_power_s(s: LaurentPoly) -> Triple:
-    """a^s in G2, as the triple (c, m, n): the product of a^(n_i b^i) over the
-    support of s, ascending.
+def a_power_s(s: LaurentPoly) -> tuple[Triple, Triple]:
+    """(a^s, a^(3s)) in G2, as triples (c, m, n): the product of a^(n_i b^i)
+    over the support of s, ascending, and the same with 3 n_i.
 
     By Horner's rule on triples, from the top term down: the conjugate
     b^e (a^(n_e b^e) ... a^(n_top b^top)) b^-e is A^(n_e) times the same
     conjugate for the next exponent e' > e, conjugated by b^(e - e').
-    Prepending A^(n_e) crosses no B, so it adds no center term; one
-    conjugation by b^-f, f the lowest exponent, ends it.  _conj_record
-    takes no pair product for a gap of 1."""
-    if not s.terms:
-        return 0, 0, 0
-    top, m = s.terms[-1]
-    c = n = 0
-    for e, coeff in reversed(s.terms[:-1]):
-        c, m, n = _aut_apply(_conj_record(e - top), (c, m, n))
-        m += coeff
+    Prepending A^(n_e) crosses no B, so it adds no center term.  The last
+    step, to exponent 0 with nothing prepended, is the conjugation by b^-f,
+    f the lowest exponent.  Each gap's record serves both triples."""
+    x = y = (0, 0, 0)
+    top = s.terms[-1][0] if s.terms else 0
+    for e, coeff in (*reversed(s.terms), (0, 0)):
+        if e != top:  # no gap before the top term, nor at the end when f = 0
+            record = _conj_record(e - top)
+            x, y = _aut_apply(record, x), _aut_apply(record, y)
+        x, y = (x[0], x[1] + coeff, x[2]), (y[0], y[1] + 3 * coeff, y[2])
         top = e
-    return conj_by_b_pow((c, m, n), -top)
+    return x, y
 
 
 def relator_defect(s: LaurentPoly) -> tuple[int, int, Triple]:
@@ -215,8 +212,7 @@ def relator_defect(s: LaurentPoly) -> tuple[int, int, Triple]:
     Both module-part identities are asserted on the way.
     """
     require_in_S(s)
-    a = a_power_s(s)
-    a3 = a_power_s(s.scale(3))
+    a, a3 = a_power_s(s)
     lhs = conj_b(conj_b(a))
     rhs = free_mul(a, conj_b(a3))
     if lhs[1:] != rhs[1:]:

@@ -5,10 +5,9 @@ also provides the augmentation map (sum of coefficients), the predicate for
 the multiplicative set S of augmentation-1 elements, and a deterministic
 walk over S within finite support/coefficient bounds, one head group at a
 time.  Besides its canonical ``terms``, the type keeps the constructor
-``from_dict``, the view ``min_exp``, ``scale``, and the ring operators
-``+``, ``-``, ``*`` and ``**``; the claims use only ``scale``, the
-operators are the arithmetic the tests and the S-fraction reference build
-on.
+``from_dict``, the view ``min_exp`` and the ring operators ``+``, ``-``,
+``*`` and ``**``; no claim uses the operators, which are the arithmetic the
+tests and the S-fraction reference build on.
 
 Literal grammar (EBNF), shared with the command line interface::
 
@@ -85,9 +84,6 @@ class LaurentPoly:
         if n < 0:
             raise ValueError("negative powers of a general polynomial are not defined")
         return power(LaurentPoly.__mul__, self, n) if n else ONE
-
-    def scale(self, n: int) -> "LaurentPoly":
-        return LaurentPoly.from_dict({e: n * c for e, c in self.terms})
 
     def __str__(self) -> str:
         if not self.terms:

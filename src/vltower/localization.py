@@ -1,14 +1,15 @@
 """Dyadic rationals mod 1 and the tower center.
 
 Dyadic values model the 2-quasi-cyclic group: num / 2**k taken mod 1,
-canonically with num odd, or (0, 0) for zero.  CenterColim is the
+canonically with num odd, or (0, 0) for zero.  They are the witness's center
+samples; it builds their chains as residues, from ``Dyadic.residue``, so
+dyadic negation, doubling and halving live with the tests.  CenterColim is the
 tower-indexed view of the same group: a residue mod 2**(level of its stage),
-pushed along tower edges by multiplying with the edge norm.  Odd unit
-factors accumulated by those pushes are stripped only at the dyadic
-boundary, in center_to_dyadic.  That map is the tested identification of
-the tower's center colimit with the dyadics the witness computes in.
-The S-fractions of the localized module are kept with the tests, since no
-claim computes with them.
+pushed along tower edges by multiplying with the edge norm.  Odd unit factors
+accumulated by those pushes are stripped only at the dyadic boundary, in
+center_to_dyadic.  That map is the tested identification of the tower's center
+colimit with the dyadics the witness samples.  The S-fractions of the
+localized module are kept with the tests, since no claim computes with them.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ class Dyadic:
         elif not (0 < self.num < (1 << self.k)) or self.num % 2 == 0:
             raise ValueError("non-canonical dyadic; use dyadic_make")
 
-    def __str__(self) -> str:
-        return f"{self.num}/{1 << self.k}" if self.num else "0"
+    def residue(self, level: int) -> int:
+        """r with t^r this value at center level >= k, by doubling: num * 2**(level - k)."""
+        return self.num << (level - self.k)
 
 
 DYADIC_ZERO = Dyadic(0, 0)
-DYADIC_HALF = Dyadic(1, 1)
 
 
 def dyadic_make(num: int, k: int) -> Dyadic:
@@ -51,26 +52,7 @@ def dyadic_make(num: int, k: int) -> Dyadic:
     if not num:
         return DYADIC_ZERO
     p = (num & -num).bit_length() - 1  # the 2-adic valuation, as in two_adic_split
-    out = object.__new__(Dyadic)  # canonical by construction: skip __post_init__
-    out.__dict__.update(num=num >> p, k=k - p)
-    return out
-
-
-def dyadic_neg(x: Dyadic) -> Dyadic:
-    return dyadic_make(-x.num, x.k)
-
-
-def dyadic_double(x: Dyadic) -> Dyadic:
-    return dyadic_make(2 * x.num, x.k)
-
-
-def dyadic_halve(x: Dyadic) -> Dyadic:
-    """The canonical preimage num / 2**(k+1) under doubling.
-
-    Doubling is 2-to-1 with kernel {0, 1/2}; the other preimage is this one
-    plus 1/2.
-    """
-    return dyadic_make(x.num, x.k + 1)
+    return Dyadic(num >> p, k - p)
 
 
 def parse_dyadic(text: str) -> Dyadic:

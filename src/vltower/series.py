@@ -15,7 +15,8 @@ intersection: the center parts of the finite stages are constant and every
 nonzero probe vector exits the module chain at a finite index.  Transfinite
 stages of a truncation then halve the center until it dies; the witness
 shows the colimit model instead never runs out, by exhibiting for each
-sampled dyadic center element a full chain of commutator preimages.
+sampled dyadic center element a full chain of commutator preimages, as the
+residues of one deep truncation that the group kernel compares.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator
 from . import homology
 from .errors import InsufficientTowerError, PreconditionError, TheoremViolationError
 from .groups import Model, TowerPrefix, comm_b, conj_b, free_comm, free_eq, free_pow
-from .localization import Dyadic, dyadic_double, dyadic_halve, dyadic_neg
+from .localization import Dyadic
 from .quadratic import Vec, _pair_mul, ideal_contains
 
 _U_MINUS_I = (-1, 1)  # the generator pair of U - I
@@ -181,12 +182,13 @@ def transfinite_chain(k: int, j_bound: int | None = None) -> TransfiniteReport:
     return TransfiniteReport(k, orders, quotients, terminates, limit)
 
 
-def commutator_preimage(c: Dyadic) -> Dyadic:
-    """y with [y, b] = c in the colimit center: -2y = c mod 1, y the canonical
-    halve of -c.  Verified by evaluation before returning."""
-    y = dyadic_halve(dyadic_neg(c))
-    if dyadic_neg(dyadic_double(y)) != c:
-        raise TheoremViolationError(f"preimage check failed for {c}")
+def commutator_preimage(r: int, level: int) -> int:
+    """y with [y, b] = t^r at center level ``level``: -2y = r mod 2**level, y the
+    preimage of -r under doubling below 2**(level - 1).  Verified before returning."""
+    mod = 1 << level
+    y = (-r % mod) >> 1
+    if (-2 * y - r) % mod:
+        raise TheoremViolationError(f"preimage check failed for t^{r} at level {level}")
     return y
 
 
@@ -237,10 +239,11 @@ def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, sample
     witnessed by the constancy certificate plus an explicit iterated-commutator
     power expression evaluated in a truncation deep enough to hold c; (b) a
     full chain of commutator preimages c = [y1, b], y1 = [y2, b], ... of
-    length j_bound exists, verified both in dyadic arithmetic (by
-    commutator_preimage) and in the truncation model, on b-free triples with
-    [x, b] = x^-1 x^b, so c lies in every stage omega + j.  Requires at least
-    one even-norm edge, since otherwise the prefix's center colimit is trivial.
+    length j_bound exists, built as residues of the level L = c.k + j_bound
+    truncation and verified both mod 2**L (by commutator_preimage) and in
+    the group kernel, on b-free triples with [x, b] = x^-1 x^b, so c lies in
+    every stage omega + j.  Requires at least one even-norm edge, since
+    otherwise the prefix's center colimit is trivial.
     """
     if j_bound < 0:
         raise PreconditionError("negative stage bound")
@@ -259,24 +262,23 @@ def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, sample
     model = Model(max(s.k for s in samples) + j_bound)
     gamma_omega(model, lcs_chain(model, 12))
 
-    # w_e = [a, a^b, b, ..., b] with e letters b is t^((-2)^e), so y with denominator
-    # 2^(level - e) is the odd power y.num * (-1)^e of w_e, for every sample.
+    # w_e = [a, a^b, b, ..., b] with e letters b is t^((-2)^e), so the residue r of
+    # denominator 2^(level - e) is the odd power (r >> e) * (-1)^e of w_e, for every sample.
     w = [free_comm((0, 1, 0), (0, 0, 1))]
     for _ in range(j_bound):
         w.append(comm_b(w[-1]))
     out: list[WitnessSample] = []
     for c in samples:
-        chain = [c]
-        for _ in range(j_bound):
-            chain.append(commutator_preimage(chain[-1]))
-        # chain[j] has denominator 2^(c.k + j); in the level c.k + j_bound
-        # truncation it is t^(num * 2^(j_bound - j)) via the doubling inclusions.
+        # link j, of denominator 2^(c.k + j), as a residue of the level c.k + j_bound center
         level = c.k + j_bound
-        centers = [(y.num << (level - y.k), 0, 0) for y in chain]
+        chain = [c.residue(level)]
+        for _ in range(j_bound):
+            chain.append(commutator_preimage(chain[-1], level))
+        centers = [(r, 0, 0) for r in chain]
         model_ok = all(free_eq(comm_b(centers[j + 1]), centers[j], level) for j in range(j_bound))
         comm_ok = all(
-            free_eq(free_pow(w[level - y.k], (y.num * (-1) ** (level - y.k)) % (1 << y.k)), t_y, level)
-            for y, t_y in zip(chain, centers)
+            free_eq(free_pow(w[e], ((r >> e) * (-1) ** e) % (1 << (level - e))), t_r, level)
+            for e, r, t_r in zip(range(j_bound, -1, -1), chain, centers)
         )
         out.append(WitnessSample(model_ok, comm_ok))
 

@@ -12,7 +12,9 @@
 - ``Fraction``/``frac_eq``, ``prefix_product`` and ``fraction_stage_vector``
   are S-fractions and their telescope representatives (acceptance c10).
 - ``subgroup_contains`` is membership in a lower-central-series stage.
-- ``dyadic_add`` is addition in the dyadics mod 1.
+- ``dyadic_add``, ``dyadic_neg``, ``dyadic_double`` and ``dyadic_halve``
+  are the dyadic arithmetic mod 1, with ``DYADIC_HALF``; the witness builds
+  its preimage chains as residues, and halve of neg is their reference.
 - ``aut7_apply``, ``aut7_compose`` and ``aut7_conj_record`` are the class-2
   map records with the module part as the four matrix entries (p, q, r, s),
   the form the package's records (e, c_A, c_B, alpha, beta) replaced.
@@ -222,9 +224,29 @@ def subgroup_contains(sub: SubgroupData, c: int, n: Vec, j: int, model: Model) -
     return (c % mod) % math.gcd(step, mod) == 0
 
 
+DYADIC_HALF = Dyadic(1, 1)
+
+
 def dyadic_add(x: Dyadic, y: Dyadic) -> Dyadic:
     k = max(x.k, y.k)
     return dyadic_make((x.num << (k - x.k)) + (y.num << (k - y.k)), k)
+
+
+def dyadic_neg(x: Dyadic) -> Dyadic:
+    return dyadic_make(-x.num, x.k)
+
+
+def dyadic_double(x: Dyadic) -> Dyadic:
+    return dyadic_make(2 * x.num, x.k)
+
+
+def dyadic_halve(x: Dyadic) -> Dyadic:
+    """The canonical preimage num / 2**(k+1) under doubling.
+
+    Doubling is 2-to-1 with kernel {0, 1/2}; the other preimage is this one
+    plus 1/2.
+    """
+    return dyadic_make(x.num, x.k + 1)
 
 
 # --- class-2 map records with the module part as a matrix --------------------

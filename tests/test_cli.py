@@ -379,9 +379,10 @@ def test_norm_of_huge_b_power_is_immediate(capsys):
 
 
 def test_tower_full_checks_build_a_power_s_twice_per_edge(capsys):
-    # relator_defect builds a^s and a^(3s); phi_build and the second-homology
-    # certificate reuse a^s instead of building it again.  Counted by code
-    # object, so a caller holding its own reference to a_power_s counts too.
+    # relator_defect builds a^s and a^(3s) in one walk; phi_build and the
+    # second-homology certificate reuse a^s instead of building it again.
+    # Counted by code object, so a caller holding its own reference to
+    # a_power_s counts too.
     code = groups.a_power_s.__code__
     calls = 0
 
@@ -397,7 +398,7 @@ def test_tower_full_checks_build_a_power_s_twice_per_edge(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert rc == 0
-    assert calls <= 6
+    assert calls <= 3
 
 
 DIGITS = "0123456789"

@@ -307,7 +307,7 @@ def test_phi_r_is_the_unique_target_solution():
     # residue; the built map uses it and every other residue fails.
     data = G.phi_build(S, 0)
     k_target = data.target_k
-    c, m, n = G.a_power_s(S)
+    (c, m, n), _ = G.a_power_s(S)
     b = gamma_gen(k_target, "b")
     solutions = []
     for r in range(1 << k_target):

@@ -8,7 +8,6 @@ from vltower.errors import NotInSError, PreconditionError
 from vltower.groups import tower_build
 from vltower.laurent import ONE, parse_laurent
 from vltower.localization import (
-    DYADIC_HALF,
     DYADIC_ZERO,
     CenterColim,
     Dyadic,
@@ -17,13 +16,20 @@ from vltower.localization import (
     center_push,
     center_push_to,
     center_to_dyadic,
-    dyadic_double,
-    dyadic_halve,
     dyadic_make,
-    dyadic_neg,
     parse_dyadic,
 )
-from references import Fraction, dyadic_add, frac_eq, s_matrix, vec_mat
+from references import (
+    DYADIC_HALF,
+    Fraction,
+    dyadic_add,
+    dyadic_double,
+    dyadic_halve,
+    dyadic_neg,
+    frac_eq,
+    s_matrix,
+    vec_mat,
+)
 
 S = parse_laurent("1-b+b^2")
 
@@ -101,7 +107,7 @@ def test_dyadic_make_matches_the_divide_loop():
         for num in range(-(1 << 10), (1 << 10) + 1):
             x = dyadic_make(num, k)
             assert x == ref_dyadic_make(num, k)
-            Dyadic(x.num, x.k)  # the shortcut builds only values __post_init__ accepts
+            Dyadic(x.num, x.k)  # canonical: __post_init__ accepts it
     with pytest.raises(ValueError):
         Dyadic(2, 2)
     with pytest.raises(ValueError):

@@ -5,11 +5,20 @@ import random
 import pytest
 
 from vltower.cli import main
-from vltower.errors import InsufficientTowerError, PreconditionError
+from vltower.errors import InsufficientTowerError, PreconditionError, TheoremViolationError
 from vltower.groups import Model, tower_build
 from vltower.laurent import parse_laurent
-from vltower.localization import Dyadic, dyadic_double, dyadic_neg
-from references import IDENTITY, U, Mat2, center_samples_list, subgroup_contains
+from vltower.localization import Dyadic, dyadic_make
+from references import (
+    IDENTITY,
+    U,
+    Mat2,
+    center_samples_list,
+    dyadic_double,
+    dyadic_halve,
+    dyadic_neg,
+    subgroup_contains,
+)
 from vltower import series
 from vltower.quadratic import ideal_index
 from test_closed_forms import ref_in_row_span
@@ -158,14 +167,16 @@ def test_transfinite_chain_levels_terminate():
 
 def test_commutator_preimage_examples():
     # the defining property -2y = c mod 1 is what matters; the canonical
-    # choice is the plain halve of -c
-    y = series.commutator_preimage(Dyadic(1, 1))
-    assert dyadic_neg(dyadic_double(y)) == Dyadic(1, 1)
-    assert y == Dyadic(1, 2)
-    y2 = series.commutator_preimage(Dyadic(3, 3))
-    assert dyadic_neg(dyadic_double(y2)) == Dyadic(3, 3)
-    assert y2 == Dyadic(5, 4)
-    assert series.commutator_preimage(Dyadic(0, 0)) == Dyadic(0, 0)
+    # choice is the plain halve of -c.  The residue r at level L is r / 2^L.
+    y = series.commutator_preimage(2, 2)  # 1/2
+    assert dyadic_neg(dyadic_double(dyadic_make(y, 2))) == Dyadic(1, 1)
+    assert dyadic_make(y, 2) == Dyadic(1, 2)
+    y2 = series.commutator_preimage(6, 4)  # 3/8
+    assert dyadic_neg(dyadic_double(dyadic_make(y2, 4))) == Dyadic(3, 3)
+    assert dyadic_make(y2, 4) == Dyadic(5, 4)
+    assert series.commutator_preimage(0, 4) == 0
+    with pytest.raises(TheoremViolationError):  # an odd residue is no double
+        series.commutator_preimage(3, 4)
 
 
 def test_commutator_preimage_other_choice_also_valid():
@@ -173,6 +184,32 @@ def test_commutator_preimage_other_choice_also_valid():
     # the same equation
     assert dyadic_neg(dyadic_double(Dyadic(3, 2))) == Dyadic(1, 1)
     assert dyadic_neg(dyadic_double(Dyadic(13, 4))) == Dyadic(3, 3)
+
+
+def test_witness_residue_chains_are_the_dyadic_halves_of_negatives(monkeypatch):
+    # the witness builds each chain as residues at level L = c.k + J; read
+    # through the doubling inclusions, link j is halve(neg(link j - 1))
+    made = []
+    preimage = series.commutator_preimage
+
+    def recorded(r, level):
+        y = preimage(r, level)
+        made.append((r, level, y))
+        return y
+
+    monkeypatch.setattr(series, "commutator_preimage", recorded)
+    samples = list(series.default_center_samples())
+    j_bound = 12
+    assert len(samples) == 56
+    assert series.witness_not_transfinitely_nilpotent(tower_build([S]), j_bound, samples).passed
+    expected = []
+    for c in samples:
+        level = c.k + j_bound
+        y = c
+        for _ in range(j_bound):
+            x, y = y, dyadic_halve(dyadic_neg(y))
+            expected.append((x.num << (level - x.k), level, y.num << (level - y.k)))
+    assert made == expected
 
 
 def test_default_center_samples_cover_denominators():

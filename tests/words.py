@@ -4,7 +4,8 @@
   level k; ``gamma_make`` and ``gamma_gen`` validate one.  ``gamma_mul`` and
   ``phi_apply`` raise ``LevelMismatchError`` on elements of different levels.
 - ``gamma_mul``, ``gamma_inv`` and ``gamma_pow`` are the full-group law on
-  t^c A^m B^n b^j, built on the package's b-free triple law and records.
+  t^c A^m B^n b^j, built on the package's b-free triple law and records;
+  ``conj_by_b_pow`` conjugates a triple by b^j with the record of b^j.
 - ``phi_apply`` applies a level map's record to a full-group element, and
   ``phi_images`` gives the images of a, a^b and t as elements.
 - ``eval_word``, ``gamma_conj`` and ``gamma_comm`` fold words, conjugates and
@@ -25,7 +26,7 @@ from vltower.groups import (
     PhiData,
     _aut_apply,
     _center,
-    conj_by_b_pow,
+    _conj_record,
     free_inv,
     free_mul,
     free_pow,
@@ -71,6 +72,11 @@ def gamma_gen(k: int | None, name: str) -> GammaKElem:
 
 
 # --- the full-group law ------------------------------------------------------
+
+
+def conj_by_b_pow(h: tuple[int, int, int], j: int) -> tuple[int, int, int]:
+    """b^j (t^c A^m B^n) b^-j: one application of the record of b^j."""
+    return _aut_apply(_conj_record(j), h) if j else h
 
 
 def gamma_mul(x: GammaKElem, y: GammaKElem) -> GammaKElem:
