@@ -191,7 +191,11 @@ def cmd_lcs(args) -> Report:
         )
     # stage i has index 3^(i-1), and 3^(3 L) > 10^L is past a limit of L digits
     last = max(args.depth - 1, 0)
-    _require_printable(3 ** min(last, 3 * sys.get_int_max_str_digits()), what="a module index")
+    limit = sys.get_int_max_str_digits()
+    _require_printable(3 ** min(last, 3 * limit), what="a module index")
+    # the transfinite orders start at 2^K, and 2^(4 L) > 10^L likewise
+    if args.transfinite is not None and model.is_truncation:
+        _require_printable(1 << min(model.k, 4 * limit), what="a center order")
     rep = Report(
         "lcs",
         {"model": args.model, "depth": args.depth, "gamma_omega": args.gamma_omega, "transfinite": args.transfinite},
@@ -306,7 +310,7 @@ def cmd_cohn(args) -> Report:
     rep.add(
         "cohn.lifting",
         f"{args.trials} unique-lift trials, {result.failures} failures; "
-        f"{result.coherence_checked} coherence checks, {result.coherence_failures} failures",
+        f"{args.coherence} coherence checks, {result.coherence_failures} failures",
         "verified",
         result.ok,
         failures=result.failures,

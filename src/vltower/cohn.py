@@ -207,7 +207,6 @@ def random_aug_invertible(rng: random.Random, n: int, degree_bound: int) -> Ring
 @dataclass(frozen=True)
 class CohnReport:
     failures: int
-    coherence_checked: int
     coherence_failures: int
 
     @property
@@ -243,7 +242,6 @@ def cohn_local_suite(
             lift_unique(t, alpha, module)  # raises unless act * beta == alpha
         except TheoremViolationError:
             failures += 1
-    checked = 0
     for _ in range(coherence_trials):
         n = rng.randint(1, size_bound)
         t = random_aug_invertible(rng, n, degree_bound)
@@ -251,6 +249,5 @@ def cohn_local_suite(
         deeper = NilpotentModuleSpec(module.m + rng.randint(1, 3))
         lifted_then_pushed = push_module(lift_unique(t, alpha, module), module.m, deeper.m)
         pushed_then_lifted = lift_unique(t, push_module(alpha, module.m, deeper.m), deeper)
-        checked += 1
         coh_failures += lifted_then_pushed != pushed_then_lifted
-    return CohnReport(failures, checked, coh_failures)
+    return CohnReport(failures, coh_failures)

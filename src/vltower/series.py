@@ -232,6 +232,12 @@ class WitnessReport:
         return self.five_term_consistent and bool(self.samples) and all(s.ok for s in self.samples)
 
 
+# The longest chain whose witness takes about a minute with the 56 default
+# samples (shared 2-vCPU VM, Python 3.11): every link multiplies centers of
+# up to c.k + J bits, so the time grows quadratically in J
+WITNESS_J_BOUND = 13_000
+
+
 def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, samples: list[Dyadic]) -> WitnessReport:
     """Certify that the limit stage of the colimit model never shrinks.
 
@@ -247,6 +253,8 @@ def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, sample
     """
     if j_bound < 0:
         raise PreconditionError("negative stage bound")
+    if j_bound > WITNESS_J_BOUND:
+        raise PreconditionError(f"stage bound {j_bound} is past the bound {WITNESS_J_BOUND} of a witness")
     if not tower.has_even_edge():
         raise InsufficientTowerError(
             "no even-norm edge: the center colimit of this prefix is trivial"

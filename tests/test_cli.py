@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vltower import groups
+from vltower import groups, series
 from vltower.cli import main
 from vltower.report import PROVENANCES, Claim, Report
 
@@ -276,15 +276,18 @@ _HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
         ["norm", "--s", _HUGE_NORM],
         ["phi-check", "--s", _HUGE_NORM],
         ["tower", "--edges", _HUGE_NORM],
-        # r and l_exact of 14,300 bits, and a module index 3^9014
+        # r and l_exact of 14,300 bits, a module index 3^9014 and a center order 2^14285
         ["phi-check", "--s", "2-b", "--k", "14300"],
         ["lcs", "--model", "G2", "--depth", "9015"],
+        ["lcs", "--model", "Gamma14285", "--depth", "3", "--transfinite"],
+        ["lcs", "--model", "Gamma" + "9" * 4000, "--depth", "3", "--transfinite", "2"],
         # past the 56 default samples
         ["witness", "--edges", "1-b+b^2", "--samples", "57"],
         # exponents and gaps past the bounds, rejected before any work
         ["phi-check", "--s", "b^121212121212", "--k", "2"],
         ["tower", "--edges", "1-b+b^2,b^121212121212"],
         ["witness", "--edges", "b^-121212121212"],
+        ["witness", "--edges", "1-b+b^2", "--J", str(series.WITNESS_J_BOUND + 1)],
         ["phi-check", "--s", "b^-1300000+b^1300000-b^1300001"],
         ["norm", "--s", "b^10000000-b^2+b"],
     ],
