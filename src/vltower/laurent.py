@@ -3,8 +3,8 @@
 This is the group ring of the infinite cyclic group on ``b``.  The module
 also provides the augmentation map (sum of coefficients), the predicate for
 the multiplicative set S of augmentation-1 elements, and a deterministic
-walk over S within finite support/coefficient bounds, one head group at a
-time.  Besides its canonical ``terms``, the type keeps the constructor
+walk over S within finite support/coefficient bounds, one block of prefixes
+at a time.  Besides its canonical ``terms``, the type keeps the constructor
 ``from_dict``, the view ``min_exp`` and the ring operators ``+``, ``-``,
 ``*`` and ``**``; no claim uses the operators, which are the arithmetic the
 tests and the S-fraction reference build on.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import LaurentParseError, NotInSError, PreconditionError
 
@@ -170,56 +170,71 @@ def parse_laurent(text: str) -> LaurentPoly:
 
 def _head_groups(
     max_degree_span: int, max_abs_coeff: int
-) -> Iterator[tuple[int, int, tuple[int, ...], int, range]]:
+) -> Iterator[tuple[int, int, Iterable[tuple[int, ...]], dict[int, list[tuple[int, int, int]]]]]:
     """The S-elements with support in [0, max_degree_span] and coefficients
-    in [-max_abs_coeff, max_abs_coeff], one head group at a time.
+    in [-max_abs_coeff, max_abs_coeff], one block of prefixes at a time.
 
-    A group is ``(f, d, head, r, ms)``: offset f, span d, the head
-    coefficients (n_f, ..., n_{f+d-2}), R = 1 - (sum of the head) and the
-    ascending range of the last middle coefficient m.  Its elements are, for
-    each m in ms other than R,
+    A block is ``(f, d, prefixes, tails)``: offset f, span d, the prefixes
+    p = (n_f, ..., n_{f+d-3}) in lexicographic order, and for each value of
+    R = 1 - sum(p) the tails (h, m, n) with h + m + n = R, ascending in h
+    and then m, which every prefix of that sum shares.  The elements of a
+    prefix are, for each of its tails,
 
-        b^f (head(b) + m b^(d-1) + (R - m) b^d),
+        b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d),
 
-    and every one of them is in the window: m = R is exactly the choice that
-    leaves n_{f+d} = 0.  Span 0 is the group (f, 0, (), 1, {0}), whose one
-    element is b^f, and span 1 the group (f, 1, (), 1, ms) with ms the
-    leading coefficients n whose partner 1 - n is within the bound.
+    every one of them in the window: a tail is kept exactly when n is
+    nonzero and h, m and n are within the bound, and R has no entry when no
+    tail is kept.  The prefix is empty for d <= 2.  Span 0 is the tail
+    (0, 0, 1), the element b^f; for span 1, h = 0 and m is the leading
+    coefficient, and for span 2, h is.  Otherwise the prefix leads.
 
     Expanded in this order, the elements come by ascending support span,
     then lexicographically on the coefficient tuple (n_0, ..., n_D) over the
     whole window, each exactly once and with nothing stored or sorted: for a
     fixed span d that order is every core (n_f, ..., n_{f+d}) with negative
     leading coefficient by ascending offset f, then every core with positive
-    leading coefficient by descending f.
+    leading coefficient by descending f.  The tails depend only on d, the
+    sign of the lead and R, so they are built once per span and sign.
     """
     if max_degree_span < 0 or max_abs_coeff < 0:
         raise PreconditionError("bounds must be nonnegative")
     c = max_abs_coeff
     width = max_degree_span + 1
+    rng = range(-c, c + 1)
     if c:
         for f in reversed(range(width)):
-            yield f, 0, (), 1, range(1)
-    rng = range(-c, c + 1)
+            yield f, 0, [()], {1: [(0, 0, 1)]}
     for d in range(1, width):
         offsets = range(width - d)
         for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
-            for f in fs:
-                if d == 1:
-                    yield f, 1, (), 1, range(max(leads.start, 1 - c), min(leads.stop, 2 + c))
-                    continue
-                for head in itertools.product(leads, *[rng] * (d - 2)):
-                    r = 1 - sum(head)
-                    yield f, d, head, r, range(max(-c, r - c), min(c, r + c) + 1)
+            if d > 2:
+                # R = 1 - (sum of the prefix), over every prefix sum
+                spread = (d - 3) * c
+                hs, ms, rs = rng, rng, range(2 - leads.stop - spread, 2 - leads.start + spread)
+                factors = (leads, *[rng] * (d - 3))
+            else:  # one empty prefix: the lead is m for span 1 and h for span 2
+                hs, ms = (range(1), leads) if d == 1 else (leads, rng)
+                rs, factors = (1,), ()
+            tails = {}
+            for r in rs:
+                # n = r - h - m is within the bound for these m, and nonzero but for m = r - h
+                ts = [
+                    (h, m, r - h - m)
+                    for h in hs
+                    for m in range(max(ms.start, r - h - c), min(ms.stop, r - h + c + 1))
+                    if m != r - h
+                ]
+                if ts:
+                    tails[r] = ts
+            for f in fs if tails else ():
+                yield f, d, itertools.product(*factors), tails
 
 
-def _head_terms(f: int, head: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple([(f + i, n) for i, n in enumerate(head) if n])
+def _head_terms(f: int, prefix: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple([(f + i, n) for i, n in enumerate(prefix) if n])
 
 
-def _group_element(f: int, d: int, terms: tuple[tuple[int, int], ...], r: int, m: int) -> LaurentPoly:
-    """The element of a head group with last middle coefficient m (m != R);
-    ``terms`` are the head's canonical terms, from ``_head_terms``."""
-    if m:
-        return LaurentPoly(terms + ((f + d - 1, m), (f + d, r - m)))
-    return LaurentPoly(terms + ((f + d, r),))
+def _group_element(f: int, d: int, terms: tuple[tuple[int, int], ...], tail: tuple[int, int, int]) -> LaurentPoly:
+    """The element of a prefix with tail (h, m, n); ``terms`` are the
+    prefix's canonical terms, from ``_head_terms``."""
+    return LaurentPoly(terms + tuple([(f + d - 2 + i, x) for i, x in enumerate(tail) if x]))

@@ -201,15 +201,16 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     S-element of the window: support in [0, max_degree_span], coefficients
     in [-max_abs_coeff, max_abs_coeff], in the order of ``_head_groups``.
 
-    The window is walked one head group at a time (``laurent._head_groups``):
-    the elements b^f (head(b) + m b^(d-1) + (R - m) b^d) of a group share
-    everything but m.  Each head is evaluated once, to its pair (alpha, beta)
-    by Horner's rule and its class sums (N0, N1, N2) by exponent mod 3; with
-    the pairs of U^(d-1) and U^d from a table built once per window, an
-    element's pair and class sums are then linear in m.  So every element
-    costs the norm form with sign (-1)^f, the pair formula and a handful of
-    integer products, and no LaurentPoly is built; a counterexample is
-    rendered as str(s) only when its parities differ.
+    The window is walked one prefix at a time (``laurent._head_groups``):
+    the elements b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d) of a block
+    share their tails (h, m, n) between the prefixes p of one coefficient
+    sum.  Each tail is evaluated once per block, to the pair of
+    h U^(d-2) + m U^(d-1) + n U^d from a table of powers built once per
+    window and to its class sums at offset f; each prefix once, to its pair
+    (alpha, beta) by Horner's rule and its class sums (N0, N1, N2) by
+    exponent mod 3.  So every element costs five additions, the norm form
+    with sign (-1)^f and the pair formula, and no LaurentPoly is built; a
+    counterexample is rendered as str(s) only when its parities differ.
 
     A coefficient bound of 0 is rejected: that window holds no S-element,
     and a check over nothing would pass vacuously.
@@ -217,33 +218,34 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     if max_abs_coeff == 0:
         raise PreconditionError("coefficient bound 0 leaves no S-element to check")
     form, parity = _norm_form, _pair_parity
-    powers = [_u_pair(k) for k in range(-1, max_degree_span + 1)]  # U^k at index k + 1
+    powers = [_u_pair(k) for k in range(-2, max_degree_span + 1)]  # U^k at index k + 2
     bad: list[str] = []
     checked = odd = 0
-    for f, d, head, r, ms in _head_groups(max_degree_span, max_abs_coeff):
-        alpha = beta = 0
-        for n in reversed(head):  # Horner: the pair of head(U)
-            alpha, beta = beta + n, alpha + 3 * beta
-        sums = [0, 0, 0]
-        for e, n in enumerate(head, f):
-            sums[e % 3] += n
-        # The element with last middle coefficient m has the pair
-        # head(U) + m U^(d-1) + (R - m) U^d = (a0, b0) + m (da, db), and the
-        # class sums (sums, R added at class f + d) + m (step).
-        (pa, pb), (qa, qb) = powers[d], powers[d + 1]
-        a0, b0, da, db = alpha + r * qa, beta + r * qb, pa - qa, pb - qb
-        lo, hi = (f + d - 1) % 3, (f + d) % 3
-        sums[hi] += r
-        step = [0, 0, 0]
-        step[lo], step[hi] = 1, -1
-        n0, n1, n2 = sums
-        s0, s1, s2 = step
-        for m in ms:
-            if m == r:
-                continue
-            v = form(a0 + m * da, b0 + m * db, f) & 1
-            odd += v
-            if parity(n0 + m * s0, n1 + m * s1, n2 + m * s2) != v:
-                bad.append(str(_group_element(f, d, _head_terms(f, head), r, m)))
-        checked += len(ms) - (r in ms)
+    for f, d, prefixes, tails in _head_groups(max_degree_span, max_abs_coeff):
+        (ha, hb), (ma, mb), (na, nb) = powers[d : d + 3]
+        # h, m and n sit at the classes f + d - 2, f + d - 1 and f + d mod 3,
+        # so the tail (h, m, n) adds its entry i_c to the class sum N_c
+        i0, i1, i2 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))[(2 - f - d) % 3]
+        table = {}
+        for r, ts in tails.items():  # (tail, its pair, its class sums), once per block
+            table[r] = [
+                (t, h * ha + m * ma + n * na, h * hb + m * mb + n * nb, t[i0], t[i1], t[i2])
+                for t in ts
+                for h, m, n in (t,)
+            ]
+        for prefix in prefixes:
+            alpha = beta = 0
+            for n in reversed(prefix):  # Horner: the pair of p(U)
+                alpha, beta = beta + n, alpha + 3 * beta
+            sums = [0, 0, 0]
+            for e, n in enumerate(prefix, f):
+                sums[e % 3] += n
+            n0, n1, n2 = sums
+            rows = table.get(1 - n0 - n1 - n2, ())
+            checked += len(rows)
+            for t, da, db, d0, d1, d2 in rows:
+                v = form(alpha + da, beta + db, f) & 1
+                odd += v
+                if parity(n0 + d0, n1 + d1, n2 + d2) != v:
+                    bad.append(str(_group_element(f, d, _head_terms(f, prefix), t)))
     return ParityReport(checked, tuple(bad), checked - odd)

@@ -5,8 +5,9 @@
   ``pair_mat`` writes such a pair as the matrix [[alpha, beta], [beta,
   alpha + 3 beta]], and ``u_pow``, ``vec_mat`` and ``s_matrix`` give powers
   of U, row-vector products and s(U) in that form.
-- ``enumerate_S`` expands the package's window walk ``laurent._head_groups``
-  into its S-elements.
+- ``enumerate_S`` expands the package's window walk ``laurent._head_groups``,
+  one block of prefixes and their shared tails at a time, into its
+  S-elements.
 - ``shift`` multiplies a Laurent polynomial by b^m, and ``divide_exact`` is
   exact division in Z[b, b^-1].
 - ``Fraction``/``frac_eq``, ``prefix_product`` and ``fraction_stage_vector``
@@ -113,18 +114,20 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     negative leading coefficient by ascending offset f, then every core with
     positive leading coefficient by descending f.  Span 0 is the single core
     (1) at descending offsets, and span 1 the cores (n_f, 1 - n_f) with
-    1 - n_f nonzero and within the bound.  For d >= 2 the product runs over
-    the head (n_f, ..., n_{f+d-2}) only, with R = 1 - (sum of the head).  The
-    last middle coefficient m then ascends over [max(-c, R - c), min(c, R + c)]
-    with m = R skipped, which is exactly the set of m with n_{f+d} = R - m
-    nonzero and in [-c, c], so every core that is built is kept.  That walk
-    is ``_head_groups``; this function expands each group into its elements.
+    1 - n_f nonzero and within the bound.  For d >= 3 the product runs over
+    the prefix (n_f, ..., n_{f+d-3}) only, with R = 1 - (sum of the prefix);
+    each prefix is then finished by the tails (h, m, n) with h + m + n = R,
+    n nonzero and all three within the bound, ascending in h and then m, so
+    every core that is built is kept.  For d = 2 the prefix is empty and h
+    is the lead.  That walk is ``_head_groups``, which builds the tails of
+    one span and sign once; this function expands each prefix into its
+    elements.
     """
-    for f, d, head, r, ms in _head_groups(max_degree_span, max_abs_coeff):
-        terms = _head_terms(f, head)
-        for m in ms:
-            if m != r:
-                yield _group_element(f, d, terms, r, m)
+    for f, d, prefixes, tails in _head_groups(max_degree_span, max_abs_coeff):
+        for prefix in prefixes:
+            terms = _head_terms(f, prefix)
+            for tail in tails.get(1 - sum(prefix), ()):
+                yield _group_element(f, d, terms, tail)
 
 
 def shift(s: LaurentPoly, m: int) -> LaurentPoly:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -227,13 +228,13 @@ def ref_parity_report(span, coeff):
 
 
 def test_grouped_parity_check_matches_the_element_loop():
-    for span in range(6):
-        for coeff in range(1, 4):
-            rep = verify_parity_range(span, coeff)
-            assert (rep.checked, rep.even, rep.counterexamples) == ref_parity_report(span, coeff)
+    for span, coeff in [*itertools.product(range(6), range(1, 4)), (6, 1), (6, 2)]:
+        rep = verify_parity_range(span, coeff)
+        assert (rep.checked, rep.even, rep.counterexamples) == ref_parity_report(span, coeff)
 
 
-@pytest.mark.parametrize("span,coeff", [(0, 2), (1, 3), (3, 2), (4, 3)])
+# (5, 2) has prefixes of length 3 that share their tails
+@pytest.mark.parametrize("span,coeff", [(0, 2), (1, 3), (3, 2), (4, 3), (5, 2)])
 def test_grouped_parity_check_takes_each_norm_in_window_order(monkeypatch, span, coeff):
     expected = [norm(s) for s in enumerate_S(span, coeff)]
     seen = []
@@ -261,7 +262,8 @@ def _plus_n0(n0, n1, n2):
 @pytest.mark.parametrize("fault", [_without_n1_n2, _plus_n0])
 def test_planted_parity_fault_gives_the_element_loop_counterexamples(monkeypatch, capsys, fault):
     monkeypatch.setattr(quadratic, "_pair_parity", fault)
-    for span, coeff in [(2, 2), (3, 2), (4, 3)]:
+    # _plus_n0 tells the classes apart: tail class sums taken at the wrong offset mod 3 give other counterexamples
+    for span, coeff in [(2, 2), (3, 2), (4, 3), (5, 2)]:
         rep = verify_parity_range(span, coeff)
         checked, even, bad = ref_parity_report(span, coeff)
         assert bad and rep.counterexamples == bad
