@@ -233,22 +233,27 @@ def cmd_lcs(args) -> Report:
 
 
 def cmd_witness(args) -> Report:
-    tower = tower_build(_parse_edges(args.edges))
+    # the bounds come first: a tower of large edges takes seconds to build
+    series.require_stage_bound(args.J)
+    bound = series.DEFAULT_SAMPLE_COUNT
     if not args.samples:
         samples = list(series.default_center_samples(args.seed))
     elif "/" in args.samples:
-        samples = [parse_dyadic(tok) for tok in args.samples.split(",")]
+        tokens = args.samples.split(",")
+        if len(tokens) > bound:
+            raise PreconditionError(f"a list of {len(tokens)} samples is past the {bound} default samples")
+        samples = [parse_dyadic(tok) for tok in tokens]
     elif args.samples.isdecimal():
         try:
             count = int(args.samples)
         except ValueError:
             raise PreconditionError(f"sample count of {len(args.samples)} digits is too long") from None
-        # islice takes no count past sys.maxsize; there are far fewer samples
-        samples = list(itertools.islice(series.default_center_samples(args.seed), min(count, sys.maxsize)))
-        if len(samples) < count:
-            raise PreconditionError(f"sample count {args.samples} is past the {len(samples)} default samples")
+        if count > bound:
+            raise PreconditionError(f"sample count {args.samples} is past the {bound} default samples")
+        samples = list(itertools.islice(series.default_center_samples(args.seed), count))
     else:
         raise PreconditionError(f"samples {args.samples!r} are neither a count nor dyadics")
+    tower = tower_build(_parse_edges(args.edges))
     rep = Report(
         "witness",
         {

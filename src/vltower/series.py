@@ -192,6 +192,10 @@ def commutator_preimage(r: int, level: int) -> int:
     return y
 
 
+# all odd numerators at levels 1 to 3 and seven at each of levels 4 to 10
+DEFAULT_SAMPLE_COUNT = 56
+
+
 def default_center_samples(seed: int = 0) -> Iterator[Dyadic]:
     """Deterministic nonzero dyadic samples across denominators up to 2**10.
 
@@ -238,6 +242,12 @@ class WitnessReport:
 WITNESS_J_BOUND = 13_000
 
 
+def require_stage_bound(j_bound: int) -> None:
+    """Reject a witness stage bound outside [0, WITNESS_J_BOUND]."""
+    if not 0 <= j_bound <= WITNESS_J_BOUND:
+        raise PreconditionError(f"stage bound {j_bound} is outside [0, {WITNESS_J_BOUND}], the bounds of a witness")
+
+
 def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, samples: list[Dyadic]) -> WitnessReport:
     """Certify that the limit stage of the colimit model never shrinks.
 
@@ -251,10 +261,7 @@ def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, sample
     every stage omega + j.  Requires at least one even-norm edge, since
     otherwise the prefix's center colimit is trivial.
     """
-    if j_bound < 0:
-        raise PreconditionError("negative stage bound")
-    if j_bound > WITNESS_J_BOUND:
-        raise PreconditionError(f"stage bound {j_bound} is past the bound {WITNESS_J_BOUND} of a witness")
+    require_stage_bound(j_bound)
     if not tower.has_even_edge():
         raise InsufficientTowerError(
             "no even-norm edge: the center colimit of this prefix is trivial"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vltower import groups, series
+from vltower import cli, groups, series
 from vltower.cli import main
 from vltower.report import PROVENANCES, Claim, Report
 
@@ -106,6 +106,20 @@ def test_witness_pipeline(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--J", str(series.WITNESS_J_BOUND + 1)], ["--J", "-1"], ["--samples", ",".join(["1/2"] * 57)]],
+)
+def test_witness_checks_its_bounds_before_the_tower(monkeypatch, capsys, option):
+    def no_tower(edges):
+        raise AssertionError("the tower was built before the bounds were checked")
+
+    monkeypatch.setattr(cli, "tower_build", no_tower)
+    rc, out, err = run(capsys, ["witness", "--edges", "b^2400000", *option])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_witness_insufficient_tower(capsys):
@@ -281,8 +295,9 @@ _HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
         ["lcs", "--model", "G2", "--depth", "9015"],
         ["lcs", "--model", "Gamma14285", "--depth", "3", "--transfinite"],
         ["lcs", "--model", "Gamma" + "9" * 4000, "--depth", "3", "--transfinite", "2"],
-        # past the 56 default samples
+        # past the 56 default samples, as a count and as a list
         ["witness", "--edges", "1-b+b^2", "--samples", "57"],
+        ["witness", "--edges", "1-b+b^2", "--samples", ",".join(["1/2"] * 57)],
         # exponents and gaps past the bounds, rejected before any work
         ["phi-check", "--s", "b^121212121212", "--k", "2"],
         ["tower", "--edges", "1-b+b^2,b^121212121212"],

@@ -272,6 +272,7 @@ def test_lcs_gamma_omega_builds_the_chain_once(monkeypatch, capsys):
 def test_default_center_samples_prefixes_match_the_full_list(seed):
     full = center_samples_list(seed)
     assert list(series.default_center_samples(seed)) == full
+    assert len(full) == series.DEFAULT_SAMPLE_COUNT
     for count in range(61):
         assert list(itertools.islice(series.default_center_samples(seed), count)) == full[:count]
 
