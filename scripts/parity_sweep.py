@@ -12,6 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from vltower.laurent import WINDOW_COEFF_BOUND
 from vltower.quadratic import verify_parity_range
 
 
@@ -20,10 +21,11 @@ def main() -> int:
     ap.add_argument("--max-span", type=int, default=6)
     ap.add_argument("--max-coeff", type=int, default=3)
     args = ap.parse_args()
-    # an empty sweep would print only the header: one line and exit 1, as `vltower` gives
-    if args.max_span < 0 or args.max_coeff < 1:
+    # an empty sweep would print only the header, and a bound past the window
+    # bound would fail part-way: one line and exit 1, as `vltower` gives
+    if args.max_span < 0 or not 1 <= args.max_coeff <= WINDOW_COEFF_BOUND:
         print(
-            f"error: need --max-span >= 0 and --max-coeff >= 1, "
+            f"error: need --max-span >= 0 and 1 <= --max-coeff <= {WINDOW_COEFF_BOUND}, "
             f"got {args.max_span} and {args.max_coeff}",
             file=sys.stderr,
         )

@@ -123,6 +123,7 @@ def power(mul: Callable[[_T, _T], _T], x: _T, e: int) -> _T:
 ZERO = LaurentPoly()
 ONE = LaurentPoly(((0, 1),))
 B = LaurentPoly(((1, 1),))
+WINDOW_COEFF_BOUND = 8  # a block's tails: at most (2c + 1)^2 2c = 4,624, under 1 MiB with the kernel's table
 
 
 def augmentation(s: LaurentPoly) -> int:
@@ -178,10 +179,7 @@ def _head_groups(
     p = (n_f, ..., n_{f+d-3}) in lexicographic order, and for each value of
     R = 1 - sum(p) the tails (h, m, n) with h + m + n = R, ascending in h
     and then m, which every prefix of that sum shares.  The elements of a
-    prefix are, for each of its tails,
-
-        b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d),
-
+    prefix are b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d) for its tails,
     every one of them in the window: a tail is kept exactly when n is
     nonzero and h, m and n are within the bound, and R has no entry when no
     tail is kept.  The prefix is empty for d <= 2.  Span 0 is the tail
@@ -190,20 +188,23 @@ def _head_groups(
 
     Expanded in this order, the elements come by ascending support span,
     then lexicographically on the coefficient tuple (n_0, ..., n_D) over the
-    whole window, each exactly once and with nothing stored or sorted: for a
-    fixed span d that order is every core (n_f, ..., n_{f+d}) with negative
+    whole window, each exactly once and with nothing sorted: for a fixed
+    span d that order is every core (n_f, ..., n_{f+d}) with negative
     leading coefficient by ascending offset f, then every core with positive
     leading coefficient by descending f.  The tails depend only on d, the
-    sign of the lead and R, so they are built once per span and sign.
+    sign of the lead and R, so they are built once per span and sign; they
+    are all the walk stores, and WINDOW_COEFF_BOUND keeps them small.
     """
     if max_degree_span < 0 or max_abs_coeff < 0:
         raise PreconditionError("bounds must be nonnegative")
+    if max_abs_coeff > WINDOW_COEFF_BOUND:
+        raise PreconditionError(f"coefficient bound {max_abs_coeff} is past the window bound {WINDOW_COEFF_BOUND}")
     c = max_abs_coeff
     width = max_degree_span + 1
     rng = range(-c, c + 1)
     if c:
         for f in reversed(range(width)):
-            yield f, 0, [()], {1: [(0, 0, 1)]}
+            yield f, 0, ((),), {1: [(0, 0, 1)]}
     for d in range(1, width):
         offsets = range(width - d)
         for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):

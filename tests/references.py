@@ -109,7 +109,7 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     window, D = max_degree_span.  No duplicates: each polynomial corresponds
     to exactly one tuple within the fixed window.
 
-    The elements stream in that order with nothing stored or sorted.  For a
+    The elements stream in that order with nothing sorted.  For a
     fixed span d, lexicographic order is every core (n_f, ..., n_{f+d}) with
     negative leading coefficient by ascending offset f, then every core with
     positive leading coefficient by descending f.  Span 0 is the single core
@@ -120,8 +120,8 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     n nonzero and all three within the bound, ascending in h and then m, so
     every core that is built is kept.  For d = 2 the prefix is empty and h
     is the lead.  That walk is ``_head_groups``, which builds the tails of
-    one span and sign once; this function expands each prefix into its
-    elements.
+    one span and sign once and stores nothing else; this function expands
+    each prefix into its elements.
     """
     for f, d, prefixes, tails in _head_groups(max_degree_span, max_abs_coeff):
         for prefix in prefixes:

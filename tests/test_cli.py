@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vltower import cli, groups, series
+from vltower import cli, groups, laurent, series
 from vltower.cli import main
 from vltower.report import PROVENANCES, Claim, Report
 
@@ -305,6 +305,8 @@ _HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
         ["witness", "--edges", "1-b+b^2", "--J", str(series.WITNESS_J_BOUND + 1)],
         ["phi-check", "--s", "b^-1300000+b^1300000-b^1300001"],
         ["norm", "--s", "b^10000000-b^2+b"],
+        # a coefficient bound past the bound of a window, whose tails would not stay small
+        ["parity-verify", "--max-span", "3", "--max-coeff", str(laurent.WINDOW_COEFF_BOUND + 1)],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, argv):
@@ -373,9 +375,13 @@ def test_witness_invalid_input_is_one_error_line(edges):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--max-span", "-1"], ["--max-coeff", "-3"], ["--max-coeff", "0"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-span", "-1"], ["--max-coeff", "-3"], ["--max-coeff", "0"], ["--max-coeff", str(laurent.WINDOW_COEFF_BOUND + 1)]],
+)
 def test_parity_sweep_invalid_input_is_one_error_line(argv):
-    # each of these windows is empty: the sweep would print only its header
+    # the first three windows are empty, so the sweep would print only its
+    # header; the last bound is past the bound of a window
     script = Path(__file__).resolve().parent.parent / "scripts" / "parity_sweep.py"
     proc = subprocess.run(
         [sys.executable, str(script), *argv],

@@ -10,8 +10,10 @@ from vltower.errors import LaurentParseError, NotInSError, PreconditionError
 from vltower.laurent import (
     B,
     ONE,
+    WINDOW_COEFF_BOUND,
     ZERO,
     LaurentPoly,
+    _head_groups,
     augmentation,
     in_S,
     parse_laurent,
@@ -253,6 +255,22 @@ def test_enumerate_S_matches_bruteforce_count(span, coeff):
 def test_enumerate_S_rejects_negative_bounds(span, coeff):
     with pytest.raises(PreconditionError):
         next(enumerate_S(span, coeff))
+
+
+def test_window_walk_memory_at_the_coefficient_bound():
+    # the walk holds the tails of one span and sign, at most (2c + 1)^2 2c of
+    # them; every block up to span 12 at the bound, prefixes not expanded
+    c = WINDOW_COEFF_BOUND
+    with pytest.raises(PreconditionError, match="past the window bound"):
+        next(enumerate_S(0, c + 1))
+    tracemalloc.start()
+    try:
+        most = max(sum(map(len, tails.values())) for *_, tails in _head_groups(12, c))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert most <= (2 * c + 1) ** 2 * 2 * c
+    assert peak < 1024 * 1024
 
 
 def test_enumerate_S_streams():

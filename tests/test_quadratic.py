@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from test_closed_forms import ref_in_row_span
 from vltower import quadratic
 from vltower.cli import main
 from vltower.errors import NotInSError, PreconditionError
-from vltower.laurent import LaurentPoly, parse_laurent
+from vltower.laurent import WINDOW_COEFF_BOUND, LaurentPoly, parse_laurent
 from vltower.quadratic import (
     _pair_mul,
     evaluate_at_U,
@@ -212,6 +213,19 @@ def test_verify_parity_range_no_counterexamples(span, coeff):
     assert rep.counterexamples == ()
     if (span, coeff) == (0, 1):
         assert rep.checked == 1  # exactly s = 1
+
+
+def test_verify_parity_range_memory_at_the_coefficient_bound():
+    # 49,920 elements; the kernel holds one block's table beside the walk's
+    # tails, not the elements of a block
+    tracemalloc.start()
+    try:
+        rep = verify_parity_range(4, WINDOW_COEFF_BOUND)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.checked == 49920
+    assert peak < 1024 * 1024
 
 
 def ref_parity_report(span, coeff):
