@@ -317,7 +317,7 @@ def cmd_cohn(args) -> Report:
         f"{args.trials} unique-lift trials, {result.failures} failures; "
         f"{args.coherence} coherence checks, {result.coherence_failures} failures",
         "verified",
-        result.ok,
+        result.ok and (result.lifts, result.coherence_checked) == (args.trials, args.coherence),
         failures=result.failures,
     )
     return rep

@@ -19,7 +19,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError, TheoremViolationError
-from .laurent import LaurentPoly, augmentation
+from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,23 @@ class RingMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def augmentation_matrix(self) -> list[list[int]]:
-        return [[augmentation(e) for e in row] for row in self.entries]
 
-    def action_matrix(self, module: NilpotentModuleSpec) -> list[list[int]]:
-        """Evaluate entries at b = -1 and reduce mod 2**m."""
-        mod = module.modulus
-        return [[_eval_at_minus_one(e) % mod for e in row] for row in self.entries]
-
-
-def _eval_at_minus_one(s: LaurentPoly) -> int:
-    return sum(c * (-1) ** (e % 2) for e, c in s.terms)
+def _evaluate(t: RingMatrix, mod: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The augmentation matrix (b = 1) and the action matrix (b = -1, mod
+    ``mod``) of t, in one pass over the terms of each entry."""
+    aug, act = [], []
+    for row in t.entries:
+        aug.append(aug_row := [])
+        act.append(act_row := [])
+        for e in row:
+            total = odd = 0
+            for x, c in e.terms:
+                total += c
+                if x & 1:
+                    odd += c
+            aug_row.append(total)
+            act_row.append((total - 2 * odd) % mod)
+    return aug, act
 
 
 def _bareiss_det(mat: Sequence[Sequence[int]]) -> int:
@@ -86,33 +92,58 @@ def _bareiss_det(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
+def _slot_width(m: int, n: int) -> int:
+    return 2 * m + n.bit_length() + 2
+
+
 def _inverse_mod_2k(mat: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
-    """Inverse mod 2**m (m >= 1) by Gauss-Jordan on [mat | I].  The units mod
-    2**m are the odd residues, so a column without an odd pivot means mat is
-    singular mod 2."""
-    n = len(mat)
-    rows = [[x % mod for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    """Inverse mod 2**m (m >= 1) of a matrix of residues, by Gauss-Jordan on
+    [mat | I], checked on both sides.  The units mod 2**m are the odd
+    residues, so a column without an odd pivot means mat is singular mod 2.
+
+    Each row is packed into one integer, entry j in bits [j w, (j + 1) w)
+    for w = _slot_width(m, n); LOW holds 2**m - 1 and BIAS holds 2**(2m) in
+    every slot.  A sum of packed rows whose slots all stay in [0, 2**w)
+    carries nothing from one slot into the next, and ``& LOW`` then reduces
+    every entry mod 2**m.  Scaling the pivot row p by u is p * u & LOW, with
+    slots up to (2**m - 1)**2; clearing the lead l of a row r is
+    (r + BIAS - l p) & LOW, with slots in (0, 2**(2m) + 2**m), and BIAS is
+    0 mod 2**m.  Row i of a check X Y is the sum over k of X[i][k] times
+    packed row k of Y, plus 2**m - 1 in slot i: its slots stay below
+    n 2**(2m) + 2**m < 2**w, and are 0 mod 2**m exactly where X Y has the
+    identity's entries.
+    """
+    n, m, mask = len(mat), mod.bit_length() - 1, mod - 1
+    w = _slot_width(m, n)
+    ones, k = 1, 1  # a 1 in each of at least 2n slots, by doubling
+    while k < 2 * n:
+        ones, k = ones | ones << k * w, 2 * k
+    low, bias = (ones << m) - ones, ones << 2 * m
+    packed = []
+    for row in mat:
+        packed.append(0)
+        for x in reversed(row):
+            packed[-1] = packed[-1] << w | x
+    rows = [p | 1 << (n + i) * w for i, p in enumerate(packed)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] % 2), None)
-        if piv is None:
-            raise TheoremViolationError("action determinant is even despite unit augmentation")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        scale = pow(rows[col][col], -1, mod)
-        pivot_row = rows[col] = [x * scale % mod for x in rows[col]]
+        shift, piv = col * w, col
+        while not rows[piv] >> shift & 1:
+            piv += 1
+            if piv == n:
+                raise TheoremViolationError("action determinant is even despite unit augmentation")
+        p, rows[piv] = rows[piv], rows[col]
+        p = rows[col] = p * pow(p >> shift & mask, -1, mod) & low
         for r, row in enumerate(rows):
-            lead = row[col]
+            lead = row >> shift & mask
             if lead and r != col:
-                rows[r] = [(x - lead * y) % mod for x, y in zip(row, pivot_row)]
-    return [row[n:] for row in rows]
-
-
-def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[int], mod: int) -> list[int]:
-    return [sum(map(mul, row, vec)) % mod for row in mat]
-
-
-def _mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) % mod for col in cols] for row in x]
+                rows[r] = row + bias - lead * p & low
+    inv_rows = [row >> n * w for row in rows]
+    inv = [[row >> j * w & mask for j in range(n)] for row in inv_rows]
+    # Two-sided inverse check: certifies ker = 0, hence uniqueness.
+    for x, y_rows in ((inv, packed), (mat, inv_rows)):
+        if any(sum(map(mul, row, y_rows)) + (mask << i * w) & low for i, row in enumerate(x)):
+            raise TheoremViolationError("inverse verification failed")
+    return inv
 
 
 def delta_nilpotency_degree(module: NilpotentModuleSpec) -> int:
@@ -144,25 +175,23 @@ def lift_unique(
     uniqueness constructively: the computed two-sided inverse certifies the
     kernel of the action is zero.
     """
-    if len(alpha) != t.n:
+    n = t.n
+    if len(alpha) != n:
         raise PreconditionError("alpha length must match matrix size")
-    aug_det = _bareiss_det(t.augmentation_matrix())
+    # Z/1 reduces every action entry to 0, so pivot parity is read mod 2 there.
+    work = 1 << max(module.m, 1)
+    aug, act = _evaluate(t, work)
+    aug_det = _bareiss_det(aug)
     if aug_det not in (1, -1):
         raise PreconditionError(f"augmentation matrix determinant {aug_det} is not a unit")
-    # Z/1 reduces every action entry to 0, so pivot parity is read mod 2 there.
-    work = NilpotentModuleSpec(max(module.m, 1))
-    act = t.action_matrix(work)
-    inv = _inverse_mod_2k(act, work.modulus)
+    inv = _inverse_mod_2k(act, work)
     mod = module.modulus
     if mod == 1:
-        return [0] * t.n
-    # Two-sided inverse check: certifies ker = 0, hence uniqueness.
-    identity = [[int(i == j) for j in range(t.n)] for i in range(t.n)]
-    if _mat_mul(inv, act, mod) != identity or _mat_mul(act, inv, mod) != identity:
-        raise TheoremViolationError("inverse verification failed")
-    beta = _mat_vec(inv, [a % mod for a in alpha], mod)
+        return [0] * n
+    alpha = [a % mod for a in alpha]
+    beta = [sum(map(mul, row, alpha)) % mod for row in inv]
     # Existence check: beta composed with t reproduces alpha.
-    if _mat_vec(act, beta, mod) != [a % mod for a in alpha]:
+    if [sum(map(mul, row, beta)) % mod for row in act] != alpha:
         raise TheoremViolationError("lift does not reproduce alpha")
     return beta
 
@@ -175,31 +204,41 @@ def push_module(values: Sequence[int], m_from: int, m_to: int) -> list[int]:
     return [(v * shift) % (1 << m_to) for v in values]
 
 
+def _below(bits, n: int) -> int:
+    """rng.randrange(n) for n >= 1 from bits = rng.getrandbits, draw for draw:
+    the rejection loop of Random._randbelow_with_getrandbits."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_aug_invertible(rng: random.Random, n: int, degree_bound: int) -> RingMatrix:
     """A random matrix whose augmentation matrix is unimodular.
 
     Built as a product of elementary integer matrices, then perturbed by
     augmentation-zero polynomials, which leave the augmentation matrix alone.
+    A draw ``_below(bits, b - a + 1) + a`` is ``rng.randint(a, b)``.
     """
+    bits = rng.getrandbits
     base = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(n * 3):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        for col in range(n):
-            base[i][col] += c * base[j][col]
+        i, j = _below(bits, n), _below(bits, n)
+        if i != j:
+            c = _below(bits, 5) - 2
+            base[i] = [x + c * y for x, y in zip(base[i], base[j])]
     entries = []
     for i in range(n):
         row = []
         for j in range(n):
             coeffs = {0: base[i][j]}
-            for _ in range(rng.randrange(0, 3)):
-                e1, e2, c = rng.randint(0, degree_bound), rng.randint(0, degree_bound), rng.randint(-2, 2)
+            for _ in range(_below(bits, 3)):
+                e1, e2, c = _below(bits, degree_bound + 1), _below(bits, degree_bound + 1), _below(bits, 5) - 2
                 # c*(b^e1 - b^e2) has augmentation zero
                 coeffs[e1] = coeffs.get(e1, 0) + c
                 coeffs[e2] = coeffs.get(e2, 0) - c
-            row.append(LaurentPoly.from_dict(coeffs))
+            row.append(LaurentPoly(tuple(sorted([(e, c) for e, c in coeffs.items() if c]))))
         entries.append(tuple(row))
     return RingMatrix(tuple(entries))
 
@@ -208,6 +247,8 @@ def random_aug_invertible(rng: random.Random, n: int, degree_bound: int) -> Ring
 class CohnReport:
     failures: int
     coherence_failures: int
+    lifts: int
+    coherence_checked: int
 
     @property
     def ok(self) -> bool:
@@ -222,7 +263,8 @@ def cohn_local_suite(
     seed: int = 0,
     coherence_trials: int = 0,
 ) -> CohnReport:
-    """Random unique-lifting trials, with optional direct-limit coherence checks.
+    """Random unique-lifting trials, with optional direct-limit coherence
+    checks, counting the lifts and checks it runs.
 
     Coherence: a lift computed at this truncation, pushed deeper, equals the
     lift computed deeper of the pushed data.
@@ -232,22 +274,23 @@ def cohn_local_suite(
     if trials < 0 or coherence_trials < 0 or trials + coherence_trials == 0:
         raise PreconditionError("need trial and coherence counts >= 0, not both 0")
     rng = random.Random(seed)
+    bits = rng.getrandbits
     mod = module.modulus
-    failures = coh_failures = 0
-    for _ in range(trials):
-        n = rng.randint(1, size_bound)
+    failures = coh_failures = lifts = checked = 0
+    for k in range(trials + coherence_trials):
+        n = _below(bits, size_bound) + 1
         t = random_aug_invertible(rng, n, degree_bound)
-        alpha = [rng.randrange(mod) for _ in range(n)]
-        try:
-            lift_unique(t, alpha, module)  # raises unless act * beta == alpha
-        except TheoremViolationError:
-            failures += 1
-    for _ in range(coherence_trials):
-        n = rng.randint(1, size_bound)
-        t = random_aug_invertible(rng, n, degree_bound)
-        alpha = [rng.randrange(mod) for _ in range(n)]
-        deeper = NilpotentModuleSpec(module.m + rng.randint(1, 3))
+        alpha = [_below(bits, mod) for _ in range(n)]
+        if k < trials:
+            lifts += 1
+            try:
+                lift_unique(t, alpha, module)  # raises unless act * beta == alpha
+            except TheoremViolationError:
+                failures += 1
+            continue
+        deeper = NilpotentModuleSpec(module.m + _below(bits, 3) + 1)
         lifted_then_pushed = push_module(lift_unique(t, alpha, module), module.m, deeper.m)
         pushed_then_lifted = lift_unique(t, push_module(alpha, module.m, deeper.m), deeper)
         coh_failures += lifted_then_pushed != pushed_then_lifted
-    return CohnReport(failures, coh_failures)
+        checked += 1
+    return CohnReport(failures, coh_failures, lifts, checked)

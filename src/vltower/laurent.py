@@ -169,9 +169,10 @@ def parse_laurent(text: str) -> LaurentPoly:
             return LaurentPoly.from_dict(coeffs)
 
 
-def _head_groups(
-    max_degree_span: int, max_abs_coeff: int
-) -> Iterator[tuple[int, int, Iterable[tuple[int, ...]], dict[int, list[tuple[int, int, int]]]]]:
+_Block = tuple[int, int, Iterable[tuple[int, ...]], dict[int, list[tuple[int, int, int]]]]
+
+
+def _head_groups(max_degree_span: int, max_abs_coeff: int) -> Iterator[_Block]:
     """The S-elements with support in [0, max_degree_span] and coefficients
     in [-max_abs_coeff, max_abs_coeff], one block of prefixes at a time.
 
@@ -193,14 +194,18 @@ def _head_groups(
     leading coefficient by ascending offset f, then every core with positive
     leading coefficient by descending f.  The tails depend only on d, the
     sign of the lead and R, so they are built once per span and sign; they
-    are all the walk stores, and WINDOW_COEFF_BOUND keeps them small.
+    are all the walk stores, and WINDOW_COEFF_BOUND keeps them small.  The
+    bounds are checked when the walk is made, before its first block.
     """
     if max_degree_span < 0 or max_abs_coeff < 0:
         raise PreconditionError("bounds must be nonnegative")
     if max_abs_coeff > WINDOW_COEFF_BOUND:
         raise PreconditionError(f"coefficient bound {max_abs_coeff} is past the window bound {WINDOW_COEFF_BOUND}")
-    c = max_abs_coeff
-    width = max_degree_span + 1
+    return _blocks(max_degree_span + 1, max_abs_coeff)
+
+
+def _blocks(width: int, c: int) -> Iterator[_Block]:
+    """The blocks of ``_head_groups`` for spans below width, coefficients in [-c, c]."""
     rng = range(-c, c + 1)
     if c:
         for f in reversed(range(width)):

@@ -217,11 +217,12 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     """
     if max_abs_coeff == 0:
         raise PreconditionError("coefficient bound 0 leaves no S-element to check")
+    blocks = _head_groups(max_degree_span, max_abs_coeff)  # checks the bounds first
     form, parity = _norm_form, _pair_parity
     powers = [_u_pair(k) for k in range(-2, max_degree_span + 1)]  # U^k at index k + 2
     bad: list[str] = []
     checked = odd = 0
-    for f, d, prefixes, tails in _head_groups(max_degree_span, max_abs_coeff):
+    for f, d, prefixes, tails in blocks:
         (ha, hb), (ma, mb), (na, nb) = powers[d : d + 3]
         # h, m and n sit at the classes f + d - 2, f + d - 1 and f + d mod 3,
         # so the tail (h, m, n) adds its entry i_c to the class sum N_c

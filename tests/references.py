@@ -23,6 +23,9 @@
   list, each level's RNG sample taken whole.
 - ``report_json`` is the stdlib encoding of a report that
   ``Report.to_json`` writes byte for byte.
+- ``augmentation_matrix``, ``action_matrix``, ``inverse_mod_2k``,
+  ``mat_mul`` and ``lift_unique`` are the Cohn lift on lists of residues,
+  one entry at a time: the form the package's packed rows replaced.
 """
 
 from __future__ import annotations
@@ -32,10 +35,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as _QFrac
-from typing import Iterator
+from operator import mul
+from typing import Iterator, Sequence
 
+from vltower.cohn import NilpotentModuleSpec, RingMatrix, _bareiss_det
+from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.groups import Model, TowerPrefix
-from vltower.laurent import ONE, ZERO, LaurentPoly, _group_element, _head_groups, _head_terms, power, require_in_S
+from vltower.laurent import ONE, ZERO, LaurentPoly, _group_element, _head_groups, _head_terms, augmentation, power, require_in_S
 from vltower.localization import Dyadic, dyadic_make
 from vltower.quadratic import Vec, _u_pair, evaluate_at_U, ideal_contains
 from vltower.series import SubgroupData
@@ -303,3 +309,61 @@ def center_samples_list(seed: int) -> list[Dyadic]:
 
 def report_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=1, separators=(",", ": "))
+
+
+# --- the Cohn lift on lists of residues ----------------------------------------------
+
+
+def augmentation_matrix(t: RingMatrix) -> list[list[int]]:
+    return [[augmentation(e) for e in row] for row in t.entries]
+
+
+def action_matrix(t: RingMatrix, module: NilpotentModuleSpec) -> list[list[int]]:
+    """Entries evaluated at b = -1 and reduced mod 2**m."""
+    return [[sum(c * (-1) ** (e % 2) for e, c in s.terms) % module.modulus for s in row] for row in t.entries]
+
+
+def inverse_mod_2k(mat: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
+    """Inverse mod 2**m (m >= 1) by Gauss-Jordan on [mat | I], one residue
+    at a time; a column without an odd pivot means mat is singular mod 2."""
+    n = len(mat)
+    rows = [[x % mod for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] % 2), None)
+        if piv is None:
+            raise TheoremViolationError("action determinant is even despite unit augmentation")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scale = pow(rows[col][col], -1, mod)
+        pivot_row = rows[col] = [x * scale % mod for x in rows[col]]
+        for r, row in enumerate(rows):
+            lead = row[col]
+            if lead and r != col:
+                rows[r] = [(x - lead * y) % mod for x, y in zip(row, pivot_row)]
+    return [row[n:] for row in rows]
+
+
+def mat_mul(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) % mod for col in cols] for row in x]
+
+
+def lift_unique(t: RingMatrix, alpha: Sequence[int], module: NilpotentModuleSpec) -> list[int]:
+    """``cohn.lift_unique`` with the same checks and messages, on lists."""
+    if len(alpha) != t.n:
+        raise PreconditionError("alpha length must match matrix size")
+    aug_det = _bareiss_det(augmentation_matrix(t))
+    if aug_det not in (1, -1):
+        raise PreconditionError(f"augmentation matrix determinant {aug_det} is not a unit")
+    work = NilpotentModuleSpec(max(module.m, 1))
+    act = action_matrix(t, work)
+    inv = inverse_mod_2k(act, work.modulus)
+    mod = module.modulus
+    if mod == 1:
+        return [0] * t.n
+    identity = [[int(i == j) for j in range(t.n)] for i in range(t.n)]
+    if mat_mul(inv, act, mod) != identity or mat_mul(act, inv, mod) != identity:
+        raise TheoremViolationError("inverse verification failed")
+    beta = [sum(map(mul, row, alpha)) % mod for row in inv]
+    if [sum(map(mul, row, beta)) % mod for row in act] != [a % mod for a in alpha]:
+        raise TheoremViolationError("lift does not reproduce alpha")
+    return beta

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vltower import cli, groups, laurent, series
+from vltower import cli, groups, laurent, quadratic, series
 from vltower.cli import main
 from vltower.report import PROVENANCES, Claim, Report
 
@@ -251,6 +251,10 @@ def test_report_pass_reflects_claims():
 _HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
 
 
+def _no_power_of_u(i):
+    raise AssertionError("a power of U was built")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -307,9 +311,14 @@ _HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
         ["norm", "--s", "b^10000000-b^2+b"],
         # a coefficient bound past the bound of a window, whose tails would not stay small
         ["parity-verify", "--max-span", "3", "--max-coeff", str(laurent.WINDOW_COEFF_BOUND + 1)],
+        # the same, on a span whose powers of U would take seconds to build
+        ["parity-verify", "--max-span", "20000", "--max-coeff", str(laurent.WINDOW_COEFF_BOUND + 1)],
     ],
 )
-def test_invalid_input_is_one_error_line(capsys, argv):
+def test_invalid_input_is_one_error_line(capsys, monkeypatch, argv):
+    if argv[0] == "parity-verify":
+        # a window's bounds are checked before any power of U is built
+        monkeypatch.setattr(quadratic, "_u_pair", _no_power_of_u)
     rc, out, err = run(capsys, argv)
     assert rc == 1
     assert out == ""

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -8,6 +9,8 @@ from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.laurent import ONE, B, LaurentPoly, parse_laurent
 from vltower import cohn
 from vltower.cli import main
+
+from references import action_matrix, augmentation_matrix, inverse_mod_2k, lift_unique as ref_lift
 
 S = parse_laurent("1-b+b^2")
 
@@ -52,7 +55,7 @@ def test_lift_two_by_two():
     t = _matrix([ONE, S], [LaurentPoly.from_dict({0: 0}) + B - B, ONE])
     alpha = [3, 9]
     beta = cohn.lift_unique(t, alpha, m)
-    act = t.action_matrix(m)
+    act = action_matrix(t, m)
     assert [
         sum(act[i][j] * beta[j] for j in range(2)) % 32 for i in range(2)
     ] == [a % 32 for a in alpha]
@@ -64,7 +67,7 @@ def test_uniqueness_by_exhaustive_kernel_small():
     rng = random.Random(6)
     for _ in range(20):
         t = cohn.random_aug_invertible(rng, 2, 2)
-        act = t.action_matrix(m)
+        act = action_matrix(t, m)
         kernel = [
             v
             for v in itertools.product(range(4), repeat=2)
@@ -81,6 +84,7 @@ def test_cohn_local_suite_zero_failures():
         assert rep.ok
         assert rep.failures == 0
         assert rep.coherence_failures == 0
+        assert (rep.lifts, rep.coherence_checked) == (60, 10)
 
 
 def test_cohn_local_suite_records_a_failed_lift(monkeypatch, capsys):
@@ -138,7 +142,7 @@ def test_random_matrices_have_unit_augmentation():
     rng = random.Random(0)
     for _ in range(50):
         t = cohn.random_aug_invertible(rng, rng.randint(1, 3), 3)
-        assert cohn._bareiss_det(t.augmentation_matrix()) in (1, -1)
+        assert cohn._bareiss_det(augmentation_matrix(t)) in (1, -1)
 
 
 def test_bareiss_det_matches_leibniz():
@@ -175,7 +179,7 @@ def test_lift_size_sixteen():
     t = cohn.random_aug_invertible(rng, 16, 4)
     alpha = [rng.randrange(m.modulus) for _ in range(16)]
     beta = cohn.lift_unique(t, alpha, m)
-    act = t.action_matrix(m)
+    act = action_matrix(t, m)
     assert [sum(a * b for a, b in zip(row, beta)) % m.modulus for row in act] == alpha
 
 
@@ -186,7 +190,7 @@ def test_even_action_matrix_is_a_theorem_violation():
     m = cohn.NilpotentModuleSpec(4)
     t = _matrix([ONE, B], [B, ONE])  # acts by [[1, -1], [-1, 1]]
     with pytest.raises(TheoremViolationError, match="action determinant is even"):
-        cohn._inverse_mod_2k(t.action_matrix(m), m.modulus)
+        cohn._inverse_mod_2k(action_matrix(t, m), m.modulus)
     with pytest.raises(PreconditionError, match="determinant 0 is not a unit"):
         cohn.lift_unique(t, [1, 1], m)
 
@@ -222,3 +226,98 @@ def test_random_aug_invertible_matches_the_sum_of_perturbations():
         fast, ref = random.Random(seed), random.Random(seed)
         assert cohn.random_aug_invertible(fast, n, deg) == _ref_random_aug_invertible(ref, n, deg)
         assert fast.random() == ref.random()
+
+
+# Residue moduli 2**m around the machine word sizes, where a packed slot of
+# 2m + n.bit_length() + 2 bits crosses 32- and 64-bit boundaries.
+_KERNEL_MODULI = (0, 1, 2, 5, 16, 31, 32, 63, 64, 65, 70)
+
+
+def _kernel_cases():
+    """1,002 seeded cases (m, residues, t, alpha), 2,004 matrices: n from 1
+    to 12, then one case each at n = 16 and 60.  The residue matrix is the
+    action of a unit-augmentation matrix (odd determinant) in every other
+    case and uniformly random otherwise (mostly even); one ring matrix in
+    four has a random augmentation, mostly not a unit."""
+    rng = random.Random(27)
+    for i, n in enumerate([1 + i % 12 for i in range(1000)] + [16, 60]):
+        m = _KERNEL_MODULI[i % len(_KERNEL_MODULI)] if n < 16 else 8
+        work = cohn.NilpotentModuleSpec(max(m, 1))
+        if i % 2:
+            residues = [[rng.randrange(work.modulus) for _ in range(n)] for _ in range(n)]
+        else:
+            residues = action_matrix(cohn.random_aug_invertible(rng, n, 5), work)
+        if i % 4 == 3:
+            t = _matrix(*[[LaurentPoly.from_dict({rng.randrange(3): rng.randint(-2, 2)}) for _ in range(n)] for _ in range(n)])
+        else:
+            t = cohn.random_aug_invertible(rng, n, 1 + i % 6)
+        yield m, residues, t, [rng.randrange(-(1 << m), 1 << m) if m else rng.randrange(-3, 4) for _ in range(n)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (PreconditionError, TheoremViolationError) as exc:
+        return type(exc), str(exc)
+
+
+def _outcomes(m, residues, t, alpha):
+    """(package, list oracle) for the inverse of the residues, then for the lift through t."""
+    mod, module = 1 << max(m, 1), cohn.NilpotentModuleSpec(m)
+    return (
+        (_outcome(cohn._inverse_mod_2k, residues, mod), _outcome(inverse_mod_2k, residues, mod)),
+        (_outcome(cohn.lift_unique, t, alpha, module), _outcome(ref_lift, t, alpha, module)),
+    )
+
+
+def test_packed_kernel_matches_the_list_oracle():
+    refused = collections.Counter()
+    for case in _kernel_cases():
+        (inv, inv_ref), (lift, lift_ref) = _outcomes(*case)
+        assert inv == inv_ref and lift == lift_ref, case
+        refused["inverse", isinstance(inv, tuple)] += 1
+        refused["lift", isinstance(lift, tuple)] += 1
+    # odd and even determinants, unit and non-unit augmentations, all occur
+    assert min(refused.values()) > 150, refused
+
+
+def test_packed_kernel_needs_the_spare_bits_of_a_slot(monkeypatch):
+    # a slot of 2m bits has no room for BIAS in a row step or for the sum of
+    # n products in the two-sided check, which then carry into the next slot
+    monkeypatch.setattr(cohn, "_slot_width", lambda m, n: 2 * m)
+    assert any(x != y for case in _kernel_cases() for x, y in _outcomes(*case))
+
+
+def test_below_is_randrange_draw_for_draw():
+    bounds = [1, 2, 3, 5] + [b for k in range(1, 71) for b in ((1 << k) - 1, 1 << k, (1 << k) + 1)]
+    for seed in range(200):
+        fast, ref = random.Random(seed), random.Random(seed)
+        assert [cohn._below(fast.getrandbits, n) for n in bounds] == [ref.randrange(n) for n in bounds]
+        assert fast.getstate() == ref.getstate()
+
+
+def test_suite_draws_its_trials_as_randint_and_randrange(monkeypatch):
+    # every seed keeps its trials: the same matrices, data and deeper
+    # truncations, in the same order, as drawn by randint and randrange
+    seen = []
+
+    def record(t, alpha, module):
+        seen.append((t, list(alpha), module.m))
+        return [0] * t.n
+
+    monkeypatch.setattr(cohn, "lift_unique", record)
+    for seed in range(40):
+        seen.clear()
+        m, size, deg, trials, coherence = seed % 7, 1 + seed % 5, seed % 4, seed % 3, 1 + seed % 2
+        cohn.cohn_local_suite(cohn.NilpotentModuleSpec(m), trials, size, deg, seed=seed, coherence_trials=coherence)
+        rng, expected = random.Random(seed), []
+        for k in range(trials + coherence):
+            n = rng.randint(1, size)
+            t = _ref_random_aug_invertible(rng, n, deg)
+            alpha = [rng.randrange(1 << m) for _ in range(n)]
+            if k < trials:
+                expected.append((t, alpha, m))
+                continue
+            deeper = m + rng.randint(1, 3)
+            expected += [(t, alpha, m), (t, cohn.push_module(alpha, m, deeper), deeper)]
+        assert seen == expected

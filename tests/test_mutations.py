@@ -1,5 +1,5 @@
-"""Planted faults: each verified claim of norm, phi-check, tower, lcs and
-witness named here fails when the step it rests on is broken.
+"""Planted faults: each verified claim of norm, phi-check, tower, lcs,
+witness and cohn named here fails when the step it rests on is broken.
 
 Each fault is planted with monkeypatch in the b-free triple law, a record,
 the norm or the evaluation that the claim's check reads, and the command
@@ -13,7 +13,7 @@ import json
 import pytest
 
 from vltower import groups as G
-from vltower import homology, quadratic, series
+from vltower import cohn, homology, quadratic, series
 from vltower.cli import main
 
 PHI_CHECK = ["phi-check", "--s", "1-b+b^2", "--k", "3"]
@@ -164,3 +164,22 @@ def test_lcs_gamma_omega_catches_a_membership_test_that_accepts_everything(monke
     code, err = _exit_and_error(["lcs", "--model", "Gamma3", "--depth", "12", "--gamma-omega"], capsys)
     assert code == 2
     assert "never exits the module chain" in err
+
+
+@pytest.mark.parametrize("skipped", ["trials", "coherence_trials"])
+def test_cohn_lifting_catches_a_suite_that_skips_work(monkeypatch, capsys, skipped):
+    # cohn.lifting: a suite that runs one lift or one coherence check fewer
+    # than asked reports no failure among those it ran, and still fails
+    real = cohn.cohn_local_suite
+
+    def one_fewer(module, trials, size_bound, degree_bound, seed=0, coherence_trials=0):
+        counts = {"trials": trials, "coherence_trials": coherence_trials}
+        counts[skipped] -= 1
+        return real(module, size_bound=size_bound, degree_bound=degree_bound, seed=seed, **counts)
+
+    monkeypatch.setattr(cohn, "cohn_local_suite", one_fewer)
+    argv = ["cohn", "--m", "4", "--trials", "3", "--coherence", "2", "--format", "json"]
+    assert main(argv) == 2
+    claims = {c["id"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert claims["cohn.lifting"]["pass"] is False
+    assert claims["cohn.lifting"]["data"] == {"failures": 0}
