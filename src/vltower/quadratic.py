@@ -22,6 +22,8 @@ s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
 (-1)^f |s0|.  The pair of the core s0 is what Horner's rule produces
 before its final product with U^f.
 
+The window of S that ``verify_parity_range`` checks is walked here too.
+
 The module parts of the lower-central-series stages are principal ideals
 Z^2 (alpha I + beta U) of Z[U], each held as its generator pair: a stage
 step is one pair product, b-invariance holds by construction, and
@@ -31,11 +33,13 @@ pair.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, TheoremViolationError
-from .laurent import LaurentPoly, _group_element, _head_groups, _head_terms, power, require_in_S
+from .laurent import LaurentPoly, power, require_in_S
 
 Vec = tuple[int, int]
 
@@ -183,13 +187,88 @@ def predicted_parity(s: LaurentPoly) -> int:
     return _pair_parity(*sums)
 
 
+WINDOW_COEFF_BOUND = 8  # a block's tails: at most (2c + 1)^2 2c = 4,624, under 1 MiB with the kernel's table
+
+_Block = tuple[int, int, Iterable[tuple[int, ...]], dict[int, list[tuple[int, int, int]]]]
+
+
+def _head_groups(max_degree_span: int, max_abs_coeff: int) -> Iterator[_Block]:
+    """The S-elements with support in [0, max_degree_span] and coefficients
+    in [-max_abs_coeff, max_abs_coeff], one block of prefixes at a time.
+
+    A block is ``(f, d, prefixes, tails)``: offset f, span d, the prefixes
+    p = (n_f, ..., n_{f+d-3}) in lexicographic order, and for each value of
+    R = 1 - sum(p) the tails (h, m, n) with h + m + n = R, ascending in h
+    and then m, which every prefix of that sum shares.  The elements of a
+    prefix are b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d) for its tails,
+    every one of them in the window: a tail is kept exactly when n is
+    nonzero and h, m and n are within the bound, and R has no entry when no
+    tail is kept.  The prefix is empty for d <= 2.  Span 0 is the tail
+    (0, 0, 1), the element b^f; for span 1, h = 0 and m is the leading
+    coefficient, and for span 2, h is.  Otherwise the prefix leads.
+
+    Expanded in this order, the elements come by ascending support span,
+    then lexicographically on the coefficient tuple (n_0, ..., n_D) over the
+    whole window, each exactly once and with nothing sorted: for a fixed
+    span d that order is every core (n_f, ..., n_{f+d}) with negative
+    leading coefficient by ascending offset f, then every core with positive
+    leading coefficient by descending f.  The tails depend only on d, the
+    sign of the lead and R, so they are built once per span and sign; they
+    are all the walk stores, and WINDOW_COEFF_BOUND keeps them small.  The
+    bounds are checked when the walk is made, before its first block.
+    """
+    if max_degree_span < 0 or max_abs_coeff < 0:
+        raise PreconditionError("bounds must be nonnegative")
+    if max_abs_coeff > WINDOW_COEFF_BOUND:
+        raise PreconditionError(f"coefficient bound {max_abs_coeff} is past the window bound {WINDOW_COEFF_BOUND}")
+    return _blocks(max_degree_span + 1, max_abs_coeff)
+
+
+def _blocks(width: int, c: int) -> Iterator[_Block]:
+    """The blocks of ``_head_groups`` for spans below width, coefficients in [-c, c]."""
+    rng = range(-c, c + 1)
+    if c:
+        for f in reversed(range(width)):
+            yield f, 0, ((),), {1: [(0, 0, 1)]}
+    for d in range(1, width):
+        offsets = range(width - d)
+        for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
+            if d > 2:
+                # R = 1 - (sum of the prefix), over every prefix sum
+                spread = (d - 3) * c
+                hs, ms, rs = rng, rng, range(2 - leads.stop - spread, 2 - leads.start + spread)
+                factors = (leads, *[rng] * (d - 3))
+            else:  # one empty prefix: the lead is m for span 1 and h for span 2
+                hs, ms = (range(1), leads) if d == 1 else (leads, rng)
+                rs, factors = (1,), ()
+            tails = {}
+            for r in rs:
+                # n = r - h - m is within the bound for these m, and nonzero but for m = r - h
+                ts = [
+                    (h, m, r - h - m)
+                    for h in hs
+                    for m in range(max(ms.start, r - h - c), min(ms.stop, r - h + c + 1))
+                    if m != r - h
+                ]
+                if ts:
+                    tails[r] = ts
+            for f in fs if tails else ():
+                yield f, d, itertools.product(*factors), tails
+
+
+def _group_element(f: int, d: int, prefix: tuple[int, ...], tail: tuple[int, int, int]) -> LaurentPoly:
+    """The element b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d) of a block,
+    for its prefix p and tail (h, m, n): n sits at the exponent f + d."""
+    coeffs = (*prefix, *tail)
+    return LaurentPoly(tuple([(e, n) for e, n in enumerate(coeffs, f + d + 1 - len(coeffs)) if n]))
+
+
 @dataclass(frozen=True)
 class ParityReport:
     """Result of the exhaustive parity check over an enumeration window."""
 
     checked: int
     counterexamples: tuple[str, ...]
-    even: int
 
     @property
     def ok(self) -> bool:
@@ -201,7 +280,7 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     S-element of the window: support in [0, max_degree_span], coefficients
     in [-max_abs_coeff, max_abs_coeff], in the order of ``_head_groups``.
 
-    The window is walked one prefix at a time (``laurent._head_groups``):
+    The window is walked one prefix at a time (``_head_groups``):
     the elements b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d) of a block
     share their tails (h, m, n) between the prefixes p of one coefficient
     sum.  Each tail is evaluated once per block, to the pair of
@@ -217,11 +296,11 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     """
     if max_abs_coeff == 0:
         raise PreconditionError("coefficient bound 0 leaves no S-element to check")
-    blocks = _head_groups(max_degree_span, max_abs_coeff)  # checks the bounds first
+    blocks = _head_groups(max_degree_span, max_abs_coeff)  # then the sign and WINDOW_COEFF_BOUND
     form, parity = _norm_form, _pair_parity
     powers = [_u_pair(k) for k in range(-2, max_degree_span + 1)]  # U^k at index k + 2
     bad: list[str] = []
-    checked = odd = 0
+    checked = 0
     for f, d, prefixes, tails in blocks:
         (ha, hb), (ma, mb), (na, nb) = powers[d : d + 3]
         # h, m and n sit at the classes f + d - 2, f + d - 1 and f + d mod 3,
@@ -245,8 +324,6 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
             rows = table.get(1 - n0 - n1 - n2, ())
             checked += len(rows)
             for t, da, db, d0, d1, d2 in rows:
-                v = form(alpha + da, beta + db, f) & 1
-                odd += v
-                if parity(n0 + d0, n1 + d1, n2 + d2) != v:
-                    bad.append(str(_group_element(f, d, _head_terms(f, prefix), t)))
-    return ParityReport(checked, tuple(bad), checked - odd)
+                if form(alpha + da, beta + db, f) & 1 != parity(n0 + d0, n1 + d1, n2 + d2):
+                    bad.append(str(_group_element(f, d, prefix, t)))
+    return ParityReport(checked, tuple(bad))

@@ -5,7 +5,7 @@
   ``pair_mat`` writes such a pair as the matrix [[alpha, beta], [beta,
   alpha + 3 beta]], and ``u_pow``, ``vec_mat`` and ``s_matrix`` give powers
   of U, row-vector products and s(U) in that form.
-- ``enumerate_S`` expands the package's window walk ``laurent._head_groups``,
+- ``enumerate_S`` expands the package's window walk ``quadratic._head_groups``,
   one block of prefixes and their shared tails at a time, into its
   S-elements.
 - ``shift`` multiplies a Laurent polynomial by b^m, and ``divide_exact`` is
@@ -41,9 +41,9 @@ from typing import Iterator, Sequence
 from vltower.cohn import NilpotentModuleSpec, RingMatrix, _bareiss_det
 from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.groups import Model, TowerPrefix
-from vltower.laurent import ONE, ZERO, LaurentPoly, _group_element, _head_groups, _head_terms, augmentation, power, require_in_S
+from vltower.laurent import ONE, ZERO, LaurentPoly, augmentation, power, require_in_S
 from vltower.localization import Dyadic, dyadic_make
-from vltower.quadratic import Vec, _u_pair, evaluate_at_U, ideal_contains
+from vltower.quadratic import Vec, _group_element, _head_groups, _u_pair, evaluate_at_U, ideal_contains
 from vltower.series import SubgroupData
 
 # --- the 2x2 matrix form of the module map ------------------------------------
@@ -131,9 +131,8 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     """
     for f, d, prefixes, tails in _head_groups(max_degree_span, max_abs_coeff):
         for prefix in prefixes:
-            terms = _head_terms(f, prefix)
             for tail in tails.get(1 - sum(prefix), ()):
-                yield _group_element(f, d, terms, tail)
+                yield _group_element(f, d, prefix, tail)
 
 
 def shift(s: LaurentPoly, m: int) -> LaurentPoly:

@@ -45,8 +45,7 @@ COMMANDS = [
 
 _COLIMIT = "the tower's own center colimit, which the witness does not check in yet"
 EXEMPT = {
-    "laurent._head_terms": "renders a parity counterexample, so it runs only when the parity check fails",
-    "laurent._group_element": "renders a parity counterexample, so it runs only when the parity check fails",
+    "quadratic._group_element": "renders a parity counterexample, so it runs only when the parity check fails",
     "localization._check_stage": _COLIMIT,
     "localization.center_make": _COLIMIT,
     "localization.center_push": _COLIMIT,

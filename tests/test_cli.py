@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vltower import cli, groups, laurent, quadratic, series
+from vltower import cli, groups, quadratic, series
 from vltower.cli import main
 from vltower.report import PROVENANCES, Claim, Report
 
@@ -310,9 +310,11 @@ def _no_power_of_u(i):
         ["phi-check", "--s", "b^-1300000+b^1300000-b^1300001"],
         ["norm", "--s", "b^10000000-b^2+b"],
         # a coefficient bound past the bound of a window, whose tails would not stay small
-        ["parity-verify", "--max-span", "3", "--max-coeff", str(laurent.WINDOW_COEFF_BOUND + 1)],
+        ["parity-verify", "--max-span", "3", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
         # the same, on a span whose powers of U would take seconds to build
-        ["parity-verify", "--max-span", "20000", "--max-coeff", str(laurent.WINDOW_COEFF_BOUND + 1)],
+        ["parity-verify", "--max-span", "20000", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
+        # a negative coefficient bound
+        ["parity-verify", "--max-span", "6", "--max-coeff", "-3"],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, monkeypatch, argv):
@@ -381,25 +383,6 @@ def test_witness_invalid_input_is_one_error_line(edges):
         env=_cli_env(),
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["--max-span", "-1"], ["--max-coeff", "-3"], ["--max-coeff", "0"], ["--max-coeff", str(laurent.WINDOW_COEFF_BOUND + 1)]],
-)
-def test_parity_sweep_invalid_input_is_one_error_line(argv):
-    # the first three windows are empty, so the sweep would print only its
-    # header; the last bound is past the bound of a window
-    script = Path(__file__).resolve().parent.parent / "scripts" / "parity_sweep.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 

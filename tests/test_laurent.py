@@ -10,15 +10,14 @@ from vltower.errors import LaurentParseError, NotInSError, PreconditionError
 from vltower.laurent import (
     B,
     ONE,
-    WINDOW_COEFF_BOUND,
     ZERO,
     LaurentPoly,
-    _head_groups,
     augmentation,
     in_S,
     parse_laurent,
     require_in_S,
 )
+from vltower.quadratic import WINDOW_COEFF_BOUND, _head_groups
 from references import divide_exact, enumerate_S, shift
 
 polys = st.builds(

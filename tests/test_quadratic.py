@@ -12,8 +12,9 @@ from test_closed_forms import ref_in_row_span
 from vltower import quadratic
 from vltower.cli import main
 from vltower.errors import NotInSError, PreconditionError
-from vltower.laurent import WINDOW_COEFF_BOUND, LaurentPoly, parse_laurent
+from vltower.laurent import LaurentPoly, parse_laurent
 from vltower.quadratic import (
+    WINDOW_COEFF_BOUND,
     _pair_mul,
     evaluate_at_U,
     ideal_contains,
@@ -229,22 +230,20 @@ def test_verify_parity_range_memory_at_the_coefficient_bound():
 
 
 def ref_parity_report(span, coeff):
-    """The window check one element at a time: (checked, even, counterexamples)."""
-    checked = even = 0
+    """The window check one element at a time: (checked, counterexamples)."""
+    checked = 0
     bad = []
     for s in enumerate_S(span, coeff):
-        parity = norm(s) % 2
         checked += 1
-        even += parity == 0
-        if predicted_parity(s) != parity:
+        if predicted_parity(s) != norm(s) % 2:
             bad.append(str(s))
-    return checked, even, tuple(bad)
+    return checked, tuple(bad)
 
 
 def test_grouped_parity_check_matches_the_element_loop():
     for span, coeff in [*itertools.product(range(6), range(1, 4)), (6, 1), (6, 2)]:
         rep = verify_parity_range(span, coeff)
-        assert (rep.checked, rep.even, rep.counterexamples) == ref_parity_report(span, coeff)
+        assert (rep.checked, rep.counterexamples) == ref_parity_report(span, coeff)
 
 
 # (5, 2) has prefixes of length 3 that share their tails
@@ -279,13 +278,13 @@ def test_planted_parity_fault_gives_the_element_loop_counterexamples(monkeypatch
     # _plus_n0 tells the classes apart: tail class sums taken at the wrong offset mod 3 give other counterexamples
     for span, coeff in [(2, 2), (3, 2), (4, 3), (5, 2)]:
         rep = verify_parity_range(span, coeff)
-        checked, even, bad = ref_parity_report(span, coeff)
+        checked, bad = ref_parity_report(span, coeff)
         assert bad and rep.counterexamples == bad
-        assert (rep.checked, rep.even) == (checked, even)
+        assert rep.checked == checked
     assert main(["parity-verify", "--max-span", "3", "--max-coeff", "2", "--format", "json"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False
-    assert doc["claims"][0]["data"]["counterexamples"] == list(ref_parity_report(3, 2)[2])
+    assert doc["claims"][0]["data"]["counterexamples"] == list(ref_parity_report(3, 2)[1])
 
 
 # --- lattices ---------------------------------------------------------------
