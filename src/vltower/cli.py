@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 
 from . import cohn, homology, series
 from .errors import PreconditionError, TheoremViolationError, VltowerError
 from .groups import Model, phi_build, tower_build
-from .laurent import LaurentPoly, parse_laurent
+from .laurent import LaurentPoly, augmentation, parse_laurent
 from .localization import parse_dyadic
 from .quadratic import ideal_index, norm_data, predicted_parity, verify_parity_range
 from .report import Report
@@ -114,11 +115,14 @@ def cmd_phi_check(args) -> Report:
         True,
         holds=data.source_congruence_ok,
     )
+    # with b = 1 the quotient is Z/gcd(3, augmentation(s)), and first
+    # homology Z/3 (+) Z is multiplied by augmentation(s) on the Z/3 summand
+    aug = augmentation(s)
     rep.add(
         "phi.normal_surjectivity",
         "quotient of target by the normal closure of the image collapses",
         "verified",
-        True,
+        math.gcd(3, aug) == 1,
     )
     h2_valuation = homology.two_connected_certificate(data)
     rep.add(
@@ -126,7 +130,7 @@ def cmd_phi_check(args) -> Report:
         "first homology multiplier 1 mod 3; "
         f"second homology valuation {h2_valuation} = target level",
         "verified",
-        True,
+        aug % 3 == 1,
         h2_valuation=h2_valuation,
     )
     return rep

@@ -275,11 +275,11 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     <x>: once [x, b] = x^-2, the order relator [t, b, ..., b] (k letters b)
     maps to the closed-form power x^((-2)^k).
 
-    ``require_in_S`` is the one check behind two claims about the map: with
-    b = 1 the target collapses to Z/gcd(3, augmentation(s)) modulo the
+    With b = 1 the target collapses to Z/gcd(3, augmentation(s)) modulo the
     normal closure of the image, and the map multiplies first homology
-    Z/3 (+) Z by augmentation(s) on the Z/3 summand.  Both hold once
-    augmentation(s) is a unit mod 3, and an S-element has augmentation 1.
+    Z/3 (+) Z by augmentation(s) on the Z/3 summand.  ``require_in_S``
+    makes both trivial, and the phi-check claims read the augmentation
+    again, so a map built past that check still fails them.
     """
     require_in_S(s)
     if k < 0:

@@ -10,7 +10,7 @@ vanish, read from the prefix's even-norm edges (``has_even_edge``).  The
 five-term conclusion, that the omega-th and (omega+1)-st stages of the
 localization coincide, is a consequence of a zero fold and carries no
 computation of its own.  First-homology invertibility is augmentation(s) =
-1, which phi_build checks.
+1 mod 3: phi_build requires augmentation 1, and the phi-check claim reads it.
 """
 
 from __future__ import annotations

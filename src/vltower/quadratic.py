@@ -22,7 +22,8 @@ s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
 (-1)^f |s0|.  The pair of the core s0 is what Horner's rule produces
 before its final product with U^f.
 
-The window of S that ``verify_parity_range`` checks is walked here too.
+The window of S that ``verify_parity_range`` checks is walked here too,
+and counted apart from the walk by ``_window_size``.
 
 The module parts of the lower-central-series stages are principal ideals
 Z^2 (alpha I + beta U) of Z[U], each held as its generator pair: a stage
@@ -263,6 +264,21 @@ def _group_element(f: int, d: int, prefix: tuple[int, ...], tail: tuple[int, int
     return LaurentPoly(tuple([(e, n) for e, n in enumerate(coeffs, f + d + 1 - len(coeffs)) if n]))
 
 
+def _window_size(max_degree_span: int, c: int) -> int:
+    """The number of S-elements in the window: the (D + 1)-tuples in [-c, c]
+    that sum to 1, D = max_degree_span, counted apart from the walk.
+
+    Shifted to [0, 2c], they are the tuples with sum T = 1 + (D + 1) c; by
+    inclusion-exclusion over the entries past 2c that is the sum over j of
+    (-1)^j C(D + 1, j) C(T - j (2c + 1) + D, D).
+    """
+    k, t = max_degree_span + 1, 1 + (max_degree_span + 1) * c
+    return sum(
+        (-1) ** j * math.comb(k, j) * math.comb(t - j * (2 * c + 1) + k - 1, k - 1)
+        for j in range(t // (2 * c + 1) + 1)
+    )
+
+
 @dataclass(frozen=True)
 class ParityReport:
     """Result of the exhaustive parity check over an enumeration window."""
@@ -292,7 +308,9 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     counterexample is rendered as str(s) only when its parities differ.
 
     A coefficient bound of 0 is rejected: that window holds no S-element,
-    and a check over nothing would pass vacuously.
+    and a check over nothing would pass vacuously.  The count of elements
+    checked must equal ``_window_size``, so a walk that skips elements fails
+    rather than passing on a short count.
     """
     if max_abs_coeff == 0:
         raise PreconditionError("coefficient bound 0 leaves no S-element to check")
@@ -326,4 +344,6 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
             for t, da, db, d0, d1, d2 in rows:
                 if form(alpha + da, beta + db, f) & 1 != parity(n0 + d0, n1 + d1, n2 + d2):
                     bad.append(str(_group_element(f, d, prefix, t)))
+    if checked != (size := _window_size(max_degree_span, max_abs_coeff)):
+        raise TheoremViolationError(f"the walk checked {checked} S-elements of a window that holds {size}")
     return ParityReport(checked, tuple(bad))

@@ -1,5 +1,6 @@
-"""Planted faults: each verified claim of norm, phi-check, tower, lcs,
-witness and cohn named here fails when the step it rests on is broken.
+"""Planted faults: each verified claim of norm, parity-verify, phi-check,
+tower, lcs, witness and cohn named here fails when the step it rests on is
+broken.
 
 Each fault is planted with monkeypatch in the b-free triple law, a record,
 the norm or the evaluation that the claim's check reads, and the command
@@ -183,3 +184,34 @@ def test_cohn_lifting_catches_a_suite_that_skips_work(monkeypatch, capsys, skipp
     claims = {c["id"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
     assert claims["cohn.lifting"]["pass"] is False
     assert claims["cohn.lifting"]["data"] == {"failures": 0}
+
+
+@pytest.mark.parametrize(
+    "s,failed", [("1+b+b^2", {"phi.normal_surjectivity", "phi.two_connected"}), ("2", {"phi.two_connected"})]
+)
+def test_phi_first_homology_claims_read_the_augmentation(monkeypatch, capsys, s, failed):
+    # phi.normal_surjectivity and phi.two_connected: with require_in_S
+    # bypassed, augmentation 3 leaves the quotient Z/3, and augmentation 2
+    # multiplies first homology by 2 mod 3
+    monkeypatch.setattr(G, "require_in_S", lambda poly: poly)
+    assert main(["phi-check", "--s", s, "--k", "2", "--format", "json"]) == 2
+    claims = {c["id"]: c["pass"] for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert {name for name, passed in claims.items() if not passed} == failed
+
+
+def test_parity_exhaustive_catches_a_walk_that_drops_a_tail(monkeypatch, capsys):
+    # parity.exhaustive: the elements a walk skips break no formula, but the
+    # count of elements checked falls short of the window's
+    real = quadratic._blocks
+
+    def dropping(width, c):
+        dropped = False
+        for f, d, prefixes, tails in real(width, c):
+            if (d, f) == (4, 0) and not dropped:
+                dropped, tails = True, {r: ts[1:] for r, ts in tails.items()}
+            yield f, d, prefixes, tails
+
+    monkeypatch.setattr(quadratic, "_blocks", dropping)
+    code, err = _exit_and_error(["parity-verify", "--max-span", "6", "--max-coeff", "3"], capsys)
+    assert code == 2
+    assert "S-elements of a window that holds 59710" in err

@@ -246,6 +246,14 @@ def test_grouped_parity_check_matches_the_element_loop():
         assert (rep.checked, rep.counterexamples) == ref_parity_report(span, coeff)
 
 
+def test_window_size_counts_the_tuples_that_sum_to_one():
+    # the count verify_parity_range compares its own tally with
+    for span, coeff in itertools.product(range(6), range(4)):
+        tuples = itertools.product(range(-coeff, coeff + 1), repeat=span + 1)
+        assert quadratic._window_size(span, coeff) == sum(sum(t) == 1 for t in tuples)
+    assert quadratic._window_size(8, 3) == 2602341
+
+
 # (5, 2) has prefixes of length 3 that share their tails
 @pytest.mark.parametrize("span,coeff", [(0, 2), (1, 3), (3, 2), (4, 3), (5, 2)])
 def test_grouped_parity_check_takes_each_norm_in_window_order(monkeypatch, span, coeff):
