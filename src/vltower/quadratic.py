@@ -22,8 +22,9 @@ s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
 (-1)^f |s0|.  The pair of the core s0 is what Horner's rule produces
 before its final product with U^f.
 
-The window of S that ``verify_parity_range`` checks is walked here too,
-and counted apart from the walk by ``_window_size``.
+The window of S that ``verify_parity_range`` checks is walked here too, as
+its coefficient tuples with one table of the tails (``_tails``) that finish
+every prefix, and counted apart from the walk by ``_window_size``.
 
 The module parts of the lower-central-series stages are principal ideals
 Z^2 (alpha I + beta U) of Z[U], each held as its generator pair: a stage
@@ -37,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .errors import PreconditionError, TheoremViolationError
 from .laurent import LaurentPoly, power, require_in_S
@@ -188,80 +188,35 @@ def predicted_parity(s: LaurentPoly) -> int:
     return _pair_parity(*sums)
 
 
-WINDOW_COEFF_BOUND = 8  # a block's tails: at most (2c + 1)^2 2c = 4,624, under 1 MiB with the kernel's table
-
-_Block = tuple[int, int, Iterable[tuple[int, ...]], dict[int, list[tuple[int, int, int]]]]
+WINDOW_COEFF_BOUND = 8  # the tails table: at most (2c + 1)^3 = 4,913 rows, under 1 MiB
 
 
-def _head_groups(max_degree_span: int, max_abs_coeff: int) -> Iterator[_Block]:
-    """The S-elements with support in [0, max_degree_span] and coefficients
-    in [-max_abs_coeff, max_abs_coeff], one block of prefixes at a time.
-
-    A block is ``(f, d, prefixes, tails)``: offset f, span d, the prefixes
-    p = (n_f, ..., n_{f+d-3}) in lexicographic order, and for each value of
-    R = 1 - sum(p) the tails (h, m, n) with h + m + n = R, ascending in h
-    and then m, which every prefix of that sum shares.  The elements of a
-    prefix are b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d) for its tails,
-    every one of them in the window: a tail is kept exactly when n is
-    nonzero and h, m and n are within the bound, and R has no entry when no
-    tail is kept.  The prefix is empty for d <= 2.  Span 0 is the tail
-    (0, 0, 1), the element b^f; for span 1, h = 0 and m is the leading
-    coefficient, and for span 2, h is.  Otherwise the prefix leads.
-
-    Expanded in this order, the elements come by ascending support span,
-    then lexicographically on the coefficient tuple (n_0, ..., n_D) over the
-    whole window, each exactly once and with nothing sorted: for a fixed
-    span d that order is every core (n_f, ..., n_{f+d}) with negative
-    leading coefficient by ascending offset f, then every core with positive
-    leading coefficient by descending f.  The tails depend only on d, the
-    sign of the lead and R, so they are built once per span and sign; they
-    are all the walk stores, and WINDOW_COEFF_BOUND keeps them small.  The
-    bounds are checked when the walk is made, before its first block.
-    """
-    if max_degree_span < 0 or max_abs_coeff < 0:
-        raise PreconditionError("bounds must be nonnegative")
-    if max_abs_coeff > WINDOW_COEFF_BOUND:
-        raise PreconditionError(f"coefficient bound {max_abs_coeff} is past the window bound {WINDOW_COEFF_BOUND}")
-    return _blocks(max_degree_span + 1, max_abs_coeff)
-
-
-def _blocks(width: int, c: int) -> Iterator[_Block]:
-    """The blocks of ``_head_groups`` for spans below width, coefficients in [-c, c]."""
+def _tails(d: int, c: int) -> dict[int, list[tuple[int, int, int, int, int]]]:
+    """The tails (h, m, n) of the window of span d, coefficients in [-c, c]:
+    h, m and n sit at the exponents d - 2, d - 1 and d, and an exponent
+    below 0 holds 0.  Keyed by R = h + m + n, for every R = 1 - sum(prefix)
+    that a prefix (n_0, ..., n_{d-3}) reaches, each tail is the row
+    (alpha, beta, N0, N1, N2) of its pair h U^(d-2) + m U^(d-1) + n U^d and
+    its class sums, ascending in h and then m.  The class sums are the tail
+    permuted, so the row holds no tuple of its own."""
     rng = range(-c, c + 1)
-    if c:
-        for f in reversed(range(width)):
-            yield f, 0, ((),), {1: [(0, 0, 1)]}
-    for d in range(1, width):
-        offsets = range(width - d)
-        for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
-            if d > 2:
-                # R = 1 - (sum of the prefix), over every prefix sum
-                spread = (d - 3) * c
-                hs, ms, rs = rng, rng, range(2 - leads.stop - spread, 2 - leads.start + spread)
-                factors = (leads, *[rng] * (d - 3))
-            else:  # one empty prefix: the lead is m for span 1 and h for span 2
-                hs, ms = (range(1), leads) if d == 1 else (leads, rng)
-                rs, factors = (1,), ()
-            tails = {}
-            for r in rs:
-                # n = r - h - m is within the bound for these m, and nonzero but for m = r - h
-                ts = [
-                    (h, m, r - h - m)
-                    for h in hs
-                    for m in range(max(ms.start, r - h - c), min(ms.stop, r - h + c + 1))
-                    if m != r - h
-                ]
-                if ts:
-                    tails[r] = ts
-            for f in fs if tails else ():
-                yield f, d, itertools.product(*factors), tails
-
-
-def _group_element(f: int, d: int, prefix: tuple[int, ...], tail: tuple[int, int, int]) -> LaurentPoly:
-    """The element b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d) of a block,
-    for its prefix p and tail (h, m, n): n sits at the exponent f + d."""
-    coeffs = (*prefix, *tail)
-    return LaurentPoly(tuple([(e, n) for e, n in enumerate(coeffs, f + d + 1 - len(coeffs)) if n]))
+    hs, ms = (rng if d >= 2 else range(1)), (rng if d >= 1 else range(1))
+    spread = max(0, d - 2) * c  # the largest |sum(prefix)|
+    (ha, hb), (ma, mb), (na, nb) = (_u_pair(k) for k in range(d - 2, d + 1))
+    # the entries of (h, m, n) at the classes 0, 1 and 2: n sits at d mod 3
+    i0, i1, i2 = ((2, 0, 1), (1, 2, 0), (0, 1, 2))[d % 3]
+    tails = {}
+    for r in range(1 - spread, 2 + spread):
+        rows = []
+        for h in hs:
+            # n = r - h - m is within the bound for these m
+            for m in range(max(ms.start, r - h - c), min(ms.stop, r - h + c + 1)):
+                n = r - h - m
+                t = (h, m, n)
+                rows.append((h * ha + m * ma + n * na, h * hb + m * mb + n * nb, t[i0], t[i1], t[i2]))
+        if rows:
+            tails[r] = rows
+    return tails
 
 
 def _window_size(max_degree_span: int, c: int) -> int:
@@ -294,56 +249,50 @@ class ParityReport:
 def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityReport:
     """Compare predicted_parity against the determinant parity on every
     S-element of the window: support in [0, max_degree_span], coefficients
-    in [-max_abs_coeff, max_abs_coeff], in the order of ``_head_groups``.
+    in [-max_abs_coeff, max_abs_coeff].
 
-    The window is walked one prefix at a time (``_head_groups``):
-    the elements b^f (p(b) + h b^(d-2) + m b^(d-1) + n b^d) of a block
-    share their tails (h, m, n) between the prefixes p of one coefficient
-    sum.  Each tail is evaluated once per block, to the pair of
-    h U^(d-2) + m U^(d-1) + n U^d from a table of powers built once per
-    window and to its class sums at offset f; each prefix once, to its pair
-    (alpha, beta) by Horner's rule and its class sums (N0, N1, N2) by
-    exponent mod 3.  So every element costs five additions, the norm form
-    with sign (-1)^f and the pair formula, and no LaurentPoly is built; a
-    counterexample is rendered as str(s) only when its parities differ.
+    The walk runs over the coefficient tuples (n_0, ..., n_D) that sum to 1,
+    D = max_degree_span, in lexicographic order.  Each prefix
+    (n_0, ..., n_{D-3}) of one product, empty for D < 3, is evaluated once,
+    to its pair by Horner's rule and its class sums by exponent mod 3, and
+    finished by the ``_tails`` rows of R = 1 - sum(prefix): five additions,
+    the norm form and the pair formula per element.  A LaurentPoly is built
+    only for a counterexample, and those are listed by support span, then
+    tuple.
 
-    A coefficient bound of 0 is rejected: that window holds no S-element,
-    and a check over nothing would pass vacuously.  The count of elements
-    checked must equal ``_window_size``, so a walk that skips elements fails
-    rather than passing on a short count.
+    The bounds are checked before any power of U is built: 0 first (that
+    window holds no S-element, and a check over nothing would pass
+    vacuously), then the sign, then WINDOW_COEFF_BOUND.  The count of
+    elements checked must equal ``_window_size``, so a walk that skips
+    elements fails rather than passing on a short count.
     """
-    if max_abs_coeff == 0:
+    d, c = max_degree_span, max_abs_coeff
+    if c == 0:
         raise PreconditionError("coefficient bound 0 leaves no S-element to check")
-    blocks = _head_groups(max_degree_span, max_abs_coeff)  # then the sign and WINDOW_COEFF_BOUND
+    if d < 0 or c < 0:
+        raise PreconditionError("bounds must be nonnegative")
+    if c > WINDOW_COEFF_BOUND:
+        raise PreconditionError(f"coefficient bound {c} is past the window bound {WINDOW_COEFF_BOUND}")
+    tails = _tails(d, c)
     form, parity = _norm_form, _pair_parity
-    powers = [_u_pair(k) for k in range(-2, max_degree_span + 1)]  # U^k at index k + 2
-    bad: list[str] = []
+    bad: list[tuple[int, ...]] = []
     checked = 0
-    for f, d, prefixes, tails in blocks:
-        (ha, hb), (ma, mb), (na, nb) = powers[d : d + 3]
-        # h, m and n sit at the classes f + d - 2, f + d - 1 and f + d mod 3,
-        # so the tail (h, m, n) adds its entry i_c to the class sum N_c
-        i0, i1, i2 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))[(2 - f - d) % 3]
-        table = {}
-        for r, ts in tails.items():  # (tail, its pair, its class sums), once per block
-            table[r] = [
-                (t, h * ha + m * ma + n * na, h * hb + m * mb + n * nb, t[i0], t[i1], t[i2])
-                for t in ts
-                for h, m, n in (t,)
-            ]
-        for prefix in prefixes:
-            alpha = beta = 0
-            for n in reversed(prefix):  # Horner: the pair of p(U)
-                alpha, beta = beta + n, alpha + 3 * beta
-            sums = [0, 0, 0]
-            for e, n in enumerate(prefix, f):
-                sums[e % 3] += n
-            n0, n1, n2 = sums
-            rows = table.get(1 - n0 - n1 - n2, ())
-            checked += len(rows)
-            for t, da, db, d0, d1, d2 in rows:
-                if form(alpha + da, beta + db, f) & 1 != parity(n0 + d0, n1 + d1, n2 + d2):
-                    bad.append(str(_group_element(f, d, prefix, t)))
-    if checked != (size := _window_size(max_degree_span, max_abs_coeff)):
+    for prefix in itertools.product(range(-c, c + 1), repeat=max(0, d - 2)):
+        alpha = beta = 0
+        for n in reversed(prefix):  # Horner: the pair of p(U)
+            alpha, beta = beta + n, alpha + 3 * beta
+        sums = [0, 0, 0]
+        for e, n in enumerate(prefix):
+            sums[e % 3] += n
+        n0, n1, n2 = sums
+        rows = tails.get(1 - n0 - n1 - n2, ())
+        checked += len(rows)
+        for da, db, d0, d1, d2 in rows:
+            if form(alpha + da, beta + db) & 1 != parity(n0 + d0, n1 + d1, n2 + d2):
+                by_class = (d0, d1, d2)  # the tail's entry at exponent e is that of class e mod 3
+                bad.append((*prefix, *[by_class[e % 3] for e in range(max(0, d - 2), d + 1)]))
+    if checked != (size := _window_size(d, c)):
         raise TheoremViolationError(f"the walk checked {checked} S-elements of a window that holds {size}")
-    return ParityReport(checked, tuple(bad))
+    elements = [LaurentPoly(tuple([(e, n) for e, n in enumerate(t) if n])) for t in bad]
+    elements.sort(key=lambda s: s.terms[-1][0] - s.terms[0][0])  # stable: by span, then tuple
+    return ParityReport(checked, tuple(map(str, elements)))

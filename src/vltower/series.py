@@ -48,13 +48,6 @@ class SubgroupData:
     center_exp: int | None
     module: tuple[int, int]
 
-    def center_order(self, model: Model) -> int | float:
-        if self.center_exp is None:
-            return 1
-        if model.k is None:
-            return math.inf
-        return 1 << max(0, model.k - self.center_exp)
-
 
 def whole_group(model: Model) -> SubgroupData:
     return SubgroupData(0 if model.central else None, (1, 0))
@@ -174,9 +167,10 @@ def transfinite_chain(k: int, j_bound: int | None = None) -> TransfiniteReport:
     model = Model(k)
     limit = j_bound if j_bound is not None else k
     stages = [SubgroupData(0, (0, 0))]
-    while stages[-1].center_order(model) > 1 and len(stages) <= limit:
+    while stages[-1].center_exp < k and len(stages) <= limit:
         stages.append(lcs_step(model, stages[-1]))
-    orders = tuple(int(s.center_order(model)) for s in stages)
+    # the center <t^(2^e)> of a stage has order 2^(k - e) in Z/2^k
+    orders = tuple(1 << max(0, k - s.center_exp) for s in stages)
     quotients = tuple(orders[i] // orders[i + 1] for i in range(len(orders) - 1))
     terminates = next((i for i, o in enumerate(orders) if o == 1), None)
     return TransfiniteReport(k, orders, quotients, terminates, limit)

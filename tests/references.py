@@ -5,9 +5,9 @@
   ``pair_mat`` writes such a pair as the matrix [[alpha, beta], [beta,
   alpha + 3 beta]], and ``u_pow``, ``vec_mat`` and ``s_matrix`` give powers
   of U, row-vector products and s(U) in that form.
-- ``enumerate_S`` expands the package's window walk ``quadratic._head_groups``,
-  one block of prefixes and their shared tails at a time, into its
-  S-elements.
+- ``enumerate_S`` lists the S-elements of a parity window in (span, lex)
+  order, one core at a time: the order the package's flat walk over
+  coefficient tuples reaches once it sorts its counterexamples.
 - ``shift`` multiplies a Laurent polynomial by b^m, and ``divide_exact`` is
   exact division in Z[b, b^-1].
 - ``Fraction``/``frac_eq``, ``prefix_product`` and ``fraction_stage_vector``
@@ -30,6 +30,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -43,7 +44,7 @@ from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.groups import Model, TowerPrefix
 from vltower.laurent import ONE, ZERO, LaurentPoly, augmentation, power, require_in_S
 from vltower.localization import Dyadic, dyadic_make
-from vltower.quadratic import Vec, _group_element, _head_groups, _u_pair, evaluate_at_U, ideal_contains
+from vltower.quadratic import WINDOW_COEFF_BOUND, Vec, _u_pair, evaluate_at_U, ideal_contains
 from vltower.series import SubgroupData
 
 # --- the 2x2 matrix form of the module map ------------------------------------
@@ -115,24 +116,28 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
     window, D = max_degree_span.  No duplicates: each polynomial corresponds
     to exactly one tuple within the fixed window.
 
-    The elements stream in that order with nothing sorted.  For a
-    fixed span d, lexicographic order is every core (n_f, ..., n_{f+d}) with
-    negative leading coefficient by ascending offset f, then every core with
-    positive leading coefficient by descending f.  Span 0 is the single core
-    (1) at descending offsets, and span 1 the cores (n_f, 1 - n_f) with
-    1 - n_f nonzero and within the bound.  For d >= 3 the product runs over
-    the prefix (n_f, ..., n_{f+d-3}) only, with R = 1 - (sum of the prefix);
-    each prefix is then finished by the tails (h, m, n) with h + m + n = R,
-    n nonzero and all three within the bound, ascending in h and then m, so
-    every core that is built is kept.  For d = 2 the prefix is empty and h
-    is the lead.  That walk is ``_head_groups``, which builds the tails of
-    one span and sign once and stores nothing else; this function expands
-    each prefix into its elements.
+    The elements stream in that order with nothing sorted, one core
+    (lead, *middle, last) at offset f at a time: for a fixed span d,
+    lexicographic order is every core with negative lead by ascending f,
+    then every core with positive lead by descending f, and within one lead
+    the middle coefficients in lexicographic order.  The last coefficient is
+    1 - lead - sum(middle), kept when it is nonzero and within the bound;
+    span 0 is the core (1).  The bounds are those of the package's window.
     """
-    for f, d, prefixes, tails in _head_groups(max_degree_span, max_abs_coeff):
-        for prefix in prefixes:
-            for tail in tails.get(1 - sum(prefix), ()):
-                yield _group_element(f, d, prefix, tail)
+    d_max, c = max_degree_span, max_abs_coeff
+    if d_max < 0 or c < 0:
+        raise PreconditionError("bounds must be nonnegative")
+    if c > WINDOW_COEFF_BOUND:
+        raise PreconditionError(f"coefficient bound {c} is past the window bound {WINDOW_COEFF_BOUND}")
+    rng = range(-c, c + 1)
+    for d in range(d_max + 1):
+        offsets = range(d_max - d + 1)
+        for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
+            for f, lead in itertools.product(fs, leads):
+                for middle in itertools.product(rng, repeat=max(0, d - 1)):
+                    core = (lead, *middle, 1 - lead - sum(middle))[: d + 1]
+                    if sum(core) == 1 and core[-1] and -c <= core[-1] <= c:
+                        yield LaurentPoly(tuple((f + i, n) for i, n in enumerate(core) if n))
 
 
 def shift(s: LaurentPoly, m: int) -> LaurentPoly:

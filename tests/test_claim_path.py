@@ -45,7 +45,6 @@ COMMANDS = [
 
 _COLIMIT = "the tower's own center colimit, which the witness does not check in yet"
 EXEMPT = {
-    "quadratic._group_element": "renders a parity counterexample, so it runs only when the parity check fails",
     "localization._check_stage": _COLIMIT,
     "localization.center_make": _COLIMIT,
     "localization.center_push": _COLIMIT,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vltower import quadratic
 from vltower.errors import LaurentParseError, NotInSError, PreconditionError
 from vltower.laurent import (
     B,
@@ -17,7 +18,7 @@ from vltower.laurent import (
     parse_laurent,
     require_in_S,
 )
-from vltower.quadratic import WINDOW_COEFF_BOUND, _head_groups
+from vltower.quadratic import WINDOW_COEFF_BOUND
 from references import divide_exact, enumerate_S, shift
 
 polys = st.builds(
@@ -257,18 +258,18 @@ def test_enumerate_S_rejects_negative_bounds(span, coeff):
 
 
 def test_window_walk_memory_at_the_coefficient_bound():
-    # the walk holds the tails of one span and sign, at most (2c + 1)^2 2c of
-    # them; every block up to span 12 at the bound, prefixes not expanded
+    # the walk holds one tails table, at most (2c + 1)^3 rows; at span 12
+    # every R = h + m + n is reached, and the pairs have six digits
     c = WINDOW_COEFF_BOUND
     with pytest.raises(PreconditionError, match="past the window bound"):
         next(enumerate_S(0, c + 1))
     tracemalloc.start()
     try:
-        most = max(sum(map(len, tails.values())) for *_, tails in _head_groups(12, c))
+        rows = sum(map(len, quadratic._tails(12, c).values()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert most <= (2 * c + 1) ** 2 * 2 * c
+    assert rows <= (2 * c + 1) ** 3
     assert peak < 1024 * 1024
 
 

@@ -202,16 +202,14 @@ def test_phi_first_homology_claims_read_the_augmentation(monkeypatch, capsys, s,
 def test_parity_exhaustive_catches_a_walk_that_drops_a_tail(monkeypatch, capsys):
     # parity.exhaustive: the elements a walk skips break no formula, but the
     # count of elements checked falls short of the window's
-    real = quadratic._blocks
+    real = quadratic._tails
 
-    def dropping(width, c):
-        dropped = False
-        for f, d, prefixes, tails in real(width, c):
-            if (d, f) == (4, 0) and not dropped:
-                dropped, tails = True, {r: ts[1:] for r, ts in tails.items()}
-            yield f, d, prefixes, tails
+    def dropping(d, c):
+        tails = real(d, c)
+        tails[1] = tails[1][1:]
+        return tails
 
-    monkeypatch.setattr(quadratic, "_blocks", dropping)
+    monkeypatch.setattr(quadratic, "_tails", dropping)
     code, err = _exit_and_error(["parity-verify", "--max-span", "6", "--max-coeff", "3"], capsys)
     assert code == 2
     assert "S-elements of a window that holds 59710" in err

@@ -217,8 +217,7 @@ def test_verify_parity_range_no_counterexamples(span, coeff):
 
 
 def test_verify_parity_range_memory_at_the_coefficient_bound():
-    # 49,920 elements; the kernel holds one block's table beside the walk's
-    # tails, not the elements of a block
+    # 49,920 elements; the walk holds its one tails table, not the elements
     tracemalloc.start()
     try:
         rep = verify_parity_range(4, WINDOW_COEFF_BOUND)
@@ -257,7 +256,10 @@ def test_window_size_counts_the_tuples_that_sum_to_one():
 # (5, 2) has prefixes of length 3 that share their tails
 @pytest.mark.parametrize("span,coeff", [(0, 2), (1, 3), (3, 2), (4, 3), (5, 2)])
 def test_grouped_parity_check_takes_each_norm_in_window_order(monkeypatch, span, coeff):
-    expected = [norm(s) for s in enumerate_S(span, coeff)]
+    # the walk's order: the coefficient tuples (n_0, ..., n_D) lexicographically
+    rng = range(-coeff, coeff + 1)
+    tuples = [t for t in itertools.product(rng, repeat=span + 1) if sum(t) == 1]
+    expected = [norm(LaurentPoly.from_dict(dict(enumerate(t)))) for t in tuples]
     seen = []
     form = quadratic._norm_form
 
@@ -283,8 +285,9 @@ def _plus_n0(n0, n1, n2):
 @pytest.mark.parametrize("fault", [_without_n1_n2, _plus_n0])
 def test_planted_parity_fault_gives_the_element_loop_counterexamples(monkeypatch, capsys, fault):
     monkeypatch.setattr(quadratic, "_pair_parity", fault)
-    # _plus_n0 tells the classes apart: tail class sums taken at the wrong offset mod 3 give other counterexamples
-    for span, coeff in [(2, 2), (3, 2), (4, 3), (5, 2)]:
+    # _plus_n0 tells the classes apart: tail class sums taken at the wrong offset mod 3 give other counterexamples.
+    # On (0, 2) and (1, 3) the tail sits partly below exponent 0; every norm there is odd, so only _plus_n0 errs
+    for span, coeff in [(2, 2), (3, 2), (4, 3), (5, 2), *([(0, 2), (1, 3)] if fault is _plus_n0 else [])]:
         rep = verify_parity_range(span, coeff)
         checked, bad = ref_parity_report(span, coeff)
         assert bad and rep.counterexamples == bad
