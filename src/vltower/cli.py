@@ -17,11 +17,12 @@ from .errors import PreconditionError, TheoremViolationError, VltowerError
 from .groups import Model, phi_build, tower_build
 from .laurent import LaurentPoly, augmentation, parse_laurent
 from .localization import parse_dyadic
-from .quadratic import ideal_index, norm_data, predicted_parity, verify_parity_range
+from .quadratic import WINDOW_COEFF_BOUND, ideal_index, norm_data, predicted_parity, verify_parity_range
 from .report import Report
 
 USAGE_EXIT = 1
 VIOLATION_EXIT = 2
+NO_WORK_BOUND = math.inf  # the bound of an option that sets no work, or whose work another check bounds
 
 
 def _parse_edges(text: str) -> list[LaurentPoly]:
@@ -157,20 +158,22 @@ def cmd_tower(args) -> Report:
             True,
         )
     if args.checks == "full":
-        for i, data in enumerate(tower.phis):
+        valuations = [homology.two_connected_certificate(data) for data in tower.phis]
+        for i, (data, h2_valuation) in enumerate(zip(tower.phis, valuations)):
             rep.add(
                 f"tower.edge{i}.two_connected",
                 f"edge {data.s} is 2-connected",
                 "verified",
                 True,
-                h2_valuation=homology.two_connected_certificate(data),
+                h2_valuation=h2_valuation,
             )
         h2 = homology.colim_h2(tower)
         rep.add(
             "tower.colim_h2",
             f"colimit second homology fold: {h2.value}",
             "verified",
-            True,
+            # the class dies on an edge whose valuation is above its source level
+            (h2.value == "zero") == any(v > data.source_k for v, data in zip(valuations, tower.phis)),
             value=h2.value,
             note=h2.note,
         )
@@ -187,8 +190,6 @@ def cmd_tower(args) -> Report:
 
 def cmd_lcs(args) -> Report:
     model = Model.parse(args.model)
-    if args.transfinite is not None and args.transfinite < 0:
-        raise PreconditionError(f"transfinite bound {args.transfinite} is negative")
     if args.transfinite and not model.is_truncation:
         raise PreconditionError(
             f"transfinite bound {args.transfinite} needs a truncation model GammaK, not {args.model}"
@@ -237,26 +238,12 @@ def cmd_lcs(args) -> Report:
 
 
 def cmd_witness(args) -> Report:
-    # the bounds come first: a tower of large edges takes seconds to build
-    series.require_stage_bound(args.J)
-    bound = series.DEFAULT_SAMPLE_COUNT
     if not args.samples:
         samples = list(series.default_center_samples(args.seed))
-    elif "/" in args.samples:
-        tokens = args.samples.split(",")
-        if len(tokens) > bound:
-            raise PreconditionError(f"a list of {len(tokens)} samples is past the {bound} default samples")
-        samples = [parse_dyadic(tok) for tok in tokens]
     elif args.samples.isdecimal():
-        try:
-            count = int(args.samples)
-        except ValueError:
-            raise PreconditionError(f"sample count of {len(args.samples)} digits is too long") from None
-        if count > bound:
-            raise PreconditionError(f"sample count {args.samples} is past the {bound} default samples")
-        samples = list(itertools.islice(series.default_center_samples(args.seed), count))
+        samples = list(itertools.islice(series.default_center_samples(args.seed), int(args.samples)))
     else:
-        raise PreconditionError(f"samples {args.samples!r} are neither a count nor dyadics")
+        samples = [parse_dyadic(tok) for tok in args.samples.split(",")]
     tower = tower_build(_parse_edges(args.edges))
     rep = Report(
         "witness",
@@ -273,7 +260,7 @@ def cmd_witness(args) -> Report:
         f"{len(result.samples)} center samples, each with a verified commutator "
         f"preimage chain of length {args.J}",
         "verified",
-        all(s.model_ok for s in result.samples),
+        all(s.model_ok for s in result.samples) and result.links == len(samples) * args.J,
         samples=len(result.samples),
     )
     rep.add(
@@ -327,17 +314,48 @@ def cmd_cohn(args) -> Report:
     return rep
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's rejections raise, so they exit 1 with one error line like any other invalid input."""
+
+    def error(self, message):
+        raise PreconditionError(message.replace("\n", "\\n"))  # stray arguments are quoted as given
+
+
+def _items(text: str) -> int:
+    return text.count(",") + 1
+
+
+def _samples(text: str) -> int:
+    return int(text) if text.isdecimal() else _items(text)
+
+
+def _bounded(lo, hi, count=int):
+    """An argparse type accepting the texts whose count lies in [lo, hi]: an
+    int option counts its value and returns it, a list option counts its
+    items and returns its text, which the report echoes as given."""
+
+    def parse(text):
+        n = count(text)
+        if lo <= n <= hi:
+            return n if count is int else text
+        raise argparse.ArgumentTypeError(f"{'' if count is int else 'a count of '}{n} is outside [{lo}, {hi}]")
+
+    parse.__name__, parse.bounds, parse.count = "int", (lo, hi), count
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out", default=None, help="write the JSON report to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vltower",
-        description="exact certificates for the localization tower construction",
-    )
+    """The table of accepted inputs: each int or list option declares its range once, the
+    upper bound where one run takes about a minute or a few hundred MiB, or NO_WORK_BOUND."""
+    parser = _Parser(prog="vltower", description="exact certificates for the localization tower construction")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    edges = _bounded(1, 40_000, _items)
+    seed = _bounded(-NO_WORK_BOUND, NO_WORK_BOUND)
 
     p = sub.add_parser("norm", help="norm, 2-adic split, and parity of an S-element")
     p.add_argument("--s", required=True, help="Laurent literal, e.g. '1-b+b^2'")
@@ -345,57 +363,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("parity-verify", help="exhaustive parity-formula check")
-    p.add_argument("--max-span", type=int, required=True, dest="max_span")
-    p.add_argument("--max-coeff", type=int, required=True, dest="max_coeff")
+    p.add_argument("--max-span", type=_bounded(0, 64), required=True, dest="max_span")
+    p.add_argument("--max-coeff", type=_bounded(1, WINDOW_COEFF_BOUND), required=True, dest="max_coeff")
     _add_common(p)
     p.set_defaults(fn=cmd_parity_verify)
 
     p = sub.add_parser("phi-check", help="build and verify one level map")
     p.add_argument("--s", required=True)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=_bounded(0, 100_000_000), default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_phi_check)
 
     p = sub.add_parser("tower", help="build a tower prefix from comma-separated edges")
-    p.add_argument("--edges", required=True)
+    p.add_argument("--edges", type=edges, required=True)
     p.add_argument("--checks", choices=["basic", "full"], default="full")
     _add_common(p)
     p.set_defaults(fn=cmd_tower)
 
     p = sub.add_parser("lcs", help="lower central series of a model")
     p.add_argument("--model", required=True, help="H, G2, or GammaK (e.g. Gamma3)")
-    p.add_argument("--depth", type=int, default=12)
+    # depth and K are bounded by the printable module indices and center orders
+    p.add_argument("--depth", type=_bounded(1, NO_WORK_BOUND), default=12)
     p.add_argument("--gamma-omega", action="store_true", dest="gamma_omega")
     p.add_argument(
-        "--transfinite",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
+        "--transfinite", type=_bounded(0, NO_WORK_BOUND), nargs="?", const=0,
         help="also compute stages past the limit (0 = full chain)",
     )
     _add_common(p)
     p.set_defaults(fn=cmd_lcs)
 
     p = sub.add_parser("witness", help="non-transfinite-nilpotence witness")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--J", type=int, default=20)
-    p.add_argument(
-        "--samples",
-        default=None,
-        help="either a count or comma-separated dyadics like '1/2,3/8'",
-    )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--edges", type=edges, required=True)
+    p.add_argument("--J", type=_bounded(0, series.WITNESS_J_BOUND), default=20)
+    samples = _bounded(1, series.DEFAULT_SAMPLE_COUNT, _samples)
+    p.add_argument("--samples", type=samples, help="either a count or comma-separated dyadics like '1/2,3/8'")
+    p.add_argument("--seed", type=seed, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("cohn", help="unique-lifting trials for center truncations")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--deg", type=int, default=3)
-    p.add_argument("--coherence", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=_bounded(0, 150_000), required=True)
+    p.add_argument("--trials", type=_bounded(0, 1_000_000), default=200)
+    p.add_argument("--n", type=_bounded(1, 250), default=3)
+    p.add_argument("--deg", type=_bounded(0, NO_WORK_BOUND), default=3)
+    p.add_argument("--coherence", type=_bounded(0, 750_000), default=20)
+    p.add_argument("--seed", type=seed, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_cohn)
 
@@ -403,15 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         if [] in vars(args).values():  # argparse 3.11 reads "--opt=--" as [], past type and choices
             raise PreconditionError("'--' is not an option value")
         report: Report = args.fn(args)
+    except SystemExit:  # after --help
+        return 0
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return VIOLATION_EXIT

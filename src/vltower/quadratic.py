@@ -189,6 +189,7 @@ def predicted_parity(s: LaurentPoly) -> int:
 
 
 WINDOW_COEFF_BOUND = 8  # the tails table: at most (2c + 1)^3 = 4,913 rows, under 1 MiB
+WINDOW_SIZE_BOUND = 100_000_000  # its slowest windows, (12, 2) and (17, 1), take about 54 s
 
 
 def _tails(d: int, c: int) -> dict[int, list[tuple[int, int, int, int, int]]]:
@@ -262,9 +263,9 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
 
     The bounds are checked before any power of U is built: 0 first (that
     window holds no S-element, and a check over nothing would pass
-    vacuously), then the sign, then WINDOW_COEFF_BOUND.  The count of
-    elements checked must equal ``_window_size``, so a walk that skips
-    elements fails rather than passing on a short count.
+    vacuously), then the sign, WINDOW_COEFF_BOUND and WINDOW_SIZE_BOUND.
+    The count of elements checked must equal ``_window_size``, so a walk
+    that skips elements fails rather than passing on a short count.
     """
     d, c = max_degree_span, max_abs_coeff
     if c == 0:
@@ -273,6 +274,9 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
         raise PreconditionError("bounds must be nonnegative")
     if c > WINDOW_COEFF_BOUND:
         raise PreconditionError(f"coefficient bound {c} is past the window bound {WINDOW_COEFF_BOUND}")
+    # one 1 and d // 2 pairs (1, -1) or (-1, 1) make 2^(d // 2) elements, so a long span needs no count
+    if d // 2 >= WINDOW_SIZE_BOUND.bit_length() or (size := _window_size(d, c)) > WINDOW_SIZE_BOUND:
+        raise PreconditionError(f"the window ({d}, {c}) holds more than {WINDOW_SIZE_BOUND} S-elements")
     tails = _tails(d, c)
     form, parity = _norm_form, _pair_parity
     bad: list[tuple[int, ...]] = []
@@ -291,7 +295,7 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
             if form(alpha + da, beta + db) & 1 != parity(n0 + d0, n1 + d1, n2 + d2):
                 by_class = (d0, d1, d2)  # the tail's entry at exponent e is that of class e mod 3
                 bad.append((*prefix, *[by_class[e % 3] for e in range(max(0, d - 2), d + 1)]))
-    if checked != (size := _window_size(d, c)):
+    if checked != size:
         raise TheoremViolationError(f"the walk checked {checked} S-elements of a window that holds {size}")
     elements = [LaurentPoly(tuple([(e, n) for e, n in enumerate(t) if n])) for t in bad]
     elements.sort(key=lambda s: s.terms[-1][0] - s.terms[0][0])  # stable: by span, then tuple

@@ -224,6 +224,7 @@ class WitnessReport:
     j_bound: int
     samples: tuple[WitnessSample, ...]
     five_term_consistent: bool
+    links: int  # the [y_(j+1), b] = y_j checks run, over all samples
 
     @property
     def passed(self) -> bool:
@@ -234,12 +235,6 @@ class WitnessReport:
 # samples (shared 2-vCPU VM, Python 3.11): every link multiplies centers of
 # up to c.k + J bits, so the time grows quadratically in J
 WITNESS_J_BOUND = 13_000
-
-
-def require_stage_bound(j_bound: int) -> None:
-    """Reject a witness stage bound outside [0, WITNESS_J_BOUND]."""
-    if not 0 <= j_bound <= WITNESS_J_BOUND:
-        raise PreconditionError(f"stage bound {j_bound} is outside [0, {WITNESS_J_BOUND}], the bounds of a witness")
 
 
 def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, samples: list[Dyadic]) -> WitnessReport:
@@ -255,7 +250,8 @@ def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, sample
     every stage omega + j.  Requires at least one even-norm edge, since
     otherwise the prefix's center colimit is trivial.
     """
-    require_stage_bound(j_bound)
+    if not 0 <= j_bound <= WITNESS_J_BOUND:
+        raise PreconditionError(f"stage bound {j_bound} is outside [0, {WITNESS_J_BOUND}], the bounds of a witness")
     if not tower.has_even_edge():
         raise InsufficientTowerError(
             "no even-norm edge: the center colimit of this prefix is trivial"
@@ -277,6 +273,7 @@ def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, sample
     for _ in range(j_bound):
         w.append(comm_b(w[-1]))
     out: list[WitnessSample] = []
+    links = 0
     for c in samples:
         # link j, of denominator 2^(c.k + j), as a residue of the level c.k + j_bound center
         level = c.k + j_bound
@@ -284,7 +281,9 @@ def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, sample
         for _ in range(j_bound):
             chain.append(commutator_preimage(chain[-1], level))
         centers = [(r, 0, 0) for r in chain]
-        model_ok = all(free_eq(comm_b(centers[j + 1]), centers[j], level) for j in range(j_bound))
+        checks = [free_eq(comm_b(centers[j + 1]), centers[j], level) for j in range(j_bound)]
+        links += len(checks)
+        model_ok = all(checks)
         comm_ok = all(
             free_eq(free_pow(w[e], ((r >> e) * (-1) ** e) % (1 << (level - e))), t_r, level)
             for e, r, t_r in zip(range(j_bound, -1, -1), chain, centers)
@@ -295,4 +294,5 @@ def witness_not_transfinitely_nilpotent(tower: TowerPrefix, j_bound: int, sample
         j_bound=j_bound,
         samples=tuple(out),
         five_term_consistent=homology.colim_h2(tower).value == "zero",
+        links=links,
     )

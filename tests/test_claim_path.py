@@ -41,6 +41,7 @@ COMMANDS = [
     (["witness", "--edges", "b"], 1),
     (["norm", "--s", "1" * 5000], 1),
     (["norm", "--s", "9" * 2200 + "b-" + "9" * 2199 + "8"], 1),
+    (["cohn", "--m", "x"], 1),
 ]
 
 _COLIMIT = "the tower's own center colimit, which the witness does not check in yet"

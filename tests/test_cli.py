@@ -1,8 +1,11 @@
+import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -315,16 +318,104 @@ def _no_power_of_u(i):
         ["parity-verify", "--max-span", "20000", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
         # a negative coefficient bound
         ["parity-verify", "--max-span", "6", "--max-coeff", "-3"],
+        # a window of more than WINDOW_SIZE_BOUND elements
+        ["parity-verify", "--max-span", "10", "--max-coeff", "3"],
+        # argparse's own rejections: a bad int, a missing option or command, a bad choice
+        ["cohn", "--m", "x"],
+        ["lcs", "--model", "H", "--depth", "2.5"],
+        ["norm"],
+        [],
+        ["bogus"],
+        ["norm", "--s", "b", "--format", "xml"],
+        ["tower", "--edges", "b", "--checks", "some"],
+        ["norm", "--s", "b", "--bogus"],
+        ["norm", "--s", "b", "x\ny"],
     ],
 )
 def test_invalid_input_is_one_error_line(capsys, monkeypatch, argv):
-    if argv[0] == "parity-verify":
+    if argv[:1] == ["parity-verify"]:
         # a window's bounds are checked before any power of U is built
         monkeypatch.setattr(quadratic, "_u_pair", _no_power_of_u)
     rc, out, err = run(capsys, argv)
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _declared():
+    """(command, option, action) for every option of build_parser() but --help."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest != "help":
+                yield name, action.option_strings[0], action
+
+
+# the options that take a string, a choice or no value: nothing to count
+UNCOUNTED = {"--s", "--model", "--out", "--format", "--checks", "--gamma-omega"}
+BOUNDS = {(name, option): action.type.bounds for name, option, action in _declared() if option not in UNCOUNTED}
+
+
+def test_every_int_or_list_option_declares_one_range():
+    # a new option without a range fails here
+    for name, option, action in _declared():
+        if option in UNCOUNTED:
+            assert action.type is None and action.nargs != "*", (name, option)
+        else:
+            lo, hi = action.type.bounds
+            assert lo < hi and action.type.count in (int, cli._items, cli._samples), (name, option)
+    assert ("witness", "--J") in BOUNDS and ("tower", "--edges") in BOUNDS
+
+
+# the required options of each command, at small values
+MINIMAL = {
+    "norm": ["--s", "b"],
+    "parity-verify": ["--max-span", "1", "--max-coeff", "1"],
+    "phi-check": ["--s", "b"],
+    "tower": ["--edges", "b"],
+    "lcs": ["--model", "H"],
+    "witness": ["--edges", "1-b+b^2"],
+    "cohn": ["--m", "1"],
+}
+
+
+def _just_past_the_bounds():
+    for name, option, action in _declared():
+        if option in UNCOUNTED:
+            continue
+        for n in action.type.bounds[0] - 1, action.type.bounds[1] + 1:
+            if action.type.count is int and not math.isinf(n):
+                yield pytest.param([name, *MINIMAL[name], option, str(n)], id=f"{name} {option} {n}")
+            elif action.type.count is not int and n >= 1:  # n comma-separated items
+                yield pytest.param([name, *MINIMAL[name], option, "," * (n - 1)], id=f"{name} {option} {n} items")
+
+
+@pytest.mark.parametrize("argv", _just_past_the_bounds())
+def test_each_option_just_past_its_bound_is_one_error_line(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: argument ") and err.count("\n") == 1
+
+
+def _readme_range(cell):
+    """(lo, hi) from a bound cell of the README table: "A to B", "A or more" or "any"."""
+    if cell.startswith("any"):
+        return -math.inf, math.inf
+    lo, hi = re.match(r"(-?[\d,]+) (?:to ([\d,]+)|or more)", cell).groups()
+    return int(lo.replace(",", "")), math.inf if hi is None else int(hi.replace(",", ""))
+
+
+def test_readme_bound_table_is_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` \| `(--[\w-]+)` \| ([^|]+) \|", readme, re.M)
+    options = {(name, option) for name, option, _ in _declared()}
+    assert {(name, option) for name, option, _ in rows} <= options
+    assert {(name, option): _readme_range(cell) for name, option, cell in rows if option not in UNCOUNTED} == BOUNDS
+    # the rules on literals and windows, which no option declares
+    for bound in quadratic.NORM_GAP_BOUND, groups.LEVEL_MAP_BOUND, quadratic.WINDOW_SIZE_BOUND:
+        assert f"{bound:,}" in readme
 
 
 def test_model_prefix_is_case_insensitive(capsys):
@@ -436,6 +527,7 @@ literals = st.one_of(
 dyadics = st.builds("{}/{}".format, st.integers(-9, 9), st.sampled_from(["1", "2", "3", "8", "1024", "0"]))
 samples = st.one_of(
     digit_strings,
+    st.just(str(series.DEFAULT_SAMPLE_COUNT + 1)),
     st.lists(st.one_of(dyadics, literals), min_size=1, max_size=3).map(",".join),
 )
 # K is the length of the transfinite chain, so it is a loop bound too.
@@ -457,21 +549,53 @@ def _command(name, required, optional):
 
 
 small = st.integers(-2, 3)
+
+
+def _near(name, option, draws=small):
+    """draws, or a value just past a finite end of the option's declared range"""
+    ends = [n for n in (BOUNDS[name, option][0] - 1, BOUNDS[name, option][1] + 1) if not math.isinf(n)]
+    return st.one_of(draws, st.sampled_from(ends))
+
+
 argvs = st.one_of(
     _command("norm", {"s": literals}, {}),
-    _command("parity-verify", {"max-span": st.integers(-1, 3), "max-coeff": st.integers(-1, 4)}, {}),
-    _command("phi-check", {"s": literals}, {"k": st.integers(-2, 12)}),
+    _command(
+        "parity-verify",
+        {
+            "max-span": _near("parity-verify", "--max-span", st.integers(-1, 3)),
+            "max-coeff": _near("parity-verify", "--max-coeff", st.integers(-1, 4)),
+        },
+        {},
+    ),
+    _command("phi-check", {"s": literals}, {"k": _near("phi-check", "--k", st.integers(-2, 12))}),
     _command("tower", {"edges": literals}, {"checks": st.sampled_from(["basic", "full"])}),
     st.builds(
         lambda argv, omega: argv + ["--gamma-omega"] * omega,
-        _command("lcs", {"model": models}, {"depth": st.integers(-2, 12), "transfinite": st.integers(-2, 12)}),
+        _command(
+            "lcs",
+            {"model": models},
+            {
+                "depth": _near("lcs", "--depth", st.integers(-2, 12)),
+                "transfinite": _near("lcs", "--transfinite", st.integers(-2, 12)),
+            },
+        ),
         st.booleans(),
     ),
-    _command("witness", {"edges": literals}, {"J": st.integers(-2, 10), "samples": samples, "seed": small}),
+    _command(
+        "witness",
+        {"edges": literals},
+        {"J": _near("witness", "--J", st.integers(-2, 10)), "samples": samples, "seed": small},
+    ),
     _command(
         "cohn",
-        {"m": st.integers(-1, 8)},
-        {"n": st.integers(-1, 4), "trials": st.integers(-1, 3), "deg": small, "coherence": small, "seed": small},
+        {"m": _near("cohn", "--m", st.integers(-1, 8))},
+        {
+            "n": _near("cohn", "--n", st.integers(-1, 4)),
+            "trials": _near("cohn", "--trials", st.integers(-1, 3)),
+            "deg": _near("cohn", "--deg"),
+            "coherence": _near("cohn", "--coherence"),
+            "seed": small,
+        },
     ),
 )
 

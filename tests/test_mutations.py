@@ -9,6 +9,7 @@ check that caught the fault.
 """
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from vltower import groups as G
 from vltower import cohn, homology, quadratic, series
 from vltower.cli import main
+from vltower.laurent import parse_laurent
 
 PHI_CHECK = ["phi-check", "--s", "1-b+b^2", "--k", "3"]
 TOWER = ["tower", "--edges", "1-b+b^2,b,1-b+b^2", "--checks", "full"]
@@ -90,6 +92,33 @@ def test_witness_chains_catch_a_faulty_commutator_with_b(monkeypatch, capsys):
     claims = {c["id"]: c["pass"] for c in json.loads(capsys.readouterr().out)["claims"]}
     assert claims["witness.chains"] is False
     assert claims["witness.gamma_omega"] is False
+
+
+def test_witness_chains_catch_a_link_loop_that_stops_one_link_short(monkeypatch, capsys):
+    # witness.chains: every link a loop checks is right, but the count of
+    # links falls one short of samples x J on every sample
+    source = inspect.getsource(series.witness_not_transfinitely_nilpotent)
+    short = source.replace("for j in range(j_bound)]", "for j in range(j_bound - 1)]")
+    assert short != source
+    namespace = dict(vars(series))
+    exec(short, namespace)
+    monkeypatch.setattr(series, "witness_not_transfinitely_nilpotent", namespace["witness_not_transfinitely_nilpotent"])
+    argv = ["witness", "--edges", "1-b+b^2,1-b+b^2,1-b+b^2", "--J", "20", "--format", "json"]
+    assert main(argv) == 2
+    claims = {c["id"]: c["pass"] for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert [name for name, passed in claims.items() if not passed] == ["witness.chains"]
+
+
+@pytest.mark.parametrize("edges", ["1-b+b^2,b,1-b+b^2", "b,b"])
+def test_tower_colim_h2_catches_a_fold_the_wrong_way(monkeypatch, capsys, edges):
+    # tower.colim_h2: the fold is compared with the per-edge certificates, on
+    # which the class dies exactly at an edge whose valuation passes its source
+    real = homology.colim_h2
+    even, odd = real(G.tower_build([parse_laurent("1-b+b^2")])), real(G.tower_build([]))
+    monkeypatch.setattr(homology, "colim_h2", lambda tower: odd if tower.has_even_edge() else even)
+    assert main(["tower", "--edges", edges, "--checks", "full", "--format", "json"]) == 2
+    claims = {c["id"]: c["pass"] for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert [name for name, passed in claims.items() if not passed] == ["tower.colim_h2"]
 
 
 @pytest.mark.parametrize("index", [1, 2], ids=["c_A", "c_B"])

@@ -228,6 +228,27 @@ def test_verify_parity_range_memory_at_the_coefficient_bound():
     assert peak < 1024 * 1024
 
 
+class _Walked(Exception):
+    pass
+
+
+def _walk(i):
+    raise _Walked
+
+
+def test_window_size_bound_comes_before_any_power_of_u(monkeypatch):
+    # the slowest windows within WINDOW_SIZE_BOUND reach the walk; larger
+    # ones, and spans whose count would itself be slow, are rejected first
+    monkeypatch.setattr(quadratic, "_u_pair", _walk)
+    for span, coeff in (12, 2), (17, 1), (8, 5):
+        assert quadratic._window_size(span, coeff) <= quadratic.WINDOW_SIZE_BOUND
+        with pytest.raises(_Walked):
+            verify_parity_range(span, coeff)
+    for span, coeff in (10, 3), (18, 1), (7, 8), (54, 1), (20000, 3):
+        with pytest.raises(PreconditionError, match="holds more than 100000000 S-elements"):
+            verify_parity_range(span, coeff)
+
+
 def ref_parity_report(span, coeff):
     """The window check one element at a time: (checked, counterexamples)."""
     checked = 0
