@@ -2,6 +2,7 @@
 
 Exit codes: 0 when all checks in the report pass, 1 on usage or input errors,
 2 when a check fails or an exact computation contradicts a certified claim.
+A request is parsed once, by its command's parser (see ``_Parser``).
 """
 
 from __future__ import annotations
@@ -315,7 +316,28 @@ def cmd_cohn(args) -> Report:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's rejections raise, so they exit 1 with one error line like any other invalid input."""
+    """argparse's rejections raise, so they exit 1 with one error line like any other invalid input.
+
+    An argv that starts with a command name goes straight to that command's
+    parser, as ``_SubParsersAction`` would send it, so its strings are scanned
+    once; any other argv takes argparse's own walk."""
+
+    _commands = None  # the subparsers action, once add_subparsers has made it
+
+    def add_subparsers(self, **kwargs):
+        self._commands = super().add_subparsers(**kwargs)
+        return self._commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if self._commands is None or not args or args[0] not in self._commands.choices:
+            return super().parse_known_args(args, namespace)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        setattr(namespace, self._commands.dest, args[0])
+        parsed, extras = self._commands.choices[args[0]].parse_known_args(args[1:])
+        for key, value in vars(parsed).items():  # the command's defaults win, as in argparse's walk
+            setattr(namespace, key, value)
+        return namespace, extras
 
     def error(self, message):
         raise PreconditionError(message.replace("\n", "\\n"))  # stray arguments are quoted as given

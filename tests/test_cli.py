@@ -258,80 +258,80 @@ def _no_power_of_u(i):
     raise AssertionError("a power of U was built")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["lcs", "--model", "Gamma-1"],
-        ["lcs", "--model", "Gamma 2"],
-        ["lcs", "--model", "Gamma+2"],
-        ["lcs", "--model", "Gammax"],
-        ["lcs", "--model", "Gamma_2"],
-        ["tower", "--edges", ","],
-        ["norm", "--s", "b", "--out", "/nonexistent/x.json"],
-        ["parity-verify", "--max-span", "-1", "--max-coeff", "2"],
-        ["parity-verify", "--max-span", "3", "--max-coeff", "0"],
-        ["cohn", "--m", "-1"],
-        ["cohn", "--m", "3", "--n", "0"],
-        ["cohn", "--m", "3", "--deg", "-1"],
-        ["witness", "--edges", "1-b+b^2", "--samples", "1/3"],
-        ["witness", "--edges", "1-b+b^2", "--samples", "1/2,x"],
-        ["witness", "--edges", "1-b+b^2", "--samples", "x"],
-        ["cohn", "--m", "3", "--trials", "-5", "--coherence", "0"],
-        ["cohn", "--m", "3", "--trials", "5", "--coherence", "-1"],
-        ["cohn", "--m", "3", "--trials", "0", "--coherence", "0"],
-        ["lcs", "--model", "Gamma3", "--transfinite", "-1"],
-        ["lcs", "--model", "H", "--transfinite", "-1"],
-        ["lcs", "--model", "H", "--transfinite", "5"],
-        ["lcs", "--model", "G2", "--transfinite", "3"],
-        ["lcs", "--model", "Gamma2", "--depth", "1", "--gamma-omega"],
-        # digit strings past int()'s 4,300-digit limit
-        ["lcs", "--model", "Gamma" + "1" * 5000],
-        ["witness", "--edges", "1-b+b^2", "--samples", "1" * 5000],
-        ["norm", "--s", "1" * 5000],
-        ["tower", "--edges", "1-b+b^2,b^" + "1" * 4301],
-        # "--opt=--" gives an empty list of values
-        ["norm", "--s=--"],
-        ["tower", "--edges", "1-b+b^2", "--checks=--"],
-        # |9...9 b - 9...8| with 2,200-digit coefficients has about 4,400
-        # digits, past the 4,300 that Python turns into text
-        ["norm", "--s", _HUGE_NORM],
-        ["phi-check", "--s", _HUGE_NORM],
-        ["tower", "--edges", _HUGE_NORM],
-        # r and l_exact of 14,300 bits, a module index 3^9014 and a center order 2^14285
-        ["phi-check", "--s", "2-b", "--k", "14300"],
-        ["lcs", "--model", "G2", "--depth", "9015"],
-        ["lcs", "--model", "Gamma14285", "--depth", "3", "--transfinite"],
-        ["lcs", "--model", "Gamma" + "9" * 4000, "--depth", "3", "--transfinite", "2"],
-        # past the 56 default samples, as a count and as a list
-        ["witness", "--edges", "1-b+b^2", "--samples", "57"],
-        ["witness", "--edges", "1-b+b^2", "--samples", ",".join(["1/2"] * 57)],
-        # exponents and gaps past the bounds, rejected before any work
-        ["phi-check", "--s", "b^121212121212", "--k", "2"],
-        ["tower", "--edges", "1-b+b^2,b^121212121212"],
-        ["witness", "--edges", "b^-121212121212"],
-        ["witness", "--edges", "1-b+b^2", "--J", str(series.WITNESS_J_BOUND + 1)],
-        ["phi-check", "--s", "b^-1300000+b^1300000-b^1300001"],
-        ["norm", "--s", "b^10000000-b^2+b"],
-        # a coefficient bound past the bound of a window, whose tails would not stay small
-        ["parity-verify", "--max-span", "3", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
-        # the same, on a span whose powers of U would take seconds to build
-        ["parity-verify", "--max-span", "20000", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
-        # a negative coefficient bound
-        ["parity-verify", "--max-span", "6", "--max-coeff", "-3"],
-        # a window of more than WINDOW_SIZE_BOUND elements
-        ["parity-verify", "--max-span", "10", "--max-coeff", "3"],
-        # argparse's own rejections: a bad int, a missing option or command, a bad choice
-        ["cohn", "--m", "x"],
-        ["lcs", "--model", "H", "--depth", "2.5"],
-        ["norm"],
-        [],
-        ["bogus"],
-        ["norm", "--s", "b", "--format", "xml"],
-        ["tower", "--edges", "b", "--checks", "some"],
-        ["norm", "--s", "b", "--bogus"],
-        ["norm", "--s", "b", "x\ny"],
-    ],
-)
+INVALID_ARGVS = [
+    ["lcs", "--model", "Gamma-1"],
+    ["lcs", "--model", "Gamma 2"],
+    ["lcs", "--model", "Gamma+2"],
+    ["lcs", "--model", "Gammax"],
+    ["lcs", "--model", "Gamma_2"],
+    ["tower", "--edges", ","],
+    ["norm", "--s", "b", "--out", "/nonexistent/x.json"],
+    ["parity-verify", "--max-span", "-1", "--max-coeff", "2"],
+    ["parity-verify", "--max-span", "3", "--max-coeff", "0"],
+    ["cohn", "--m", "-1"],
+    ["cohn", "--m", "3", "--n", "0"],
+    ["cohn", "--m", "3", "--deg", "-1"],
+    ["witness", "--edges", "1-b+b^2", "--samples", "1/3"],
+    ["witness", "--edges", "1-b+b^2", "--samples", "1/2,x"],
+    ["witness", "--edges", "1-b+b^2", "--samples", "x"],
+    ["cohn", "--m", "3", "--trials", "-5", "--coherence", "0"],
+    ["cohn", "--m", "3", "--trials", "5", "--coherence", "-1"],
+    ["cohn", "--m", "3", "--trials", "0", "--coherence", "0"],
+    ["lcs", "--model", "Gamma3", "--transfinite", "-1"],
+    ["lcs", "--model", "H", "--transfinite", "-1"],
+    ["lcs", "--model", "H", "--transfinite", "5"],
+    ["lcs", "--model", "G2", "--transfinite", "3"],
+    ["lcs", "--model", "Gamma2", "--depth", "1", "--gamma-omega"],
+    # digit strings past int()'s 4,300-digit limit
+    ["lcs", "--model", "Gamma" + "1" * 5000],
+    ["witness", "--edges", "1-b+b^2", "--samples", "1" * 5000],
+    ["norm", "--s", "1" * 5000],
+    ["tower", "--edges", "1-b+b^2,b^" + "1" * 4301],
+    # "--opt=--" gives an empty list of values
+    ["norm", "--s=--"],
+    ["tower", "--edges", "1-b+b^2", "--checks=--"],
+    # |9...9 b - 9...8| with 2,200-digit coefficients has about 4,400
+    # digits, past the 4,300 that Python turns into text
+    ["norm", "--s", _HUGE_NORM],
+    ["phi-check", "--s", _HUGE_NORM],
+    ["tower", "--edges", _HUGE_NORM],
+    # r and l_exact of 14,300 bits, a module index 3^9014 and a center order 2^14285
+    ["phi-check", "--s", "2-b", "--k", "14300"],
+    ["lcs", "--model", "G2", "--depth", "9015"],
+    ["lcs", "--model", "Gamma14285", "--depth", "3", "--transfinite"],
+    ["lcs", "--model", "Gamma" + "9" * 4000, "--depth", "3", "--transfinite", "2"],
+    # past the 56 default samples, as a count and as a list
+    ["witness", "--edges", "1-b+b^2", "--samples", "57"],
+    ["witness", "--edges", "1-b+b^2", "--samples", ",".join(["1/2"] * 57)],
+    # exponents and gaps past the bounds, rejected before any work
+    ["phi-check", "--s", "b^121212121212", "--k", "2"],
+    ["tower", "--edges", "1-b+b^2,b^121212121212"],
+    ["witness", "--edges", "b^-121212121212"],
+    ["witness", "--edges", "1-b+b^2", "--J", str(series.WITNESS_J_BOUND + 1)],
+    ["phi-check", "--s", "b^-1300000+b^1300000-b^1300001"],
+    ["norm", "--s", "b^10000000-b^2+b"],
+    # a coefficient bound past the bound of a window, whose tails would not stay small
+    ["parity-verify", "--max-span", "3", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
+    # the same, on a span whose powers of U would take seconds to build
+    ["parity-verify", "--max-span", "20000", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
+    # a negative coefficient bound
+    ["parity-verify", "--max-span", "6", "--max-coeff", "-3"],
+    # a window of more than WINDOW_SIZE_BOUND elements
+    ["parity-verify", "--max-span", "10", "--max-coeff", "3"],
+    # argparse's own rejections: a bad int, a missing option or command, a bad choice
+    ["cohn", "--m", "x"],
+    ["lcs", "--model", "H", "--depth", "2.5"],
+    ["norm"],
+    [],
+    ["bogus"],
+    ["norm", "--s", "b", "--format", "xml"],
+    ["tower", "--edges", "b", "--checks", "some"],
+    ["norm", "--s", "b", "--bogus"],
+    ["norm", "--s", "b", "x\ny"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGVS)
 def test_invalid_input_is_one_error_line(capsys, monkeypatch, argv):
     if argv[:1] == ["parity-verify"]:
         # a window's bounds are checked before any power of U is built
@@ -609,3 +609,57 @@ def test_any_valid_argv_exits_cleanly(capsys, argv):
     if rc == 1:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+PARSER = cli.build_parser()
+
+
+def _outcome(parse, argv):
+    """The namespace a parse gives, as a dict, or the text of its error."""
+    try:
+        return vars(parse(argv))
+    except cli.PreconditionError as exc:
+        return str(exc)
+
+
+def _walk(argv):
+    """argparse's own walk: the top-level parser scans argv and its
+    subparsers action hands the rest to the command's parser; then the
+    extras are rejected as parse_args does."""
+    namespace, extras = argparse.ArgumentParser.parse_known_args(PARSER, argv)
+    if extras:
+        PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return namespace
+
+
+def _assert_direct_matches_walk(argv):
+    assert _outcome(PARSER.parse_args, argv) == _outcome(_walk, argv)
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGVS)
+def test_direct_parse_matches_argparse_walk_on_invalid_input(argv):
+    _assert_direct_matches_walk(argv)
+
+
+@given(st.one_of(argvs, st.builds(lambda argv, stray: argv + stray, argvs, st.lists(literals, max_size=2))))
+@settings(max_examples=150, deadline=None)
+def test_direct_parse_matches_argparse_walk(argv):
+    _assert_direct_matches_walk(argv)
+
+
+def test_direct_parse_reads_sys_argv_and_fills_the_given_namespace(monkeypatch):
+    argv = ["cohn", "--m", "3", "--seed", "4"]
+    monkeypatch.setattr(sys, "argv", ["vltower", *argv])
+    assert vars(PARSER.parse_args()) == vars(_walk(argv))
+    # a caller's namespace is filled in place, and the command's defaults replace what it held
+    given = argparse.Namespace(cmd="norm", trials=9, extra=1)
+    walked, _ = argparse.ArgumentParser.parse_known_args(PARSER, argv, argparse.Namespace(**vars(given)))
+    assert PARSER.parse_args(argv, given) is given
+    assert vars(given) == vars(walked)
+
+
+@pytest.mark.parametrize("argv,usage", [(["--help"], "usage: vltower "), (["cohn", "--help"], "usage: vltower cohn ")])
+def test_help_exits_zero_with_usage_on_stdout(capsys, argv, usage):
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out.startswith(usage)

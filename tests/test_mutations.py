@@ -242,3 +242,52 @@ def test_parity_exhaustive_catches_a_walk_that_drops_a_tail(monkeypatch, capsys)
     code, err = _exit_and_error(["parity-verify", "--max-span", "6", "--max-coeff", "3"], capsys)
     assert code == 2
     assert "S-elements of a window that holds 59710" in err
+
+
+def _failed_claims(argv, capsys):
+    assert main([*argv, "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    return {c["id"]: c["data"] for c in doc["claims"] if not c["pass"]}
+
+
+@pytest.mark.parametrize("dropped", [0, 1, 2], ids=["N0N1", "N0N2", "N1N2"])
+def test_norm_parity_catches_a_formula_missing_one_class_product(monkeypatch, capsys, dropped):
+    # norm.parity: the class sums of 1 - b + b^2 are (1, -1, 1), all odd, so
+    # every class product moves the predicted parity
+    def missing_one(n0, n1, n2):
+        products = [n0 * n1, n0 * n2, n1 * n2]
+        del products[dropped]
+        return (1 + sum(products)) % 2
+
+    monkeypatch.setattr(quadratic, "_pair_parity", missing_one)
+    failed = _failed_claims(["norm", "--s", "1-b+b^2"], capsys)
+    assert failed == {"norm.parity": {"predicted": 1, "actual": 0}}
+
+
+def test_cohn_nilpotency_catches_a_degree_loop_that_stops_one_step_early(monkeypatch, capsys):
+    # cohn.nilpotency: the loop stops when the next power of -2 would die,
+    # one step before the current one does
+    source = inspect.getsource(cohn.delta_nilpotency_degree)
+    early = source.replace("while gen != 0:", "while gen * -2 % mod != 0:")
+    assert early != source
+    namespace = dict(vars(cohn))
+    exec(early, namespace)
+    monkeypatch.setattr(cohn, "delta_nilpotency_degree", namespace["delta_nilpotency_degree"])
+    failed = _failed_claims(["cohn", "--m", "4", "--trials", "3", "--coherence", "1"], capsys)
+    assert failed == {"cohn.nilpotency": {"degree": 3}}
+
+
+@pytest.mark.parametrize("bound", [[], ["2"]], ids=["full", "bounded"])
+def test_lcs_transfinite_catches_a_center_that_quarters(monkeypatch, capsys, bound):
+    # lcs.transfinite: the chain past the limit is built by an lcs_step whose
+    # center goes two 2-power steps deeper instead of one, so its quotients
+    # have order 4; the finite stages keep the real lcs_step
+    source = inspect.getsource(series.lcs_step)
+    quartering = source.replace("1 << (s.center_exp + 1)", "1 << (s.center_exp + 2)")
+    assert quartering != source
+    namespace = dict(vars(series))
+    exec(quartering, namespace)
+    exec(inspect.getsource(series.transfinite_chain), namespace)
+    monkeypatch.setattr(series, "transfinite_chain", namespace["transfinite_chain"])
+    failed = _failed_claims(["lcs", "--model", "Gamma4", "--transfinite", *bound], capsys)
+    assert list(failed) == ["lcs.transfinite"]
