@@ -140,7 +140,8 @@ def cmd_phi_check(args) -> Report:
 
 def cmd_tower(args) -> Report:
     edges = _parse_edges(args.edges)
-    rep = Report("tower", {"edges": [str(e) for e in edges], "checks": args.checks})
+    names = [str(e) for e in edges]
+    rep = Report("tower", {"edges": names, "checks": args.checks})
     tower = tower_build(edges)
     _require_printable(*(data.norm for data in tower.phis))
     rep.add(
@@ -160,10 +161,10 @@ def cmd_tower(args) -> Report:
         )
     if args.checks == "full":
         valuations = [homology.two_connected_certificate(data) for data in tower.phis]
-        for i, (data, h2_valuation) in enumerate(zip(tower.phis, valuations)):
+        for i, (name, h2_valuation) in enumerate(zip(names, valuations)):
             rep.add(
                 f"tower.edge{i}.two_connected",
-                f"edge {data.s} is 2-connected",
+                f"edge {name} is 2-connected",
                 "verified",
                 True,
                 h2_valuation=h2_valuation,

@@ -146,8 +146,9 @@ def free_inv(x: Triple) -> Triple:
 
 
 def free_pow(x: Triple, e: int) -> Triple:
+    """m n first, so a power with m n = 0 never forms the square e (e - 1)."""
     c, m, n = x
-    return (e * c - e * (e - 1) // 2 * m * n, e * m, e * n)
+    return (e * c - m * n * e * (e - 1) // 2, e * m, e * n)
 
 
 def free_comm(x: Triple, y: Triple) -> Triple:
@@ -191,12 +192,13 @@ def a_power_s(s: LaurentPoly) -> tuple[Triple, Triple]:
     conjugate for the next exponent e' > e, conjugated by b^(e - e').
     Prepending A^(n_e) crosses no B, so it adds no center term.  The last
     step, to exponent 0 with nothing prepended, is the conjugation by b^-f,
-    f the lowest exponent.  Each gap's record serves both triples."""
+    f the lowest exponent.  Each gap's record serves both triples; a gap of 1
+    applies the record of b^-1, ``_CONJ_B_INV``."""
     x = y = (0, 0, 0)
     top = s.terms[-1][0] if s.terms else 0
     for e, coeff in (*reversed(s.terms), (0, 0)):
         if e != top:  # no gap before the top term, nor at the end when f = 0
-            record = _conj_record(e - top)
+            record = _CONJ_B_INV if e - top == -1 else _conj_record(e - top)
             x, y = _aut_apply(record, x), _aut_apply(record, y)
         x, y = (x[0], x[1] + coeff, x[2]), (y[0], y[1] + 3 * coeff, y[2])
         top = e
@@ -265,6 +267,17 @@ def _order_relator_vanishes(x: Triple, k: int, level: int | None) -> bool:
 LEVEL_MAP_BOUND = 2_500_000
 
 
+def _check_records(edges: tuple[LaurentPoly, ...]) -> None:
+    """The checks of the level maps for ``edges`` that do not depend on s."""
+    a = (0, 1, 0)
+    if not free_eq(conj_b(conj_b(a)), free_mul(a, conj_b(free_pow(a, 3))), None):
+        raise TheoremViolationError("main relator image nonzero on the generator a")
+    if any(s.terms and s.min_exp < 0 for s in edges):
+        record_of_b = _conj_record(1)
+        if any(_aut_apply(record_of_b, conj_b(g)) != g for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+            raise TheoremViolationError("the records of b and b^-1 are not inverse")
+
+
 def phi_build(s: LaurentPoly, k: int) -> PhiData:
     """Construct and verify the level map for edge s leaving level k.
 
@@ -275,12 +288,24 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     <x>: once [x, b] = x^-2, the order relator [t, b, ..., b] (k letters b)
     maps to the closed-form power x^((-2)^k).
 
+    ``_check_records`` runs first, once per ``tower_build``.  r absorbs any
+    center defect of a^s, so the main relator on a checks the record of b^-1,
+    at the exact center, which reduces to every level; if s has a negative
+    lowest exponent f, a^s ends with the record of b^-f, and the record of b
+    is checked on t, A and B as the inverse of the record of b^-1.
+
     With b = 1 the target collapses to Z/gcd(3, augmentation(s)) modulo the
     normal closure of the image, and the map multiplies first homology
     Z/3 (+) Z by augmentation(s) on the Z/3 summand.  ``require_in_S``
     makes both trivial, and the phi-check claims read the augmentation
     again, so a map built past that check still fails them.
     """
+    _check_records((s,))
+    return _level_map(s, k)
+
+
+def _level_map(s: LaurentPoly, k: int) -> PhiData:
+    """``phi_build`` for one edge whose caller has run ``_check_records``."""
     require_in_S(s)
     if k < 0:
         raise PreconditionError("negative source level")
@@ -301,18 +326,8 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     if not free_eq(t, (s_norm, 0, 0), target_k):
         raise TheoremViolationError(f"center image for s={s}, k={k}: got (c, m, n) = {t}, expected t^{s_norm}")
 
-    # Relator images in the target group.  r is solved from the main relator, so its
-    # center part holds on a's image whatever the record of b^-1 says; on a it checks
-    # that record.
-    for h in (a, (0, 1, 0)):
-        if not free_eq(conj_b(conj_b(h)), free_mul(h, conj_b(free_pow(h, 3))), target_k):
-            raise TheoremViolationError(f"main relator image nonzero for s={s}, k={k}")
-    # a^s ends with a conjugation by b^-f, f the lowest exponent of s, which applies the
-    # record of b when f < 0; r absorbs any center defect that leaves, so the record is
-    # checked on t, A and B as the inverse of the record of b^-1, which the relator on a pins.
-    generators = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    if s.min_exp < 0 and any(_aut_apply(_conj_record(1), conj_b(g)) != g for g in generators):
-        raise TheoremViolationError("the records of b and b^-1 are not inverse")
+    if not free_eq(conj_b(conj_b(a)), free_mul(a, conj_b(free_pow(a, 3))), target_k):
+        raise TheoremViolationError(f"main relator image nonzero for s={s}, k={k}")
     for other in (a, ab):
         if not free_eq(free_comm(t, other), (0, 0, 0), target_k):
             raise TheoremViolationError(f"centrality relator image nonzero for s={s}, k={k}")
@@ -359,12 +374,14 @@ def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
 
     Each edge gets a verified level map and a certificate that the bottom
     square of the diagram commutes: projection to the base group intertwines
-    the map with the s-action.
+    the map with the s-action.  ``_check_records`` runs once, for all edges.
     """
+    edges = tuple(edges)
+    _check_records(edges)
     levels = [0]
     phis: list[PhiData] = []
     for s in edges:
-        data = phi_build(s, levels[-1])
+        data = _level_map(s, levels[-1])
         _check_base_diagram(data)
         levels.append(data.target_k)
         phis.append(data)

@@ -226,6 +226,24 @@ def test_powers_of_b_free_words_match_the_oracle():
                 assert gamma_pow(x, e) == word_oracle(w * e if e >= 0 else _inverse_word(w) * -e, model)
 
 
+def test_free_pow_matches_the_square_first_formula():
+    # free_pow multiplies m n first, so a power with m n = 0 skips the square
+    # e (e - 1); the value is the one the square-first form gave, since
+    # e (e - 1) is even and the floor division is exact
+    def square_first(x, e):
+        c, m, n = x
+        return (e * c - e * (e - 1) // 2 * m * n, e * m, e * n)
+
+    rng = random.Random(32)
+    triples = [(rng.randint(-99, 99), rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(100)]
+    triples += [(5, 0, 7), (-3, 4, 0), (1, 0, 0), (0, -3, 5)]
+    exponents = [0, 1, -1, 2, -2, (-2) ** 20_000, -(2**20_000) + 1]
+    exponents += [rng.choice((1, -1)) * rng.getrandbits(bits) for bits in (8, 64, 20_000) for _ in range(5)]
+    for x in triples:
+        for e in exponents:
+            assert G.free_pow(x, e) == square_first(x, e)
+
+
 # --- conj_by_b_pow -------------------------------------------------------------
 
 
@@ -533,14 +551,15 @@ def test_two_adic_split_matches_the_loop():
 # --- work counts -----------------------------------------------------------------
 
 
-def _count_calls(code, fn):
-    """Calls of one code object while fn runs, seen through sys.setprofile;
-    an outer profile function is put back afterwards."""
+def _count_calls(code, fn, where=lambda frame: True):
+    """Calls of one code object while fn runs, seen through sys.setprofile,
+    counting only calls whose frame passes ``where``; an outer profile
+    function is put back afterwards."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code is code:
+        if event == "call" and frame.f_code is code and where(frame):
             calls += 1
 
     outer = sys.getprofile()
@@ -597,6 +616,19 @@ def test_a_power_s_composes_no_record_on_gaps_of_one():
     for edge in ("1-b+b^2", "b^-1-1+b"):
         s = parse_laurent(edge)
         assert _record_products(lambda: G.a_power_s(s)) == 0
+
+
+def test_tower_build_checks_the_record_of_b_once():
+    # the record of b is checked as the inverse of the record of b^-1 once per
+    # tower that has a negative exponent, not once per such edge; no edge here
+    # conjugates by b itself (the lowest exponent is -2, gaps of 1 apply the
+    # record of b^-1), so every _conj_record(1) is that check
+    def record_of_b_calls(edge, count):
+        edges = [parse_laurent(edge)] * count
+        return _count_calls(G._conj_record.__code__, lambda: G.tower_build(edges), lambda f: f.f_locals["j"] == 1)
+
+    assert record_of_b_calls("b^-2+b^-1-b^300", 50) == 1
+    assert record_of_b_calls("1-b+b^2", 50) == 0
 
 
 def test_base_diagram_check_multiplies_nothing():

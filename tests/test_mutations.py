@@ -121,11 +121,8 @@ def test_tower_colim_h2_catches_a_fold_the_wrong_way(monkeypatch, capsys, edges)
     assert [name for name, passed in claims.items() if not passed] == ["tower.colim_h2"]
 
 
-@pytest.mark.parametrize("index", [1, 2], ids=["c_A", "c_B"])
-def test_phi_build_catches_a_center_coefficient_of_the_record_of_b(monkeypatch, capsys, index):
-    # phi.build: an edge with a negative exponent conjugates a^s by the record
-    # of b^2, and r absorbs the center defect a fault there leaves; the record
-    # of b is checked as the inverse of the record of b^-1
+def _shift_the_record_of_b_pow(monkeypatch, index):
+    """Add 1 to one center coefficient of the record of b^j for every j > 0."""
     real = G._conj_record
 
     def shifted(j):
@@ -135,7 +132,25 @@ def test_phi_build_catches_a_center_coefficient_of_the_record_of_b(monkeypatch, 
         return tuple(record)
 
     monkeypatch.setattr(G, "_conj_record", shifted)
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["c_A", "c_B"])
+def test_phi_build_catches_a_center_coefficient_of_the_record_of_b(monkeypatch, capsys, index):
+    # phi.build: an edge with a negative exponent conjugates a^s by the record
+    # of b^2, and r absorbs the center defect a fault there leaves; the record
+    # of b is checked as the inverse of the record of b^-1
+    _shift_the_record_of_b_pow(monkeypatch, index)
     code, err = _exit_and_error(["phi-check", "--s", "b^-2+b^-1-b^300", "--k", "6"], capsys)
+    assert code == 2
+    assert "records of b and b^-1 are not inverse" in err
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["c_A", "c_B"])
+def test_tower_catches_a_center_coefficient_of_the_record_of_b(monkeypatch, capsys, index):
+    # tower.built: the record of b is checked once per tower, and still when the
+    # edge with a negative exponent is not the first
+    _shift_the_record_of_b_pow(monkeypatch, index)
+    code, err = _exit_and_error(["tower", "--edges", "1-b+b^2,b^-2+b^-1-b^300", "--checks", "full"], capsys)
     assert code == 2
     assert "records of b and b^-1 are not inverse" in err
 
