@@ -265,6 +265,9 @@ def _order_relator_vanishes(x: Triple, k: int, level: int | None) -> bool:
 # The widest |exponent| or gap whose level map takes about 60 s (shared 2-vCPU
 # VM, Python 3.11): the records of b^j have entries of about 0.52 |j| digits
 LEVEL_MAP_BOUND = 2_500_000
+# The top level that 40,000 copies of 1-b+b^2 reach: a tower's memory grows
+# with its level, not with its number of edges
+TOWER_LEVEL_BOUND = 80_000
 
 
 def _check_records(edges: tuple[LaurentPoly, ...]) -> None:
@@ -301,18 +304,22 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     again, so a map built past that check still fails them.
     """
     _check_records((s,))
-    return _level_map(s, k)
-
-
-def _level_map(s: LaurentPoly, k: int) -> PhiData:
-    """``phi_build`` for one edge whose caller has run ``_check_records``."""
-    require_in_S(s)
     if k < 0:
         raise PreconditionError("negative source level")
+    return _level_map(s, k, _edge_norm(s))
+
+
+def _edge_norm(s: LaurentPoly) -> int:
+    """|s| for an edge, after its S-membership and width checks."""
+    require_in_S(s)
     width = max(widest_gap(s), -s.terms[0][0], s.terms[-1][0])
     if width > LEVEL_MAP_BOUND:
         raise PreconditionError(f"an exponent or gap of {width} is past the bound {LEVEL_MAP_BOUND} of a level map")
-    s_norm = norm(s)
+    return norm(s)
+
+
+def _level_map(s: LaurentPoly, k: int, s_norm: int) -> PhiData:
+    """``phi_build`` for one checked edge of norm ``s_norm`` whose caller has run ``_check_records``."""
     p, _ = two_adic_split(s_norm)
     target_k = k + p
     l_exact, d, x = relator_defect(s)
@@ -374,14 +381,19 @@ def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
 
     Each edge gets a verified level map and a certificate that the bottom
     square of the diagram commutes: projection to the base group intertwines
-    the map with the s-action.  ``_check_records`` runs once, for all edges.
+    the map with the s-action.  ``_check_records`` runs once, for all edges,
+    and the top level, the sum of p(s), is checked before any level map.
     """
     edges = tuple(edges)
     _check_records(edges)
+    norms = [_edge_norm(s) for s in edges]
+    top = sum(two_adic_split(s_norm)[0] for s_norm in norms)
+    if top > TOWER_LEVEL_BOUND:
+        raise PreconditionError(f"the top level {top} is past the bound {TOWER_LEVEL_BOUND} of a tower")
     levels = [0]
     phis: list[PhiData] = []
-    for s in edges:
-        data = _level_map(s, levels[-1])
+    for s, s_norm in zip(edges, norms):
+        data = _level_map(s, levels[-1], s_norm)
         _check_base_diagram(data)
         levels.append(data.target_k)
         phis.append(data)

@@ -1,8 +1,9 @@
-"""The claim path covers the package: the README and CI commands, run
-in-process at small sizes, enter every module-level function of vltower and
-every method, static or class method and property getter of its classes,
-except the exemptions listed below, each with its reason.  A function that
-only tests call belongs next to the tests.
+"""The claim path covers the package: the ``claim-path`` entries of
+``tests/commands.py``, README and CI commands and invalid inputs, run
+in-process, enter every module-level function of vltower and every method,
+static or class method and property getter of its classes, except the
+exemptions listed below, each with its reason.  A function that only tests
+call belongs next to the tests.
 
 Dunder methods are the type's protocol (ring operators, equality, hashing,
 repr) and are not traced; methods a dataclass generates have no source of
@@ -16,33 +17,10 @@ import pkgutil
 import sys
 
 import vltower
+from commands import tagged
 from vltower.cli import main
 
-EDGES = "1-b+b^2,1-b+b^2,1-b+b^2"
-
-# (argv, exit code): the README and CI commands with small windows and J, and invalid inputs
-COMMANDS = [
-    (["norm", "--s", "1-b+b^2", "--format", "json"], 0),
-    (["norm", "--s", " 2 * b ^ - 1 - b ^ 3 "], 0),
-    (["norm", "--s", "b^99999999999999999999"], 0),
-    (["parity-verify", "--max-span", "3", "--max-coeff", "2"], 0),
-    (["cohn", "--m", "4", "--n", "8", "--trials", "2"], 0),
-    (["cohn", "--m", "4", "--coherence", "5"], 0),
-    (["tower", "--edges", "1-b+b^2,b,1-b+b^2", "--checks", "full"], 0),
-    (["tower", "--edges", "b,b", "--checks", "full"], 0),
-    (["tower", "--edges", "b^-2+b^-1-b^300,1-b+b^2,-2-2b^147+5b^311", "--checks", "full", "--format", "json"], 0),
-    (["phi-check", "--s", "b^-2+b^-1-b^300", "--k", "60"], 0),
-    (["lcs", "--model", "Gamma3", "--depth", "12", "--gamma-omega", "--transfinite"], 0),
-    (["lcs", "--model", "H", "--depth", "4"], 0),
-    (["lcs", "--model", "G2", "--depth", "4"], 0),
-    (["witness", "--edges", EDGES, "--J", "3"], 0),
-    (["witness", "--edges", EDGES, "--J", "3", "--samples", "1/2,3/8", "--format", "json"], 0),
-    (["norm", "--s", "2b"], 1),
-    (["witness", "--edges", "b"], 1),
-    (["norm", "--s", "1" * 5000], 1),
-    (["norm", "--s", "9" * 2200 + "b-" + "9" * 2199 + "8"], 1),
-    (["cohn", "--m", "x"], 1),
-]
+COMMANDS = [(entry.argv, entry.code) for entry in tagged("claim-path")]
 
 _COLIMIT = "the tower's own center colimit, which the witness does not check in yet"
 EXEMPT = {

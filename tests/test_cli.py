@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from commands import tagged
 from vltower import cli, groups, quadratic, series
 from vltower.cli import main
 from vltower.report import PROVENANCES, Claim, Report
@@ -169,31 +170,29 @@ def test_json_output_deterministic(capsys):
     assert out1 == out2  # byte-identical for identical inputs and seed
 
 
+def _rerun_argv(report):
+    """The argv that a report's command, inputs and seed spell: a dest is its
+    flag, a list its comma-joined items, and the default samples are left out."""
+    argv = [report["command"]]
+    for key, value in report["inputs"].items():
+        if value is False or value is None or (key, value) == ("samples", "default"):
+            continue
+        flag = "--" + key.replace("_", "-")
+        argv.append(flag if value is True else f"{flag}={','.join(value) if isinstance(value, list) else value}")
+    if report["seed"] is not None:
+        argv.append(f"--seed={report['seed']}")
+    return argv
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["lcs", "--model", "Gamma3", "--depth", "3"],
-        ["lcs", "--model", "Gamma3", "--depth", "3", "--transfinite"],
-        ["lcs", "--model", "Gamma3", "--depth", "3", "--transfinite", "1"],
-        ["lcs", "--model", "Gamma3", "--depth", "3", "--gamma-omega"],
-        ["cohn", "--m", "2", "--trials", "3", "--coherence", "0"],
-        ["cohn", "--m", "2", "--trials", "3", "--coherence", "4"],
-    ],
+    "argv", [entry.argv for entry in tagged("rerun")] + [entry.argv for entry in tagged("readme") if "rerun" not in entry.tags]
 )
 def test_a_report_reruns_from_its_inputs(capsys, argv):
     # every option that changes the claims is echoed: the argv rebuilt from
     # the inputs gives the same report
-    _, out, _ = run(capsys, argv + ["--format", "json"])
-    report = json.loads(out)
-    rebuilt = [report["command"]]
-    flags = {"gamma_omega": "--gamma-omega"}
-    for key, value in report["inputs"].items():
-        if value is False or value is None:
-            continue
-        rebuilt.append(flags.get(key, f"--{key}"))
-        if value is not True:
-            rebuilt.append(str(value))
-    assert run(capsys, rebuilt + ["--format", "json"])[1] == out
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    assert rc == 0
+    assert run(capsys, _rerun_argv(json.loads(out)) + ["--format", "json"])[1] == out
 
 
 def test_out_writes_json(tmp_path, capsys):
@@ -215,21 +214,10 @@ def test_text_is_projection_of_json(capsys):
 
 
 def test_every_claim_is_labeled(capsys):
-    commands = [
-        ["norm", "--s", "1-b+b^2"],
-        ["parity-verify", "--max-span", "2", "--max-coeff", "1"],
-        ["phi-check", "--s", "1-b+b^2", "--k", "1"],
-        ["tower", "--edges", "1-b+b^2,b"],
-        ["lcs", "--model", "Gamma2", "--depth", "6", "--gamma-omega", "--transfinite"],
-        ["witness", "--edges", "1-b+b^2", "--J", "3", "--samples", "4"],
-        ["cohn", "--m", "2", "--trials", "10", "--n", "2", "--deg", "2"],
-    ]
-    for cmd in commands:
-        rc, out, _ = run(capsys, cmd + ["--format", "json"])
-        assert rc == 0, cmd
-        doc = json.loads(out)
-        for claim in doc["claims"]:
-            assert claim["provenance"] in PROVENANCES, (cmd, claim)
+    for entry in tagged("readme"):
+        rc, out, _ = run(capsys, entry.argv + ["--format", "json"])
+        assert rc == 0, entry.argv
+        assert all(claim["provenance"] in PROVENANCES for claim in json.loads(out)["claims"]), entry.argv
 
 
 def test_unlabeled_claim_rejected():
@@ -251,84 +239,11 @@ def test_report_pass_reflects_claims():
     assert not rep.passed
 
 
-_HUGE_NORM = "9" * 2200 + "b-" + "9" * 2199 + "8"
-
-
 def _no_power_of_u(i):
     raise AssertionError("a power of U was built")
 
 
-INVALID_ARGVS = [
-    ["lcs", "--model", "Gamma-1"],
-    ["lcs", "--model", "Gamma 2"],
-    ["lcs", "--model", "Gamma+2"],
-    ["lcs", "--model", "Gammax"],
-    ["lcs", "--model", "Gamma_2"],
-    ["tower", "--edges", ","],
-    ["norm", "--s", "b", "--out", "/nonexistent/x.json"],
-    ["parity-verify", "--max-span", "-1", "--max-coeff", "2"],
-    ["parity-verify", "--max-span", "3", "--max-coeff", "0"],
-    ["cohn", "--m", "-1"],
-    ["cohn", "--m", "3", "--n", "0"],
-    ["cohn", "--m", "3", "--deg", "-1"],
-    ["witness", "--edges", "1-b+b^2", "--samples", "1/3"],
-    ["witness", "--edges", "1-b+b^2", "--samples", "1/2,x"],
-    ["witness", "--edges", "1-b+b^2", "--samples", "x"],
-    ["cohn", "--m", "3", "--trials", "-5", "--coherence", "0"],
-    ["cohn", "--m", "3", "--trials", "5", "--coherence", "-1"],
-    ["cohn", "--m", "3", "--trials", "0", "--coherence", "0"],
-    ["lcs", "--model", "Gamma3", "--transfinite", "-1"],
-    ["lcs", "--model", "H", "--transfinite", "-1"],
-    ["lcs", "--model", "H", "--transfinite", "5"],
-    ["lcs", "--model", "G2", "--transfinite", "3"],
-    ["lcs", "--model", "Gamma2", "--depth", "1", "--gamma-omega"],
-    # digit strings past int()'s 4,300-digit limit
-    ["lcs", "--model", "Gamma" + "1" * 5000],
-    ["witness", "--edges", "1-b+b^2", "--samples", "1" * 5000],
-    ["norm", "--s", "1" * 5000],
-    ["tower", "--edges", "1-b+b^2,b^" + "1" * 4301],
-    # "--opt=--" gives an empty list of values
-    ["norm", "--s=--"],
-    ["tower", "--edges", "1-b+b^2", "--checks=--"],
-    # |9...9 b - 9...8| with 2,200-digit coefficients has about 4,400
-    # digits, past the 4,300 that Python turns into text
-    ["norm", "--s", _HUGE_NORM],
-    ["phi-check", "--s", _HUGE_NORM],
-    ["tower", "--edges", _HUGE_NORM],
-    # r and l_exact of 14,300 bits, a module index 3^9014 and a center order 2^14285
-    ["phi-check", "--s", "2-b", "--k", "14300"],
-    ["lcs", "--model", "G2", "--depth", "9015"],
-    ["lcs", "--model", "Gamma14285", "--depth", "3", "--transfinite"],
-    ["lcs", "--model", "Gamma" + "9" * 4000, "--depth", "3", "--transfinite", "2"],
-    # past the 56 default samples, as a count and as a list
-    ["witness", "--edges", "1-b+b^2", "--samples", "57"],
-    ["witness", "--edges", "1-b+b^2", "--samples", ",".join(["1/2"] * 57)],
-    # exponents and gaps past the bounds, rejected before any work
-    ["phi-check", "--s", "b^121212121212", "--k", "2"],
-    ["tower", "--edges", "1-b+b^2,b^121212121212"],
-    ["witness", "--edges", "b^-121212121212"],
-    ["witness", "--edges", "1-b+b^2", "--J", str(series.WITNESS_J_BOUND + 1)],
-    ["phi-check", "--s", "b^-1300000+b^1300000-b^1300001"],
-    ["norm", "--s", "b^10000000-b^2+b"],
-    # a coefficient bound past the bound of a window, whose tails would not stay small
-    ["parity-verify", "--max-span", "3", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
-    # the same, on a span whose powers of U would take seconds to build
-    ["parity-verify", "--max-span", "20000", "--max-coeff", str(quadratic.WINDOW_COEFF_BOUND + 1)],
-    # a negative coefficient bound
-    ["parity-verify", "--max-span", "6", "--max-coeff", "-3"],
-    # a window of more than WINDOW_SIZE_BOUND elements
-    ["parity-verify", "--max-span", "10", "--max-coeff", "3"],
-    # argparse's own rejections: a bad int, a missing option or command, a bad choice
-    ["cohn", "--m", "x"],
-    ["lcs", "--model", "H", "--depth", "2.5"],
-    ["norm"],
-    [],
-    ["bogus"],
-    ["norm", "--s", "b", "--format", "xml"],
-    ["tower", "--edges", "b", "--checks", "some"],
-    ["norm", "--s", "b", "--bogus"],
-    ["norm", "--s", "b", "x\ny"],
-]
+INVALID_ARGVS = [entry.argv for entry in tagged("error-line")]
 
 
 @pytest.mark.parametrize("argv", INVALID_ARGVS)
@@ -414,7 +329,7 @@ def test_readme_bound_table_is_the_parser():
     assert {(name, option) for name, option, _ in rows} <= options
     assert {(name, option): _readme_range(cell) for name, option, cell in rows if option not in UNCOUNTED} == BOUNDS
     # the rules on literals and windows, which no option declares
-    for bound in quadratic.NORM_GAP_BOUND, groups.LEVEL_MAP_BOUND, quadratic.WINDOW_SIZE_BOUND:
+    for bound in quadratic.NORM_GAP_BOUND, groups.LEVEL_MAP_BOUND, quadratic.WINDOW_SIZE_BOUND, groups.TOWER_LEVEL_BOUND:
         assert f"{bound:,}" in readme
 
 

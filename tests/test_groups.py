@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vltower.errors import NotInSError
+from vltower.errors import NotInSError, PreconditionError
 from vltower.laurent import ONE, parse_laurent
 from vltower.quadratic import norm
 from vltower import groups as G
@@ -384,6 +384,27 @@ def test_tower_levels_examples():
     assert G.tower_build([S, S]).levels == (0, 2, 4)
     assert G.tower_build([parse_laurent("b")]).levels == (0, 0)
     assert G.tower_build([]).levels == (0,)
+
+
+def test_tower_past_its_top_level_bound_builds_no_level_map(monkeypatch):
+    steep = parse_laurent("3b+b^2-3b^3")  # norm 64, p = 6
+    monkeypatch.setattr(G, "TOWER_LEVEL_BOUND", 12)
+    assert G.tower_build([steep, steep]).levels == (0, 6, 12)
+    monkeypatch.setattr(G, "_level_map", None)  # a level map would raise TypeError
+    with pytest.raises(PreconditionError, match="top level 18 is past the bound 12"):
+        G.tower_build([steep] * 3)
+
+
+def test_tower_computes_each_norm_once_after_the_edge_checks(monkeypatch):
+    seen = []
+    monkeypatch.setattr(G, "norm", lambda s: seen.append(s) or norm(s))
+    G.tower_build([S, S])
+    assert seen == [S, S]
+    for bad in ("2b", "1-b+b^2600001"):  # not in S; a gap past LEVEL_MAP_BOUND
+        seen.clear()
+        with pytest.raises((NotInSError, PreconditionError)):
+            G.tower_build([S, parse_laurent(bad)])
+        assert seen == [S]
 
 
 def test_tower_center_transition_composite():
