@@ -18,7 +18,7 @@ from .errors import (
     VltowerError,
 )
 from .laurent import LaurentPoly, augmentation, in_S, parse_laurent
-from .localization import CenterColim, Dyadic, dyadic_make
+from .localization import Dyadic, dyadic_make
 from .quadratic import (
     NormData,
     evaluate_at_U,
@@ -30,7 +30,6 @@ from .quadratic import (
 )
 
 __all__ = [
-    "CenterColim",
     "Dyadic",
     "InsufficientTowerError",
     "LaurentParseError",

@@ -252,10 +252,6 @@ class PhiData:
     source_congruence_ok: bool
     record: Aut = field(repr=False)
 
-    @property
-    def p(self) -> int:
-        return self.target_k - self.source_k
-
 
 def _order_relator_vanishes(x: Triple, k: int, level: int | None) -> bool:
     """[x, b, ..., b] (k letters b) is 1 at ``level``: [x, b] = x^-2, then x^((-2)^k) = 1."""

@@ -1,13 +1,14 @@
-"""Exact arithmetic for integer Laurent polynomials in one variable ``b``.
+"""Integer Laurent polynomials in one variable ``b``, as values.
 
-This is the group ring of the infinite cyclic group on ``b``.  The module
-also provides the augmentation map (sum of coefficients) and the predicate
-for the multiplicative set S of augmentation-1 elements; the walk over a
-bounded window of S is ``quadratic``'s, beside the parity check that runs
-it.  Besides its canonical ``terms``, the type keeps the constructor
-``from_dict``, the view ``min_exp`` and the ring operators ``+``, ``-``,
-``*`` and ``**``; no claim uses the operators, which are the arithmetic the
-tests and the S-fraction reference build on.
+These are the elements of the group ring of the infinite cyclic group on
+``b``.  The module provides the value type, its parser, the augmentation map
+(sum of coefficients) and the predicate for the multiplicative set S of
+augmentation-1 elements; the walk over a bounded window of S is
+``quadratic``'s, beside the parity check that runs it.  Besides its
+canonical ``terms``, the type keeps the constructor ``from_dict`` and the
+view ``min_exp``.  No claim adds or multiplies polynomials, so the ring
+operators are test references (``tests/references.py``), beside the
+S-fractions they build on.
 
 Literal grammar (EBNF), shared with the command line interface::
 
@@ -59,31 +60,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no support")
         return self.terms[0][0]
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly.from_dict(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(out)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a general polynomial are not defined")
-        return power(LaurentPoly.__mul__, self, n) if n else ONE
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -117,11 +93,6 @@ def power(mul: Callable[[_T, _T], _T], x: _T, e: int) -> _T:
         if e & 1:
             out = mul(out, x)
     return out
-
-
-ZERO = LaurentPoly()
-ONE = LaurentPoly(((0, 1),))
-B = LaurentPoly(((1, 1),))
 
 
 def augmentation(s: LaurentPoly) -> int:

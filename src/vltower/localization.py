@@ -1,15 +1,13 @@
-"""Dyadic rationals mod 1 and the tower center.
+"""Dyadic rationals mod 1: the center of the tower's colimit.
 
 Dyadic values model the 2-quasi-cyclic group: num / 2**k taken mod 1,
 canonically with num odd, or (0, 0) for zero.  They are the witness's center
 samples; it builds their chains as residues, from ``Dyadic.residue``, so
-dyadic negation, doubling and halving live with the tests.  CenterColim is the
-tower-indexed view of the same group: a residue mod 2**(level of its stage),
-pushed along tower edges by multiplying with the edge norm.  Odd unit factors
-accumulated by those pushes are stripped only at the dyadic boundary, in
-center_to_dyadic.  That map is the tested identification of the tower's center
-colimit with the dyadics the witness samples.  The S-fractions of the
-localized module are kept with the tests, since no claim computes with them.
+dyadic negation, doubling and halving live with the tests, and so does the
+tower-indexed view of the same group (residues pushed along tower edges by
+the edge norms) with its identification with the dyadics.  The S-fractions of
+the localized module are kept with the tests as well, since no claim computes
+with them.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -65,65 +62,3 @@ def parse_dyadic(text: str) -> Dyadic:
     if den <= 0 or den & (den - 1):
         raise PreconditionError(f"denominator {den} is not a positive power of two")
     return dyadic_make(num, den.bit_length() - 1)
-
-
-@dataclass(frozen=True)
-class CenterColim:
-    """A center element seen at a tower stage: residue mod 2**(stage level)."""
-
-    stage: int
-    residue: int
-
-
-def _check_stage(tower, stage: int) -> int:
-    if not (0 <= stage < len(tower.levels)):
-        raise PreconditionError(f"stage {stage} outside tower of {len(tower.levels)} stages")
-    return tower.levels[stage]
-
-
-def center_make(tower, stage: int, residue: int) -> CenterColim:
-    k = _check_stage(tower, stage)
-    return CenterColim(stage, residue % (1 << k))
-
-
-def center_push(c: CenterColim, s: LaurentPoly, tower) -> CenterColim:
-    """Push one stage up the tower: residue is multiplied by the edge norm."""
-    _check_stage(tower, c.stage)
-    if c.stage >= len(tower.phis):
-        raise PreconditionError(f"no tower edge leaves stage {c.stage}")
-    edge = tower.phis[c.stage]
-    if edge.s != s:
-        raise PreconditionError(
-            f"edge mismatch at stage {c.stage}: tower has {edge.s}, got {s}"
-        )
-    return CenterColim(c.stage + 1, (c.residue * edge.norm) % (1 << edge.target_k))
-
-
-def center_push_to(c: CenterColim, stage: int, tower) -> CenterColim:
-    while c.stage < stage:
-        c = center_push(c, tower.phis[c.stage].s, tower)
-    return c
-
-
-def center_to_dyadic(c: CenterColim, tower) -> Dyadic:
-    """Strip the odd units accumulated along the path from stage 0.
-
-    The composite of the tower's center maps differs from the composite of
-    the standard doubling inclusions by the product u of the odd parts of the
-    edge norms; dividing the residue by u (mod 2**k) makes the square with
-    dyadic doubling commute exactly.
-    """
-    k = _check_stage(tower, c.stage)
-    if k == 0:
-        return DYADIC_ZERO
-    u = 1
-    for edge in tower.phis[: c.stage]:
-        u *= edge.norm >> edge.p  # the odd part: 2**p divides the norm exactly
-    mod = 1 << k
-    u_inv = pow(u % mod, -1, mod)
-    return dyadic_make(c.residue * u_inv, k)
-
-
-def center_eq(c1: CenterColim, c2: CenterColim, tower) -> bool:
-    stage = max(c1.stage, c2.stage)
-    return center_push_to(c1, stage, tower).residue == center_push_to(c2, stage, tower).residue

@@ -5,6 +5,10 @@
   ``pair_mat`` writes such a pair as the matrix [[alpha, beta], [beta,
   alpha + 3 beta]], and ``u_pow``, ``vec_mat`` and ``s_matrix`` give powers
   of U, row-vector products and s(U) in that form.
+- ``ZERO``, ``ONE``, ``B`` and ``poly_add``, ``poly_neg``, ``poly_sub`` and
+  ``poly_mul`` are the ring operators of Z[b, b^-1]; the package's
+  ``LaurentPoly`` is a value type without them, since no claim adds or
+  multiplies polynomials.
 - ``enumerate_S`` lists the S-elements of a parity window in (span, lex)
   order, one core at a time: the order the package's flat walk over
   coefficient tuples reaches once it sorts its counterexamples.
@@ -16,6 +20,12 @@
 - ``dyadic_add``, ``dyadic_neg``, ``dyadic_double`` and ``dyadic_halve``
   are the dyadic arithmetic mod 1, with ``DYADIC_HALF``; the witness builds
   its preimage chains as residues, and halve of neg is their reference.
+- ``center_make``, ``center_push``, ``center_push_to``, ``center_to_dyadic``
+  and ``center_eq`` are the tower's center colimit on pairs (stage,
+  residue): a push multiplies the residue by the edge norm mod 2**target_k,
+  and the dyadic image divides by the product of the norms' odd parts.  The
+  witness samples the dyadics directly, and each edge's center map is
+  checked by the ``phi.center`` claim.
 - ``aut7_apply``, ``aut7_compose`` and ``aut7_conj_record`` are the class-2
   map records with the module part as the four matrix entries (p, q, r, s),
   the form the package's records (e, c_A, c_B, alpha, beta) replaced.
@@ -42,7 +52,7 @@ from typing import Iterator, Sequence
 from vltower.cohn import NilpotentModuleSpec, RingMatrix, _bareiss_det
 from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.groups import Model, TowerPrefix
-from vltower.laurent import ONE, ZERO, LaurentPoly, augmentation, power, require_in_S
+from vltower.laurent import LaurentPoly, augmentation, power, require_in_S
 from vltower.localization import Dyadic, dyadic_make
 from vltower.quadratic import WINDOW_COEFF_BOUND, Vec, _u_pair, evaluate_at_U, ideal_contains
 from vltower.series import SubgroupData
@@ -102,6 +112,35 @@ def vec_mat(v: Vec, m: Mat2) -> Vec:
 def s_matrix(s: LaurentPoly) -> Mat2:
     """s(U) as a matrix, from the package's pair."""
     return pair_mat(*evaluate_at_U(s))
+
+
+# --- the ring operators of Z[b, b^-1] -----------------------------------------
+
+ZERO = LaurentPoly()
+ONE = LaurentPoly(((0, 1),))
+B = LaurentPoly(((1, 1),))
+
+
+def poly_add(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+    out = dict(x.terms)
+    for e, c in y.terms:
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly.from_dict(out)
+
+
+def poly_neg(x: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly(tuple((e, -c) for e, c in x.terms))
+
+
+def poly_sub(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+    return poly_add(x, poly_neg(y))
+
+
+def poly_mul(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+    out: dict[int, int] = {}
+    for (e1, c1), (e2, c2) in itertools.product(x.terms, y.terms):
+        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly.from_dict(out)
 
 
 # --- the S-enumerator and exact division in Z[b, b^-1] ------------------------
@@ -207,7 +246,7 @@ def frac_eq(f: Fraction, g: Fraction) -> bool:
 def prefix_product(tower: TowerPrefix, stage: int) -> LaurentPoly:
     out = ONE
     for data in tower.phis[:stage]:
-        out = out * data.s
+        out = poly_mul(out, data.s)
     return out
 
 
@@ -260,6 +299,52 @@ def dyadic_halve(x: Dyadic) -> Dyadic:
     plus 1/2.
     """
     return dyadic_make(x.num, x.k + 1)
+
+
+# --- the tower's center colimit -----------------------------------------------
+
+# A center element seen at a tower stage is a pair (stage, residue): t^residue
+# with the residue mod 2**(level of the stage).
+
+
+def _stage_level(tower: TowerPrefix, stage: int) -> int:
+    if not 0 <= stage < len(tower.levels):
+        raise PreconditionError(f"stage {stage} outside tower of {len(tower.levels)} stages")
+    return tower.levels[stage]
+
+
+def center_make(tower: TowerPrefix, stage: int, residue: int) -> tuple[int, int]:
+    return stage, residue % (1 << _stage_level(tower, stage))
+
+
+def center_push(c: tuple[int, int], s: LaurentPoly, tower: TowerPrefix) -> tuple[int, int]:
+    """One stage up along the edge s: the residue times the edge norm |s|."""
+    stage, residue = c
+    if not (stage < len(tower.phis) and tower.phis[stage].s == s):
+        raise PreconditionError(f"no tower edge {s} leaves stage {stage}")
+    edge = tower.phis[stage]
+    return stage + 1, residue * edge.norm % (1 << edge.target_k)
+
+
+def center_push_to(c: tuple[int, int], stage: int, tower: TowerPrefix) -> tuple[int, int]:
+    while c[0] < stage:
+        c = center_push(c, tower.phis[c[0]].s, tower)
+    return c
+
+
+def center_to_dyadic(c: tuple[int, int], tower: TowerPrefix) -> Dyadic:
+    """The residue divided by u mod 2**k, with u the product of the odd parts
+    of the edge norms below the stage: the tower's center maps differ from the
+    doubling inclusions by u, so this makes the square with doubling commute."""
+    stage, residue = c
+    k = _stage_level(tower, stage)
+    u = math.prod(edge.norm >> (edge.target_k - edge.source_k) for edge in tower.phis[:stage])
+    return dyadic_make(residue * pow(u, -1, 1 << k), k)
+
+
+def center_eq(c1: tuple[int, int], c2: tuple[int, int], tower: TowerPrefix) -> bool:
+    stage = max(c1[0], c2[0])
+    return center_push_to(c1, stage, tower) == center_push_to(c2, stage, tower)
 
 
 # --- class-2 map records with the module part as a matrix --------------------

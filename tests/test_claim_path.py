@@ -1,13 +1,17 @@
 """The claim path covers the package: the ``claim-path`` entries of
 ``tests/commands.py``, README and CI commands and invalid inputs, run
 in-process, enter every module-level function of vltower and every method,
-static or class method and property getter of its classes, except the
-exemptions listed below, each with its reason.  A function that only tests
-call belongs next to the tests.
+static or class method and property getter of its classes.  A function that
+only tests call belongs next to the tests, in ``tests/references.py``.
 
-Dunder methods are the type's protocol (ring operators, equality, hashing,
-repr) and are not traced; methods a dataclass generates have no source of
-their own (their code lives in "<string>") and are not traced either."""
+Arithmetic dunders (``__add__``, ``__sub__``, ``__neg__``, ``__mul__``,
+``__pow__`` and their reflections) are traced like any method: they are code
+a claim may or may not run, and the Laurent ring operators left the package
+for the references when no claim did.  Protocol dunders (equality, hashing,
+``__repr__``, ``__str__``, ``__post_init__``) are not traced, since a value type
+keeps them whether or not a claim prints or compares it; methods a dataclass
+generates have no source of their own (their code lives in "<string>") and
+are not traced either."""
 
 import contextlib
 import importlib
@@ -19,24 +23,16 @@ import sys
 import vltower
 from commands import tagged
 from vltower.cli import main
+from vltower.laurent import LaurentPoly
 
 COMMANDS = [(entry.argv, entry.code) for entry in tagged("claim-path")]
 
-_COLIMIT = "the tower's own center colimit, which the witness does not check in yet"
-EXEMPT = {
-    "localization._check_stage": _COLIMIT,
-    "localization.center_make": _COLIMIT,
-    "localization.center_push": _COLIMIT,
-    "localization.center_push_to": _COLIMIT,
-    "localization.center_to_dyadic": _COLIMIT,
-    "localization.center_eq": _COLIMIT,
-    "groups.PhiData.p": _COLIMIT,
-}
+ARITHMETIC = {"__neg__"} | {f"__{r}{op}__" for op in ("add", "sub", "mul", "pow") for r in ("", "r")}
 
 
 def _method_functions(prefix, cls):
     for name, attr in vars(cls).items():
-        if name.startswith("__") and name.endswith("__"):
+        if name.startswith("__") and name.endswith("__") and name not in ARITHMETIC:
             continue
         if isinstance(attr, (staticmethod, classmethod)):
             attr = attr.__func__
@@ -78,9 +74,9 @@ def _entered_while(fn):
     return seen
 
 
-def test_claim_path_enters_every_module_level_function():
+def _missed_by_claim_path():
+    """The names of the package functions that no claim-path command enters."""
     functions = _module_functions()
-    assert set(EXEMPT) <= set(functions), "an exemption names no function"
     codes = []
 
     def run():
@@ -89,6 +85,17 @@ def test_claim_path_enters_every_module_level_function():
 
     entered = _entered_while(run)
     assert codes == [code for _, code in COMMANDS]
-    missed = {name for name, f in functions.items() if f.__code__ not in entered}
-    assert missed - set(EXEMPT) == set(), "only tests call these"
-    assert set(EXEMPT) - missed == set(), "these exemptions are now on the claim path"
+    return {name for name, f in functions.items() if f.__code__ not in entered}
+
+
+def test_claim_path_enters_every_module_level_function():
+    assert _missed_by_claim_path() == set(), "only tests call these"
+
+
+def _stub_add(self, other):
+    return self
+
+
+def test_claim_path_check_names_a_planted_operator(monkeypatch):
+    monkeypatch.setattr(LaurentPoly, "__add__", _stub_add, raising=False)
+    assert _missed_by_claim_path() == {"laurent.LaurentPoly.__add__"}

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from vltower.errors import PreconditionError, TheoremViolationError
-from vltower.laurent import ONE, B, LaurentPoly, parse_laurent
+from vltower.laurent import LaurentPoly, parse_laurent
 from vltower import cohn
 from vltower.cli import main
 
-from references import action_matrix, augmentation_matrix, inverse_mod_2k, lift_unique as ref_lift
+from references import ONE, B, action_matrix, poly_add, poly_sub, augmentation_matrix, inverse_mod_2k, lift_unique as ref_lift
 
 S = parse_laurent("1-b+b^2")
 
@@ -52,7 +52,7 @@ def test_lift_requires_unit_augmentation():
 
 def test_lift_two_by_two():
     m = cohn.NilpotentModuleSpec(5)
-    t = _matrix([ONE, S], [LaurentPoly.from_dict({0: 0}) + B - B, ONE])
+    t = _matrix([ONE, S], [poly_sub(poly_add(LaurentPoly.from_dict({0: 0}), B), B), ONE])
     alpha = [3, 9]
     beta = cohn.lift_unique(t, alpha, m)
     act = action_matrix(t, m)
@@ -212,7 +212,7 @@ def _ref_random_aug_invertible(rng, n, degree_bound):
             poly = LaurentPoly.from_dict({0: base[i][j]})
             for _ in range(rng.randrange(0, 3)):
                 e1, e2, c = rng.randint(0, degree_bound), rng.randint(0, degree_bound), rng.randint(-2, 2)
-                poly = poly + LaurentPoly.from_dict({e1: c}) - LaurentPoly.from_dict({e2: c})
+                poly = poly_sub(poly_add(poly, LaurentPoly.from_dict({e1: c})), LaurentPoly.from_dict({e2: c}))
             row.append(poly)
         rows.append(tuple(row))
     return cohn.RingMatrix(tuple(rows))

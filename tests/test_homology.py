@@ -2,10 +2,10 @@ import pytest
 
 from vltower.errors import NotInSError
 from vltower.groups import phi_build, tower_build
-from vltower.laurent import ONE, parse_laurent
+from vltower.laurent import parse_laurent
 from vltower.quadratic import norm, predicted_parity
 from vltower import homology
-from references import enumerate_S
+from references import ONE, enumerate_S
 
 S = parse_laurent("1-b+b^2")
 
