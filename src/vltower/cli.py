@@ -293,6 +293,7 @@ def cmd_cohn(args) -> Report:
         {"m": args.m, "trials": args.trials, "n": args.n, "deg": args.deg, "coherence": args.coherence},
         seed=args.seed,
     )
+    cohn.require_work_bound(args.m, args.n, args.trials, args.coherence)
     module = cohn.NilpotentModuleSpec(args.m)
     deg = cohn.delta_nilpotency_degree(module)
     rep.add(

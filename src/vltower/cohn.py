@@ -8,11 +8,13 @@ through their Laurent-polynomial entries evaluated at b = -1 and reduced mod
 so augmentation-invertibility forces an odd determinant, and lifting is exact
 linear algebra over the residue ring: Gauss-Jordan elimination with odd
 pivots builds the inverse mod 2**m, and checking that inverse on both sides
-certifies uniqueness.
+certifies uniqueness.  A run's lifts are priced by ``lift_cost_ns`` before
+any draw.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from operator import mul
@@ -253,6 +255,32 @@ class CohnReport:
     @property
     def ok(self) -> bool:
         return not self.failures and self.coherence_failures == 0
+
+
+# One run's bound, about a minute of lifts by lift_cost_ns (shared 2-vCPU VM,
+# Python 3.11), which read the measured cost of a lift within a factor of 1.7
+# from m = 4 to 150,000 and n = 1 to 100
+COHN_WORK_BOUND_NS = 60_000_000_000
+
+
+def lift_cost_ns(m: int, n: int) -> int:
+    """The mean cost of one drawn and checked lift mod 2**m over the sizes
+    k = 1..n that a trial draws, in ns: 20 us, 4 us per entry (the draws and
+    the row steps), k^3 products of packed rows by m-bit leads (m^1.5 for
+    CPython's Karatsuba) and k inverses mod 2**m."""
+    k2, k3 = (n + 1) * (2 * n + 1) // 6, n * (n + 1) ** 2 // 4  # the means of k^2 and k^3
+    return 20_000 + 4_000 * k2 + k3 * (145 + m * math.isqrt(m)) // 7 + (n + 1) * m * m // 2_700
+
+
+def require_work_bound(m: int, n: int, trials: int, coherence_trials: int) -> None:
+    """Reject, before any draw, a run whose trials and coherence checks (two
+    lifts each) would take past COHN_WORK_BOUND_NS."""
+    work = (trials + 2 * coherence_trials) * lift_cost_ns(m, n)
+    if work > COHN_WORK_BOUND_NS:
+        raise PreconditionError(
+            f"{trials} trials and {coherence_trials} coherence checks at m = {m}, n = {n} would take about "
+            f"{work // 10**9} s, past the bound of {COHN_WORK_BOUND_NS // 10**9} s of a cohn run"
+        )
 
 
 def cohn_local_suite(

@@ -187,6 +187,9 @@ TABLE = [
     _invalid("cohn --m 4 --coherence 750001", "ci", timeout=5),
     # a stray argument after the options
     _invalid("norm --s b stray", "ci"),
+    # cohn options each within its own bound, together past the work bound of a run
+    _invalid("cohn --m 150000 --trials 1000000", "ci", timeout=5),
+    _invalid("cohn --m 4 --n 250 --coherence 750000", "ci", timeout=5),
 ]
 
 

@@ -29,6 +29,10 @@
 - ``aut7_apply``, ``aut7_compose`` and ``aut7_conj_record`` are the class-2
   map records with the module part as the four matrix entries (p, q, r, s),
   the form the package's records (e, c_A, c_B, alpha, beta) replaced.
+- ``ref_aut_apply`` applies a package record (e, c_A, c_B, alpha, beta) as
+  the collected product's center formula with the module part from
+  ``quadratic._pair_mul``: the two steps that ``groups._aut_apply`` writes
+  as one polynomial.
 - ``center_samples_list`` draws the witness's default center samples as one
   list, each level's RNG sample taken whole.
 - ``report_json`` is the stdlib encoding of a report that
@@ -54,7 +58,7 @@ from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.groups import Model, TowerPrefix
 from vltower.laurent import LaurentPoly, augmentation, power, require_in_S
 from vltower.localization import Dyadic, dyadic_make
-from vltower.quadratic import WINDOW_COEFF_BOUND, Vec, _u_pair, evaluate_at_U, ideal_contains
+from vltower.quadratic import WINDOW_COEFF_BOUND, Vec, _pair_mul, _u_pair, evaluate_at_U, ideal_contains
 from vltower.series import SubgroupData
 
 # --- the 2x2 matrix form of the module map ------------------------------------
@@ -378,6 +382,18 @@ def aut7_compose(f: Aut7, g: Aut7) -> Aut7:
 def aut7_conj_record(j: int) -> Aut7:
     """The record of X |-> b^j X b^-j for j != 0, by square-and-multiply."""
     return power(aut7_compose, AUT7_CONJ_B if j > 0 else AUT7_CONJ_B_INV, abs(j))
+
+
+def ref_aut_apply(f: tuple[int, int, int, int, int], h: tuple[int, int, int]) -> tuple[int, int, int]:
+    """f(t)^c f(A)^m f(B)^n for a record with M = [[p, q], [r, s]] = [[alpha,
+    beta], [beta, alpha + 3 beta]]: the center of aut7_apply with those entries,
+    and the module part (m, n) M as one pair product."""
+    e, c_a, c_b, alpha, beta = f
+    c, m, n = h
+    center = e * c + m * c_a + n * c_b - (
+        m * (m - 1) // 2 * alpha + n * (n - 1) // 2 * (alpha + 3 * beta) + m * n * beta
+    ) * beta
+    return (center, *_pair_mul((m, n), (alpha, beta)))
 
 
 # --- the witness's default center samples ------------------------------------------

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from commands import tagged
-from vltower import cli, groups, quadratic, series
+import ab
+from commands import TABLE, tagged
+from vltower import cli, cohn, groups, quadratic, series
 from vltower.cli import main
 from vltower.report import PROVENANCES, Claim, Report
 
@@ -331,6 +332,41 @@ def test_readme_bound_table_is_the_parser():
     # the rules on literals and windows, which no option declares
     for bound in quadratic.NORM_GAP_BOUND, groups.LEVEL_MAP_BOUND, quadratic.WINDOW_SIZE_BOUND, groups.TOWER_LEVEL_BOUND:
         assert f"{bound:,}" in readme
+
+
+@pytest.mark.parametrize("argv", ["--m 150000 --trials 1000000", "--m 4 --n 250 --coherence 750000"])
+def test_cohn_past_its_work_bound_is_one_error_line_before_any_work(monkeypatch, capsys, argv):
+    # each option within its own bound, together days of lifts
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cohn, "delta_nilpotency_degree", no_work)
+    monkeypatch.setattr(cohn, "random_aug_invertible", no_work)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["cohn", *argv.split()])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "past the bound of 60 s of a cohn run" in err
+
+
+def test_cohn_work_bound_accepts_each_single_bound_and_every_listed_run():
+    # each option at its own bound with the others at their defaults and
+    # --m 4, as in the README's rows (a later --m wins), every cohn entry of
+    # the command table and every cohn request of the benchmark
+    at_the_bounds = [
+        ["cohn", "--m", "4", option, str(action.type.bounds[1])]
+        for name, option, action in _declared()
+        if name == "cohn" and option not in UNCOUNTED and not math.isinf(action.type.bounds[1])
+    ]
+    listed = [entry.argv for entry in TABLE if entry.argv[:1] == ["cohn"] and entry.code == 0]
+    block, once = ab.requests_of("cohn-lift", 1, None, None)  # every seed has the same m, n and counts
+    benchmark = block + once
+    assert len(at_the_bounds) == 4 and listed and benchmark
+    parser = cli.build_parser()
+    for argv in at_the_bounds + listed + benchmark:
+        args = parser.parse_args(argv)
+        cohn.require_work_bound(args.m, args.n, args.trials, args.coherence)
 
 
 def test_model_prefix_is_case_insensitive(capsys):

@@ -6,12 +6,14 @@ conjugation by b at a time for conj_by_b_pow, one Mat2 product per step for
 powers of U, one commutator per letter for the order relator, and one module
 chain rebuilt per probe index for the limit-stage certificate.  The class-2
 map records are also checked against the form they replaced, with the module
-part as four matrix entries.  The
+part as four matrix entries, and a record application is proven equal to the
+collected product on a grid of three values per variable.  The
 letter-level word_oracle checks the group law independently of both, and
 sympy, where installed, checks a^s against matrix powers of U.
 """
 
 import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -30,7 +32,19 @@ from vltower.errors import PreconditionError, TheoremViolationError
 from vltower.laurent import LaurentPoly, augmentation, parse_laurent
 from vltower.quadratic import evaluate_at_U, norm, two_adic_split
 import words
-from references import IDENTITY, U, ZERO, Mat2, aut7_apply, aut7_conj_record, pair_mat, poly_add, s_matrix, u_pow
+from references import (
+    IDENTITY,
+    U,
+    ZERO,
+    Mat2,
+    aut7_apply,
+    aut7_conj_record,
+    pair_mat,
+    poly_add,
+    ref_aut_apply,
+    s_matrix,
+    u_pow,
+)
 from words import (
     GammaKElem,
     conj_by_b_pow,
@@ -336,6 +350,54 @@ def test_conj_record_proof_catches_a_changed_coefficient(half, monomial):
     assert _closed_form_failures(planted)
 
 
+def _record_application_failures(apply):
+    """The points of {0, 1, 2}^8 where apply(f, h) differs from ref_aut_apply,
+    for f = (e, c_A, c_B, alpha, beta) and h = (c, m, n)."""
+    points = itertools.product(range(3), repeat=8)
+    return [p for p in points if apply(p[:5], p[5:]) != ref_aut_apply(p[:5], p[5:])]
+
+
+def test_record_application_is_the_collected_product_for_every_integer():
+    # Both sides are polynomials of degree <= 2 in each of the eight integers
+    # e, c_A, c_B, alpha, beta, c, m, n: the module parts are bilinear in
+    # (m, n) and (alpha, beta), and the centers are linear in e, c, c_A, c_B
+    # and alpha and quadratic in m, n and beta.  Every // 2 halves m (m - 1)
+    # or n (n - 1), which is even, so it is exact division.  A polynomial of
+    # degree <= 2 in each variable that vanishes on {0, 1, 2}^8 vanishes
+    # everywhere, so _aut_apply is the collected product, the center formula
+    # with the pair product of quadratic, on every record and every triple.
+    assert _record_application_failures(G._aut_apply) == []
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("alpha + 3 * beta", "alpha + 2 * beta"), ("3 * n * beta", "2 * n * beta"), ("+ m * n * beta", "- m * n * beta")],
+    ids=["center-3", "pair-product-3", "center-mn-sign"],
+)
+def test_record_application_proof_catches_a_planted_fault(old, new):
+    # the 3 of U^2 = 3U + I in the center and in the pair product, and the
+    # sign of the t^(-m n q r) that moving A^(n r) past B^(m q) costs
+    source = inspect.getsource(G._aut_apply)
+    assert source.count(old) == 1
+    namespace = dict(vars(G))
+    exec(source.replace(old, new), namespace)
+    assert _record_application_failures(namespace["_aut_apply"])
+
+
+_PAIRS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(st.integers(-(10**6), 10**6), st.integers(-70, 70), _PAIRS, _PAIRS, st.sampled_from([None, 0, 1, 5]))
+@example(-1, -32, (1, 0), (1, 0), 5)
+@example(-5, 3, (0, 1), (0, 1), 1)
+@example(-7, 0, (1, 2), (2, 1), None)
+def test_free_eq_is_equal_module_parts_and_congruent_centers(c, d, x_pair, y_pair, k):
+    # the center difference d, negative centers included, is read mod 2**k
+    x, y = (c, *x_pair), (c - d, *y_pair)
+    congruent = d == 0 if k is None else d % 2**k == 0
+    assert G.free_eq(x, y, k) == (x[1:] == y[1:] and congruent)
+
+
 def test_word_oracle_uses_no_closed_form():
     # the oracle stays letter-level: none of its code names a kernel helper,
     # neither the package's b-free law and records nor the full-group law
@@ -596,9 +658,9 @@ def test_u_pow_and_norm_take_logarithmic_steps():
 
 
 def _record_products(fn):
-    """Pair products spent building records: every _pair_mul call less the
-    one that each record application makes."""
-    return _count_calls(Q._pair_mul.__code__, fn) - _count_calls(G._aut_apply.__code__, fn)
+    """Pair products spent building records: every _pair_mul call, since a
+    record application writes its pair product inline."""
+    return _count_calls(Q._pair_mul.__code__, fn)
 
 
 def test_conj_by_b_pow_takes_logarithmic_steps():

@@ -25,7 +25,6 @@ from vltower.groups import (
     Model,
     PhiData,
     _aut_apply,
-    _center,
     _conj_record,
     free_inv,
     free_mul,
@@ -35,6 +34,10 @@ from vltower.laurent import power
 from vltower.quadratic import Vec, _pair_mul
 
 # --- elements of the full group ------------------------------------------------
+
+
+def _center(k: int | None, c: int) -> int:
+    return c if k is None else c % (1 << k)
 
 
 class LevelMismatchError(VltowerError, ValueError):
