@@ -152,17 +152,27 @@ def delta_nilpotency_degree(module: NilpotentModuleSpec) -> int:
     """Least k with M * Delta^k = 0.
 
     Delta acts through (b - 1) |-> -2 (the module part contributes nothing),
-    so the degree is exactly m: (-2)^m = 0 but (-2)^(m-1) != 0 mod 2**m.
-    Computed by iterating, not assumed.
+    so M Delta^k is generated by (-2)^k mod 2**m, and once that dies it
+    stays dead.  The least such k is found by doubling k until (-2)^k dies
+    and then bisecting: O(log m) powers, where stepping k one at a time
+    took time quadratic in m.  Computed by search, not assumed; the degree
+    is exactly m: (-2)^m = 0 but (-2)^(m-1) != 0 mod 2**m.
     """
     mod = module.modulus
-    degree = 0
-    # M Delta^k is generated by (-2)^k; iterate until it dies.
-    gen = 1 % mod
-    while gen != 0:
-        gen = (gen * -2) % mod
-        degree += 1
-    return degree
+
+    def dies(k: int) -> bool:
+        return (-2) ** k % mod == 0
+
+    lo, hi = 0, 1  # the least k that dies is in [lo, hi]
+    while not dies(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dies(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def lift_unique(

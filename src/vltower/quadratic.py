@@ -22,9 +22,12 @@ s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
 (-1)^f |s0|.  The pair of the core s0 is what Horner's rule produces
 before its final product with U^f.
 
-The window of S that ``verify_parity_range`` checks is walked here too, as
-its coefficient tuples with one table of the tails (``_tails``) that finish
-every prefix, and counted apart from the walk by ``_window_size``.
+The window of S that ``verify_parity_range`` checks is walked here too, a
+prefix of its coefficient tuples at a time: the norms of all the tails
+(``_tails``) that finish a prefix are the lanes of one packed integer, the
+full-word technique of Lamport ("Multiple byte processing with full-word
+instructions", CACM 18(8), 1975), and the window is counted apart from the
+walk by ``_window_size``.
 
 The module parts of the lower-central-series stages are principal ideals
 Z^2 (alpha I + beta U) of Z[U], each held as its generator pair: a stage
@@ -188,36 +191,168 @@ def predicted_parity(s: LaurentPoly) -> int:
     return _pair_parity(*sums)
 
 
-WINDOW_COEFF_BOUND = 8  # the tails table: at most (2c + 1)^3 = 4,913 rows, under 1 MiB
-WINDOW_SIZE_BOUND = 100_000_000  # its slowest windows, (12, 2) and (17, 1), take about 54 s
+WINDOW_COEFF_BOUND = 8  # the tails table: at most (2c + 1)^3 lanes, under 1 MiB, and (2c + 1)^2 lanes a prefix
+WINDOW_SIZE_BOUND = 100_000_000  # its slowest windows, (12, 2) and (17, 1), take about 14 s and 19 s
 
 
-def _tails(d: int, c: int) -> dict[int, list[tuple[int, int, int, int, int]]]:
-    """The tails (h, m, n) of the window of span d, coefficients in [-c, c]:
-    h, m and n sit at the exponents d - 2, d - 1 and d, and an exponent
-    below 0 holds 0.  Keyed by R = h + m + n, for every R = 1 - sum(prefix)
-    that a prefix (n_0, ..., n_{d-3}) reaches, each tail is the row
-    (alpha, beta, N0, N1, N2) of its pair h U^(d-2) + m U^(d-1) + n U^d and
-    its class sums, ascending in h and then m.  The class sums are the tail
-    permuted, so the row holds no tuple of its own."""
+def _grid(d: int, c: int) -> tuple[range, range]:
+    """The h and the m of the window's grid of tails (h, m, n): h, m and n
+    sit at the exponents d - 2, d - 1 and d, and an exponent below 0 holds
+    0.  Lane i len(ms) + j of the grid holds (hs[i], ms[j])."""
     rng = range(-c, c + 1)
-    hs, ms = (rng if d >= 2 else range(1)), (rng if d >= 1 else range(1))
+    return (rng if d >= 2 else range(1)), (rng if d >= 1 else range(1))
+
+
+def _tails(d: int, c: int, w: int, sums: int, ones: int) -> dict[int, int]:
+    """The tails of the window of span d, coefficients in [-c, c], keyed by
+    R = h + m + n for every R = 1 - sum(prefix) that a prefix (n_0, ...,
+    n_{d-3}) reaches: a mask with a 1 in the grid lane (of width w) of each.
+
+    ``ones`` has a 1 in every lane of the grid and ``sums`` h + m + 2c, in
+    [0, 4c].  The tails of R are the lanes with R + c <= sums <= R + 3c,
+    read for all lanes at once from the top bit of each lane of sums +
+    (2^(w-1) - t) for the two thresholds t, which are in [-2c, 6c + 1]:
+    with 2^(w-1) > 8c no lane borrows or carries."""
+    half = 1 << w - 1
+
+    def at_least(t):  # a 1 in the lanes of sums >= t
+        return (sums + (half - t) * ones) >> w - 1 & ones
+
     spread = max(0, d - 2) * c  # the largest |sum(prefix)|
-    (ha, hb), (ma, mb), (na, nb) = (_u_pair(k) for k in range(d - 2, d + 1))
-    # the entries of (h, m, n) at the classes 0, 1 and 2: n sits at d mod 3
-    i0, i1, i2 = ((2, 0, 1), (1, 2, 0), (0, 1, 2))[d % 3]
     tails = {}
-    for r in range(1 - spread, 2 + spread):
-        rows = []
-        for h in hs:
-            # n = r - h - m is within the bound for these m
-            for m in range(max(ms.start, r - h - c), min(ms.stop, r - h + c + 1)):
-                n = r - h - m
-                t = (h, m, n)
-                rows.append((h * ha + m * ma + n * na, h * hb + m * mb + n * nb, t[i0], t[i1], t[i2]))
-        if rows:
-            tails[r] = rows
+    for r in range(max(1 - spread, -3 * c), min(1 + spread, 3 * c) + 1):
+        if mask := at_least(r + c) & ~at_least(r + 3 * c + 1):
+            tails[r] = mask
     return tails
+
+
+def _prefixes(d: int, c: int):
+    """(prefix, alpha, beta, N0, N1, N2) for each prefix (n_0, ..., n_{d-3})
+    of the window, in lexicographic order: the pair of its p(U) and its
+    class sums.  The last two entries come from a table of their (2c + 1)^2
+    values, so the entries before them are summed by Horner's rule once
+    per table."""
+    k = max(0, d - 2)
+    rng = range(-c, c + 1)
+    j = min(k, 2)
+    inner = [((), 0, 0, 0, 0, 0)]
+    for e in range(k - j, k):
+        (ua, ub), cls = _u_pair(e), e % 3
+        inner = [
+            (t + (n,), a + n * ua, b + n * ub, n0 + n * (cls == 0), n1 + n * (cls == 1), n2 + n * (cls == 2))
+            for t, a, b, n0, n1, n2 in inner
+            for n in rng
+        ]
+    for outer in itertools.product(rng, repeat=k - j):
+        oa = ob = 0
+        for n in reversed(outer):  # Horner: the pair of the entries before the last two
+            oa, ob = ob + n, oa + 3 * ob
+        o0, o1, o2 = sum(outer[0::3]), sum(outer[1::3]), sum(outer[2::3])
+        for t, ia, ib, i0, i1, i2 in inner:
+            yield outer + t, oa + ia, ob + ib, o0 + i0, o1 + i1, o2 + i2
+
+
+def _window_lanes(d: int, c: int):
+    """(w, bias, table, lanes_of) for the window of span d, coefficients in
+    [-c, c].  The tails (h, m, n) sit on a grid of lanes of width w, one per
+    (h, m); ``table`` maps each R to the mask of its tails' lanes and their
+    count.  ``lanes_of`` takes the pair and the class sums of a prefix
+    (n_0, ..., n_{d-3}) and gives None if no tail finishes it, else (R,
+    table[R], lanes, odd): the lane of each tail of R holds |s| + bias for
+    its element s, and ``odd`` has a 1 in the lanes whose element the pair
+    formula predicts odd.
+
+    With W the pair of the prefix plus R U^d, u = U^(d-2) - U^d and v =
+    U^(d-1) - U^d, the pair of s is W + h u + m v.  For the norm form f and
+    its bilinear part B, read from ``_norm_form`` by polarization, f(W + X)
+    = f(W) + f(X) - f(0) + W B X^T, and f(h u + m v) = f(0) + h (f(u) -
+    f(0)) + m (f(v) - f(0)) + C(h, 2) u B u^T + C(m, 2) v B v^T + h m u B
+    v^T.  So the lanes of |s| are one packed polynomial in h and m, the
+    same for every prefix (``quad``), plus f(W) + bias, W B u^T times h and
+    W B v^T times m: three products of packed integers per prefix.  The
+    pair formula, an integer polynomial in the class sums taken mod 2,
+    depends on them only mod 2 and is read at points of {0, 1}^3: its lanes
+    are those of the grid's four classes of (h mod 2, m mod 2) that it
+    predicts odd for the class sums of the prefix mod 2.
+
+    A lane is computed only for an R with tails, |R| <= 3c, so its n = R -
+    h - m has |n| <= 5c, and |alpha| <= A and |beta| <= B with 5c times the
+    entry sums of U^0, ..., U^d; then |s| <= |f(0)| + sum_i (|f(e_i) - f(0)|
+    + |B_ii|) X_i + sum_ij |B_ij| X_i X_j / 2 with X = (A, B).  The bias is
+    that bound made even, and w holds twice it: every lane is in [0, 2^w),
+    and its lowest bit is the parity of |s|."""
+    hs, ms = _grid(d, c)
+    form = _norm_form
+    q0, qa, qb = form(0, 0), form(1, 0), form(0, 1)
+    # B, the bilinear part of the norm form, by polarization: f(x + y) - f(x) - f(y) + f(0)
+    b00, b01, b11 = form(2, 0) - 2 * qa + q0, form(1, 1) - qa - qb + q0, form(0, 2) - 2 * qb + q0
+    big_a = big_b = 0
+    a, b = 1, 0  # the pair of U^e
+    for _ in range(d + 1):
+        big_a, big_b, a, b = big_a + abs(a), big_b + abs(b), b, a + 3 * b
+    big_a, big_b = 5 * c * big_a, 5 * c * big_b
+    bound = (
+        abs(q0)
+        + (abs(qa - q0) + abs(b00)) * big_a
+        + (abs(qb - q0) + abs(b11)) * big_b
+        + (abs(b00) * big_a * big_a + 2 * abs(b01) * big_a * big_b + abs(b11) * big_b * big_b + 1) // 2
+    )
+    bias = bound + (bound & 1)
+    w = max((bias + bound).bit_length(), (8 * c).bit_length() + 1)  # and 2^(w - 1) > 8c for ``_tails``
+    uh, um, (na, nb) = _u_pair(d - 2), _u_pair(d - 1), _u_pair(d)
+    u, v = (uh[0] - na, uh[1] - nb), (um[0] - na, um[1] - nb)
+    # B u^T and B v^T
+    bu0, bu1 = b00 * u[0] + b01 * u[1], b01 * u[0] + b11 * u[1]
+    bv0, bv1 = b00 * v[0] + b01 * v[1], b01 * v[0] + b11 * v[1]
+    # per m and per h, the lanes of 1, of it, of C(it, 2) and of it odd; the grid's lanes are their products
+    ones_m = m_m = m2_m = odd_m = ones_h = h_h = h2_h = odd_h = 0
+    for j, m in enumerate(ms):
+        bit = 1 << w * j
+        ones_m, m_m, m2_m, odd_m = ones_m + bit, m_m + m * bit, m2_m + m * (m - 1) // 2 * bit, odd_m + (m & 1) * bit
+    for i, h in enumerate(hs):
+        bit = 1 << w * len(ms) * i
+        ones_h, h_h, h2_h, odd_h = ones_h + bit, h_h + h * bit, h2_h + h * (h - 1) // 2 * bit, odd_h + (h & 1) * bit
+    ones, hl, ml = ones_m * ones_h, ones_m * h_h, m_m * ones_h
+    table = {r: (mask, mask.bit_count()) for r, mask in _tails(d, c, w, hl + ml + 2 * c * ones, ones).items()}
+    quad = (
+        (form(*u) - q0) * hl
+        + (form(*v) - q0) * ml
+        + (u[0] * bu0 + u[1] * bu1) * ones_m * h2_h
+        + (v[0] * bv0 + v[1] * bv1) * m2_m * ones_h
+        + (u[0] * bv0 + u[1] * bv1) * m_m * h_h
+    )
+    even_m, even_h = ones_m - odd_m, ones_h - odd_h
+    classes = ((0, 0, even_m * even_h), (0, 1, odd_m * even_h), (1, 0, even_m * odd_h), (1, 1, odd_m * odd_h))
+    # the class sums of the tail (h, m, n) are h, m and n at the classes d - 2, d - 1 and d mod 3
+    ch, cm, cn = 1 << (d - 2) % 3, 1 << (d - 1) % 3, 1 << d % 3
+    parity = _pair_parity
+    predicted = [None] * 8  # per class sums of the prefix mod 2, bit i for the class i, filled when first met
+
+    def predicted_odd(x):
+        # the class sums of the prefix are x mod 2, so R = 1 + x_0 + x_1 + x_2 mod 2
+        r = 1 + (x & 1) + (x >> 1 & 1) + (x >> 2)
+        odd = 0
+        for h, m, lanes in classes:
+            y = x ^ (ch * h | cm * m | cn * ((r - h - m) & 1))  # the class sums of the element mod 2
+            if parity(y & 1, y >> 1 & 1, y >> 2) & 1:
+                odd |= lanes
+        predicted[x] = odd
+        return odd
+
+    get = table.get
+
+    def lanes_of(pa, pb, c0, c1, c2):
+        r = 1 - c0 - c1 - c2
+        entry = get(r)
+        if entry is None:
+            return None
+        x = (c0 & 1) | (c1 & 1) << 1 | (c2 & 1) << 2
+        if (odd := predicted[x]) is None:
+            odd = predicted_odd(x)
+        wa, wb = pa + r * na, pb + r * nb
+        return r, entry, quad + (form(wa, wb) + bias) * ones + (wa * bu0 + wb * bu1) * hl + (wa * bv0 + wb * bv1) * ml, odd
+
+    return w, bias, table, lanes_of
 
 
 def _window_size(max_degree_span: int, c: int) -> int:
@@ -254,12 +389,14 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
 
     The walk runs over the coefficient tuples (n_0, ..., n_D) that sum to 1,
     D = max_degree_span, in lexicographic order.  Each prefix
-    (n_0, ..., n_{D-3}) of one product, empty for D < 3, is evaluated once,
-    to its pair by Horner's rule and its class sums by exponent mod 3, and
-    finished by the ``_tails`` rows of R = 1 - sum(prefix): five additions,
-    the norm form and the pair formula per element.  A LaurentPoly is built
-    only for a counterexample, and those are listed by support span, then
-    tuple.
+    (n_0, ..., n_{D-3}), empty for D < 3, comes from ``_prefixes`` with its
+    pair and class sums, and ``_window_lanes`` gives the norms of all its
+    elements at once, one lane each of a packed integer, with a few
+    products of packed integers; the pair formula's predictions are a mask
+    per class sums mod 2, so the prefix is checked by one XOR and one AND.
+    Only a prefix with a lane that disagrees is decoded, a LaurentPoly is
+    built only for a counterexample, and those are listed by support span,
+    then tuple.
 
     The bounds are checked before any power of U is built: 0 first (that
     window holds no S-element, and a check over nothing would pass
@@ -277,24 +414,19 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     # one 1 and d // 2 pairs (1, -1) or (-1, 1) make 2^(d // 2) elements, so a long span needs no count
     if d // 2 >= WINDOW_SIZE_BOUND.bit_length() or (size := _window_size(d, c)) > WINDOW_SIZE_BOUND:
         raise PreconditionError(f"the window ({d}, {c}) holds more than {WINDOW_SIZE_BOUND} S-elements")
-    tails = _tails(d, c)
-    form, parity = _norm_form, _pair_parity
+    w, _, _, lanes_of = _window_lanes(d, c)
+    hs, ms = _grid(d, c)
+    cut = max(0, 2 - d)  # the tail entries at exponents below 0 are not in the tuple
     bad: list[tuple[int, ...]] = []
     checked = 0
-    for prefix in itertools.product(range(-c, c + 1), repeat=max(0, d - 2)):
-        alpha = beta = 0
-        for n in reversed(prefix):  # Horner: the pair of p(U)
-            alpha, beta = beta + n, alpha + 3 * beta
-        sums = [0, 0, 0]
-        for e, n in enumerate(prefix):
-            sums[e % 3] += n
-        n0, n1, n2 = sums
-        rows = tails.get(1 - n0 - n1 - n2, ())
-        checked += len(rows)
-        for da, db, d0, d1, d2 in rows:
-            if form(alpha + da, beta + db) & 1 != parity(n0 + d0, n1 + d1, n2 + d2):
-                by_class = (d0, d1, d2)  # the tail's entry at exponent e is that of class e mod 3
-                bad.append((*prefix, *[by_class[e % 3] for e in range(max(0, d - 2), d + 1)]))
+    for prefix, pa, pb, c0, c1, c2 in _prefixes(d, c):
+        if (found := lanes_of(pa, pb, c0, c1, c2)) is None:
+            continue
+        r, (mask, count), lanes, odd = found
+        checked += count
+        if wrong := (lanes ^ odd) & mask:
+            tails = enumerate(itertools.product(hs, ms))
+            bad.extend((*prefix, *(h, m, r - h - m)[cut:]) for i, (h, m) in tails if wrong >> w * i & 1)
     if checked != size:
         raise TheoremViolationError(f"the walk checked {checked} S-elements of a window that holds {size}")
     elements = [LaurentPoly(tuple([(e, n) for e, n in enumerate(t) if n])) for t in bad]

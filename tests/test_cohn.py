@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -20,9 +21,15 @@ def _matrix(*rows):
 
 
 def test_delta_nilpotency_degree():
-    assert cohn.delta_nilpotency_degree(cohn.NilpotentModuleSpec(1)) == 1
-    assert cohn.delta_nilpotency_degree(cohn.NilpotentModuleSpec(3)) == 3
-    assert cohn.delta_nilpotency_degree(cohn.NilpotentModuleSpec(0)) == 0
+    for m in range(65):
+        assert cohn.delta_nilpotency_degree(cohn.NilpotentModuleSpec(m)) == m
+
+
+def test_delta_nilpotency_degree_at_the_m_bound_is_fast():
+    # O(log m) powers of -2: stepping one power at a time took about 2.9 s here
+    start = time.perf_counter()
+    assert cohn.delta_nilpotency_degree(cohn.NilpotentModuleSpec(150_000)) == 150_000
+    assert time.perf_counter() - start < 1
 
 
 def test_lift_identity():

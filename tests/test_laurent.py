@@ -250,18 +250,18 @@ def test_enumerate_S_rejects_negative_bounds(span, coeff):
 
 
 def test_window_walk_memory_at_the_coefficient_bound():
-    # the walk holds one tails table, at most (2c + 1)^3 rows; at span 12
-    # every R = h + m + n is reached, and the pairs have six digits
+    # the walk holds one tails table, at most (2c + 1)^3 lanes; at span 12
+    # every R = h + m + n is reached, and the lanes are widest
     c = WINDOW_COEFF_BOUND
     with pytest.raises(PreconditionError, match="past the window bound"):
         next(enumerate_S(0, c + 1))
     tracemalloc.start()
     try:
-        rows = sum(map(len, quadratic._tails(12, c).values()))
+        table = quadratic._window_lanes(12, c)[2]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows <= (2 * c + 1) ** 3
+    assert sum(count for _, count in table.values()) <= (2 * c + 1) ** 3
     assert peak < 1024 * 1024
 
 

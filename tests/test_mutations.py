@@ -19,6 +19,8 @@ from vltower import cohn, homology, quadratic, series
 from vltower.cli import main
 from vltower.laurent import parse_laurent
 
+from test_quadratic import ref_parity_report
+
 PHI_CHECK = ["phi-check", "--s", "1-b+b^2", "--k", "3"]
 TOWER = ["tower", "--edges", "1-b+b^2,b,1-b+b^2", "--checks", "full"]
 
@@ -248,9 +250,9 @@ def test_parity_exhaustive_catches_a_walk_that_drops_a_tail(monkeypatch, capsys)
     # count of elements checked falls short of the window's
     real = quadratic._tails
 
-    def dropping(d, c):
-        tails = real(d, c)
-        tails[1] = tails[1][1:]
+    def dropping(*args):
+        tails = real(*args)
+        tails[1] &= tails[1] - 1  # the lane of the first tail of R = 1 leaves the mask
         return tails
 
     monkeypatch.setattr(quadratic, "_tails", dropping)
@@ -277,13 +279,16 @@ def test_norm_parity_catches_a_formula_missing_one_class_product(monkeypatch, ca
     monkeypatch.setattr(quadratic, "_pair_parity", missing_one)
     failed = _failed_claims(["norm", "--s", "1-b+b^2"], capsys)
     assert failed == {"norm.parity": {"predicted": 1, "actual": 0}}
+    # parity.exhaustive: the window walk reads the same formula, not a copy of it
+    failed = _failed_claims(["parity-verify", "--max-span", "4", "--max-coeff", "2"], capsys)
+    assert failed["parity.exhaustive"]["counterexamples"] == list(ref_parity_report(4, 2)[1])
 
 
 def test_cohn_nilpotency_catches_a_degree_loop_that_stops_one_step_early(monkeypatch, capsys):
-    # cohn.nilpotency: the loop stops when the next power of -2 would die,
-    # one step before the current one does
+    # cohn.nilpotency: the bisection asks whether the next power of -2 dies,
+    # so it stops one step before the first power that does
     source = inspect.getsource(cohn.delta_nilpotency_degree)
-    early = source.replace("while gen != 0:", "while gen * -2 % mod != 0:")
+    early = source.replace("if dies(mid):", "if dies(mid + 1):")
     assert early != source
     namespace = dict(vars(cohn))
     exec(early, namespace)
