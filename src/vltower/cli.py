@@ -18,7 +18,7 @@ from .errors import PreconditionError, TheoremViolationError, VltowerError
 from .groups import Model, phi_build, tower_build
 from .laurent import LaurentPoly, augmentation, parse_laurent
 from .localization import parse_dyadic
-from .quadratic import WINDOW_COEFF_BOUND, ideal_index, norm_data, predicted_parity, verify_parity_range
+from .quadratic import WINDOW_COEFF_BOUND, Q, ideal_index, norm_data, predicted_parity, verify_parity_range
 from .report import Report
 
 USAGE_EXIT = 1
@@ -112,27 +112,27 @@ def cmd_phi_check(args) -> Report:
     )
     rep.add(
         "phi.source_congruence",
-        "historical source-level congruence 3r = l (consistency note only)",
+        f"historical source-level congruence {Q}r = l (consistency note only)",
         "derived",
         True,
         holds=data.source_congruence_ok,
     )
-    # with b = 1 the quotient is Z/gcd(3, augmentation(s)), and first
-    # homology Z/3 (+) Z is multiplied by augmentation(s) on the Z/3 summand
+    # with b = 1 the quotient is Z/gcd(Q, augmentation(s)), and first
+    # homology Z/Q (+) Z is multiplied by augmentation(s) on the Z/Q summand
     aug = augmentation(s)
     rep.add(
         "phi.normal_surjectivity",
         "quotient of target by the normal closure of the image collapses",
         "verified",
-        math.gcd(3, aug) == 1,
+        math.gcd(Q, aug) == 1,
     )
     h2_valuation = homology.two_connected_certificate(data)
     rep.add(
         "phi.two_connected",
-        "first homology multiplier 1 mod 3; "
+        f"first homology multiplier 1 mod {Q}; "
         f"second homology valuation {h2_valuation} = target level",
         "verified",
-        aug % 3 == 1,
+        (aug - 1) % Q == 0,
         h2_valuation=h2_valuation,
     )
     return rep
@@ -196,10 +196,10 @@ def cmd_lcs(args) -> Report:
         raise PreconditionError(
             f"transfinite bound {args.transfinite} needs a truncation model GammaK, not {args.model}"
         )
-    # stage i has index 3^(i-1), and 3^(3 L) > 10^L is past a limit of L digits
+    # stage i has index Q^(i-1), and Q^(3 L) > 10^L for Q >= 3 is past a limit of L digits
     last = max(args.depth - 1, 0)
     limit = sys.get_int_max_str_digits()
-    _require_printable(3 ** min(last, 3 * limit), what="a module index")
+    _require_printable(Q ** min(last, 3 * limit), what="a module index")
     # the transfinite orders start at 2^K, and 2^(4 L) > 10^L likewise
     if args.transfinite is not None and model.is_truncation:
         _require_printable(1 << min(model.k, 4 * limit), what="a center order")

@@ -15,10 +15,10 @@ Built on the kernel: level maps and tower prefixes.
 Collection conventions (fixed once, used everywhere): x^y = y^-1 x y and
 [x, y] = x^-1 y^-1 x y.  Writing A = a, B = a^b, the defining relations give
 B A = A B t^-1 with t central among A, B, and conjugation by b acts as
-A |-> B, B |-> A B^3, t |-> t^-1.  For an S-element s, a^s is the product of
-the conjugates a^(n_i b^i) taken in ascending exponent order, collected by
-Horner's rule on triples from the top term down; one walk collects a^s and
-a^(3s) together, applying each gap's record to both, and its last step is
+A |-> B, B |-> A B^Q, t |-> t^-1, with Q = ``quadratic.Q`` the relator's
+coefficient.  For an S-element s, a^s is the product of the conjugates
+a^(n_i b^i) taken in ascending exponent order, collected by Horner's rule on
+triples from the top term down; one walk collects a^s and a^(Qs) together, applying each gap's record to both, and its last step is
 the conjugation by b^-f, f the lowest exponent.
 
 The kernel is logarithmic in every exponent; its closed forms are the Deep
@@ -53,7 +53,7 @@ from typing import Iterable
 
 from .errors import PreconditionError, TheoremViolationError
 from .laurent import LaurentPoly, require_in_S
-from .quadratic import _norm_form, _u_pair, evaluate_at_U, norm, two_adic_split, widest_gap
+from .quadratic import Q, _norm_form, _u_pair, evaluate_at_U, norm, two_adic_split, widest_gap
 
 
 @dataclass(frozen=True)
@@ -104,29 +104,30 @@ Triple = tuple[int, int, int]
 # M = alpha I + beta U.  The center multiplier e is +-1 for conjugation and |s|
 # for a level map.
 Aut = tuple[int, int, int, int, int]
-_CONJ_B_INV: Aut = (-1, 0, 0, 0, 1)  # b^-1 X b: A |-> B, B |-> A B^3; M = U
+_CONJ_B_INV: Aut = (-1, 0, 0, 0, 1)  # b^-1 X b: A |-> B, B |-> A B^Q; M = U
 
 
 def _aut_apply(f: Aut, h: Triple) -> Triple:
     """f(t)^c f(A)^m f(B)^n, f(t) = t^e: each power by the b-free closed form, then
     A^(n r) moved left past B^(m q) at t^(-m n q r), for M = [[p, q], [r, s]] =
-    [[alpha, beta], [beta, alpha + 3 beta]]; the module part is (m, n) M."""
+    [[alpha, beta], [beta, alpha + Q beta]]; the module part is (m, n) M."""
     e, c_a, c_b, alpha, beta = f
     c, m, n = h
     return (
         e * c + m * c_a + n * c_b
-        - (m * (m - 1) // 2 * alpha + n * (n - 1) // 2 * (alpha + 3 * beta) + m * n * beta) * beta,
+        - (m * (m - 1) // 2 * alpha + n * (n - 1) // 2 * (alpha + Q * beta) + m * n * beta) * beta,
         m * alpha + n * beta,
-        m * beta + n * alpha + 3 * n * beta,
+        m * beta + n * alpha + Q * n * beta,
     )
 
 
 def _pair_record(alpha: int, beta: int) -> Aut:
     """The record of b^j at the pair (alpha, beta) of U^-j: e = det M = (-1)^j.
     It is the identity at (1, 0), and composing it with the record of b or b^-1
-    steps to the pair of U^-(j+1) or U^-(j-1); the tests prove both steps."""
+    steps to the pair of U^-(j+1) or U^-(j-1); the tests prove both steps.
+    The centers halve Q - 1 and Q + 1, so they hold for odd Q only."""
     a2, b2, ab = alpha * (alpha - 1) // 2, beta * (beta - 1) // 2, alpha * beta
-    return _norm_form(alpha, beta), a2 + ab - b2, -a2 - 2 * ab - 2 * b2, alpha, beta
+    return _norm_form(alpha, beta), a2 + (Q - 1) // 2 * ab - b2, -a2 - (Q + 1) // 2 * ab - (Q - 1) * b2, alpha, beta
 
 
 def _conj_record(j: int) -> Aut:
@@ -183,8 +184,8 @@ def free_eq(x: Triple, y: Triple, k: int | None) -> bool:
 
 
 def a_power_s(s: LaurentPoly) -> tuple[Triple, Triple]:
-    """(a^s, a^(3s)) in G2, as triples (c, m, n): the product of a^(n_i b^i)
-    over the support of s, ascending, and the same with 3 n_i.
+    """(a^s, a^(Qs)) in G2, as triples (c, m, n): the product of a^(n_i b^i)
+    over the support of s, ascending, and the same with Q n_i.
 
     By Horner's rule on triples, from the top term down: the conjugate
     b^e (a^(n_e b^e) ... a^(n_top b^top)) b^-e is A^(n_e) times the same
@@ -199,7 +200,7 @@ def a_power_s(s: LaurentPoly) -> tuple[Triple, Triple]:
         if e != top:  # no gap before the top term, nor at the end when f = 0
             record = _CONJ_B_INV if e - top == -1 else _conj_record(e - top)
             x, y = _aut_apply(record, x), _aut_apply(record, y)
-        x, y = (x[0], x[1] + coeff, x[2]), (y[0], y[1] + 3 * coeff, y[2])
+        x, y = (x[0], x[1] + coeff, x[2]), (y[0], y[1] + Q * coeff, y[2])
         top = e
     return x, y
 
@@ -208,8 +209,8 @@ def relator_defect(s: LaurentPoly) -> tuple[int, int, Triple]:
     """Exact center bookkeeping of the image of the defining relation.
 
     Returns (l, d, a^s) computed with the integer center: l is the exponent
-    in (a^s)^(b^2) = a^s (a^(3s))^b t^l, and d = center(a^(3s)) -
-    center((a^s)^3) measures how far a^(3s) is from being the cube of a^s.
+    in (a^s)^(b^2) = a^s (a^(Qs))^b t^l, and d = center(a^(Qs)) -
+    center((a^s)^Q) measures how far a^(Qs) is from being the Q-th power of a^s.
     Both module-part identities are asserted on the way.
     """
     require_in_S(s)
@@ -218,7 +219,7 @@ def relator_defect(s: LaurentPoly) -> tuple[int, int, Triple]:
     rhs = free_mul(a, conj_b(a3))
     if lhs[1:] != rhs[1:]:
         raise TheoremViolationError(f"relator module parts differ for s={s}")
-    cube = free_pow(a, 3)
+    cube = free_pow(a, Q)
     if a3[1:] != cube[1:]:
         raise TheoremViolationError(f"cube module parts differ for s={s}")
     return lhs[0] - rhs[0], a3[0] - cube[0], a
@@ -231,10 +232,10 @@ class PhiData:
     ``norm`` is |s|, the exponent of the center image t |-> t^|s|; its 2-adic
     valuation is the level step target_k - source_k.  ``r`` is the unique
     solution of the relator equation in the target group (the congruence
-    3r = d - l mod 2**target_k with l, d from relator_defect); ``l`` is the
+    Qr = d - l mod 2**target_k with l, d from relator_defect); ``l`` is the
     source-level value of the relation exponent, ``l_exact`` its integer
     refinement.  ``source_congruence_ok`` records whether r also satisfies
-    the historical source-level congruence 3r = l mod 2**source_k, which is
+    the historical source-level congruence Qr = l mod 2**source_k, which is
     a consistency note and not an input to the construction.
 
     ``record`` is the map on the b-free part, (|s|, c(a), c(a^b), alpha, beta):
@@ -268,7 +269,7 @@ TOWER_LEVEL_BOUND = 80_000
 def _check_records(edges: tuple[LaurentPoly, ...]) -> None:
     """The checks of the level maps for ``edges`` that do not depend on s."""
     a = (0, 1, 0)
-    if not free_eq(conj_b(conj_b(a)), free_mul(a, conj_b(free_pow(a, 3))), None):
+    if not free_eq(conj_b(conj_b(a)), free_mul(a, conj_b(free_pow(a, Q))), None):
         raise TheoremViolationError("main relator image nonzero on the generator a")
     if any(s.terms and s.min_exp < 0 for s in edges):
         record_of_b = _conj_record(1)
@@ -292,9 +293,9 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     lowest exponent f, a^s ends with the record of b^-f, and the record of b
     is checked on t, A and B as the inverse of the record of b^-1.
 
-    With b = 1 the target collapses to Z/gcd(3, augmentation(s)) modulo the
+    With b = 1 the target collapses to Z/gcd(Q, augmentation(s)) modulo the
     normal closure of the image, and the map multiplies first homology
-    Z/3 (+) Z by augmentation(s) on the Z/3 summand.  ``require_in_S``
+    Z/Q (+) Z by augmentation(s) on the Z/Q summand.  ``require_in_S``
     makes both trivial, and the phi-check claims read the augmentation
     again, so a map built past that check still fails them.
     """
@@ -319,8 +320,8 @@ def _level_map(s: LaurentPoly, k: int, s_norm: int) -> PhiData:
     target_k = k + p
     l_exact, d, x = relator_defect(s)
     target_mod = 1 << target_k
-    # 3 is invertible mod any power of two.
-    r = ((d - l_exact) * pow(3, -1, target_mod)) % target_mod
+    # Q is odd, so invertible mod any power of two.
+    r = ((d - l_exact) * pow(Q, -1, target_mod)) % target_mod
 
     a = (x[0] + r, *x[1:])
     ab = conj_b(a)
@@ -328,7 +329,7 @@ def _level_map(s: LaurentPoly, k: int, s_norm: int) -> PhiData:
     if not free_eq(t, (s_norm, 0, 0), target_k):
         raise TheoremViolationError(f"center image for s={s}, k={k}: got (c, m, n) = {t}, expected t^{s_norm}")
 
-    if not free_eq(conj_b(ab), free_mul(a, conj_b(free_pow(a, 3))), target_k):
+    if not free_eq(conj_b(ab), free_mul(a, conj_b(free_pow(a, Q))), target_k):
         raise TheoremViolationError(f"main relator image nonzero for s={s}, k={k}")
     for other in (a, ab):
         if not free_eq(free_comm(t, other), (0, 0, 0), target_k):
@@ -338,7 +339,7 @@ def _level_map(s: LaurentPoly, k: int, s_norm: int) -> PhiData:
 
     source_mod = 1 << k
     l_mod = l_exact % source_mod
-    source_ok = (3 * r - l_exact) % source_mod == 0
+    source_ok = (Q * r - l_exact) % source_mod == 0
     return PhiData(
         s=s,
         norm=s_norm,

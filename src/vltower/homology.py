@@ -10,7 +10,7 @@ vanish, read from the prefix's even-norm edges (``has_even_edge``).  The
 five-term conclusion, that the omega-th and (omega+1)-st stages of the
 localization coincide, is a consequence of a zero fold and carries no
 computation of its own.  First-homology invertibility is augmentation(s) =
-1 mod 3: phi_build requires augmentation 1, and the phi-check claim reads it.
+1 mod Q: phi_build requires augmentation 1, and the phi-check claim reads it.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .quadratic import two_adic_split
 def two_connected_certificate(phi_data: PhiData) -> int:
     """The level map is 2-connected; returns its second-homology valuation.
 
-    Both abelianizations are Z/3 (+) Z: the defining relation abelianizes
-    to a^3 = 1 and the commutator relators die.  The induced matrix is
-    [[augmentation(s) mod 3, 0], [0, 1]] (b is fixed), the identity for the
+    Both abelianizations are Z/Q (+) Z: the defining relation abelianizes
+    to a^Q = 1 and the commutator relators die.  The induced matrix is
+    [[augmentation(s) mod Q, 0], [0, 1]] (b is fixed), the identity for the
     S-element s of a built map, since phi_build requires augmentation 1.
 
     The second-homology half is the 2-adic valuation of the generator image.

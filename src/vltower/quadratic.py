@@ -1,20 +1,21 @@
 """The rank-2 integer module carrying the conjugation action of b.
 
 Coordinates are row vectors in the ordered basis {a, a^b}; b acts on the
-right by the fixed matrix U = [[0, 1], [1, 3]], so that a |-> a^b is one
-right multiplication and the defining relation of the ambient group reads
-U^2 = 3U + I.  Evaluating an element s of the group ring at U gives the
+right by the fixed matrix U = [[0, 1], [1, Q]], so that a |-> a^b is one
+right multiplication and the defining relation a^(b^2) = a a^(Qb) of the
+ambient group reads U^2 = QU + I.  Q = 3 is the relator's one coefficient,
+named here once; every value derived from the relator reads it.  Evaluating an element s of the group ring at U gives the
 multiplication-by-s map; its determinant is the norm |s| whose 2-adic part
 drives everything downstream.
 
-Since U^2 = 3U + I, every s(U) is alpha I + beta U = [[alpha, beta], [beta,
-alpha + 3 beta]] for one integer pair (alpha, beta), and |s| = alpha^2 +
-3 alpha beta - beta^2.  That pair is the one representation of the module
+Since U^2 = QU + I, every s(U) is alpha I + beta U = [[alpha, beta], [beta,
+alpha + Q beta]] for one integer pair (alpha, beta), and |s| = alpha^2 +
+Q alpha beta - beta^2.  That pair is the one representation of the module
 map here: no matrix is built.  Reading a row vector (x, y) as x I + y U
 identifies Z^2 with Z[U], so v s(U) is the pair product of v with the pair
 of s.  Powers of U are such pairs too, computed by doubling with
 (alpha I + beta U)(gamma I + delta U) = (alpha gamma + beta delta) I +
-(alpha delta + beta gamma + 3 beta delta) U, so no kernel here loops over an
+(alpha delta + beta gamma + Q beta delta) U, so no kernel here loops over an
 exponent.
 
 The norm never needs the power of U at the lowest exponent f of s: with
@@ -46,12 +47,14 @@ from .errors import PreconditionError, TheoremViolationError
 from .laurent import LaurentPoly, power, require_in_S
 
 Vec = tuple[int, int]
+Q = 3  # the coefficient of the relator a^(b^2) = a a^(Qb)
+PARITY_PERIOD = 3  # the order of U mod 2 for odd Q, which sets the classes of the parity formula
 
 
 def _pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """(alpha I + beta U)(gamma I + delta U), reduced by U^2 = 3U + I."""
+    """(alpha I + beta U)(gamma I + delta U), reduced by U^2 = QU + I."""
     (alpha, beta), (gamma, delta) = x, y
-    return alpha * gamma + beta * delta, alpha * delta + beta * gamma + 3 * beta * delta
+    return alpha * gamma + beta * delta, alpha * delta + beta * gamma + Q * beta * delta
 
 
 def _u_pair(i: int) -> tuple[int, int]:
@@ -59,14 +62,14 @@ def _u_pair(i: int) -> tuple[int, int]:
     at most 2 log2 |i| pair products, none for i = 0 or +-1."""
     if not i:
         return 1, 0
-    # U, or U^-1 = U - 3I by Cayley-Hamilton
-    return power(_pair_mul, (0, 1) if i > 0 else (-3, 1), abs(i))
+    # U, or U^-1 = U - QI by Cayley-Hamilton
+    return power(_pair_mul, (0, 1) if i > 0 else (-Q, 1), abs(i))
 
 
 def _core_pair(s: LaurentPoly) -> tuple[int, int, int]:
     """(alpha, beta, f) with s(U) = (alpha I + beta U) U^f, f the lowest
     exponent of s, by Horner's rule from the top term down.  A gap of 1 to
-    the next exponent is (alpha, beta) -> (beta, alpha + 3 beta) and a longer
+    the next exponent is (alpha, beta) -> (beta, alpha + Q beta) and a longer
     gap one product with U^gap, so sparse polynomials of high degree stay
     logarithmic."""
     if not s.terms:
@@ -75,7 +78,7 @@ def _core_pair(s: LaurentPoly) -> tuple[int, int, int]:
     beta = 0
     for e, c in reversed(s.terms[:-1]):
         if top - e == 1:
-            alpha, beta = beta + c, alpha + 3 * beta
+            alpha, beta = beta + c, alpha + Q * beta
         else:
             alpha, beta = _pair_mul((alpha, beta), _u_pair(top - e))
             alpha += c
@@ -93,22 +96,22 @@ def evaluate_at_U(s: LaurentPoly) -> tuple[int, int]:
 
 
 def _norm_form(alpha: int, beta: int, f: int = 0) -> int:
-    """det((alpha I + beta U) U^f) = (-1)^f (alpha^2 + 3 alpha beta - beta^2),
+    """det((alpha I + beta U) U^f) = (-1)^f (alpha^2 + Q alpha beta - beta^2),
     because det U = -1."""
-    n = alpha * alpha + 3 * alpha * beta - beta * beta
+    n = alpha * alpha + Q * alpha * beta - beta * beta
     return -n if f & 1 else n
 
 
 def ideal_contains(pair: tuple[int, int], v: Vec) -> bool:
     """v in Z^2 (alpha I + beta U), that is v = w (alpha I + beta U) for an
-    integer row w: v adj divisible by det, with adj = (alpha + 3 beta) I -
-    beta U.  The norm form has no nonzero integer root (13 is no square), so
-    det = 0 only for (0, 0)."""
+    integer row w: v adj divisible by det, with adj = (alpha + Q beta) I -
+    beta U, one pair product.  The norm form has no nonzero integer root
+    (its discriminant Q^2 + 4 is no square), so det = 0 only for (0, 0)."""
     det = _norm_form(*pair)
     if not det:
         return v == (0, 0)
-    (alpha, beta), (x, y) = pair, v
-    return (x * (alpha + 3 * beta) - y * beta) % det == 0 and (y * alpha - x * beta) % det == 0
+    x, y = _pair_mul(v, (pair[0] + Q * pair[1], -pair[1]))
+    return x % det == 0 and y % det == 0
 
 
 def ideal_index(pair: tuple[int, int]) -> int | float:
@@ -159,9 +162,9 @@ def norm_data(s: LaurentPoly) -> NormData:
     if (gap := widest_gap(s)) > NORM_GAP_BOUND:
         raise PreconditionError(f"an exponent gap of {gap} is past the bound {NORM_GAP_BOUND} of a norm")
     n = norm(s)
-    # mod 3, x^2 - 3x - 1 = (x - 1)(x + 1), so |s| = s(1) s(-1) = s(-1) on S
-    if (n - sum(-c if e & 1 else c for e, c in s.terms)) % 3:
-        raise TheoremViolationError(f"|s| = {n} differs from s(-1) mod 3 for s={s}")
+    # mod Q, x^2 - Qx - 1 = (x - 1)(x + 1), so |s| = s(1) s(-1) = s(-1) on S
+    if (n - sum(-c if e & 1 else c for e, c in s.terms)) % Q:
+        raise TheoremViolationError(f"|s| = {n} differs from s(-1) mod {Q} for s={s}")
     p, v = two_adic_split(n)
     return NormData(n, p, v)
 
@@ -185,7 +188,7 @@ def predicted_parity(s: LaurentPoly) -> int:
     """
     sums = [0, 0, 0]
     for e, c in s.terms:
-        sums[e % 3] += c
+        sums[e % PARITY_PERIOD] += c
     if sum(sums) != 1:
         require_in_S(s)
     return _pair_parity(*sums)
@@ -237,7 +240,7 @@ def _prefixes(d: int, c: int):
     j = min(k, 2)
     inner = [((), 0, 0, 0, 0, 0)]
     for e in range(k - j, k):
-        (ua, ub), cls = _u_pair(e), e % 3
+        (ua, ub), cls = _u_pair(e), e % PARITY_PERIOD
         inner = [
             (t + (n,), a + n * ua, b + n * ub, n0 + n * (cls == 0), n1 + n * (cls == 1), n2 + n * (cls == 2))
             for t, a, b, n0, n1, n2 in inner
@@ -246,8 +249,8 @@ def _prefixes(d: int, c: int):
     for outer in itertools.product(rng, repeat=k - j):
         oa = ob = 0
         for n in reversed(outer):  # Horner: the pair of the entries before the last two
-            oa, ob = ob + n, oa + 3 * ob
-        o0, o1, o2 = sum(outer[0::3]), sum(outer[1::3]), sum(outer[2::3])
+            oa, ob = ob + n, oa + Q * ob
+        o0, o1, o2 = sum(outer[0::PARITY_PERIOD]), sum(outer[1::PARITY_PERIOD]), sum(outer[2::PARITY_PERIOD])
         for t, ia, ib, i0, i1, i2 in inner:
             yield outer + t, oa + ia, ob + ib, o0 + i0, o1 + i1, o2 + i2
 
@@ -289,7 +292,7 @@ def _window_lanes(d: int, c: int):
     big_a = big_b = 0
     a, b = 1, 0  # the pair of U^e
     for _ in range(d + 1):
-        big_a, big_b, a, b = big_a + abs(a), big_b + abs(b), b, a + 3 * b
+        big_a, big_b, a, b = big_a + abs(a), big_b + abs(b), b, a + Q * b
     big_a, big_b = 5 * c * big_a, 5 * c * big_b
     bound = (
         abs(q0)
@@ -324,7 +327,7 @@ def _window_lanes(d: int, c: int):
     even_m, even_h = ones_m - odd_m, ones_h - odd_h
     classes = ((0, 0, even_m * even_h), (0, 1, odd_m * even_h), (1, 0, even_m * odd_h), (1, 1, odd_m * odd_h))
     # the class sums of the tail (h, m, n) are h, m and n at the classes d - 2, d - 1 and d mod 3
-    ch, cm, cn = 1 << (d - 2) % 3, 1 << (d - 1) % 3, 1 << d % 3
+    ch, cm, cn = (1 << e % PARITY_PERIOD for e in (d - 2, d - 1, d))
     parity = _pair_parity
     predicted = [None] * 8  # per class sums of the prefix mod 2, bit i for the class i, filled when first met
 

@@ -63,19 +63,19 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
     The shape needs a b-invariant module part, and a principal ideal of Z[U]
     is one by construction.  The next generator pair is checked against the
     module part of [x, b] = x^-1 x^b for the generator x, vU - v with vU the
-    module part of x^b, which the group kernel computes on its own.
+    module part of x^b from the group kernel; v and vU give the pairings.
     """
     central = model.central
-    alpha, beta = s.module  # generator rows (alpha, beta), (beta, alpha + 3 beta)
+    alpha, beta = s.module
     module = _pair_mul(s.module, _U_MINUS_I)
-    _, m, n = conj_b((0, alpha, beta))
+    _, m, n = conj_b((0, alpha, beta))  # vU, the second generator row
     if (m - alpha, n - beta) != module:
         raise TheoremViolationError(f"module part {module} is not that of [x, b] for x = {s.module}")
     candidates: list[int] = []
     if central and s.center_exp is not None:
         candidates.append(1 << (s.center_exp + 1))
     if central:
-        candidates.extend((alpha, beta, beta, alpha + 3 * beta))  # pairings against a and a^b
+        candidates.extend((alpha, beta, m, n))  # pairings against a and a^b
     g = 0
     for cand in candidates:
         g = math.gcd(g, cand)

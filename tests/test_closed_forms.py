@@ -371,11 +371,11 @@ def test_record_application_is_the_collected_product_for_every_integer():
 
 @pytest.mark.parametrize(
     "old,new",
-    [("alpha + 3 * beta", "alpha + 2 * beta"), ("3 * n * beta", "2 * n * beta"), ("+ m * n * beta", "- m * n * beta")],
+    [("alpha + Q * beta", "alpha + 2 * beta"), ("Q * n * beta", "2 * n * beta"), ("+ m * n * beta", "- m * n * beta")],
     ids=["center-3", "pair-product-3", "center-mn-sign"],
 )
 def test_record_application_proof_catches_a_planted_fault(old, new):
-    # the 3 of U^2 = 3U + I in the center and in the pair product, and the
+    # the Q of U^2 = QU + I in the center and in the pair product, and the
     # sign of the t^(-m n q r) that moving A^(n r) past B^(m q) costs
     source = inspect.getsource(G._aut_apply)
     assert source.count(old) == 1
