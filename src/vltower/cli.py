@@ -77,7 +77,7 @@ def cmd_parity_verify(args) -> Report:
     result = verify_parity_range(args.max_span, args.max_coeff)
     rep.add(
         "parity.exhaustive",
-        f"checked {result.checked} S-elements, {len(result.counterexamples)} counterexamples",
+        f"checked {result.checked} S-elements, {result.failed} counterexamples",
         "verified",
         result.ok,
         checked=result.checked,

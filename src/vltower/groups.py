@@ -15,11 +15,11 @@ Built on the kernel: level maps and tower prefixes.
 Collection conventions (fixed once, used everywhere): x^y = y^-1 x y and
 [x, y] = x^-1 y^-1 x y.  Writing A = a, B = a^b, the defining relations give
 B A = A B t^-1 with t central among A, B, and conjugation by b acts as
-A |-> B, B |-> A B^Q, t |-> t^-1, with Q = ``quadratic.Q`` the relator's
-coefficient.  For an S-element s, a^s is the product of the conjugates
-a^(n_i b^i) taken in ascending exponent order, collected by Horner's rule on
-triples from the top term down; one walk collects a^s and a^(Qs) together, applying each gap's record to both, and its last step is
-the conjugation by b^-f, f the lowest exponent.
+A |-> B, B |-> A B^Q (Q = ``quadratic.Q``), t |-> t^-1.  For an S-element s,
+a^s is the product of the conjugates a^(n_i b^i) in ascending exponent
+order, collected by Horner's rule on triples from the top term down; one
+walk collects a^s and a^(Qs) together, applying each gap's record to both,
+and its last step is the conjugation by b^-f, f the lowest exponent.
 
 The kernel is logarithmic in every exponent; its closed forms are the Deep
 Thought collection polynomials of this class-2 group (Leedham-Green and
@@ -113,11 +113,11 @@ def _aut_apply(f: Aut, h: Triple) -> Triple:
     [[alpha, beta], [beta, alpha + Q beta]]; the module part is (m, n) M."""
     e, c_a, c_b, alpha, beta = f
     c, m, n = h
+    s = alpha + Q * beta
     return (
-        e * c + m * c_a + n * c_b
-        - (m * (m - 1) // 2 * alpha + n * (n - 1) // 2 * (alpha + Q * beta) + m * n * beta) * beta,
+        e * c + m * c_a + n * c_b - (m * (m - 1) // 2 * alpha + n * (n - 1) // 2 * s + m * n * beta) * beta,
         m * alpha + n * beta,
-        m * beta + n * alpha + Q * n * beta,
+        m * beta + n * s,
     )
 
 
@@ -271,6 +271,9 @@ def _check_records(edges: tuple[LaurentPoly, ...]) -> None:
     a = (0, 1, 0)
     if not free_eq(conj_b(conj_b(a)), free_mul(a, conj_b(free_pow(a, Q))), None):
         raise TheoremViolationError("main relator image nonzero on the generator a")
+    # with alpha = 0 both center terms of a record application act on (A B)^2 = t^-1 A^2 B^2
+    if conj_b(free_pow((0, 1, 1), 2)) != free_pow(conj_b((0, 1, 1)), 2):
+        raise TheoremViolationError("the record of b^-1 does not respect the square of A B")
     if any(s.terms and s.min_exp < 0 for s in edges):
         record_of_b = _conj_record(1)
         if any(_aut_apply(record_of_b, conj_b(g)) != g for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
@@ -288,10 +291,11 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     maps to the closed-form power x^((-2)^k).
 
     ``_check_records`` runs first, once per ``tower_build``.  r absorbs any
-    center defect of a^s, so the main relator on a checks the record of b^-1,
-    at the exact center, which reduces to every level; if s has a negative
-    lowest exponent f, a^s ends with the record of b^-f, and the record of b
-    is checked on t, A and B as the inverse of the record of b^-1.
+    center defect of a^s, so the main relator on a and the square of A B
+    check the record of b^-1, at the exact center, which reduces to every
+    level; if s has a negative lowest exponent f, a^s ends with the record
+    of b^-f, and the record of b is checked on t, A and B as the inverse of
+    the record of b^-1.
 
     With b = 1 the target collapses to Z/gcd(Q, augmentation(s)) modulo the
     normal closure of the image, and the map multiplies first homology

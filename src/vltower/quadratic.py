@@ -4,9 +4,9 @@ Coordinates are row vectors in the ordered basis {a, a^b}; b acts on the
 right by the fixed matrix U = [[0, 1], [1, Q]], so that a |-> a^b is one
 right multiplication and the defining relation a^(b^2) = a a^(Qb) of the
 ambient group reads U^2 = QU + I.  Q = 3 is the relator's one coefficient,
-named here once; every value derived from the relator reads it.  Evaluating an element s of the group ring at U gives the
-multiplication-by-s map; its determinant is the norm |s| whose 2-adic part
-drives everything downstream.
+named here once.  Evaluating an element s of the group ring at U gives
+the multiplication-by-s map; its determinant is the norm |s| whose 2-adic
+part drives everything downstream.
 
 Since U^2 = QU + I, every s(U) is alpha I + beta U = [[alpha, beta], [beta,
 alpha + Q beta]] for one integer pair (alpha, beta), and |s| = alpha^2 +
@@ -373,16 +373,23 @@ def _window_size(max_degree_span: int, c: int) -> int:
     )
 
 
+# a failing window counts all its counterexamples and lists the first of them in report order
+COUNTEREXAMPLE_LIST_BOUND = 1_000
+
+
 @dataclass(frozen=True)
 class ParityReport:
-    """Result of the exhaustive parity check over an enumeration window."""
+    """Result of the exhaustive parity check over an enumeration window:
+    ``failed`` counterexamples, the first COUNTEREXAMPLE_LIST_BOUND of them
+    listed."""
 
     checked: int
+    failed: int
     counterexamples: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return not self.failed
 
 
 def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityReport:
@@ -397,9 +404,11 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     elements at once, one lane each of a packed integer, with a few
     products of packed integers; the pair formula's predictions are a mask
     per class sums mod 2, so the prefix is checked by one XOR and one AND.
-    Only a prefix with a lane that disagrees is decoded, a LaurentPoly is
-    built only for a counterexample, and those are listed by support span,
-    then tuple.
+    Only a prefix with a lane that disagrees is decoded.  Every
+    counterexample is counted, and the first COUNTEREXAMPLE_LIST_BOUND of
+    them by support span, then tuple, are listed: the walk keeps at most
+    twice that many tuples, cut back whenever it holds more, so a failing
+    window holds a bounded list however many elements fail.
 
     The bounds are checked before any power of U is built: 0 first (that
     window holds no S-element, and a check over nothing would pass
@@ -421,17 +430,29 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     hs, ms = _grid(d, c)
     cut = max(0, 2 - d)  # the tail entries at exponents below 0 are not in the tuple
     bad: list[tuple[int, ...]] = []
-    checked = 0
+    checked = failed = 0
+
+    def span(t):  # of the support of a coefficient tuple
+        support = [i for i, n in enumerate(t) if n]
+        return support[-1] - support[0]
+
+    def cut_back():  # stable: by span, then tuple, since the walk appends in tuple order
+        bad.sort(key=span)
+        del bad[COUNTEREXAMPLE_LIST_BOUND:]
+
     for prefix, pa, pb, c0, c1, c2 in _prefixes(d, c):
         if (found := lanes_of(pa, pb, c0, c1, c2)) is None:
             continue
         r, (mask, count), lanes, odd = found
         checked += count
         if wrong := (lanes ^ odd) & mask:
+            failed += wrong.bit_count()
             tails = enumerate(itertools.product(hs, ms))
             bad.extend((*prefix, *(h, m, r - h - m)[cut:]) for i, (h, m) in tails if wrong >> w * i & 1)
+            if len(bad) > 2 * COUNTEREXAMPLE_LIST_BOUND:
+                cut_back()
     if checked != size:
         raise TheoremViolationError(f"the walk checked {checked} S-elements of a window that holds {size}")
-    elements = [LaurentPoly(tuple([(e, n) for e, n in enumerate(t) if n])) for t in bad]
-    elements.sort(key=lambda s: s.terms[-1][0] - s.terms[0][0])  # stable: by span, then tuple
-    return ParityReport(checked, tuple(map(str, elements)))
+    cut_back()
+    elements = (LaurentPoly(tuple([(e, n) for e, n in enumerate(t) if n])) for t in bad)
+    return ParityReport(checked, failed, tuple(map(str, elements)))

@@ -371,7 +371,7 @@ def test_record_application_is_the_collected_product_for_every_integer():
 
 @pytest.mark.parametrize(
     "old,new",
-    [("alpha + Q * beta", "alpha + 2 * beta"), ("Q * n * beta", "2 * n * beta"), ("+ m * n * beta", "- m * n * beta")],
+    [("// 2 * s", "// 2 * (alpha + 2 * beta)"), ("+ n * s", "+ n * (alpha + 2 * beta)"), ("+ m * n * beta", "- m * n * beta")],
     ids=["center-3", "pair-product-3", "center-mn-sign"],
 )
 def test_record_application_proof_catches_a_planted_fault(old, new):

@@ -157,6 +157,27 @@ def test_tower_catches_a_center_coefficient_of_the_record_of_b(monkeypatch, caps
     assert "records of b and b^-1 are not inverse" in err
 
 
+@pytest.mark.parametrize("argv", [["phi-check", "--s", "1-b+b^2", "--k", "2"], TOWER], ids=["phi-check", "tower"])
+@pytest.mark.parametrize(
+    "old,new",
+    [("// 2 * s", "// 2 * (alpha + 2 * beta)"), ("+ m * n * beta", "- m * n * beta")],
+    ids=["center-coefficient", "center-mn-sign"],
+)
+def test_record_checks_catch_a_center_fault_of_the_record_application(monkeypatch, capsys, argv, old, new):
+    # phi.build and tower.built: the record of b^-1 has alpha = 0, so both
+    # faults vanish on the relator of the generator a (m n = 0 and n <= 1),
+    # and r absorbs the defect they leave in a^s; both center terms of a
+    # record application act on (A B)^2 = t^-1 A^2 B^2
+    source = inspect.getsource(G._aut_apply)
+    assert source.count(old) == 1
+    namespace = dict(vars(G))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(G, "_aut_apply", namespace["_aut_apply"])
+    code, err = _exit_and_error(argv, capsys)
+    assert code == 2
+    assert "the record of b^-1 does not respect the square of A B" in err
+
+
 def test_norm_value_catches_a_wrong_norm(monkeypatch, capsys):
     # norm.value: the norm is checked against s(-1) mod 3, a second computation
     real = quadratic.norm

@@ -365,6 +365,22 @@ def test_planted_parity_fault_gives_the_element_loop_counterexamples(monkeypatch
     assert doc["claims"][0]["data"]["counterexamples"] == list(ref_parity_report(3, 2)[1])
 
 
+def test_a_failing_window_counts_every_counterexample_and_lists_the_first(monkeypatch, capsys):
+    # (6, 2) under _plus_n0 fails 3,919 elements, past the list bound, so the
+    # walk cuts its list back several times; the claim's statement counts
+    # them all, and its data lists the first in report order
+    monkeypatch.setattr(quadratic, "_pair_parity", _plus_n0)
+    checked, bad = ref_parity_report(6, 2)
+    listed = list(bad[: quadratic.COUNTEREXAMPLE_LIST_BOUND])
+    assert len(bad) == 3919 and len(listed) == 1000
+    rep = verify_parity_range(6, 2)
+    assert (rep.checked, rep.failed, list(rep.counterexamples)) == (checked, 3919, listed)
+    assert main(["parity-verify", "--max-span", "6", "--max-coeff", "2", "--format", "json"]) == 2
+    (claim,) = json.loads(capsys.readouterr().out)["claims"]
+    assert claim["statement"] == f"checked {checked} S-elements, 3919 counterexamples"
+    assert claim["data"]["counterexamples"] == listed
+
+
 # --- lattices ---------------------------------------------------------------
 
 

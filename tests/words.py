@@ -12,7 +12,9 @@
   commutators through that law.
 - ``base_form`` is the quotient map to the base group in matrix form.
 - ``word_oracle`` evaluates words letter by letter over single rewrite rules
-  and shares no formula with the closed-form laws.
+  and shares no formula with the closed-form laws; its rules read the
+  relator's coefficient Q from this module, which the q-family tests rebind
+  together with the package's.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from vltower.groups import (
     free_pow,
 )
 from vltower.laurent import power
-from vltower.quadratic import Vec, _pair_mul
+from vltower.quadratic import Q, Vec, _pair_mul
 
 # --- elements of the full group ------------------------------------------------
 
@@ -163,7 +165,7 @@ class _OracleState:
     Only single-letter rewrite rules are used: t is central among A and B;
     one B past A^m costs t^-m (m swaps of BA -> AB t^-1); crossing one b
     rebuilds the prefix from the letter images b X b^-1 (t -> t^-1,
-    A -> t^3 A^-3 B, B -> A) or b^-1 X b (t -> t^-1, A -> B, B -> A B^3),
+    A -> t^Q A^-Q B, B -> A) or b^-1 X b (t -> t^-1, A -> B, B -> A B^Q),
     appended one letter or run at a time.
     """
 
@@ -209,28 +211,28 @@ class _OracleState:
         src_c, src_m, src_n = self.c, self.m, self.n
         self.c, self.m, self.n = -src_c, 0, 0
         if e == 1:
-            # b A b^-1 = t^3 A^-3 B; inverse letters in reversed order.
+            # b A b^-1 = t^Q A^-Q B; inverse letters in reversed order.
             if src_m >= 0:
                 for _ in range(src_m):
-                    self._append_t(3)
-                    self._append_a(-3)
+                    self._append_t(Q)
+                    self._append_a(-Q)
                     self._append_b_gen(1)
             else:
                 for _ in range(-src_m):
                     self._append_b_gen(-1)
-                    self._append_a(3)
-                    self._append_t(-3)
+                    self._append_a(Q)
+                    self._append_t(-Q)
             self._append_a(src_n)  # b B b^-1 = A
         else:
             self._append_b_gen(src_m)  # b^-1 A b = B
-            # b^-1 B b = A B^3; inverse letters in reversed order.
+            # b^-1 B b = A B^Q; inverse letters in reversed order.
             if src_n >= 0:
                 for _ in range(src_n):
                     self._append_a(1)
-                    self._append_b_gen(3)
+                    self._append_b_gen(Q)
             else:
                 for _ in range(-src_n):
-                    self._append_b_gen(-3)
+                    self._append_b_gen(-Q)
                     self._append_a(-1)
         self.j += e
         self._reduce()
