@@ -24,11 +24,11 @@ s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
 before its final product with U^f.
 
 The window of S that ``verify_parity_range`` checks is walked here too, a
-prefix of its coefficient tuples at a time: the norms of all the tails
-(``_tails``) that finish a prefix are the lanes of one packed integer, the
-full-word technique of Lamport ("Multiple byte processing with full-word
-instructions", CACM 18(8), 1975), and the window is counted apart from the
-walk by ``_window_size``.
+prefix of its coefficient tuples at a time: the parities of the norms of
+all the tails (``_tails``) that finish a prefix are the one-bit lanes of one
+integer, the full-word technique of Lamport ("Multiple byte processing with
+full-word instructions", CACM 18(8), 1975), and the window is counted apart
+from the walk by ``_window_size``.
 
 The module parts of the lower-central-series stages are principal ideals
 Z^2 (alpha I + beta U) of Z[U], each held as its generator pair: a stage
@@ -194,37 +194,34 @@ def predicted_parity(s: LaurentPoly) -> int:
     return _pair_parity(*sums)
 
 
-WINDOW_COEFF_BOUND = 8  # the tails table: at most (2c + 1)^3 lanes, under 1 MiB, and (2c + 1)^2 lanes a prefix
-WINDOW_SIZE_BOUND = 100_000_000  # its slowest windows, (12, 2) and (17, 1), take about 14 s and 19 s
+# a window's grid holds (2c + 1)^2 one-bit lanes, 289 at c = 8, walked one at a time to set up its tails
+# and to decode a failing prefix: WINDOW_SIZE_BOUND alone would let a window of span 1 hold 10^8 lanes
+WINDOW_COEFF_BOUND = 8
+# its slowest windows, (12, 2) and (17, 1), take about 6 s and 10 s (2-vCPU VM, Python 3.11)
+WINDOW_SIZE_BOUND = 100_000_000
 
 
 def _grid(d: int, c: int) -> tuple[range, range]:
     """The h and the m of the window's grid of tails (h, m, n): h, m and n
     sit at the exponents d - 2, d - 1 and d, and an exponent below 0 holds
-    0.  Lane i len(ms) + j of the grid holds (hs[i], ms[j])."""
+    0.  Bit i len(ms) + j of a mask is the lane of (hs[i], ms[j])."""
     rng = range(-c, c + 1)
     return (rng if d >= 2 else range(1)), (rng if d >= 1 else range(1))
 
 
-def _tails(d: int, c: int, w: int, sums: int, ones: int) -> dict[int, int]:
+def _tails(d: int, c: int) -> dict[int, int]:
     """The tails of the window of span d, coefficients in [-c, c], keyed by
     R = h + m + n for every R = 1 - sum(prefix) that a prefix (n_0, ...,
-    n_{d-3}) reaches: a mask with a 1 in the grid lane (of width w) of each.
-
-    ``ones`` has a 1 in every lane of the grid and ``sums`` h + m + 2c, in
-    [0, 4c].  The tails of R are the lanes with R + c <= sums <= R + 3c,
-    read for all lanes at once from the top bit of each lane of sums +
-    (2^(w-1) - t) for the two thresholds t, which are in [-2c, 6c + 1]:
-    with 2^(w-1) > 8c no lane borrows or carries."""
-    half = 1 << w - 1
-
-    def at_least(t):  # a 1 in the lanes of sums >= t
-        return (sums + (half - t) * ones) >> w - 1 & ones
-
+    n_{d-3}) reaches: the mask of the lanes (h, m) with |R - h - m| <= c,
+    a union of the grid's anti-diagonals h + m."""
+    pad = 4 * c  # |R| + c: the slices below stay in the list
+    diagonals = [0] * (2 * pad + 1)  # at pad + h + m, the lanes of h + m
+    for i, (h, m) in enumerate(itertools.product(*_grid(d, c))):
+        diagonals[pad + h + m] |= 1 << i
     spread = max(0, d - 2) * c  # the largest |sum(prefix)|
     tails = {}
     for r in range(max(1 - spread, -3 * c), min(1 + spread, 3 * c) + 1):
-        if mask := at_least(r + c) & ~at_least(r + 3 * c + 1):
+        if mask := sum(diagonals[pad + r - c : pad + r + c + 1]):
             tails[r] = mask
     return tails
 
@@ -256,91 +253,50 @@ def _prefixes(d: int, c: int):
 
 
 def _window_lanes(d: int, c: int):
-    """(w, bias, table, lanes_of) for the window of span d, coefficients in
-    [-c, c].  The tails (h, m, n) sit on a grid of lanes of width w, one per
-    (h, m); ``table`` maps each R to the mask of its tails' lanes and their
-    count.  ``lanes_of`` takes the pair and the class sums of a prefix
-    (n_0, ..., n_{d-3}) and gives None if no tail finishes it, else (R,
-    table[R], lanes, odd): the lane of each tail of R holds |s| + bias for
-    its element s, and ``odd`` has a 1 in the lanes whose element the pair
-    formula predicts odd.
+    """(table, lanes_of) for the window of span d, coefficients in [-c, c].
+    The tails (h, m, n) sit on a grid of one-bit lanes, one per (h, m);
+    ``table`` maps each R to the mask of its tails' lanes and their count.
+    ``lanes_of`` takes the pair and the class sums of a prefix (n_0, ...,
+    n_{d-3}) and gives None if no tail finishes it, else (R, table[R],
+    wrong): ``wrong`` has a 1 in the lanes of the tails of R whose element
+    s has |s| mod 2 unlike the pair formula's prediction.
 
     With W the pair of the prefix plus R U^d, u = U^(d-2) - U^d and v =
-    U^(d-1) - U^d, the pair of s is W + h u + m v.  For the norm form f and
-    its bilinear part B, read from ``_norm_form`` by polarization, f(W + X)
-    = f(W) + f(X) - f(0) + W B X^T, and f(h u + m v) = f(0) + h (f(u) -
-    f(0)) + m (f(v) - f(0)) + C(h, 2) u B u^T + C(m, 2) v B v^T + h m u B
-    v^T.  So the lanes of |s| are one packed polynomial in h and m, the
-    same for every prefix (``quad``), plus f(W) + bias, W B u^T times h and
-    W B v^T times m: three products of packed integers per prefix.  The
-    pair formula, an integer polynomial in the class sums taken mod 2,
-    depends on them only mod 2 and is read at points of {0, 1}^3: its lanes
-    are those of the grid's four classes of (h mod 2, m mod 2) that it
-    predicts odd for the class sums of the prefix mod 2.
-
-    A lane is computed only for an R with tails, |R| <= 3c, so its n = R -
-    h - m has |n| <= 5c, and |alpha| <= A and |beta| <= B with 5c times the
-    entry sums of U^0, ..., U^d; then |s| <= |f(0)| + sum_i (|f(e_i) - f(0)|
-    + |B_ii|) X_i + sum_ij |B_ij| X_i X_j / 2 with X = (A, B).  The bias is
-    that bound made even, and w holds twice it: every lane is in [0, 2^w),
-    and its lowest bit is the parity of |s|."""
+    U^(d-1) - U^d, the pair of s is W + h u + m v.  The norm form and the
+    pair formula are integer polynomials, so |s| mod 2 is ``_norm_form``
+    read at that pair mod 2, and the prediction ``_pair_parity`` read at the
+    class sums mod 2, which R mod 2 follows.  Both depend only on W mod 2,
+    the class sums of the prefix mod 2 and the grid's class (h mod 2, m mod
+    2): a prefix's lanes of odd |s| are one of four masks, its predicted-odd
+    lanes one of eight, and its wrong lanes, their XOR, one of at most 32,
+    each a union of the grid's four classes, filled when first met."""
     hs, ms = _grid(d, c)
-    form = _norm_form
-    q0, qa, qb = form(0, 0), form(1, 0), form(0, 1)
-    # B, the bilinear part of the norm form, by polarization: f(x + y) - f(x) - f(y) + f(0)
-    b00, b01, b11 = form(2, 0) - 2 * qa + q0, form(1, 1) - qa - qb + q0, form(0, 2) - 2 * qb + q0
-    big_a = big_b = 0
-    a, b = 1, 0  # the pair of U^e
-    for _ in range(d + 1):
-        big_a, big_b, a, b = big_a + abs(a), big_b + abs(b), b, a + Q * b
-    big_a, big_b = 5 * c * big_a, 5 * c * big_b
-    bound = (
-        abs(q0)
-        + (abs(qa - q0) + abs(b00)) * big_a
-        + (abs(qb - q0) + abs(b11)) * big_b
-        + (abs(b00) * big_a * big_a + 2 * abs(b01) * big_a * big_b + abs(b11) * big_b * big_b + 1) // 2
-    )
-    bias = bound + (bound & 1)
-    w = max((bias + bound).bit_length(), (8 * c).bit_length() + 1)  # and 2^(w - 1) > 8c for ``_tails``
+    odd = sum(1 << j for j, m in enumerate(ms) if m & 1)  # the lanes of odd m in a row h of the grid
+    even = odd ^ (1 << len(ms)) - 1
+    classes = [0, 0, 0, 0]  # the lanes of the grid's class (h mod 2, m mod 2), at 2 (h mod 2) + m mod 2
+    for i, h in enumerate(hs):
+        classes[2 * (h & 1)] |= even << len(ms) * i
+        classes[2 * (h & 1) + 1] |= odd << len(ms) * i
+    table = {r: (mask, mask.bit_count()) for r, mask in _tails(d, c).items()}
     uh, um, (na, nb) = _u_pair(d - 2), _u_pair(d - 1), _u_pair(d)
     u, v = (uh[0] - na, uh[1] - nb), (um[0] - na, um[1] - nb)
-    # B u^T and B v^T
-    bu0, bu1 = b00 * u[0] + b01 * u[1], b01 * u[0] + b11 * u[1]
-    bv0, bv1 = b00 * v[0] + b01 * v[1], b01 * v[0] + b11 * v[1]
-    # per m and per h, the lanes of 1, of it, of C(it, 2) and of it odd; the grid's lanes are their products
-    ones_m = m_m = m2_m = odd_m = ones_h = h_h = h2_h = odd_h = 0
-    for j, m in enumerate(ms):
-        bit = 1 << w * j
-        ones_m, m_m, m2_m, odd_m = ones_m + bit, m_m + m * bit, m2_m + m * (m - 1) // 2 * bit, odd_m + (m & 1) * bit
-    for i, h in enumerate(hs):
-        bit = 1 << w * len(ms) * i
-        ones_h, h_h, h2_h, odd_h = ones_h + bit, h_h + h * bit, h2_h + h * (h - 1) // 2 * bit, odd_h + (h & 1) * bit
-    ones, hl, ml = ones_m * ones_h, ones_m * h_h, m_m * ones_h
-    table = {r: (mask, mask.bit_count()) for r, mask in _tails(d, c, w, hl + ml + 2 * c * ones, ones).items()}
-    quad = (
-        (form(*u) - q0) * hl
-        + (form(*v) - q0) * ml
-        + (u[0] * bu0 + u[1] * bu1) * ones_m * h2_h
-        + (v[0] * bv0 + v[1] * bv1) * m2_m * ones_h
-        + (u[0] * bv0 + u[1] * bv1) * m_m * h_h
-    )
-    even_m, even_h = ones_m - odd_m, ones_h - odd_h
-    classes = ((0, 0, even_m * even_h), (0, 1, odd_m * even_h), (1, 0, even_m * odd_h), (1, 1, odd_m * odd_h))
     # the class sums of the tail (h, m, n) are h, m and n at the classes d - 2, d - 1 and d mod 3
     ch, cm, cn = (1 << e % PARITY_PERIOD for e in (d - 2, d - 1, d))
-    parity = _pair_parity
-    predicted = [None] * 8  # per class sums of the prefix mod 2, bit i for the class i, filled when first met
+    form, parity = _norm_form, _pair_parity
+    wrong = [None] * 32  # per key 4 x + 2 (alpha mod 2) + beta mod 2 of a prefix, bit i of x its N_i mod 2
 
-    def predicted_odd(x):
-        # the class sums of the prefix are x mod 2, so R = 1 + x_0 + x_1 + x_2 mod 2
-        r = 1 + (x & 1) + (x >> 1 & 1) + (x >> 2)
-        odd = 0
-        for h, m, lanes in classes:
+    def wrong_lanes(key):
+        x = key >> 2
+        r = 1 + (x & 1) + (x >> 1 & 1) + (x >> 2)  # R, up to a multiple of 2
+        wa, wb = (key >> 1 & 1) + r * na, (key & 1) + r * nb  # W, up to multiples of 2
+        lanes = 0
+        for k, grid_class in enumerate(classes):
+            h, m = k >> 1, k & 1
             y = x ^ (ch * h | cm * m | cn * ((r - h - m) & 1))  # the class sums of the element mod 2
-            if parity(y & 1, y >> 1 & 1, y >> 2) & 1:
-                odd |= lanes
-        predicted[x] = odd
-        return odd
+            if (form(wa + h * u[0] + m * v[0], wb + h * u[1] + m * v[1]) ^ parity(y & 1, y >> 1 & 1, y >> 2)) & 1:
+                lanes |= grid_class
+        wrong[key] = lanes
+        return lanes
 
     get = table.get
 
@@ -349,13 +305,12 @@ def _window_lanes(d: int, c: int):
         entry = get(r)
         if entry is None:
             return None
-        x = (c0 & 1) | (c1 & 1) << 1 | (c2 & 1) << 2
-        if (odd := predicted[x]) is None:
-            odd = predicted_odd(x)
-        wa, wb = pa + r * na, pb + r * nb
-        return r, entry, quad + (form(wa, wb) + bias) * ones + (wa * bu0 + wb * bu1) * hl + (wa * bv0 + wb * bv1) * ml, odd
+        key = ((c2 & 1) << 2 | (c1 & 1) << 1 | c0 & 1) << 2 | (pa & 1) << 1 | pb & 1
+        if (lanes := wrong[key]) is None:
+            lanes = wrong_lanes(key)
+        return r, entry, lanes & entry[0]
 
-    return w, bias, table, lanes_of
+    return table, lanes_of
 
 
 def _window_size(max_degree_span: int, c: int) -> int:
@@ -400,10 +355,9 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     The walk runs over the coefficient tuples (n_0, ..., n_D) that sum to 1,
     D = max_degree_span, in lexicographic order.  Each prefix
     (n_0, ..., n_{D-3}), empty for D < 3, comes from ``_prefixes`` with its
-    pair and class sums, and ``_window_lanes`` gives the norms of all its
-    elements at once, one lane each of a packed integer, with a few
-    products of packed integers; the pair formula's predictions are a mask
-    per class sums mod 2, so the prefix is checked by one XOR and one AND.
+    pair and class sums, and ``_window_lanes`` gives the mask of its
+    elements whose norm parity the pair formula predicts wrong, bit i for
+    the grid's lane i: one of at most 32 masks per window, read by one AND.
     Only a prefix with a lane that disagrees is decoded.  Every
     counterexample is counted, and the first COUNTEREXAMPLE_LIST_BOUND of
     them by support span, then tuple, are listed: the walk keeps at most
@@ -426,7 +380,7 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     # one 1 and d // 2 pairs (1, -1) or (-1, 1) make 2^(d // 2) elements, so a long span needs no count
     if d // 2 >= WINDOW_SIZE_BOUND.bit_length() or (size := _window_size(d, c)) > WINDOW_SIZE_BOUND:
         raise PreconditionError(f"the window ({d}, {c}) holds more than {WINDOW_SIZE_BOUND} S-elements")
-    w, _, _, lanes_of = _window_lanes(d, c)
+    _, lanes_of = _window_lanes(d, c)
     hs, ms = _grid(d, c)
     cut = max(0, 2 - d)  # the tail entries at exponents below 0 are not in the tuple
     bad: list[tuple[int, ...]] = []
@@ -443,12 +397,12 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     for prefix, pa, pb, c0, c1, c2 in _prefixes(d, c):
         if (found := lanes_of(pa, pb, c0, c1, c2)) is None:
             continue
-        r, (mask, count), lanes, odd = found
+        r, (_, count), wrong = found
         checked += count
-        if wrong := (lanes ^ odd) & mask:
+        if wrong:
             failed += wrong.bit_count()
             tails = enumerate(itertools.product(hs, ms))
-            bad.extend((*prefix, *(h, m, r - h - m)[cut:]) for i, (h, m) in tails if wrong >> w * i & 1)
+            bad.extend((*prefix, *(h, m, r - h - m)[cut:]) for i, (h, m) in tails if wrong >> i & 1)
             if len(bad) > 2 * COUNTEREXAMPLE_LIST_BOUND:
                 cut_back()
     if checked != size:

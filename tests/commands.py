@@ -70,7 +70,7 @@ TABLE = [
     _entry("parity-verify --max-span 7 --max-coeff 3", "ci", "encoding"),
     # not an encoding entry: its report has the shape of (7, 3)'s and takes seconds longer
     _entry("parity-verify --max-span 8 --max-coeff 3", "ci", timeout=60),
-    # the window walk at the widest coefficients and, within a second, the widest lanes
+    # the window walk at the widest coefficients and, within a second, the longest span CI walks
     _entry("parity-verify --max-span 4 --max-coeff 8", "ci", timeout=20),
     _entry("parity-verify --max-span 12 --max-coeff 1", "ci", timeout=20),
     _entry("cohn --m 4 --n 8 --trials 20", "ci", "encoding"),

@@ -250,14 +250,14 @@ def test_enumerate_S_rejects_negative_bounds(span, coeff):
 
 
 def test_window_walk_memory_at_the_coefficient_bound():
-    # the walk holds one tails table, at most (2c + 1)^3 lanes; at span 12
-    # every R = h + m + n is reached, and the lanes are widest
+    # the walk holds one tails table, at most (2c + 1)^3 tails; at span 12
+    # every R = h + m + n is reached
     c = WINDOW_COEFF_BOUND
     with pytest.raises(PreconditionError, match="past the window bound"):
         next(enumerate_S(0, c + 1))
     tracemalloc.start()
     try:
-        table = quadratic._window_lanes(12, c)[2]
+        table = quadratic._window_lanes(12, c)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,7 +18,9 @@ from vltower import groups as G
 from vltower import cohn, homology, quadratic, series
 from vltower.cli import main
 from vltower.laurent import parse_laurent
+from vltower.quadratic import evaluate_at_U, predicted_parity
 
+from references import enumerate_S
 from test_quadratic import ref_parity_report
 
 PHI_CHECK = ["phi-check", "--s", "1-b+b^2", "--k", "3"]
@@ -303,6 +305,24 @@ def test_norm_parity_catches_a_formula_missing_one_class_product(monkeypatch, ca
     # parity.exhaustive: the window walk reads the same formula, not a copy of it
     failed = _failed_claims(["parity-verify", "--max-span", "4", "--max-coeff", "2"], capsys)
     assert failed["parity.exhaustive"]["counterexamples"] == list(ref_parity_report(4, 2)[1])
+
+
+def _norm_form_without_beta_square(alpha, beta, f=0):
+    n = alpha * alpha + quadratic.Q * alpha * beta
+    return -n if f & 1 else n
+
+
+def test_parity_exhaustive_catches_a_norm_form_without_its_beta_square(monkeypatch, capsys):
+    # parity.exhaustive: the window walk reads the norm form, not a copy of
+    # it, at the pair of s(U).  ``norm`` reads it at the pair of the core
+    # with the sign (-1)^f, equal only for the true form, so the element
+    # loop here reads the form at s(U) too
+    monkeypatch.setattr(quadratic, "_norm_form", _norm_form_without_beta_square)
+    window = enumerate_S(4, 2)
+    bad = [str(s) for s in window if predicted_parity(s) != _norm_form_without_beta_square(*evaluate_at_U(s)) % 2]
+    assert len(bad) == 187
+    failed = _failed_claims(["parity-verify", "--max-span", "4", "--max-coeff", "2"], capsys)
+    assert failed["parity.exhaustive"]["counterexamples"] == bad
 
 
 def test_cohn_nilpotency_catches_a_degree_loop_that_stops_one_step_early(monkeypatch, capsys):

@@ -274,36 +274,41 @@ def test_window_size_counts_the_tuples_that_sum_to_one():
     assert quadratic._window_size(8, 3) == 2602341
 
 
-def _grid_lanes(span, coeff, w, r, mask, lanes):
-    """(h, m, n) and its lane, for each lane of the grid in ``mask``."""
+def _grid_bits(span, coeff, r, mask, lanes):
+    """(h, m, n) and its bit of ``lanes``, for each lane of the grid in ``mask``."""
     for i, (h, m) in enumerate(itertools.product(*quadratic._grid(span, coeff))):
-        if mask >> w * i & 1:
-            yield (h, m, r - h - m), lanes >> w * i & (1 << w) - 1
+        if mask >> i & 1:
+            yield (h, m, r - h - m), lanes >> i & 1
 
 
-def _walk_lanes(span, coeff):
-    """(tuple, lane) for each element of the window, through the walk's own
-    prefixes, tails and lanes."""
-    w, _, _, lanes_of = quadratic._window_lanes(span, coeff)
+def _predicts_even(n0, n1, n2):
+    # a wrong lane is then an odd norm
+    return 0
+
+
+def _walk_bits(span, coeff):
+    """(tuple, bit of the wrong lanes) for each element of the window,
+    through the walk's own prefixes, tails and lanes."""
+    _, lanes_of = quadratic._window_lanes(span, coeff)
     for prefix, *evaluation in quadratic._prefixes(span, coeff):
         if (found := lanes_of(*evaluation)) is not None:
-            r, (mask, _), lanes, _ = found
-            for tail, lane in _grid_lanes(span, coeff, w, r, mask, lanes):
-                yield (*prefix, *tail[max(0, 2 - span) :]), lane
+            r, (mask, _), wrong = found
+            for tail, bit in _grid_bits(span, coeff, r, mask, wrong):
+                yield (*prefix, *tail[max(0, 2 - span) :]), bit
 
 
 # (5, 2) has prefixes of length 3 that share their tails
 @pytest.mark.parametrize("span,coeff", [(0, 2), (1, 3), (3, 2), (4, 3), (5, 2)])
-def test_grouped_parity_check_takes_each_norm_in_window_order(span, coeff):
+def test_grouped_parity_check_takes_each_norm_in_window_order(monkeypatch, span, coeff):
     # the walk's order: the coefficient tuples (n_0, ..., n_D) lexicographically;
-    # the lane of each holds its exact norm plus the bias
+    # with the pair formula predicting even, the lane of each is its norm mod 2
+    monkeypatch.setattr(quadratic, "_pair_parity", _predicts_even)
     rng = range(-coeff, coeff + 1)
     tuples = [t for t in itertools.product(rng, repeat=span + 1) if sum(t) == 1]
-    expected = [norm(LaurentPoly.from_dict(dict(enumerate(t)))) for t in tuples]
-    bias = quadratic._window_lanes(span, coeff)[1]
-    walked = list(_walk_lanes(span, coeff))
+    expected = [norm(LaurentPoly.from_dict(dict(enumerate(t)))) % 2 for t in tuples]
+    walked = list(_walk_bits(span, coeff))
     assert [t for t, _ in walked] == tuples
-    assert [lane - bias for _, lane in walked] == expected
+    assert [bit for _, bit in walked] == expected
 
 
 def _with_sum(prefix, target, coeff):
@@ -316,27 +321,27 @@ def _with_sum(prefix, target, coeff):
     return tuple(moved)
 
 
-# the widest lanes, span 17 at c = 1, and the widest coefficients, c = 8 at span 6
+# the longest span at c = 1, 17, and the widest coefficients, c = 8 at span 6
 @pytest.mark.parametrize("span,coeff", [(17, 1), (6, WINDOW_COEFF_BOUND)])
-def test_lane_width_holds_every_lane_at_the_extremes(span, coeff):
+def test_every_lane_holds_its_norm_parity_at_the_extremes(monkeypatch, span, coeff):
     # the prefixes of the largest |alpha| (-c on the low exponents and c on
     # the high ones, and the reverse), moved to the sums of R = -3c, 1 and
-    # 3c, the extremes that tails finish.  Every lane of the grid, with
-    # |n| up to 5c, decodes to the norm of its element.
-    w, bias, _, lanes_of = quadratic._window_lanes(span, coeff)
+    # 3c, the extremes that tails finish.  Every lane of a tail of R, with
+    # the pair formula predicting even, holds its element's norm mod 2.
+    monkeypatch.setattr(quadratic, "_pair_parity", _predicts_even)
+    table, lanes_of = quadratic._window_lanes(span, coeff)
     k = span - 2
     low = (-coeff,) * (k // 2) + (coeff,) * (k - k // 2)
-    grid = (2 * coeff + 1) ** 2
-    every = sum(1 << w * i for i in range(grid))
     for base in low, tuple(-n for n in low):
         for r in -3 * coeff, 1, 3 * coeff:
             prefix = _with_sum(base, 1 - r, coeff)
             alpha, beta = evaluate_at_U(LaurentPoly.from_dict(dict(enumerate(prefix))))
-            found, _, lanes, _ = lanes_of(alpha, beta, *[sum(prefix[i::3]) for i in range(3)])
-            assert found == r
-            assert 0 <= lanes < 1 << w * grid
-            for tail, lane in _grid_lanes(span, coeff, w, r, every, lanes):
-                assert lane - bias == norm(LaurentPoly.from_dict(dict(enumerate((*prefix, *tail)))))
+            found, (mask, count), wrong = lanes_of(alpha, beta, *[sum(prefix[i::3]) for i in range(3)])
+            assert found == r and (mask, count) == table[r]
+            bits = list(_grid_bits(span, coeff, r, mask, wrong))
+            assert len(bits) == count
+            for tail, bit in bits:
+                assert bit == norm(LaurentPoly.from_dict(dict(enumerate((*prefix, *tail))))) % 2
 
 
 def _without_n1_n2(n0, n1, n2):

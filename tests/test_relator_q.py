@@ -43,7 +43,6 @@ ALLOWED_THREES = {
         2,
         "|R| <= 3c: R = h + m + n is a sum of three tail entries in [-c, c]",
     ),
-    ("quadratic.py", "if mask := at_least(r + c) & ~at_least(r + 3 * c + 1):"): (1, "the same tail range"),
     ("groups.py", "if data.record[3:] != evaluate_at_U(data.s):"): (1, "the pair after (e, c_A, c_B) of a record"),
     ("homology.py", "a = (phi_data.record[1], *phi_data.record[3:])"): (1, "the pair after (e, c_A, c_B) of a record"),
     ("cohn.py", "for _ in range(n * 3):"): (1, "cohn's draws: elementary row operations per matrix size"),
