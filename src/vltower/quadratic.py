@@ -23,12 +23,12 @@ s = b^f s0, det s(U) = det(U)^f det s0(U), and det U = -1, so |s| is
 (-1)^f |s0|.  The pair of the core s0 is what Horner's rule produces
 before its final product with U^f.
 
-The window of S that ``verify_parity_range`` checks is walked here too, a
-prefix of its coefficient tuples at a time: the parities of the norms of
-all the tails (``_tails``) that finish a prefix are the one-bit lanes of one
-integer, the full-word technique of Lamport ("Multiple byte processing with
-full-word instructions", CACM 18(8), 1975), and the window is counted apart
-from the walk by ``_window_size``.
+The window of S that ``verify_parity_range`` checks is counted here too,
+by parity states rather than element by element: a coefficient tuple's
+class sums and pair mod 2 decide both its norm parity and the pair
+formula's prediction, so ``_key_counts`` counts the tuples under each of
+those 32 keys, as polynomials in the running sum packed in slots of one
+integer per key, and the window is counted apart by ``_window_size``.
 
 The module parts of the lower-central-series stages are principal ideals
 Z^2 (alpha I + beta U) of Z[U], each held as its generator pair: a stage
@@ -194,123 +194,43 @@ def predicted_parity(s: LaurentPoly) -> int:
     return _pair_parity(*sums)
 
 
-# a window's grid holds (2c + 1)^2 one-bit lanes, 289 at c = 8, walked one at a time to set up its tails
-# and to decode a failing prefix: WINDOW_SIZE_BOUND alone would let a window of span 1 hold 10^8 lanes
+# the count's coefficient polynomials hold 2c + 1 slots: WINDOW_SIZE_BOUND alone would let span 1 take
+# c = 5 * 10^7, with 10^8 slots of 54 bits (675 MB) a polynomial; at c = 8, (6, 8) takes 0.2 ms
 WINDOW_COEFF_BOUND = 8
-# its slowest windows, (12, 2) and (17, 1), take about 6 s and 10 s (2-vCPU VM, Python 3.11)
+# its largest windows, (12, 2) and (17, 1), take about 0.2 ms, and 25 ms to list a failing window's
+# counterexamples (fresh processes, 2-vCPU VM, Python 3.11); it predates the count and is kept (ROADMAP item 14)
 WINDOW_SIZE_BOUND = 100_000_000
 
 
-def _grid(d: int, c: int) -> tuple[range, range]:
-    """The h and the m of the window's grid of tails (h, m, n): h, m and n
-    sit at the exponents d - 2, d - 1 and d, and an exponent below 0 holds
-    0.  Bit i len(ms) + j of a mask is the lane of (hs[i], ms[j])."""
-    rng = range(-c, c + 1)
-    return (rng if d >= 2 else range(1)), (rng if d >= 1 else range(1))
+def _key_flip(e: int) -> int:
+    """The change that an odd coefficient at exponent e makes to the key
+    4 x + 2 (alpha mod 2) + beta mod 2 of a coefficient tuple, bit i of x
+    its class sum N_i mod 2 and (alpha, beta) the pair of its s(U): it
+    flips the class bit of e and adds U^e mod 2 to the pair.  An even
+    coefficient changes nothing."""
+    alpha, beta = _u_pair(e)
+    return (1 << e % PARITY_PERIOD) << 2 | (alpha & 1) << 1 | beta & 1
 
 
-def _tails(d: int, c: int) -> dict[int, int]:
-    """The tails of the window of span d, coefficients in [-c, c], keyed by
-    R = h + m + n for every R = 1 - sum(prefix) that a prefix (n_0, ...,
-    n_{d-3}) reaches: the mask of the lanes (h, m) with |R - h - m| <= c,
-    a union of the grid's anti-diagonals h + m."""
-    pad = 4 * c  # |R| + c: the slices below stay in the list
-    diagonals = [0] * (2 * pad + 1)  # at pad + h + m, the lanes of h + m
-    for i, (h, m) in enumerate(itertools.product(*_grid(d, c))):
-        diagonals[pad + h + m] |= 1 << i
-    spread = max(0, d - 2) * c  # the largest |sum(prefix)|
-    tails = {}
-    for r in range(max(1 - spread, -3 * c), min(1 + spread, 3 * c) + 1):
-        if mask := sum(diagonals[pad + r - c : pad + r + c + 1]):
-            tails[r] = mask
-    return tails
+def _key_counts(d: int, c: int) -> tuple[int, list[int]]:
+    """(w, counts) for the window of span d, coefficients in [-c, c]: slot
+    t + (d + 1) c of counts[key], w bits wide, holds the number of tuples
+    (n_0, ..., n_d) with sum t and key ``key`` (see ``_key_flip``).
 
-
-def _prefixes(d: int, c: int):
-    """(prefix, alpha, beta, N0, N1, N2) for each prefix (n_0, ..., n_{d-3})
-    of the window, in lexicographic order: the pair of its p(U) and its
-    class sums.  The last two entries come from a table of their (2c + 1)^2
-    values, so the entries before them are summed by Horner's rule once
-    per table."""
-    k = max(0, d - 2)
-    rng = range(-c, c + 1)
-    j = min(k, 2)
-    inner = [((), 0, 0, 0, 0, 0)]
-    for e in range(k - j, k):
-        (ua, ub), cls = _u_pair(e), e % PARITY_PERIOD
-        inner = [
-            (t + (n,), a + n * ua, b + n * ub, n0 + n * (cls == 0), n1 + n * (cls == 1), n2 + n * (cls == 2))
-            for t, a, b, n0, n1, n2 in inner
-            for n in rng
-        ]
-    for outer in itertools.product(rng, repeat=k - j):
-        oa = ob = 0
-        for n in reversed(outer):  # Horner: the pair of the entries before the last two
-            oa, ob = ob + n, oa + Q * ob
-        o0, o1, o2 = sum(outer[0::PARITY_PERIOD]), sum(outer[1::PARITY_PERIOD]), sum(outer[2::PARITY_PERIOD])
-        for t, ia, ib, i0, i1, i2 in inner:
-            yield outer + t, oa + ia, ob + ib, o0 + i0, o1 + i1, o2 + i2
-
-
-def _window_lanes(d: int, c: int):
-    """(table, lanes_of) for the window of span d, coefficients in [-c, c].
-    The tails (h, m, n) sit on a grid of one-bit lanes, one per (h, m);
-    ``table`` maps each R to the mask of its tails' lanes and their count.
-    ``lanes_of`` takes the pair and the class sums of a prefix (n_0, ...,
-    n_{d-3}) and gives None if no tail finishes it, else (R, table[R],
-    wrong): ``wrong`` has a 1 in the lanes of the tails of R whose element
-    s has |s| mod 2 unlike the pair formula's prediction.
-
-    With W the pair of the prefix plus R U^d, u = U^(d-2) - U^d and v =
-    U^(d-1) - U^d, the pair of s is W + h u + m v.  The norm form and the
-    pair formula are integer polynomials, so |s| mod 2 is ``_norm_form``
-    read at that pair mod 2, and the prediction ``_pair_parity`` read at the
-    class sums mod 2, which R mod 2 follows.  Both depend only on W mod 2,
-    the class sums of the prefix mod 2 and the grid's class (h mod 2, m mod
-    2): a prefix's lanes of odd |s| are one of four masks, its predicted-odd
-    lanes one of eight, and its wrong lanes, their XOR, one of at most 32,
-    each a union of the grid's four classes, filled when first met."""
-    hs, ms = _grid(d, c)
-    odd = sum(1 << j for j, m in enumerate(ms) if m & 1)  # the lanes of odd m in a row h of the grid
-    even = odd ^ (1 << len(ms)) - 1
-    classes = [0, 0, 0, 0]  # the lanes of the grid's class (h mod 2, m mod 2), at 2 (h mod 2) + m mod 2
-    for i, h in enumerate(hs):
-        classes[2 * (h & 1)] |= even << len(ms) * i
-        classes[2 * (h & 1) + 1] |= odd << len(ms) * i
-    table = {r: (mask, mask.bit_count()) for r, mask in _tails(d, c).items()}
-    uh, um, (na, nb) = _u_pair(d - 2), _u_pair(d - 1), _u_pair(d)
-    u, v = (uh[0] - na, uh[1] - nb), (um[0] - na, um[1] - nb)
-    # the class sums of the tail (h, m, n) are h, m and n at the classes d - 2, d - 1 and d mod 3
-    ch, cm, cn = (1 << e % PARITY_PERIOD for e in (d - 2, d - 1, d))
-    form, parity = _norm_form, _pair_parity
-    wrong = [None] * 32  # per key 4 x + 2 (alpha mod 2) + beta mod 2 of a prefix, bit i of x its N_i mod 2
-
-    def wrong_lanes(key):
-        x = key >> 2
-        r = 1 + (x & 1) + (x >> 1 & 1) + (x >> 2)  # R, up to a multiple of 2
-        wa, wb = (key >> 1 & 1) + r * na, (key & 1) + r * nb  # W, up to multiples of 2
-        lanes = 0
-        for k, grid_class in enumerate(classes):
-            h, m = k >> 1, k & 1
-            y = x ^ (ch * h | cm * m | cn * ((r - h - m) & 1))  # the class sums of the element mod 2
-            if (form(wa + h * u[0] + m * v[0], wb + h * u[1] + m * v[1]) ^ parity(y & 1, y >> 1 & 1, y >> 2)) & 1:
-                lanes |= grid_class
-        wrong[key] = lanes
-        return lanes
-
-    get = table.get
-
-    def lanes_of(pa, pb, c0, c1, c2):
-        r = 1 - c0 - c1 - c2
-        entry = get(r)
-        if entry is None:
-            return None
-        key = ((c2 & 1) << 2 | (c1 & 1) << 1 | c0 & 1) << 2 | (pa & 1) << 1 | pb & 1
-        if (lanes := wrong[key]) is None:
-            lanes = wrong_lanes(key)
-        return r, entry, lanes & entry[0]
-
-    return table, lanes_of
+    The counts of the partial tuples are polynomials in z, the exponent of
+    z their sum plus c per entry, packed in w-bit slots of one integer per
+    key.  Each exponent multiplies them by the polynomial of the even
+    coefficients, which keeps the key, and by that of the odd ones, which
+    flips it.  No slot exceeds (2c + 1)^(d + 1) < 2^w, so none carries into
+    the next."""
+    w = ((2 * c + 1) ** (d + 1)).bit_length()
+    even = sum(1 << w * (n + c) for n in range(-c, c + 1) if not n & 1)
+    odd = sum(1 << w * (n + c) for n in range(-c, c + 1) if n & 1)
+    counts = [1] + [0] * 31
+    for e in range(d + 1):
+        flip = _key_flip(e)
+        counts = [counts[key] * even + counts[key ^ flip] * odd for key in range(32)]
+    return w, counts
 
 
 def _window_size(max_degree_span: int, c: int) -> int:
@@ -352,22 +272,22 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     S-element of the window: support in [0, max_degree_span], coefficients
     in [-max_abs_coeff, max_abs_coeff].
 
-    The walk runs over the coefficient tuples (n_0, ..., n_D) that sum to 1,
-    D = max_degree_span, in lexicographic order.  Each prefix
-    (n_0, ..., n_{D-3}), empty for D < 3, comes from ``_prefixes`` with its
-    pair and class sums, and ``_window_lanes`` gives the mask of its
-    elements whose norm parity the pair formula predicts wrong, bit i for
-    the grid's lane i: one of at most 32 masks per window, read by one AND.
-    Only a prefix with a lane that disagrees is decoded.  Every
-    counterexample is counted, and the first COUNTEREXAMPLE_LIST_BOUND of
-    them by support span, then tuple, are listed: the walk keeps at most
-    twice that many tuples, cut back whenever it holds more, so a failing
-    window holds a bounded list however many elements fail.
+    The window's elements are its coefficient tuples (n_0, ..., n_D) that
+    sum to 1, D = max_degree_span.  The norm form and the pair formula are
+    integer polynomials, so |s| mod 2 is ``_norm_form`` read at the pair of
+    s(U) mod 2, and the prediction ``_pair_parity`` read at the class sums
+    mod 2: both are functions of a tuple's key, and ``_key_counts`` counts
+    the tuples of sum 1 under each of the 32 keys.  Every counterexample is
+    thereby counted.  Only a failing window is walked, element by element
+    in report order (support span, then tuple), to list the first
+    COUNTEREXAMPLE_LIST_BOUND of them; the walk stops there, and must find
+    as many as the count says, else the check fails.  It costs a walk of
+    the window only when its few failures come late.
 
     The bounds are checked before any power of U is built: 0 first (that
     window holds no S-element, and a check over nothing would pass
     vacuously), then the sign, WINDOW_COEFF_BOUND and WINDOW_SIZE_BOUND.
-    The count of elements checked must equal ``_window_size``, so a walk
+    The count of elements checked must equal ``_window_size``, so a count
     that skips elements fails rather than passing on a short count.
     """
     d, c = max_degree_span, max_abs_coeff
@@ -380,33 +300,44 @@ def verify_parity_range(max_degree_span: int, max_abs_coeff: int) -> ParityRepor
     # one 1 and d // 2 pairs (1, -1) or (-1, 1) make 2^(d // 2) elements, so a long span needs no count
     if d // 2 >= WINDOW_SIZE_BOUND.bit_length() or (size := _window_size(d, c)) > WINDOW_SIZE_BOUND:
         raise PreconditionError(f"the window ({d}, {c}) holds more than {WINDOW_SIZE_BOUND} S-elements")
-    _, lanes_of = _window_lanes(d, c)
-    hs, ms = _grid(d, c)
-    cut = max(0, 2 - d)  # the tail entries at exponents below 0 are not in the tuple
-    bad: list[tuple[int, ...]] = []
-    checked = failed = 0
-
-    def span(t):  # of the support of a coefficient tuple
-        support = [i for i, n in enumerate(t) if n]
-        return support[-1] - support[0]
-
-    def cut_back():  # stable: by span, then tuple, since the walk appends in tuple order
-        bad.sort(key=span)
-        del bad[COUNTEREXAMPLE_LIST_BOUND:]
-
-    for prefix, pa, pb, c0, c1, c2 in _prefixes(d, c):
-        if (found := lanes_of(pa, pb, c0, c1, c2)) is None:
-            continue
-        r, (_, count), wrong = found
-        checked += count
-        if wrong:
-            failed += wrong.bit_count()
-            tails = enumerate(itertools.product(hs, ms))
-            bad.extend((*prefix, *(h, m, r - h - m)[cut:]) for i, (h, m) in tails if wrong >> i & 1)
-            if len(bad) > 2 * COUNTEREXAMPLE_LIST_BOUND:
-                cut_back()
+    w, counts = _key_counts(d, c)
+    at_one = [n >> w * (1 + (d + 1) * c) & (1 << w) - 1 for n in counts]  # the slot of sum 1
+    checked = sum(at_one)
     if checked != size:
-        raise TheoremViolationError(f"the walk checked {checked} S-elements of a window that holds {size}")
-    cut_back()
-    elements = (LaurentPoly(tuple([(e, n) for e, n in enumerate(t) if n])) for t in bad)
-    return ParityReport(checked, failed, tuple(map(str, elements)))
+        raise TheoremViolationError(f"the state count holds {checked} S-elements of a window that holds {size}")
+    # the norm parity at each pair mod 2, and the prediction at each x, bit i of x the class sum N_i mod 2
+    form = [_norm_form(alpha, beta) for alpha in (0, 1) for beta in (0, 1)]
+    prediction = [_pair_parity(x & 1, x >> 1 & 1, x >> 2) for x in range(8)]
+    wrong = [(p ^ f) & 1 for p in prediction for f in form]  # at the key 4 x + 2 (alpha mod 2) + beta mod 2
+    failed = sum(n for n, bad in zip(at_one, wrong) if bad)
+    listed: list[str] = []
+    if failed:
+        want = min(failed, COUNTEREXAMPLE_LIST_BOUND)
+        flips = [_key_flip(e) for e in range(d + 1)]
+
+        def window():  # (offset, core) of each element, by support span, then tuple
+            rng = range(-c, c + 1)
+            for k in range(d + 1):
+                offsets = range(d - k + 1)
+                # a negative lead sorts first at the lowest offset, a positive one at the highest
+                for leads, fs in ((range(-c, 0), offsets), (range(1, c + 1), reversed(offsets))):
+                    for f, lead in itertools.product(fs, leads):
+                        for middle in itertools.product(rng, repeat=max(0, k - 1)):
+                            core = (lead, *middle, 1 - lead - sum(middle))[: k + 1]
+                            if sum(core) == 1 and core[-1] and -c <= core[-1] <= c:
+                                yield f, core
+
+        for f, core in window():
+            key = 0
+            for e, n in enumerate(core, f):
+                if n & 1:
+                    key ^= flips[e]
+            if wrong[key]:
+                listed.append(str(LaurentPoly(tuple((e, n) for e, n in enumerate(core, f) if n))))
+                if len(listed) == want:
+                    break
+        if len(listed) != want:
+            raise TheoremViolationError(
+                f"the walk found {len(listed)} of the first {want} of the {failed} counterexamples counted"
+            )
+    return ParityReport(checked, failed, tuple(listed))

@@ -25,6 +25,8 @@ from typing import NamedTuple
 from vltower import groups, quadratic, series
 from vltower.cli import main
 
+from references import window_key_counts
+
 DEFAULT_TIMEOUT = 60
 
 
@@ -68,11 +70,13 @@ TABLE = [
     _entry('norm --s " 2 * b ^ - 1 - b ^ 3 "', "ci", "encoding", "claim-path"),
     _entry("norm --s b^99999999999999999999", "ci", "encoding", "claim-path", timeout=10),
     _entry("parity-verify --max-span 7 --max-coeff 3", "ci", "encoding"),
-    # not an encoding entry: its report has the shape of (7, 3)'s and takes seconds longer
-    _entry("parity-verify --max-span 8 --max-coeff 3", "ci", timeout=60),
-    # the window walk at the widest coefficients and, within a second, the longest span CI walks
-    _entry("parity-verify --max-span 4 --max-coeff 8", "ci", timeout=20),
-    _entry("parity-verify --max-span 12 --max-coeff 1", "ci", timeout=20),
+    # not an encoding entry: its report has the shape of (7, 3)'s
+    _entry("parity-verify --max-span 8 --max-coeff 3", "ci", timeout=5),
+    # the window count at the widest coefficients, at a long span, and at the two windows of WINDOW_SIZE_BOUND
+    _entry("parity-verify --max-span 4 --max-coeff 8", "ci", timeout=5),
+    _entry("parity-verify --max-span 12 --max-coeff 1", "ci", timeout=5),
+    _entry("parity-verify --max-span 12 --max-coeff 2", "ci", timeout=5),
+    _entry("parity-verify --max-span 17 --max-coeff 1", "ci", timeout=5),
     _entry("cohn --m 4 --n 8 --trials 20", "ci", "encoding"),
     _entry("cohn --m 40 --n 12 --trials 5 --coherence 2", "ci"),
     _entry("cohn --m 8 --n 60 --trials 3 --coherence 1", "ci", timeout=20),
@@ -204,14 +208,7 @@ def tagged(tag: str) -> list[Entry]:
 def window_count(max_span: int, max_coeff: int) -> int:
     """The S-elements of a parity window: coefficient tuples (n_0, ..., n_max_span)
     in [-max_coeff, max_coeff] with sum 1, counted by partial sums."""
-    ways = {0: 1}  # ways[t]: tuples so far with sum t
-    for _ in range(max_span + 1):
-        nxt: dict[int, int] = {}
-        for t, w in ways.items():
-            for n in range(-max_coeff, max_coeff + 1):
-                nxt[t + n] = nxt.get(t + n, 0) + w
-        ways = nxt
-    return ways[1]
+    return sum(ways.get(1, 0) for ways in window_key_counts(max_span, max_coeff).values())
 
 
 def run_argv(entry: Entry) -> list[str]:

@@ -10,8 +10,11 @@
   ``LaurentPoly`` is a value type without them, since no claim adds or
   multiplies polynomials.
 - ``enumerate_S`` lists the S-elements of a parity window in (span, lex)
-  order, one core at a time: the order the package's flat walk over
-  coefficient tuples reaches once it sorts its counterexamples.
+  order, one core at a time: the order in which the package lists a
+  failing window's counterexamples.
+- ``window_key_counts`` counts a window's coefficient tuples by sum and by
+  their key (class sums and pair of s(U), mod 2), one entry at a time: the
+  recurrence the package's ``_key_counts`` runs on packed slots.
 - ``shift`` multiplies a Laurent polynomial by b^m, and ``divide_exact`` is
   exact division in Z[b, b^-1].
 - ``Fraction``/``frac_eq``, ``prefix_product`` and ``fraction_stage_vector``
@@ -51,7 +54,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as _QFrac
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from vltower.cohn import NilpotentModuleSpec, RingMatrix, _bareiss_det
 from vltower.errors import PreconditionError, TheoremViolationError
@@ -181,6 +184,34 @@ def enumerate_S(max_degree_span: int, max_abs_coeff: int) -> Iterator[LaurentPol
                     core = (lead, *middle, 1 - lead - sum(middle))[: d + 1]
                     if sum(core) == 1 and core[-1] and -c <= core[-1] <= c:
                         yield LaurentPoly(tuple((f + i, n) for i, n in enumerate(core) if n))
+
+
+def window_key_counts(
+    max_span: int, max_abs_coeff: int, values: Iterable[int] | None = None
+) -> dict[int, dict[int, int]]:
+    """{key: {t: count}}: the coefficient tuples (n_0, ..., n_max_span) in
+    [-max_abs_coeff, max_abs_coeff], or in ``values``, with sum t, by key
+    4 x + 2 (alpha mod 2) + beta mod 2, bit i of x the class sum N_i mod 2
+    and (alpha, beta) the pair of s(U).  The partial-sum recurrence, one
+    entry at a time, with the key carried along: an odd entry at exponent e
+    flips the class bit of e and adds U^e mod 2, stepped one U at a time,
+    to the pair."""
+    values = range(-max_abs_coeff, max_abs_coeff + 1) if values is None else list(values)
+    ways = {(0, 0): 1}  # ways[key, t]: tuples so far with key and sum t
+    power = (1, 0)  # the pair of U^e
+    for e in range(max_span + 1):
+        flip = (1 << e % 3) << 2 | (power[0] & 1) << 1 | power[1] & 1
+        nxt: dict[tuple[int, int], int] = {}
+        for (key, t), w in ways.items():
+            for n in values:
+                step = (key ^ flip if n & 1 else key, t + n)
+                nxt[step] = nxt.get(step, 0) + w
+        ways = nxt
+        power = power[1], power[0] + 3 * power[1]
+    out: dict[int, dict[int, int]] = {}
+    for (key, t), w in ways.items():
+        out.setdefault(key, {})[t] = w
+    return out
 
 
 def shift(s: LaurentPoly, m: int) -> LaurentPoly:

@@ -250,18 +250,18 @@ def test_enumerate_S_rejects_negative_bounds(span, coeff):
 
 
 def test_window_walk_memory_at_the_coefficient_bound():
-    # the walk holds one tails table, at most (2c + 1)^3 tails; at span 12
-    # every R = h + m + n is reached
+    # the window check holds 32 packed counts of (span + 1) 2c + 1 slots,
+    # about 45 KB at span 12, the longest span whose sums every slot reaches
     c = WINDOW_COEFF_BOUND
     with pytest.raises(PreconditionError, match="past the window bound"):
         next(enumerate_S(0, c + 1))
     tracemalloc.start()
     try:
-        table = quadratic._window_lanes(12, c)[0]
+        w, counts = quadratic._key_counts(12, c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(count for _, count in table.values()) <= (2 * c + 1) ** 3
+    assert len(counts) == 32 and max(counts).bit_length() <= w * (13 * 2 * c + 1)
     assert peak < 1024 * 1024
 
 

@@ -10,7 +10,9 @@ check that caught the fault.
 
 import dataclasses
 import inspect
+import itertools
 import json
+import types
 
 import pytest
 
@@ -20,7 +22,7 @@ from vltower.cli import main
 from vltower.laurent import parse_laurent
 from vltower.quadratic import evaluate_at_U, predicted_parity
 
-from references import enumerate_S
+from references import enumerate_S, window_key_counts
 from test_quadratic import ref_parity_report
 
 PHI_CHECK = ["phi-check", "--s", "1-b+b^2", "--k", "3"]
@@ -269,19 +271,45 @@ def test_phi_first_homology_claims_read_the_augmentation(monkeypatch, capsys, s,
 
 
 def test_parity_exhaustive_catches_a_walk_that_drops_a_tail(monkeypatch, capsys):
-    # parity.exhaustive: the elements a walk skips break no formula, but the
-    # count of elements checked falls short of the window's
-    real = quadratic._tails
+    # parity.exhaustive: a count that drops the coefficient value c drops
+    # every element with an entry c; that breaks no formula, but the count
+    # of elements checked falls short of the window's
+    real = quadratic._key_counts
 
-    def dropping(*args):
-        tails = real(*args)
-        tails[1] &= tails[1] - 1  # the lane of the first tail of R = 1 leaves the mask
-        return tails
+    def dropping(d, c):
+        w, _ = real(d, c)
+        ways = window_key_counts(d, c, values=range(-c, c))
+        return w, [sum(n << w * (t + (d + 1) * c) for t, n in ways.get(key, {}).items()) for key in range(32)]
 
-    monkeypatch.setattr(quadratic, "_tails", dropping)
+    monkeypatch.setattr(quadratic, "_key_counts", dropping)
     code, err = _exit_and_error(["parity-verify", "--max-span", "6", "--max-coeff", "3"], capsys)
     assert code == 2
     assert "S-elements of a window that holds 59710" in err
+
+
+def _every_prediction_wrong(n0, n1, n2):
+    return (n0 * n1 + n0 * n2 + n1 * n2) % 2
+
+
+def test_parity_exhaustive_catches_a_listing_walk_that_misses_an_element(monkeypatch, capsys):
+    # parity.exhaustive: with every prediction wrong, all 18 elements of the
+    # (2, 2) window fail, fewer than the list bound; a walk that misses the
+    # element -2 + 2b + b^2 (the last middle entry of its first core of
+    # span 2) lists one fewer than the count finds
+    real = itertools.product
+    missed = []
+
+    def missing_one(*iterables, repeat=1):
+        out = list(real(*iterables, repeat=repeat))
+        if len(iterables) == 1 and repeat == 1 and not missed:
+            missed.append(out.pop())
+        return iter(out)
+
+    monkeypatch.setattr(quadratic, "_pair_parity", _every_prediction_wrong)
+    monkeypatch.setattr(quadratic, "itertools", types.SimpleNamespace(product=missing_one))
+    code, err = _exit_and_error(["parity-verify", "--max-span", "2", "--max-coeff", "2"], capsys)
+    assert (code, missed) == (2, [(2,)])
+    assert err == "theorem violation: the walk found 17 of the first 18 of the 18 counterexamples counted\n"
 
 
 def _failed_claims(argv, capsys):

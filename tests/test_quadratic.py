@@ -25,7 +25,19 @@ from vltower.quadratic import (
     two_adic_split,
     verify_parity_range,
 )
-from references import IDENTITY, U, Mat2, enumerate_S, poly_add, poly_mul, s_matrix, shift, u_pow, vec_mat
+from references import (
+    IDENTITY,
+    U,
+    Mat2,
+    enumerate_S,
+    poly_add,
+    poly_mul,
+    s_matrix,
+    shift,
+    u_pow,
+    vec_mat,
+    window_key_counts,
+)
 
 polys = st.builds(
     LaurentPoly.from_dict,
@@ -217,7 +229,7 @@ def test_verify_parity_range_no_counterexamples(span, coeff):
 
 
 def test_verify_parity_range_memory_at_the_coefficient_bound():
-    # 49,920 elements; the walk holds its one tails table, not the elements
+    # 49,920 elements; the check holds its 32 packed counts, not the elements
     tracemalloc.start()
     try:
         rep = verify_parity_range(4, WINDOW_COEFF_BOUND)
@@ -237,7 +249,7 @@ def _walk(i):
 
 
 def test_window_size_bound_comes_before_any_power_of_u(monkeypatch):
-    # the slowest windows within WINDOW_SIZE_BOUND reach the walk; larger
+    # the largest windows within WINDOW_SIZE_BOUND reach the count; larger
     # ones, and spans whose count would itself be slow, are rejected first
     monkeypatch.setattr(quadratic, "_u_pair", _walk)
     for span, coeff in (12, 2), (17, 1), (8, 5):
@@ -274,74 +286,55 @@ def test_window_size_counts_the_tuples_that_sum_to_one():
     assert quadratic._window_size(8, 3) == 2602341
 
 
-def _grid_bits(span, coeff, r, mask, lanes):
-    """(h, m, n) and its bit of ``lanes``, for each lane of the grid in ``mask``."""
-    for i, (h, m) in enumerate(itertools.product(*quadratic._grid(span, coeff))):
-        if mask >> i & 1:
-            yield (h, m, r - h - m), lanes >> i & 1
+def _unpacked(span, coeff):
+    """{key: {t: count}} from ``_key_counts``: every slot of every key read
+    back, the empty ones left out."""
+    w, counts = quadratic._key_counts(span, coeff)
+    offset = (span + 1) * coeff
+    slots = 2 * offset + 1
+    out = {}
+    for key, packed in enumerate(counts):
+        assert packed >> w * slots == 0  # nothing past the last slot
+        if ways := {i - offset: n for i in range(slots) if (n := packed >> w * i & (1 << w) - 1)}:
+            out[key] = ways
+    return out
+
+
+def _key(t):
+    """The key of a coefficient tuple: its class sums and the pair of its s(U), mod 2."""
+    alpha, beta = evaluate_at_U(LaurentPoly.from_dict(dict(enumerate(t))))
+    x = sum((sum(t[i::3]) & 1) << i for i in range(3))
+    return 4 * x + 2 * (alpha & 1) + (beta & 1)
 
 
 def _predicts_even(n0, n1, n2):
-    # a wrong lane is then an odd norm
+    # a wrong key is then an odd norm
     return 0
 
 
-def _walk_bits(span, coeff):
-    """(tuple, bit of the wrong lanes) for each element of the window,
-    through the walk's own prefixes, tails and lanes."""
-    _, lanes_of = quadratic._window_lanes(span, coeff)
-    for prefix, *evaluation in quadratic._prefixes(span, coeff):
-        if (found := lanes_of(*evaluation)) is not None:
-            r, (mask, _), wrong = found
-            for tail, bit in _grid_bits(span, coeff, r, mask, wrong):
-                yield (*prefix, *tail[max(0, 2 - span) :]), bit
-
-
-# (5, 2) has prefixes of length 3 that share their tails
+# (4, 3) and (5, 2) reach every class mod 3 twice
 @pytest.mark.parametrize("span,coeff", [(0, 2), (1, 3), (3, 2), (4, 3), (5, 2)])
 def test_grouped_parity_check_takes_each_norm_in_window_order(monkeypatch, span, coeff):
-    # the walk's order: the coefficient tuples (n_0, ..., n_D) lexicographically;
-    # with the pair formula predicting even, the lane of each is its norm mod 2
+    # the state count against a tally of every tuple of the window by its
+    # key and sum; with the pair formula predicting even, the failures are
+    # the odd norms, listed in window order
+    tally = {}
+    for t in itertools.product(range(-coeff, coeff + 1), repeat=span + 1):
+        ways = tally.setdefault(_key(t), {})
+        ways[sum(t)] = ways.get(sum(t), 0) + 1
+    assert _unpacked(span, coeff) == tally
     monkeypatch.setattr(quadratic, "_pair_parity", _predicts_even)
-    rng = range(-coeff, coeff + 1)
-    tuples = [t for t in itertools.product(rng, repeat=span + 1) if sum(t) == 1]
-    expected = [norm(LaurentPoly.from_dict(dict(enumerate(t)))) % 2 for t in tuples]
-    walked = list(_walk_bits(span, coeff))
-    assert [t for t, _ in walked] == tuples
-    assert [bit for _, bit in walked] == expected
+    odd = [str(s) for s in enumerate_S(span, coeff) if norm(s) % 2]
+    rep = verify_parity_range(span, coeff)
+    assert (rep.failed, rep.counterexamples) == (len(odd), tuple(odd[: quadratic.COUNTEREXAMPLE_LIST_BOUND]))
 
 
-def _with_sum(prefix, target, coeff):
-    """The prefix with its lowest entries moved, within [-coeff, coeff], so
-    that it sums to target."""
-    moved = list(prefix)
-    for i, n in enumerate(moved):
-        moved[i] = max(-coeff, min(coeff, n + target - sum(moved)))
-    assert sum(moved) == target
-    return tuple(moved)
-
-
-# the longest span at c = 1, 17, and the widest coefficients, c = 8 at span 6
-@pytest.mark.parametrize("span,coeff", [(17, 1), (6, WINDOW_COEFF_BOUND)])
-def test_every_lane_holds_its_norm_parity_at_the_extremes(monkeypatch, span, coeff):
-    # the prefixes of the largest |alpha| (-c on the low exponents and c on
-    # the high ones, and the reverse), moved to the sums of R = -3c, 1 and
-    # 3c, the extremes that tails finish.  Every lane of a tail of R, with
-    # the pair formula predicting even, holds its element's norm mod 2.
-    monkeypatch.setattr(quadratic, "_pair_parity", _predicts_even)
-    table, lanes_of = quadratic._window_lanes(span, coeff)
-    k = span - 2
-    low = (-coeff,) * (k // 2) + (coeff,) * (k - k // 2)
-    for base in low, tuple(-n for n in low):
-        for r in -3 * coeff, 1, 3 * coeff:
-            prefix = _with_sum(base, 1 - r, coeff)
-            alpha, beta = evaluate_at_U(LaurentPoly.from_dict(dict(enumerate(prefix))))
-            found, (mask, count), wrong = lanes_of(alpha, beta, *[sum(prefix[i::3]) for i in range(3)])
-            assert found == r and (mask, count) == table[r]
-            bits = list(_grid_bits(span, coeff, r, mask, wrong))
-            assert len(bits) == count
-            for tail, bit in bits:
-                assert bit == norm(LaurentPoly.from_dict(dict(enumerate((*prefix, *tail))))) % 2
+# the longest span at c = 1, 17, the widest coefficients, c = 8 at span 6, and the largest window, (12, 2)
+@pytest.mark.parametrize("span,coeff", [(17, 1), (6, WINDOW_COEFF_BOUND), (12, 2)])
+def test_key_counts_equal_the_unpacked_recurrence_at_the_extremes(span, coeff):
+    # every slot of every key, read back, holds the count of the recurrence
+    # one entry at a time: a slot that carried into the next would not
+    assert _unpacked(span, coeff) == window_key_counts(span, coeff)
 
 
 def _without_n1_n2(n0, n1, n2):
@@ -372,8 +365,8 @@ def test_planted_parity_fault_gives_the_element_loop_counterexamples(monkeypatch
 
 def test_a_failing_window_counts_every_counterexample_and_lists_the_first(monkeypatch, capsys):
     # (6, 2) under _plus_n0 fails 3,919 elements, past the list bound, so the
-    # walk cuts its list back several times; the claim's statement counts
-    # them all, and its data lists the first in report order
+    # listing walk stops at the 1,000th; the claim's statement counts them
+    # all, and its data lists the first in report order
     monkeypatch.setattr(quadratic, "_pair_parity", _plus_n0)
     checked, bad = ref_parity_report(6, 2)
     listed = list(bad[: quadratic.COUNTEREXAMPLE_LIST_BOUND])
@@ -384,6 +377,17 @@ def test_a_failing_window_counts_every_counterexample_and_lists_the_first(monkey
     (claim,) = json.loads(capsys.readouterr().out)["claims"]
     assert claim["statement"] == f"checked {checked} S-elements, 3919 counterexamples"
     assert claim["data"]["counterexamples"] == listed
+
+
+def test_a_failing_window_lists_the_first_counterexamples_of_the_element_loop(monkeypatch):
+    # (8, 3) under _without_n1_n2 fails a quarter of its 2,602,341 elements;
+    # the listing walk stops at the first 1,000 in report order, the order
+    # in which enumerate_S streams the window
+    monkeypatch.setattr(quadratic, "_pair_parity", _without_n1_n2)
+    rep = verify_parity_range(8, 3)
+    assert (rep.checked, rep.failed) == (2602341, 654939)
+    bad = (str(s) for s in enumerate_S(8, 3) if predicted_parity(s) != norm(s) % 2)
+    assert rep.counterexamples == tuple(itertools.islice(bad, quadratic.COUNTEREXAMPLE_LIST_BOUND))
 
 
 # --- lattices ---------------------------------------------------------------

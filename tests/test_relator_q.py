@@ -39,10 +39,6 @@ SRC = Path(quadratic.__file__).resolve().parent
 ALLOWED_THREES = {
     ("quadratic.py", "Q = 3"): (1, "the definition of Q"),
     ("quadratic.py", "PARITY_PERIOD = 3"): (1, "the order of U mod 2 for odd Q, not the relator's 3"),
-    ("quadratic.py", "for r in range(max(1 - spread, -3 * c), min(1 + spread, 3 * c) + 1):"): (
-        2,
-        "|R| <= 3c: R = h + m + n is a sum of three tail entries in [-c, c]",
-    ),
     ("groups.py", "if data.record[3:] != evaluate_at_U(data.s):"): (1, "the pair after (e, c_A, c_B) of a record"),
     ("homology.py", "a = (phi_data.record[1], *phi_data.record[3:])"): (1, "the pair after (e, c_A, c_B) of a record"),
     ("cohn.py", "for _ in range(n * 3):"): (1, "cohn's draws: elementary row operations per matrix size"),
