@@ -91,7 +91,8 @@ def cmd_phi_check(args) -> Report:
     rep = Report("phi-check", {"s": str(s), "k": args.k})
     data = phi_build(s, args.k)
     _require_printable(data.norm)
-    _require_printable(data.r, data.l, data.l_exact, what="a relator exponent")
+    l = data.l_exact % (1 << data.source_k)
+    _require_printable(data.r, l, data.l_exact, what="a relator exponent")
     rep.add(
         "phi.build",
         f"level map built: source {data.source_k}, target {data.target_k}, "
@@ -99,7 +100,7 @@ def cmd_phi_check(args) -> Report:
         "verified",
         True,
         r=data.r,
-        l=data.l,
+        l=l,
         l_exact=data.l_exact,
         target_k=data.target_k,
     )

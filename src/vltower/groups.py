@@ -41,8 +41,11 @@ map is one with e = |s| and M = s(U), and fixes b; for x = t^|s|, once
 [x, b] = x^-2, the k-fold [x, b, ..., b] is x^((-2)^k).  The relators of a
 level map, its second-homology certificate and the witness links are
 checked on b-free triples, with one record application per conjugation by
-b.  A tower edge certifies the bottom square of its diagram by one pair
-comparison, M = s(U).  The full-group law on t^c A^m B^n b^j and the
+b.  A built level map keeps only its pair, the pair of s(U): the centers of
+the images of a and a^b have the width of the target level and nothing
+outside the tests reads them.  A tower edge certifies the bottom square of
+its diagram by one pair comparison, M = s(U).  The full-group law on
+t^c A^m B^n b^j, the record of a level map rebuilt from its pair, and the
 letter-level word oracle that check this kernel live with the tests.
 """
 
@@ -232,14 +235,16 @@ class PhiData:
     ``norm`` is |s|, the exponent of the center image t |-> t^|s|; its 2-adic
     valuation is the level step target_k - source_k.  ``r`` is the unique
     solution of the relator equation in the target group (the congruence
-    Qr = d - l mod 2**target_k with l, d from relator_defect); ``l`` is the
-    source-level value of the relation exponent, ``l_exact`` its integer
-    refinement.  ``source_congruence_ok`` records whether r also satisfies
-    the historical source-level congruence Qr = l mod 2**source_k, which is
-    a consistency note and not an input to the construction.
+    Qr = d - l mod 2**target_k with l, d from relator_defect); ``l_exact`` is
+    the integer exponent l of the relation, and phi-check prints its
+    source-level value too.  ``source_congruence_ok`` records whether r also
+    satisfies the historical source-level congruence Qr = l mod 2**source_k,
+    which is a consistency note and not an input to the construction.
 
-    ``record`` is the map on the b-free part, (|s|, c(a), c(a^b), alpha, beta):
-    the centers of the images of a and a^b mod 2**target_k, and M = s(U).
+    ``pair`` is (alpha, beta), the pair of s(U): the module part of the image
+    of a, and M = s(U) of the map on the b-free part.  The map's record
+    (|s|, c(a), c(a^b), alpha, beta) is not kept; the tests rebuild it from
+    a^s, r and the pair.
     """
 
     s: LaurentPoly
@@ -247,10 +252,9 @@ class PhiData:
     source_k: int
     target_k: int
     r: int
-    l: int
     l_exact: int
     source_congruence_ok: bool
-    record: Aut = field(repr=False)
+    pair: tuple[int, int] = field(repr=False)
 
 
 def _order_relator_vanishes(x: Triple, k: int, level: int | None) -> bool:
@@ -341,19 +345,15 @@ def _level_map(s: LaurentPoly, k: int, s_norm: int) -> PhiData:
     if not _order_relator_vanishes(t, k, target_k):
         raise TheoremViolationError(f"order relator image nonzero for s={s}, k={k}")
 
-    source_mod = 1 << k
-    l_mod = l_exact % source_mod
-    source_ok = (Q * r - l_exact) % source_mod == 0
     return PhiData(
         s=s,
         norm=s_norm,
         source_k=k,
         target_k=target_k,
         r=r,
-        l=l_mod,
         l_exact=l_exact,
-        source_congruence_ok=source_ok,
-        record=(s_norm, a[0] % target_mod, ab[0] % target_mod, *a[1:]),
+        source_congruence_ok=(Q * r - l_exact) % (1 << k) == 0,
+        pair=a[1:],
     )
 
 
@@ -405,13 +405,13 @@ def _check_base_diagram(data: PhiData) -> None:
     source group, projecting t^c a^n b^j to b^j a^(n U^j).
 
     phi fixes b^j and sends the module part n of g to the pair product
-    n (alpha, beta) with the record's pair, so the square commutes for every
+    n (alpha, beta) with the map's pair, so the square commutes for every
     element exactly when that pair is the pair of s(U): U^j is invertible
     and commutes with both.  A pair product is linear in n by construction,
     and the t part of g never reaches the module part, so this one
     comparison is the whole certificate.
     """
-    if data.record[3:] != evaluate_at_U(data.s):
+    if data.pair != evaluate_at_U(data.s):
         raise TheoremViolationError(
             f"base diagram does not commute for s={data.s} at level {data.source_k}"
         )

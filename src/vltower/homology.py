@@ -33,15 +33,15 @@ def two_connected_certificate(phi_data: PhiData) -> int:
 
     The second-homology half is the 2-adic valuation of the generator image.
     The generator at the source is the class of t**(2**source_k); its image
-    is the commutator of the image of a, read from the level map's record,
-    with its b-conjugate, raised to that power.  The commutator is evaluated
-    on b-free triples with the integer center (the center part of a's image
-    drops out of it, so its residue serves as the lift), yielding t**|s|
-    exactly, so the valuation is source_k + p(s): an odd multiple of the
-    target generator, certifying the induced map is an isomorphism.  Raises
-    unless the valuation is the target level.
+    is the commutator of the image of a with its b-conjugate, raised to that
+    power.  The commutator is evaluated on b-free triples with the integer
+    center, and the center part of a's image drops out of it, so the image
+    is taken with center 0 and the level map's pair as its module part.  It
+    yields t**|s| exactly, so the valuation is source_k + p(s): an odd
+    multiple of the target generator, certifying the induced map is an
+    isomorphism.  Raises unless the valuation is the target level.
     """
-    a = (phi_data.record[1], *phi_data.record[3:])
+    a = (0, *phi_data.pair)
     c, m, n = free_comm(a, conj_b(a))
     if (m, n) != (0, 0):
         raise TheoremViolationError("generator image is not central")

@@ -76,9 +76,7 @@ def lcs_step(model: Model, s: SubgroupData) -> SubgroupData:
         candidates.append(1 << (s.center_exp + 1))
     if central:
         candidates.extend((alpha, beta, m, n))  # pairings against a and a^b
-    g = 0
-    for cand in candidates:
-        g = math.gcd(g, cand)
+    g = math.gcd(*candidates)
     if not central or g == 0:
         center_exp = None
     else:

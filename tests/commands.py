@@ -69,7 +69,7 @@ TABLE = [
     # smoke commands
     _entry('norm --s " 2 * b ^ - 1 - b ^ 3 "', "ci", "encoding", "claim-path"),
     _entry("norm --s b^99999999999999999999", "ci", "encoding", "claim-path", timeout=10),
-    _entry("parity-verify --max-span 7 --max-coeff 3", "ci", "encoding"),
+    _entry("parity-verify --max-span 7 --max-coeff 3", "ci", "encoding", timeout=5),
     # not an encoding entry: its report has the shape of (7, 3)'s
     _entry("parity-verify --max-span 8 --max-coeff 3", "ci", timeout=5),
     # the window count at the widest coefficients, at a long span, and at the two windows of WINDOW_SIZE_BOUND

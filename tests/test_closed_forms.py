@@ -57,6 +57,7 @@ from words import (
     gamma_make,
     gamma_mul,
     gamma_pow,
+    level_map_record,
     phi_apply,
     phi_images,
     word_oracle,
@@ -519,7 +520,8 @@ def _check_phi_build_on_the_generic_kernel(s, k):
     img_a = gamma_make(level, x.c + data.r, x.n, 0)
     img_ab = gamma_conj(img_a, b)
     assert phi_images(data)[:2] == (img_a, img_ab)
-    assert data.record == (data.norm, img_a.c, img_ab.c, *img_a.n)
+    assert data.pair == img_a.n
+    assert level_map_record(data) == (data.norm, img_a.c, img_ab.c, *img_a.n)
     assert gamma_comm(img_a, img_ab) == gamma_make(level, data.norm, (0, 0), 0)
     assert gamma_conj(img_ab, b) == gamma_mul(img_a, gamma_conj(gamma_pow(img_a, 3), b))
 
@@ -550,7 +552,7 @@ def ref_matrix_a_power_s(s):
 @pytest.mark.parametrize("edge", ["1-b+b^2", "b", "2b-b^3", "-2-2b^147+5b^311"])
 def test_phi_record_matches_the_images_over_matrix_records(edge):
     # the images of a and a^b as full-group elements, the centers mod
-    # 2**target_k and the module rows the rows of the record's matrix
+    # 2**target_k and the module rows the rows of the map's matrix
     s = parse_laurent(edge)
     for k in (0, 3, 12):
         data = G.phi_build(s, k)
@@ -558,8 +560,8 @@ def test_phi_record_matches_the_images_over_matrix_records(edge):
         c, m, n = ref_matrix_a_power_s(s)
         img_a = gamma_make(level, c + data.r, (m, n), 0)
         img_ab = gamma_conj(img_a, gamma_gen(level, "b"))
-        assert data.record[:3] == (data.norm, img_a.c, img_ab.c)
-        assert pair_mat(*data.record[3:]).rows() == (img_a.n, img_ab.n)
+        assert level_map_record(data)[:3] == (data.norm, img_a.c, img_ab.c)
+        assert pair_mat(*data.pair).rows() == (img_a.n, img_ab.n)
 
 
 @pytest.mark.parametrize("model", ["H", "G2", "Gamma0", "Gamma3"])
@@ -694,7 +696,7 @@ def test_tower_build_checks_the_record_of_b_once():
 
 
 def test_base_diagram_check_multiplies_nothing():
-    # the square is one comparison of the record's pair with the pair of s(U),
+    # the square is one comparison of the map's pair with the pair of s(U),
     # so no group product is taken and the only power of U built is the one
     # evaluating s; the four-power composition made 104 gamma_mul and 48 u_pow
     # calls per edge, and the base-form comparison 3 u_pow
@@ -708,9 +710,9 @@ def test_base_diagram_check_multiplies_nothing():
 
 def test_base_diagram_check_rejects_a_corrupted_module_image():
     data = G.phi_build(parse_laurent("1-b+b^2"), 3)
-    e, c_a, c_b, alpha, beta = data.record
+    alpha, beta = data.pair
     for bad_pair in ((alpha + 1, beta), (alpha, beta - 1)):
-        bad = dataclasses.replace(data, record=(e, c_a, c_b, *bad_pair))
+        bad = dataclasses.replace(data, pair=bad_pair)
         with pytest.raises(TheoremViolationError):
             G._check_base_diagram(bad)
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -298,7 +300,7 @@ def test_phi_build_worked_example_level_zero():
     # image of a is a a^-b a^(b^2) t^r with the module part of a^s
     img_a, _, img_t = phi_images(data)
     assert img_a.n == vec_mat((1, 0), s_matrix(S))
-    assert data.record[3:] == (2, 2)
+    assert data.pair == (2, 2)
     assert img_t == gamma_make(2, 12, (0, 0), 0)
 
 
@@ -405,6 +407,31 @@ def test_tower_computes_each_norm_once_after_the_edge_checks(monkeypatch):
         with pytest.raises((NotInSError, PreconditionError)):
             G.tower_build([S, parse_laurent(bad)])
         assert seen == [S]
+
+
+def _held_bytes():
+    """Traced bytes in live objects; a full collection first empties the free
+    lists, which would otherwise keep freed tuples traced or reuse untraced ones."""
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_tower_memory_is_linear_in_its_edges():
+    # a level-sized field per edge, such as a center mod 2**target_k, makes
+    # the held memory quadratic in the edges (3.1x from 2,500 to 5,000
+    # copies of S); the first 2,500 edges of the 5,000-copy tower are the
+    # 2,500-copy tower, so one traced build gives both readings
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tower = G.tower_build([S] * 5000)
+        whole = _held_bytes()
+        tower = G.TowerPrefix(tower.levels[:2501], tower.phis[:2500])
+        half = _held_bytes()
+    finally:
+        tracemalloc.stop()
+    assert tower == G.tower_build([S] * 2500)
+    assert whole <= 2.3 * half and whole < 2 * 1024 * 1024
 
 
 def test_tower_center_transition_composite():

@@ -39,8 +39,6 @@ SRC = Path(quadratic.__file__).resolve().parent
 ALLOWED_THREES = {
     ("quadratic.py", "Q = 3"): (1, "the definition of Q"),
     ("quadratic.py", "PARITY_PERIOD = 3"): (1, "the order of U mod 2 for odd Q, not the relator's 3"),
-    ("groups.py", "if data.record[3:] != evaluate_at_U(data.s):"): (1, "the pair after (e, c_A, c_B) of a record"),
-    ("homology.py", "a = (phi_data.record[1], *phi_data.record[3:])"): (1, "the pair after (e, c_A, c_B) of a record"),
     ("cohn.py", "for _ in range(n * 3):"): (1, "cohn's draws: elementary row operations per matrix size"),
     ("cohn.py", "for _ in range(_below(bits, 3)):"): (1, "cohn's draws: augmentation-zero terms per entry"),
     ("cohn.py", "deeper = NilpotentModuleSpec(module.m + _below(bits, 3) + 1)"): (1, "cohn's draws: the coherence step"),

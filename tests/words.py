@@ -6,8 +6,9 @@
 - ``gamma_mul``, ``gamma_inv`` and ``gamma_pow`` are the full-group law on
   t^c A^m B^n b^j, built on the package's b-free triple law and records;
   ``conj_by_b_pow`` conjugates a triple by b^j with the record of b^j.
-- ``phi_apply`` applies a level map's record to a full-group element, and
-  ``phi_images`` gives the images of a, a^b and t as elements.
+- ``level_map_record`` rebuilds a level map's record from its pair, which is
+  all the package keeps; ``phi_apply`` applies that record to a full-group
+  element, and ``phi_images`` gives the images of a, a^b and t as elements.
 - ``eval_word``, ``gamma_conj`` and ``gamma_comm`` fold words, conjugates and
   commutators through that law.
 - ``base_form`` is the quotient map to the base group in matrix form.
@@ -24,10 +25,13 @@ from typing import NamedTuple, Sequence
 from references import u_pow, vec_mat
 from vltower.errors import PreconditionError, VltowerError
 from vltower.groups import (
+    Aut,
     Model,
     PhiData,
     _aut_apply,
     _conj_record,
+    a_power_s,
+    conj_b,
     free_inv,
     free_mul,
     free_pow,
@@ -114,19 +118,28 @@ def base_form(x: GammaKElem) -> tuple[Vec, int]:
 # --- level maps on the full group ------------------------------------------------
 
 
+def level_map_record(data: PhiData) -> Aut:
+    """The record (|s|, c(a), c(a^b), alpha, beta) of a level map, centers mod
+    2**target_k: the image of a is t^r times a^s with the map's pair as its
+    module part, and the image of a^b is its conjugate by b."""
+    a = (a_power_s(data.s)[0][0] + data.r, *data.pair)
+    mod = 1 << data.target_k
+    return data.norm, a[0] % mod, conj_b(a)[0] % mod, *data.pair
+
+
 def phi_apply(data: PhiData, g: GammaKElem) -> GammaKElem:
     """t^c A^m B^n b^j |-> the record applied to t^c A^m B^n, times b^j."""
     if g.k != data.source_k:
         raise LevelMismatchError(f"element at level {g.k}, map expects {data.source_k}")
     k = data.target_k
-    c, m, n = _aut_apply(data.record, (g.c, *g.n))
+    c, m, n = _aut_apply(level_map_record(data), (g.c, *g.n))
     return GammaKElem(k, _center(k, c), (m, n), g.j)
 
 
 def phi_images(data: PhiData) -> tuple[GammaKElem, GammaKElem, GammaKElem]:
     """The images of a, a^b and t: rows (1, 0) M and (0, 1) M of the record's
     pair, and the commutator of the first two."""
-    _, c_a, c_b, alpha, beta = data.record
+    _, c_a, c_b, alpha, beta = level_map_record(data)
     k = data.target_k
     img_a = gamma_make(k, c_a, (alpha, beta), 0)
     img_ab = gamma_make(k, c_b, _pair_mul((0, 1), (alpha, beta)), 0)
