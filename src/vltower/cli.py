@@ -91,15 +91,15 @@ def cmd_phi_check(args) -> Report:
     rep = Report("phi-check", {"s": str(s), "k": args.k})
     data = phi_build(s, args.k)
     _require_printable(data.norm)
-    l = data.l_exact % (1 << data.source_k)
-    _require_printable(data.r, l, data.l_exact, what="a relator exponent")
+    r, l = data.r, data.l_exact % (1 << data.source_k)
+    _require_printable(r, l, data.l_exact, what="a relator exponent")
     rep.add(
         "phi.build",
         f"level map built: source {data.source_k}, target {data.target_k}, "
-        f"r = {data.r}, relators vanish",
+        f"r = {r}, relators vanish",
         "verified",
         True,
-        r=data.r,
+        r=r,
         l=l,
         l_exact=data.l_exact,
         target_k=data.target_k,

@@ -37,16 +37,18 @@ prove equal to the collected product on a grid of three values per
 variable; ``free_eq`` is one comparison, the center difference under one
 mask.  Conjugation by b^j is such a record with e = (-1)^j and M = U^-j,
 in closed form from the pair of U^-j, so no records are composed.  A level
-map is one with e = |s| and M = s(U), and fixes b; for x = t^|s|, once
-[x, b] = x^-2, the k-fold [x, b, ..., b] is x^((-2)^k).  The relators of a
-level map, its second-homology certificate and the witness links are
-checked on b-free triples, with one record application per conjugation by
-b.  A built level map keeps only its pair, the pair of s(U): the centers of
-the images of a and a^b have the width of the target level and nothing
-outside the tests reads them.  A tower edge certifies the bottom square of
-its diagram by one pair comparison, M = s(U).  The full-group law on
-t^c A^m B^n b^j, the record of a level map rebuilt from its pair, and the
-letter-level word oracle that check this kernel live with the tests.
+map is one with e = |s| and M = s(U), and fixes b.  Its relators are
+checked once, exactly, on a^s itself (r = 0), by two lemmas the tests
+prove, so no value of a level map has its level's width.  Slope: the
+center enters every step linearly, so the main relator's center defect at
+a^s t^r is its defect at a^s plus Q r, Q a unit mod every 2**k.  Order:
+for x = t^c, [x, b, ..., b] (k letters b) is x^((-2)^k), 1 at level L
+exactly when x^((-1)^k) is 1 at level max(L - k, 0).  These relators, the
+second-homology certificate and the witness links are checked on b-free
+triples, one record application per conjugation by b, and a tower edge
+certifies its diagram's bottom square by one pair comparison, M = s(U).
+The full-group law on t^c A^m B^n b^j, the record of a level map rebuilt
+from its pair, and the letter-level word oracle live with the tests.
 """
 
 from __future__ import annotations
@@ -233,37 +235,45 @@ class PhiData:
     """A validated level map: a |-> a^s t^r, b |-> b, from level source_k.
 
     ``norm`` is |s|, the exponent of the center image t |-> t^|s|; its 2-adic
-    valuation is the level step target_k - source_k.  ``r`` is the unique
-    solution of the relator equation in the target group (the congruence
-    Qr = d - l mod 2**target_k with l, d from relator_defect); ``l_exact`` is
-    the integer exponent l of the relation, and phi-check prints its
-    source-level value too.  ``source_congruence_ok`` records whether r also
-    satisfies the historical source-level congruence Qr = l mod 2**source_k,
-    which is a consistency note and not an input to the construction.
-
-    ``pair`` is (alpha, beta), the pair of s(U): the module part of the image
-    of a, and M = s(U) of the map on the b-free part.  The map's record
-    (|s|, c(a), c(a^b), alpha, beta) is not kept; the tests rebuild it from
-    a^s, r and the pair.
+    valuation is the level step target_k - source_k.  ``l_exact`` and ``delta``
+    are l and d - l for the l, d of relator_defect: the main relator's center
+    defect on a^s is -delta, so r solves Qr = delta mod 2**target_k by the
+    slope lemma, and is formed only where it is read.  ``pair`` is the pair
+    (alpha, beta) of s(U): the module part of a's image, and M = s(U).
     """
 
     s: LaurentPoly
     norm: int
     source_k: int
     target_k: int
-    r: int
+    delta: int
     l_exact: int
-    source_congruence_ok: bool
     pair: tuple[int, int] = field(repr=False)
+
+    @property
+    def r(self) -> int:
+        mod = 1 << self.target_k
+        r = self.delta * pow(Q, -1, mod) % mod
+        if (Q * r - self.delta) % mod:
+            raise TheoremViolationError(f"r = {r} does not solve {Q}r = {self.delta} mod 2^{self.target_k}")
+        return r
+
+    @property
+    def source_congruence_ok(self) -> bool:
+        """Qr = l mod 2**source_k, a historical note and not an input; Qr = delta there, so delta = l."""
+        return (self.delta - self.l_exact) % (1 << self.source_k) == 0
 
 
 def _order_relator_vanishes(x: Triple, k: int, level: int | None) -> bool:
-    """[x, b, ..., b] (k letters b) is 1 at ``level``: [x, b] = x^-2, then x^((-2)^k) = 1."""
-    return free_eq(comm_b(x), free_pow(x, -2), level) and free_eq(free_pow(x, (-2) ** k), (0, 0, 0), level)
+    """[x, b, ..., b] (k letters b) is 1 at ``level``: by the order lemma, once
+    [x, b] = x^-2 exactly, x^((-1)^k) is 1 at level max(level - k, 0)."""
+    low = None if level is None else max(level - k, 0)
+    return comm_b(x) == free_pow(x, -2) and free_eq(free_pow(x, (-1) ** k), (0, 0, 0), low)
 
 
 # The widest |exponent| or gap whose level map takes about 60 s (shared 2-vCPU
-# VM, Python 3.11): the records of b^j have entries of about 0.52 |j| digits
+# VM, Python 3.11): the records of b^j have entries of about 0.52 |j| digits.
+# A tower's edges share it: their widths add up to at most this bound
 LEVEL_MAP_BOUND = 2_500_000
 # The top level that 40,000 copies of 1-b+b^2 reach: a tower's memory grows
 # with its level, not with its number of edges
@@ -287,19 +297,16 @@ def _check_records(edges: tuple[LaurentPoly, ...]) -> None:
 def phi_build(s: LaurentPoly, k: int) -> PhiData:
     """Construct and verify the level map for edge s leaving level k.
 
-    The center exponent r is solved in the *target* group, where the map must
-    be well-defined; every defining relator of the source is then evaluated
-    on the images and required to vanish.  The centrality relators make the
-    image x of t central, so y |-> [y, b] = y^-1 y^b is an endomorphism of
-    <x>: once [x, b] = x^-2, the order relator [t, b, ..., b] (k letters b)
-    maps to the closed-form power x^((-2)^k).
+    Every defining relator of the source is evaluated once, exactly, on the
+    images a^s, (a^s)^b and x = [a^s, (a^s)^b], the image of t, which does
+    not read a's center: x = t^|s|, the main relator's center defect is
+    -delta, and x is central.  So y |-> [y, b] is an endomorphism of <x>,
+    and the order relator (k letters b) holds at level p by the order lemma.
 
-    ``_check_records`` runs first, once per ``tower_build``.  r absorbs any
-    center defect of a^s, so the main relator on a and the square of A B
-    check the record of b^-1, at the exact center, which reduces to every
-    level; if s has a negative lowest exponent f, a^s ends with the record
-    of b^-f, and the record of b is checked on t, A and B as the inverse of
-    the record of b^-1.
+    ``_check_records`` runs first, once per ``tower_build``: delta is read
+    from the kernel under check, so the relator on a and the square of A B
+    check the record of b^-1; if s has a lowest exponent f < 0, a^s ends with
+    the record of b^-f, and the record of b is checked as its inverse.
 
     With b = 1 the target collapses to Z/gcd(Q, augmentation(s)) modulo the
     normal closure of the image, and the map multiplies first homology
@@ -310,49 +317,43 @@ def phi_build(s: LaurentPoly, k: int) -> PhiData:
     _check_records((s,))
     if k < 0:
         raise PreconditionError("negative source level")
-    return _level_map(s, k, _edge_norm(s))
+    _edge_width(s)
+    return _level_map(s, k, norm(s))
 
 
-def _edge_norm(s: LaurentPoly) -> int:
-    """|s| for an edge, after its S-membership and width checks."""
+def _edge_width(s: LaurentPoly) -> int:
+    """The widest |exponent| or gap of an edge, after its S-membership and width checks."""
     require_in_S(s)
     width = max(widest_gap(s), -s.terms[0][0], s.terms[-1][0])
     if width > LEVEL_MAP_BOUND:
         raise PreconditionError(f"an exponent or gap of {width} is past the bound {LEVEL_MAP_BOUND} of a level map")
-    return norm(s)
+    return width
 
 
 def _level_map(s: LaurentPoly, k: int, s_norm: int) -> PhiData:
     """``phi_build`` for one checked edge of norm ``s_norm`` whose caller has run ``_check_records``."""
     p, _ = two_adic_split(s_norm)
-    target_k = k + p
-    l_exact, d, x = relator_defect(s)
-    target_mod = 1 << target_k
-    # Q is odd, so invertible mod any power of two.
-    r = ((d - l_exact) * pow(Q, -1, target_mod)) % target_mod
-
-    a = (x[0] + r, *x[1:])
+    l_exact, d, a = relator_defect(s)
     ab = conj_b(a)
     t = free_comm(a, ab)
-    if not free_eq(t, (s_norm, 0, 0), target_k):
+    if t != (s_norm, 0, 0):
         raise TheoremViolationError(f"center image for s={s}, k={k}: got (c, m, n) = {t}, expected t^{s_norm}")
 
-    if not free_eq(conj_b(ab), free_mul(a, conj_b(free_pow(a, Q))), target_k):
+    lhs, rhs = conj_b(ab), free_mul(a, conj_b(free_pow(a, Q)))
+    if lhs[1:] != rhs[1:] or lhs[0] - rhs[0] != l_exact - d:
         raise TheoremViolationError(f"main relator image nonzero for s={s}, k={k}")
-    for other in (a, ab):
-        if not free_eq(free_comm(t, other), (0, 0, 0), target_k):
-            raise TheoremViolationError(f"centrality relator image nonzero for s={s}, k={k}")
-    if not _order_relator_vanishes(t, k, target_k):
+    if free_comm(t, a) != (0, 0, 0) or free_comm(t, ab) != (0, 0, 0):
+        raise TheoremViolationError(f"centrality relator image nonzero for s={s}, k={k}")
+    if not _order_relator_vanishes(t, k, k + p):
         raise TheoremViolationError(f"order relator image nonzero for s={s}, k={k}")
 
     return PhiData(
         s=s,
         norm=s_norm,
         source_k=k,
-        target_k=target_k,
-        r=r,
+        target_k=k + p,
+        delta=d - l_exact,
         l_exact=l_exact,
-        source_congruence_ok=(Q * r - l_exact) % (1 << k) == 0,
         pair=a[1:],
     )
 
@@ -382,11 +383,18 @@ def tower_build(edges: Iterable[LaurentPoly]) -> TowerPrefix:
     Each edge gets a verified level map and a certificate that the bottom
     square of the diagram commutes: projection to the base group intertwines
     the map with the s-action.  ``_check_records`` runs once, for all edges,
-    and the top level, the sum of p(s), is checked before any level map.
+    and before any level map the sum of the edges' widths (a conservative
+    price: a level map's cost grows faster than its width) and the top
+    level, the sum of p(s), are checked.
     """
     edges = tuple(edges)
     _check_records(edges)
-    norms = [_edge_norm(s) for s in edges]
+    norms, width = [], 0
+    for s in edges:
+        width += _edge_width(s)
+        if width > LEVEL_MAP_BOUND:
+            raise PreconditionError(f"the edge widths sum to {width}, past the bound {LEVEL_MAP_BOUND} of a tower")
+        norms.append(norm(s))
     top = sum(two_adic_split(s_norm)[0] for s_norm in norms)
     if top > TOWER_LEVEL_BOUND:
         raise PreconditionError(f"the top level {top} is past the bound {TOWER_LEVEL_BOUND} of a tower")

@@ -183,6 +183,9 @@ TABLE = [
     _invalid(f"witness --edges b^2400000 --J {series.WITNESS_J_BOUND + 1}", "ci", timeout=5),
     _invalid(["witness", "--edges", "b^2400000", "--samples", ",".join(["1/2"] * 57)], "ci", timeout=5),
     _invalid(PAST_THE_TOP_LEVEL),
+    # edges each within LEVEL_MAP_BOUND, together past it: rejected at the second edge
+    _invalid("tower --edges b^2000000,b^2000000,b^2000000", "ci", timeout=5),
+    _invalid("witness --edges b^2000000,b^2000000", "ci", timeout=5),
     # an option just past the bound that its declaration in build_parser() gives
     _invalid("parity-verify --max-span 65 --max-coeff 1", "ci", timeout=5),
     _invalid("phi-check --s b --k 100000001", "ci", timeout=5),

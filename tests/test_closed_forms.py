@@ -385,6 +385,32 @@ def test_record_application_proof_catches_a_planted_fault(old, new):
     assert _record_application_failures(namespace["_aut_apply"])
 
 
+def _slope_failures():
+    """The points (c, m, n, r) of {0, 1, 2}^4 where the main relator's center
+    defect at (c + r, m, n) is not its defect at (c, m, n) plus Q r."""
+
+    def defect(a):
+        lhs, rhs = G.conj_b(G.conj_b(a)), G.free_mul(a, G.conj_b(G.free_pow(a, G.Q)))
+        return lhs[0] - rhs[0]
+
+    points = itertools.product(range(3), repeat=4)
+    return [(c, m, n, r) for c, m, n, r in points if defect((c + r, m, n)) - defect((c, m, n)) != G.Q * r]
+
+
+def test_main_relator_defect_has_slope_q_in_the_center_for_every_integer(monkeypatch):
+    # The slope lemma behind the level maps' exact check on a^s.  The
+    # difference of the two defects minus Q r is a polynomial of degree <= 1
+    # in c and r (each step multiplies the center by e and never feeds it
+    # into the module part) and <= 2 in m and n (the centers of a record
+    # application and of a b-free power are quadratic in the module part,
+    # with exact halvings), so vanishing on {0, 1, 2}^4 it vanishes for every
+    # integer c, m, n and r.  It reads G.Q, so it holds under the q-family.
+    assert _slope_failures() == []
+    # a conjugation that kept the center, e = +1 in the record of b^-1, has slope -Q
+    monkeypatch.setattr(G, "_CONJ_B_INV", (1, *G._CONJ_B_INV[1:]))
+    assert _slope_failures()
+
+
 _PAIRS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
 

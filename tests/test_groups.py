@@ -416,21 +416,24 @@ def _held_bytes():
     return tracemalloc.get_traced_memory()[0]
 
 
-def test_tower_memory_is_linear_in_its_edges():
+@pytest.mark.parametrize("edge", ["1-b+b^2", "b-b^2+b^3"])
+def test_tower_memory_is_linear_in_its_edges(edge):
     # a level-sized field per edge, such as a center mod 2**target_k, makes
     # the held memory quadratic in the edges (3.1x from 2,500 to 5,000
-    # copies of S); the first 2,500 edges of the 5,000-copy tower are the
-    # 2,500-copy tower, so one traced build gives both readings
+    # copies of 1-b+b^2); so does the residue r = -3 mod 2**target_k of
+    # b-b^2+b^3 (3.0x); the first 2,500 edges of the 5,000-copy tower are
+    # the 2,500-copy tower, so one traced build gives both readings
+    s = parse_laurent(edge)
     gc.collect()
     tracemalloc.start()
     try:
-        tower = G.tower_build([S] * 5000)
+        tower = G.tower_build([s] * 5000)
         whole = _held_bytes()
         tower = G.TowerPrefix(tower.levels[:2501], tower.phis[:2500])
         half = _held_bytes()
     finally:
         tracemalloc.stop()
-    assert tower == G.tower_build([S] * 2500)
+    assert tower == G.tower_build([s] * 2500)
     assert whole <= 2.3 * half and whole < 2 * 1024 * 1024
 
 

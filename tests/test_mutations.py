@@ -206,6 +206,16 @@ def test_tower_built_catches_a_wrong_pair_of_s_of_u(monkeypatch, capsys):
     assert "base diagram" in err
 
 
+def test_phi_build_catches_r_formed_with_a_wrong_inverse(monkeypatch, capsys):
+    # phi.build: r is formed from delta = 9 where it is printed, and must
+    # solve Qr = delta mod 2**target_k; 13 in place of 3^-1 = 11 mod 32 gives
+    # r = 21, not 3
+    monkeypatch.setattr(G, "pow", lambda base, exp, mod: pow(base, exp, mod) + 2, raising=False)
+    code, err = _exit_and_error(PHI_CHECK, capsys)
+    assert code == 2
+    assert "does not solve" in err
+
+
 def test_witness_five_term_catches_an_odd_fold(monkeypatch, capsys):
     # witness.five_term: the five-term conclusion is read from the colimit
     # fold, so a fold that stays Z/2 on even-norm edges must fail it

@@ -30,6 +30,7 @@ import vltower.cli  # loads every package module
 import words
 from commands import TABLE, check_all, run_argv, run_in_process, tagged
 from test_acceptance import _random_word
+from test_closed_forms import _slope_failures
 from vltower import quadratic
 from vltower.groups import Model, conj_b, free_mul
 
@@ -154,6 +155,13 @@ def test_free_mul_and_conj_b_agree_with_the_word_oracle(q):
         for _ in range(50):
             word = _random_word(rng, max_len=12, max_b=4)
             assert words.word_oracle(word, model) == words.eval_word(word, model), word
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 7], indirect=True)
+def test_the_main_relator_defect_has_slope_q_at_every_q(q):
+    # the slope Q in the center of a's image, which the level maps' exact
+    # check on a^s rests on, holds for every coefficient, even or odd
+    assert _slope_failures() == []
 
 
 def _split(x):
